@@ -881,7 +881,7 @@ def _apply_completion(rule: int, sc: SCFull, b: Binding) -> SCFull:
                 Trans(None, s.name, None, all_calls[name], None, target_of(s))
             )
         for name, ts in sorted(groups.items()):
-            rep = next(iter(ts)).call
+            rep = min(ts, key=trans_key).call
             if rep.exception != exception_rule:
                 continue
             pre = _neg_precond(ts)
