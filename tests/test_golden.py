@@ -7,12 +7,20 @@ corpus as JSON (the format of `fixtures/flatten_golden.json`).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from scforge.parse import parse
+from scforge.printer import print_chart
+from scforge.transform import transform_fixpoint
+from test_acceptance import EXTRA_CHARTS, corpus
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "flatten_golden.json"
 
 # Flattens gen_chart seeds 0-59 at 6 and 10 states and prints each flat chart
 # followed by its trace.
@@ -50,3 +58,37 @@ def test_flattening_is_identical_across_processes():
         if a != b
     ]
     assert not differing, f"{len(differing)} charts differ, first: {differing[:3]}"
+
+
+def flatten_digest(sc, strategy: str) -> str:
+    """sha256 of the printed flat chart followed by its trace entries."""
+    flat, trace = transform_fixpoint(sc, strategy=strategy)
+    lines = [print_chart(flat)] + [
+        f"{e.rule}\t{e.name}\t{e.binding}\t{e.before_hash}\t{e.after_hash}" for e in trace
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def golden_digests() -> dict[str, str]:
+    """The acceptance corpus and extra charts under `paper`, and the first 50
+    corpus charts under `random:1`."""
+    out = {}
+    for seed, sc in enumerate(corpus()):
+        out[f"paper/corpus/{seed}"] = flatten_digest(sc, "paper")
+    for i, text in enumerate(EXTRA_CHARTS):
+        out[f"paper/extra/{i}"] = flatten_digest(parse(text), "paper")
+    for seed, sc in enumerate(corpus()[:50]):
+        out[f"random:1/corpus/{seed}"] = flatten_digest(sc, "random:1")
+    return out
+
+
+def test_flattening_matches_golden_digests():
+    expected = json.loads(GOLDEN.read_text())
+    actual = golden_digests()
+    assert actual.keys() == expected.keys()
+    differing = [k for k in expected if actual[k] != expected[k]]
+    assert not differing, f"{len(differing)} charts differ, first: {differing[:5]}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(golden_digests(), indent=1))
