@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .actions import Action, Call, Cond
@@ -63,20 +64,6 @@ class FullState:
     internT: frozenset[InternT] = frozenset()
     pos: Optional[tuple[int, int]] = field(default=None, compare=False, hash=False, repr=False)
 
-    def with_(self, **kw) -> "FullState":
-        data = {
-            "sstereos": self.sstereos,
-            "modifiers": self.modifiers,
-            "name": self.name,
-            "inv": self.inv,
-            "entry": self.entry,
-            "exit": self.exit,
-            "do": self.do,
-            "internT": self.internT,
-        }
-        data.update(kw)
-        return FullState(**data)
-
 
 @dataclass(frozen=True)
 class SCFull:
@@ -88,45 +75,70 @@ class SCFull:
     trans: frozenset[Trans] = frozenset()
     sub: frozenset[tuple[str, str]] = frozenset()  # (child, parent) state names
 
-    def with_(self, **kw) -> "SCFull":
-        data = {
-            "stereos": self.stereos,
-            "diagram_name": self.diagram_name,
-            "class_name": self.class_name,
-            "inv": self.inv,
-            "states": self.states,
-            "trans": self.trans,
-            "sub": self.sub,
-        }
-        data.update(kw)
-        return SCFull(**data)
+    @cached_property
+    def index(self) -> "ChartIndex":
+        return ChartIndex(self)
 
     def state(self, name: str) -> FullState:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self.index.by_name[name]
 
     def state_opt(self, name: str) -> Optional[FullState]:
-        for s in self.states:
-            if s.name == name:
-                return s
-        return None
+        return self.index.by_name.get(name)
 
     def replace_state(self, old: FullState, new: FullState) -> "SCFull":
-        return self.with_(states=(self.states - {old}) | {new})
+        return replace(self, states=(self.states - {old}) | {new})
 
     def parent_name(self, name: str) -> Optional[str]:
-        for child, parent in self.sub:
-            if child == name:
-                return parent
-        return None
+        return self.index.parent.get(name)
 
-    def sorted_states(self) -> list[FullState]:
-        return sorted(self.states, key=lambda s: s.name)
+    def sorted_states(self) -> tuple[FullState, ...]:
+        return self.index.states
 
-    def sorted_trans(self) -> list[Trans]:
-        return sorted(self.trans, key=trans_key)
+    def sorted_trans(self) -> tuple[Trans, ...]:
+        return self.index.trans
+
+
+class ChartIndex:
+    """Structural lookups over one `SCFull` value, built on first use and
+    kept with it.
+
+    `children`, `ingoing` and `outgoing` map a state name to a frozenset
+    (children of None are the top-level states); `ancestors` maps it to the
+    strict superstates, parent first. On charts that break CC1 or CC12 the
+    answers are deterministic but partial: one parent per name, and an
+    ancestor chain stops at an undeclared or repeated state.
+    """
+
+    def __init__(self, sc: SCFull):
+        self._trans = sc.trans
+        self.states = tuple(sorted(sc.states, key=lambda s: s.name))
+        self.by_name = {s.name: s for s in self.states}
+        self.parent = dict(sorted(sc.sub))
+        self.children = _group(self.states, lambda s: self.parent.get(s.name))
+        self.ingoing = _group(sc.trans, lambda t: t.trg)
+        self.outgoing = _group(sc.trans, lambda t: t.src)
+        self.ancestors = {s.name: self._chain(s.name) for s in self.states}
+
+    @cached_property
+    def trans(self) -> tuple[Trans, ...]:
+        return tuple(sorted(self._trans, key=trans_key))
+
+    def _chain(self, name: str) -> tuple[FullState, ...]:
+        out: list[FullState] = []
+        seen = {name}
+        cur = self.parent.get(name)
+        while cur in self.by_name and cur not in seen:
+            seen.add(cur)
+            out.append(self.by_name[cur])
+            cur = self.parent.get(cur)
+        return tuple(out)
+
+
+def _group(items, key) -> dict:
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(key(x), set()).add(x)
+    return {k: frozenset(v) for k, v in groups.items()}
 
 
 def trans_key(t: Trans):

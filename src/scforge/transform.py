@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .actions import (
     Action,
@@ -19,7 +20,6 @@ from .actions import (
     CMatch,
     CNot,
     Cond,
-    CTrue,
     EBin,
     ECons,
     EList,
@@ -45,7 +45,6 @@ from .actions import (
     COr,
     CCmp,
     CVar,
-    CFalse,
 )
 from .ast import (
     COMPLETION_CHAOS,
@@ -81,44 +80,6 @@ class NotSimplifiable(Exception):
 
 class IllFormedInput(Exception):
     """The chart fails its static checks."""
-
-
-RULE_NAMES = {
-    1: "elimDo",
-    2: "elimInternalT1",
-    3: "elimInternalT2",
-    4: "addInitTop",
-    5: "addInitSub",
-    6: "forwardToSub",
-    7: "deleteInitSub",
-    8: "addFinalTop",
-    9: "addFinalSub",
-    10: "backwardToSub",
-    11: "backwardToSubPrioInner",
-    12: "backwardToSubPrioOuter",
-    13: "backwardToSubPrio",
-    14: "elimPrio",
-    15: "deleteFinalSub",
-    16: "moveExitActions",
-    17: "moveExitActionsSeq",
-    18: "removeExitAction",
-    19: "moveEntryActions",
-    20: "moveEntryActionsSeq",
-    21: "removeEntryAction",
-    22: "moveInvariant",
-    23: "removeHierarchy",
-    24: "completionIgnore",
-    25: "completionError",
-    26: "completionException",
-}
-# Engine-only cleanup step: once the chart is flat, stereotypes that have no
-# remaining effect (priorities, chaos completion, sequential conditions) are
-# dropped so the final result carries no stereotypes.
-DROP_STEREOS_STEP = 27
-ENGINE_STEP_NAMES = dict(RULE_NAMES)
-ENGINE_STEP_NAMES[DROP_STEREOS_STEP] = "dropStereotypes"
-
-RULE_NUMBERS = {name: num for num, name in RULE_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -159,98 +120,56 @@ def chart_hash(sc: SCFull) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural queries
+# Structural queries, answered from the chart's index (`SCFull.index`)
 
-def sub_plus(sc: SCFull) -> set[tuple[str, str]]:
-    parent = dict(sc.sub)
-    out: set[tuple[str, str]] = set()
-    for child in parent:
-        cur = child
-        while cur in parent:
-            cur = parent[cur]
-            out.add((child, cur))
-            if cur == child:  # defensive: cyclic sub
-                break
-    return out
+def substates(s: FullState, sc: SCFull) -> frozenset[FullState]:
+    return sc.index.children.get(s.name, frozenset())
 
 
-def substates(s: FullState, sc: SCFull) -> set[FullState]:
-    return {st for st in sc.states if (st.name, s.name) in sc.sub}
+def list_of_all_superstates(s: FullState, sc: SCFull) -> tuple[FullState, ...]:
+    """The strict superstates of s, parent first."""
+    return sc.index.ancestors.get(s.name, ())
 
 
-def superstates(s: FullState, sc: SCFull) -> set[FullState]:
-    plus = sub_plus(sc)
-    return {st for st in sc.states if (s.name, st.name) in plus}
+def superstates(s: FullState, sc: SCFull) -> frozenset[FullState]:
+    return frozenset(list_of_all_superstates(s, sc))
 
 
-def ingoing_t(s: FullState, sc: SCFull) -> set[Trans]:
-    return {t for t in sc.trans if t.trg == s.name}
+def ingoing_t(s: FullState, sc: SCFull) -> frozenset[Trans]:
+    return sc.index.ingoing.get(s.name, frozenset())
 
 
-def outgoing_t(s: FullState, sc: SCFull) -> set[Trans]:
-    return {t for t in sc.trans if t.src == s.name}
+def outgoing_t(s: FullState, sc: SCFull) -> frozenset[Trans]:
+    return sc.index.outgoing.get(s.name, frozenset())
 
 
-def _is_top(s: FullState, sc: SCFull) -> bool:
-    return sc.parent_name(s.name) is None
-
-
-def top_initials(sc: SCFull) -> set[FullState]:
-    return {s for s in sc.states if "initial" in s.modifiers and _is_top(s, sc)}
+def _top_names(mod: str, sc: SCFull) -> set[str]:
+    return {s.name for s in sc.index.children.get(None, ()) if mod in s.modifiers}
 
 
 def top_initial(sc: SCFull) -> bool:
-    return bool(top_initials(sc))
-
-
-def top_finals(sc: SCFull) -> set[FullState]:
-    return {s for s in sc.states if "final" in s.modifiers and _is_top(s, sc)}
-
-
-def top_final(sc: SCFull) -> bool:
-    return bool(top_finals(sc))
+    return bool(_top_names("initial", sc))
 
 
 def simple_state(s: FullState, sc: SCFull) -> bool:
     return not substates(s, sc) and s.do is None and not s.internT
 
 
-def initial_irrelevant(s: FullState, sc: SCFull) -> bool:
-    plus = sub_plus(sc)
-    return (
-        s not in top_initials(sc)
-        and top_initial(sc)
-        and all(not ingoing_t(sup, sc) for sup in superstates(s, sc) | {s})
-        and not any((s.name, sup.name) in plus for sup in top_initials(sc))
+def _irrelevant(mod: str, edges, s: FullState, sc: SCFull) -> bool:
+    """The chart has a top-level `mod` state, and neither s nor any of its
+    superstates is one or has an `edges` transition."""
+    tops = _top_names(mod, sc)
+    return bool(tops) and not any(
+        x.name in tops or edges(x, sc) for x in (s, *list_of_all_superstates(s, sc))
     )
+
+
+def initial_irrelevant(s: FullState, sc: SCFull) -> bool:
+    return _irrelevant("initial", ingoing_t, s, sc)
 
 
 def final_irrelevant(s: FullState, sc: SCFull) -> bool:
-    plus = sub_plus(sc)
-    return (
-        s not in top_finals(sc)
-        and top_final(sc)
-        and all(not outgoing_t(sup, sc) for sup in superstates(s, sc) | {s})
-        and not any((s.name, sup.name) in plus for sup in top_finals(sc))
-    )
-
-
-def same_call(s: FullState, ts: set[Trans], sc: SCFull) -> bool:
-    """All of ts share one call name, and no other outgoing transition of s
-    uses that name (maximality)."""
-    names = {t.call.name for t in ts}
-    if len(names) != 1:
-        return False
-    name = names.pop()
-    return not any(t.call.name == name for t in outgoing_t(s, sc) - ts)
-
-
-def no_prio(t: Trans) -> bool:
-    return t.prio is None
-
-
-def no_prios(ts) -> bool:
-    return all(no_prio(t) for t in ts)
+    return _irrelevant("final", outgoing_t, s, sc)
 
 
 def call_groups(s: FullState, sc: SCFull) -> dict[str, set[Trans]]:
@@ -261,32 +180,11 @@ def call_groups(s: FullState, sc: SCFull) -> dict[str, set[Trans]]:
     return groups
 
 
-def list_of_all_superstates(s: FullState, sc: SCFull) -> list[FullState]:
-    out = []
-    cur = sc.parent_name(s.name)
-    while cur is not None:
-        st = sc.state(cur)
-        out.append(st)
-        cur = sc.parent_name(cur)
-    return out
-
-
-def cs(s1: FullState, s2: FullState, sc: SCFull) -> set[FullState]:
-    plus = sub_plus(sc)
-    return {
-        s
-        for s in sc.states
-        if (s1.name, s.name) in plus and (s2.name, s.name) in plus
-    }
-
-
 def lcs(s1: FullState, s2: FullState, sc: SCFull) -> Optional[FullState]:
-    common = cs(s1, s2, sc)
-    plus = sub_plus(sc)
-    for s in common:
-        if all(s == o or (s.name, o.name) in plus for o in common):
-            return s
-    return None
+    """Least common strict superstate: the first shared entry of the two
+    ancestor chains."""
+    above2 = {st.name for st in list_of_all_superstates(s2, sc)}
+    return next((st for st in list_of_all_superstates(s1, sc) if st.name in above2), None)
 
 
 def chain_below(s: FullState, stop: Optional[FullState], sc: SCFull) -> list[FullState]:
@@ -314,6 +212,10 @@ def flat_and_simplified(sc: SCFull) -> bool:
         if final_irrelevant(s, sc) and "final" in s.modifiers:
             return False
     return True
+
+
+def _flat(sc: SCFull) -> bool:
+    return not sc.sub and flat_and_simplified(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -428,476 +330,458 @@ def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = No
 
 
 # ---------------------------------------------------------------------------
-# Rule bindings and application
-
-def _sorted_states(sc: SCFull) -> list[FullState]:
-    return sc.sorted_states()
-
+# The rules. A find function yields the items of each binding of its rule on
+# a chart, in the order the paper strategy tries them; an apply function
+# rewrites the chart for one binding. Paired rules share a function that takes
+# the modifier, stereotype or action they differ in.
 
 def _intern_key(it: InternT):
     return (it.call.name, len(it.call.args), repr(it.pre), repr(it.act))
 
 
-def _b(rule: int, *items) -> Binding:
-    return Binding(rule, tuple(items))
-
-
-def _depth(name: str, sc: SCFull) -> int:
-    d = 0
-    cur = sc.parent_name(name)
-    while cur is not None:
-        d += 1
-        cur = sc.parent_name(cur)
-    return d
-
-
-def find_bindings(rule: int, sc: SCFull) -> list[Binding]:
-    out: list[Binding] = []
-    states = _sorted_states(sc)
-
-    if rule == 1:  # elimDo
-        for s in states:
-            if s.do is not None:
-                out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 2:  # elimInternalT1
-        for s in states:
-            if substates(s, sc):
-                for it in sorted(s.internT, key=_intern_key):
-                    out.append(_b(rule, ("s", s.name), ("inT", it)))
-
-    elif rule == 3:  # elimInternalT2
-        for s in states:
-            if not substates(s, sc):
-                for it in sorted(s.internT, key=_intern_key):
-                    out.append(_b(rule, ("s", s.name), ("inT", it)))
-
-    elif rule in (4, 8):  # addInitTop / addFinalTop
-        mod = "initial" if rule == 4 else "final"
-        tops = [s for s in states if _is_top(s, sc)]
-        if tops and all(mod not in s.modifiers for s in tops):
-            out.append(_b(rule))
-
-    elif rule in (5, 9):  # addInitSub / addFinalSub
-        mod = "initial" if rule == 5 else "final"
-        for s in states:
-            subs = substates(s, sc)
-            if not subs or any(mod in st.modifiers for st in subs):
-                continue
-            relevant = (
-                mod in s.modifiers
-                or (ingoing_t(s, sc) if rule == 5 else outgoing_t(s, sc))
-            )
-            if relevant:
-                out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 6:  # forwardToSub
-        for s in states:
-            if any("initial" in st.modifiers for st in substates(s, sc)):
-                for t in sorted(ingoing_t(s, sc), key=trans_key):
-                    out.append(_b(rule, ("s", s.name), ("t", t)))
-
-    elif rule in (7, 15):  # deleteInitSub / deleteFinalSub
-        mod = "initial" if rule == 7 else "final"
-        irrelevant = initial_irrelevant if rule == 7 else final_irrelevant
-        cands = [s for s in states if mod in s.modifiers and irrelevant(s, sc)]
-        # ancestors first, so a deleted modifier cannot be re-added below
-        for s in sorted(cands, key=lambda s: (_depth(s.name, sc), s.name)):
-            out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 10:  # backwardToSub
-        if not (sc.stereos & PRIO_STEREOS):
-            for s in states:
-                if any("final" in st.modifiers for st in substates(s, sc)):
-                    for t in sorted(outgoing_t(s, sc), key=trans_key):
-                        out.append(_b(rule, ("s", s.name), ("t", t)))
-
-    elif rule in (11, 12):  # backwardToSubPrioInner / -Outer
-        stereo = PRIO_INNER if rule == 11 else PRIO_OUTER
-        if stereo in sc.stereos:
-            for s in states:
-                if not any("final" in st.modifiers for st in substates(s, sc)):
-                    continue
-                for name, ts in sorted(call_groups(s, sc).items()):
-                    if ts and no_prios(ts):
-                        out.append(_b(rule, ("s", s.name), ("ts", frozenset(ts))))
-
-    elif rule == 13:  # backwardToSubPrio
-        for s in states:
-            if any("final" in st.modifiers for st in substates(s, sc)):
-                for t in sorted(outgoing_t(s, sc), key=trans_key):
-                    if t.prio is not None:
-                        out.append(_b(rule, ("s", s.name), ("t", t)))
-
-    elif rule == 14:  # elimPrio
-        for s in states:
-            if not simple_state(s, sc):
-                continue
-            if any(outgoing_t(sup, sc) for sup in superstates(s, sc)):
-                continue
-            for name, ts in sorted(call_groups(s, sc).items()):
-                if ts and not no_prios(ts):
-                    out.append(_b(rule, ("s", s.name), ("ts", frozenset(ts))))
-
-    elif rule in (16, 17):  # moveExitActions / -Seq
-        seq = SEQUENTIAL in sc.stereos
-        if (rule == 17) == seq:
-            for s in states:
-                # final states are allowed: the exit action only runs when the
-                # state is left through a transition, which is exactly where the
-                # action moves to (termination runs it in neither version)
-                if (
-                    s.exit is not None
-                    and simple_state(s, sc)
-                    and all(not outgoing_t(sup, sc) for sup in superstates(s, sc))
-                ):
-                    out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 18:  # removeExitAction
-        for s in states:
-            if (
-                s.exit is not None
-                and not outgoing_t(s, sc)
-                and all(not outgoing_t(sup, sc) for sup in superstates(s, sc))
-            ):
-                out.append(_b(rule, ("s", s.name)))
-
-    elif rule in (19, 20):  # moveEntryActions / -Seq
-        seq = SEQUENTIAL in sc.stereos
-        if (rule == 20) == seq:
-            for s in states:
-                if (
-                    s.entry is not None
-                    and "initial" not in s.modifiers
-                    and simple_state(s, sc)
-                    and all(not ingoing_t(sup, sc) for sup in superstates(s, sc))
-                ):
-                    out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 21:  # removeEntryAction
-        for s in states:
-            if (
-                s.entry is not None
-                and not ingoing_t(s, sc)
-                and all(not ingoing_t(sup, sc) for sup in superstates(s, sc))
-            ):
-                out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 22:  # moveInvariant
-        for s in states:
-            if (
-                s.inv is not None
-                and substates(s, sc)
-                and s.do is None
-                and not s.internT
-            ):
-                out.append(_b(rule, ("s", s.name)))
-
-    elif rule == 23:  # removeHierarchy
-        if sc.sub and flat_and_simplified(sc):
-            out.append(_b(rule))
-
-    elif rule == 24:  # completionIgnore
-        if COMPLETION_IGNORE in sc.stereos and not sc.sub and flat_and_simplified(sc):
-            out.append(_b(rule))
-
-    elif rule == 25:  # completionError
-        if COMPLETION_ERROR in sc.stereos and not sc.sub and flat_and_simplified(sc):
-            errs = [s for s in states if "error" in s.sstereos]
-            if errs:
-                out.append(_b(rule, ("err", errs[0].name)))
-            else:
-                # the rule introduces the error state itself
-                name = "Error"
-                while sc.state_opt(name) is not None:
-                    name += "$"
-                out.append(_b(rule, ("err", name)))
-
-    elif rule == 26:  # completionException
-        if not sc.sub and flat_and_simplified(sc):
-            excs = [s for s in states if "exception" in s.sstereos]
-            if excs and any(t.call.exception for t in sc.trans):
-                out.append(_b(rule, ("exc", excs[0].name)))
-
-    elif rule == DROP_STEREOS_STEP:
-        droppable = sc.stereos & {PRIO_INNER, PRIO_OUTER, COMPLETION_CHAOS, SEQUENTIAL}
-        if droppable and not sc.sub and flat_and_simplified(sc):
-            out.append(_b(rule))
-
-    return out
-
-
-def apply_rule(rule: int, sc: SCFull, b: Binding) -> SCFull:
-    if b not in find_bindings(rule, sc):
-        raise BindingStale(f"rule {rule} ({ENGINE_STEP_NAMES[rule]}): {b.describe()}")
-    return _apply(rule, sc, b)
+def _each_state(pred):
+    """Find function binding `s` to the name of each state with pred(s, sc)."""
+    return lambda sc: ((("s", s.name),) for s in sc.sorted_states() if pred(s, sc))
 
 
 def _with_timer(a: Optional[Action], prim) -> Action:
     return Action(action_stmt(a) + (prim,), action_post(a))
 
 
-def _apply(rule: int, sc: SCFull, b: Binding) -> SCFull:
-    if rule == 1:  # elimDo
-        s = sc.state(b["s"])
-        new_it = InternT(
-            TRUE,
-            Call(TIMEOUT, ()),
-            Action(s.do.stmt + (SetTimer(),), s.do.post),
-        )
-        return sc.replace_state(
-            s,
-            s.with_(
-                internT=s.internT | {new_it},
-                entry=_with_timer(s.entry, SetTimer()),
-                exit=_with_timer(s.exit, StopTimer()),
-                do=None,
-            ),
-        )
+def _elim_do(sc: SCFull, b: Binding) -> SCFull:  # rule 1
+    s = sc.state(b["s"])
+    timeout = InternT(TRUE, Call(TIMEOUT, ()), Action(s.do.stmt + (SetTimer(),), s.do.post))
+    return sc.replace_state(s, replace(
+        s,
+        internT=s.internT | {timeout},
+        entry=_with_timer(s.entry, SetTimer()),
+        exit=_with_timer(s.exit, StopTimer()),
+        do=None,
+    ))
 
-    if rule == 2:  # elimInternalT1
-        s, it = sc.state(b["s"]), b["inT"]
-        added = {
-            Trans(None, st.name, it.pre, it.call, it.act, st.name)
-            for st in substates(s, sc)
-        }
-        sc = sc.replace_state(s, s.with_(internT=s.internT - {it}))
-        return sc.with_(trans=sc.trans | added)
 
-    if rule == 3:  # elimInternalT2
-        s, it = sc.state(b["s"]), b["inT"]
-        k = 0
-        while sc.state_opt(f"{s.name}$inner{k}") is not None:
-            k += 1
-        fresh = FullState(
-            modifiers=frozenset(["initial", "final"]), name=f"{s.name}$inner{k}"
-        )
-        sc = sc.replace_state(s, s.with_(internT=s.internT - {it}))
-        return sc.with_(
-            states=sc.states | {fresh},
-            sub=sc.sub | {(fresh.name, s.name)},
-            trans=sc.trans | {Trans(None, fresh.name, it.pre, it.call, it.act, fresh.name)},
-        )
+def _find_internal(composite: bool, sc: SCFull):  # rules 2, 3
+    for s in sc.sorted_states():
+        if bool(substates(s, sc)) == composite:
+            for it in sorted(s.internT, key=_intern_key):
+                yield (("s", s.name), ("inT", it))
 
-    if rule in (4, 8):  # addInitTop / addFinalTop
-        mod = "initial" if rule == 4 else "final"
-        states = {
-            s.with_(modifiers=s.modifiers | {mod}) if _is_top(s, sc) else s
-            for s in sc.states
-        }
-        return sc.with_(states=frozenset(states))
 
-    if rule in (5, 9):  # addInitSub / addFinalSub
-        mod = "initial" if rule == 5 else "final"
-        s = sc.state(b["s"])
-        subs = substates(s, sc)
-        states = {
-            st.with_(modifiers=st.modifiers | {mod}) if st in subs else st
-            for st in sc.states
-        }
-        return sc.with_(states=frozenset(states))
+def _internal_to_substates(sc: SCFull, b: Binding) -> SCFull:  # rule 2
+    s, it = sc.state(b["s"]), b["inT"]
+    loops = {Trans(None, st.name, it.pre, it.call, it.act, st.name) for st in substates(s, sc)}
+    return replace(sc.replace_state(s, replace(s, internT=s.internT - {it})),
+                   trans=sc.trans | loops)
 
-    if rule == 6:  # forwardToSub
-        s, t = sc.state(b["s"]), b["t"]
-        subs = [st for st in substates(s, sc) if "initial" in st.modifiers]
-        added = {
-            Trans(t.prio, t.src, t.pre, t.call, t.act, st.name) for st in subs
-        }
-        return sc.with_(trans=(sc.trans - {t}) | added)
 
-    if rule in (7, 15):  # deleteInitSub / deleteFinalSub
-        mod = "initial" if rule == 7 else "final"
-        s = sc.state(b["s"])
-        return sc.replace_state(s, s.with_(modifiers=s.modifiers - {mod}))
+def _internal_to_inner_state(sc: SCFull, b: Binding) -> SCFull:  # rule 3
+    s, it = sc.state(b["s"]), b["inT"]
+    k = 0
+    while sc.state_opt(f"{s.name}$inner{k}") is not None:
+        k += 1
+    inner = f"{s.name}$inner{k}"
+    fresh = FullState(modifiers=frozenset(["initial", "final"]), name=inner)
+    return replace(
+        sc,
+        states=(sc.states - {s}) | {replace(s, internT=s.internT - {it}), fresh},
+        sub=sc.sub | {(inner, s.name)},
+        trans=sc.trans | {Trans(None, inner, it.pre, it.call, it.act, inner)},
+    )
 
-    if rule in (10, 13):  # backwardToSub / backwardToSubPrio
-        s, t = sc.state(b["s"]), b["t"]
-        subs = [st for st in substates(s, sc) if "final" in st.modifiers]
-        added = {
-            Trans(t.prio, st.name, t.pre, t.call, t.act, t.trg) for st in subs
-        }
-        return sc.with_(trans=(sc.trans - {t}) | added)
 
-    if rule == 11:  # backwardToSubPrioInner
-        s, ts = sc.state(b["s"]), b["ts"]
-        name = next(iter(ts)).call.name
-        subs = sorted(
-            (st for st in substates(s, sc) if "final" in st.modifiers),
-            key=lambda st: st.name,
-        )
-        added: set[Trans] = set()
-        for st in subs:
-            c_trans = {
-                t
-                for t in outgoing_t(st, sc)
-                if t.call.name == name and no_prio(t)
-            }
-            pre_i = _neg_precond(c_trans)
-            for t in sorted(ts, key=trans_key):
-                added.add(normalize_trans(t, pre_i, src=st.name))
-        return sc.with_(trans=(sc.trans - ts) | added)
+def _find_add_top(mod: str, sc: SCFull):  # rules 4, 8
+    tops = sc.index.children.get(None)
+    if tops and all(mod not in s.modifiers for s in tops):
+        yield ()
 
-    if rule == 12:  # backwardToSubPrioOuter
-        s, ts = sc.state(b["s"]), b["ts"]
-        name = next(iter(ts)).call.name
-        subs = sorted(
-            (st for st in substates(s, sc) if "final" in st.modifiers),
-            key=lambda st: st.name,
-        )
-        pre_outer = _neg_precond(ts)
-        added: set[Trans] = set()
-        removed: set[Trans] = set(ts)
-        for st in subs:
-            c_trans = {
-                t
-                for t in outgoing_t(st, sc)
-                if t.call.name == name and no_prio(t)
-            }
-            removed |= c_trans
-            # the outer transitions move down unchanged
-            for t in sorted(ts, key=trans_key):
-                added.add(Trans(t.prio, st.name, t.pre, t.call, t.act, t.trg))
-            # the inner ones only fire if no outer one does
-            for t in sorted(c_trans, key=trans_key):
-                added.add(normalize_trans(t, pre_outer))
-        return sc.with_(trans=(sc.trans - removed) | added)
 
-    if rule == 14:  # elimPrio
-        s, ts = sc.state(b["s"]), b["ts"]
+def _add_top(mod: str, sc: SCFull, b: Binding) -> SCFull:
+    tops = sc.index.children.get(None, frozenset())
+    marked = {replace(s, modifiers=s.modifiers | {mod}) for s in tops}
+    return replace(sc, states=(sc.states - tops) | marked)
 
-        def prio(t: Trans) -> int:
-            return t.prio if t.prio is not None else 0
 
-        added: set[Trans] = set()
+def _needs_sub_mod(mod: str, edges, s: FullState, sc: SCFull) -> bool:  # rules 5, 9
+    subs = substates(s, sc)
+    return (
+        bool(subs)
+        and all(mod not in st.modifiers for st in subs)
+        and bool(mod in s.modifiers or edges(s, sc))
+    )
+
+
+def _add_sub_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
+    subs = substates(sc.state(b["s"]), sc)
+    marked = {replace(st, modifiers=st.modifiers | {mod}) for st in subs}
+    return replace(sc, states=(sc.states - subs) | marked)
+
+
+def _find_to_sub(mod: str, edges, wanted, sc: SCFull):  # rules 6, 10, 13
+    """Each wanted transition entering (6) or leaving (10, 13) a state that
+    has a `mod` substate."""
+    for s in sc.sorted_states():
+        if any(mod in st.modifiers for st in substates(s, sc)):
+            for t in sorted(edges(s, sc), key=trans_key):
+                if wanted(t, sc):
+                    yield (("s", s.name), ("t", t))
+
+
+def _move_to_sub(mod: str, end: str, sc: SCFull, b: Binding) -> SCFull:
+    """Replace t by copies whose `end` ("trg" or "src") is each `mod`
+    substate of s."""
+    s, t = sc.state(b["s"]), b["t"]
+    moved = {replace(t, **{end: st.name}) for st in substates(s, sc) if mod in st.modifiers}
+    return replace(sc, trans=(sc.trans - {t}) | moved)
+
+
+def _find_delete_sub_mod(mod: str, irrelevant, sc: SCFull):  # rules 7, 15
+    found = [s for s in sc.sorted_states() if mod in s.modifiers and irrelevant(s, sc)]
+    # ancestors first, so a deleted modifier cannot be re-added below
+    for s in sorted(found, key=lambda s: (len(list_of_all_superstates(s, sc)), s.name)):
+        yield (("s", s.name),)
+
+
+def _delete_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
+    s = sc.state(b["s"])
+    return sc.replace_state(s, replace(s, modifiers=s.modifiers - {mod}))
+
+
+def _final_subs(s: FullState, sc: SCFull) -> list[FullState]:
+    return sorted((st for st in substates(s, sc) if "final" in st.modifiers),
+                  key=lambda st: st.name)
+
+
+def _find_prio_groups(stereo: str, sc: SCFull):  # rules 11, 12
+    if stereo in sc.stereos:
+        for s in sc.sorted_states():
+            if any("final" in st.modifiers for st in substates(s, sc)):
+                for _, ts in sorted(call_groups(s, sc).items()):
+                    if all(t.prio is None for t in ts):
+                        yield (("s", s.name), ("ts", frozenset(ts)))
+
+
+def _inner_calls(st: FullState, ts, sc: SCFull) -> set[Trans]:
+    """Transitions of st without a priority on the call of ts."""
+    name = next(iter(ts)).call.name
+    return {t for t in outgoing_t(st, sc) if t.call.name == name and t.prio is None}
+
+
+def _prio_inner(sc: SCFull, b: Binding) -> SCFull:  # rule 11
+    s, ts = sc.state(b["s"]), b["ts"]
+    added: set[Trans] = set()
+    for st in _final_subs(s, sc):
+        pre_i = _neg_precond(_inner_calls(st, ts, sc))
         for t in sorted(ts, key=trans_key):
-            higher = {t2 for t2 in ts if prio(t2) > prio(t)}
-            added.add(normalize_trans(t, _neg_precond(higher), drop_prio=True))
-        return sc.with_(trans=(sc.trans - ts) | added)
-
-    if rule in (16, 17):  # moveExitActions / -Seq
-        s = sc.state(b["s"])
-        outgoing = sorted(outgoing_t(s, sc), key=trans_key)
-        new_trans = set(sc.trans) - set(outgoing)
-        for t in outgoing:
-            chain = [
-                st
-                for st in chain_below(s, lcs(s, sc.state(t.trg), sc), sc)
-                if st.exit is not None
-            ]
-            acts = [s.exit] + [st.exit for st in chain]
-            if rule == 16:
-                stmt = tuple(x for a in acts for x in a.stmt) + action_stmt(t.act)
-                post = conj_opt(*(a.post for a in acts), action_post(t.act))
-                new_act = Action(stmt, post)
-            else:
-                seq = seq_actions_all(acts + [t.act if t.act else Action()])
-                new_act = Action(seq.stmt, action_post(t.act))
-            new_trans.add(Trans(t.prio, t.src, t.pre, t.call, new_act, t.trg))
-        sc = sc.with_(trans=frozenset(new_trans))
-        s = sc.state(b["s"])
-        return sc.replace_state(s, s.with_(exit=None))
-
-    if rule in (18, 21):  # removeExitAction / removeEntryAction
-        s = sc.state(b["s"])
-        return sc.replace_state(
-            s, s.with_(exit=None) if rule == 18 else s.with_(entry=None)
-        )
-
-    if rule in (19, 20):  # moveEntryActions / -Seq
-        s = sc.state(b["s"])
-        ingoing = sorted(ingoing_t(s, sc), key=trans_key)
-        new_trans = set(sc.trans) - set(ingoing)
-        for t in ingoing:
-            chain = [
-                st
-                for st in chain_below(s, lcs(s, sc.state(t.src), sc), sc)
-                if st.entry is not None
-            ]
-            # entered outermost first: reverse of the upward chain, then s
-            acts = [st.entry for st in reversed(chain)] + [s.entry]
-            if rule == 19:
-                stmt = action_stmt(t.act) + tuple(x for a in acts for x in a.stmt)
-                post = conj_opt(action_post(t.act), *(a.post for a in acts))
-                new_act = Action(stmt, post)
-            else:
-                seq = seq_actions_all([t.act if t.act else Action()] + acts)
-                new_act = Action(seq.stmt, conj_opt(action_post(t.act), s.entry.post))
-            new_trans.add(Trans(t.prio, t.src, t.pre, t.call, new_act, t.trg))
-        sc = sc.with_(trans=frozenset(new_trans))
-        s = sc.state(b["s"])
-        return sc.replace_state(s, s.with_(entry=None))
-
-    if rule == 22:  # moveInvariant
-        s = sc.state(b["s"])
-        subs = substates(s, sc)
-        states = set(sc.states) - subs - {s}
-        for st in subs:
-            states.add(st.with_(inv=conj_opt(s.inv, st.inv)))
-        states.add(s.with_(inv=None))
-        return sc.with_(states=frozenset(states))
-
-    if rule == 23:  # removeHierarchy
-        supers = {s for s in sc.states if substates(s, sc)}
-        return sc.with_(states=sc.states - supers, sub=frozenset())
-
-    if rule in (24, 25, 26):
-        return _apply_completion(rule, sc, b)
-
-    if rule == DROP_STEREOS_STEP:
-        droppable = {PRIO_INNER, PRIO_OUTER, COMPLETION_CHAOS, SEQUENTIAL}
-        return sc.with_(stereos=sc.stereos - droppable)
-
-    raise ValueError(f"unknown rule {rule}")
+            added.add(normalize_trans(t, pre_i, src=st.name))
+    return replace(sc, trans=(sc.trans - ts) | added)
 
 
-def _apply_completion(rule: int, sc: SCFull, b: Binding) -> SCFull:
-    exception_rule = rule == 26
-    if rule == 24:
-        target_of = lambda s: s.name  # self loops
-    elif rule == 25:
-        err = b["err"]
-        if sc.state_opt(err) is None:
-            sc = sc.with_(
-                states=sc.states
-                | {FullState(modifiers=frozenset(), name=err, sstereos=frozenset(["error"]))}
+def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
+    s, ts = sc.state(b["s"]), b["ts"]
+    pre_outer = _neg_precond(ts)
+    added: set[Trans] = set()
+    removed: set[Trans] = set(ts)
+    for st in _final_subs(s, sc):
+        c_trans = _inner_calls(st, ts, sc)
+        removed |= c_trans
+        # the outer transitions move down unchanged
+        for t in sorted(ts, key=trans_key):
+            added.add(replace(t, src=st.name))
+        # the inner ones only fire if no outer one does
+        for t in sorted(c_trans, key=trans_key):
+            added.add(normalize_trans(t, pre_outer))
+    return replace(sc, trans=(sc.trans - removed) | added)
+
+
+def _find_elim_prio(sc: SCFull):  # rule 14
+    for s in sc.sorted_states():
+        if simple_state(s, sc) and not any(
+            outgoing_t(sup, sc) for sup in list_of_all_superstates(s, sc)
+        ):
+            for _, ts in sorted(call_groups(s, sc).items()):
+                if any(t.prio is not None for t in ts):
+                    yield (("s", s.name), ("ts", frozenset(ts)))
+
+
+def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
+    ts = b["ts"]
+
+    def prio(t: Trans) -> int:
+        return t.prio if t.prio is not None else 0
+
+    added: set[Trans] = set()
+    for t in sorted(ts, key=trans_key):
+        higher = {t2 for t2 in ts if prio(t2) > prio(t)}
+        added.add(normalize_trans(t, _neg_precond(higher), drop_prio=True))
+    return replace(sc, trans=(sc.trans - ts) | added)
+
+
+def _exit_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17
+    # final states are allowed: the exit action only runs when the state is
+    # left through a transition, which is exactly where the action moves to
+    # (termination runs it in neither version)
+    return (
+        (SEQUENTIAL in sc.stereos) == seq
+        and s.exit is not None
+        and simple_state(s, sc)
+        and not any(outgoing_t(sup, sc) for sup in list_of_all_superstates(s, sc))
+    )
+
+
+def _move_exit(seq: bool, sc: SCFull, b: Binding) -> SCFull:
+    s = sc.state(b["s"])
+    outgoing = outgoing_t(s, sc)
+    moved = set()
+    for t in sorted(outgoing, key=trans_key):
+        chain = chain_below(s, lcs(s, sc.state(t.trg), sc), sc)
+        acts = [s.exit] + [st.exit for st in chain if st.exit is not None]
+        if seq:
+            act = Action(seq_actions_all(acts + [t.act or Action()]).stmt, action_post(t.act))
+        else:
+            act = Action(
+                tuple(x for a in acts for x in a.stmt) + action_stmt(t.act),
+                conj_opt(*(a.post for a in acts), action_post(t.act)),
             )
-        target_of = lambda s: err
+        moved.add(replace(t, act=act))
+    return replace(sc.replace_state(s, replace(s, exit=None)),
+                   trans=(sc.trans - outgoing) | moved)
+
+
+def _entry_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 19, 20
+    return (
+        (SEQUENTIAL in sc.stereos) == seq
+        and s.entry is not None
+        and "initial" not in s.modifiers
+        and simple_state(s, sc)
+        and not any(ingoing_t(sup, sc) for sup in list_of_all_superstates(s, sc))
+    )
+
+
+def _move_entry(seq: bool, sc: SCFull, b: Binding) -> SCFull:
+    s = sc.state(b["s"])
+    ingoing = ingoing_t(s, sc)
+    moved = set()
+    for t in sorted(ingoing, key=trans_key):
+        chain = chain_below(s, lcs(s, sc.state(t.src), sc), sc)
+        # entered outermost first: reverse of the upward chain, then s
+        acts = [st.entry for st in reversed(chain) if st.entry is not None] + [s.entry]
+        if seq:
+            act = Action(seq_actions_all([t.act or Action()] + acts).stmt,
+                         conj_opt(action_post(t.act), s.entry.post))
+        else:
+            act = Action(
+                action_stmt(t.act) + tuple(x for a in acts for x in a.stmt),
+                conj_opt(action_post(t.act), *(a.post for a in acts)),
+            )
+        moved.add(replace(t, act=act))
+    return replace(sc.replace_state(s, replace(s, entry=None)),
+                   trans=(sc.trans - ingoing) | moved)
+
+
+def _action_removable(attr: str, edges, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
+    """s has an `attr` action, and no `edges` transition of s or of a
+    superstate would run it."""
+    return getattr(s, attr) is not None and not any(
+        edges(x, sc) for x in (s, *list_of_all_superstates(s, sc))
+    )
+
+
+def _remove_action(attr: str, sc: SCFull, b: Binding) -> SCFull:
+    s = sc.state(b["s"])
+    return sc.replace_state(s, replace(s, **{attr: None}))
+
+
+def _inv_movable(s: FullState, sc: SCFull) -> bool:  # rule 22
+    return s.inv is not None and s.do is None and not s.internT and bool(substates(s, sc))
+
+
+def _move_invariant(sc: SCFull, b: Binding) -> SCFull:
+    s = sc.state(b["s"])
+    subs = substates(s, sc)
+    moved = {replace(st, inv=conj_opt(s.inv, st.inv)) for st in subs}
+    return replace(sc, states=(sc.states - subs - {s}) | moved | {replace(s, inv=None)})
+
+
+def _find_remove_hierarchy(sc: SCFull):  # rule 23
+    if sc.sub and flat_and_simplified(sc):
+        yield ()
+
+
+def _remove_hierarchy(sc: SCFull, b: Binding) -> SCFull:
+    leaves = frozenset(s for s in sc.states if not substates(s, sc))
+    return replace(sc, states=leaves, sub=frozenset())
+
+
+def _find_completion(stereo: Optional[str], sc: SCFull):  # rules 24, 25, 26
+    """`stereo` is the chart stereotype the rule consumes: completion:ignore
+    (24) or completion:error (25); exception completion (26) has none."""
+    if (stereo is not None and stereo not in sc.stereos) or not _flat(sc):
+        return
+    if stereo == COMPLETION_IGNORE:
+        yield ()
+    elif stereo == COMPLETION_ERROR:
+        errs = [s for s in sc.sorted_states() if "error" in s.sstereos]
+        if errs:
+            yield (("err", errs[0].name),)
+        else:
+            # the rule introduces the error state itself
+            name = "Error"
+            while sc.state_opt(name) is not None:
+                name += "$"
+            yield (("err", name),)
     else:
-        exc = b["exc"]
-        target_of = lambda s: exc
+        excs = [s for s in sc.sorted_states() if "exception" in s.sstereos]
+        if excs and any(t.call.exception for t in sc.trans):
+            yield (("exc", excs[0].name),)
+
+
+def _apply_completion(stereo: Optional[str], sc: SCFull, b: Binding) -> SCFull:
+    """Every state gets a transition for each trigger it does not handle
+    (exception triggers for rule 26, the others for 24 and 25), looping
+    back (24) or going to the error (25) or exception (26) state."""
+    exception = stereo is None
+    target = None  # None: a self loop
+    if stereo == COMPLETION_ERROR:
+        target = b["err"]
+        if sc.state_opt(target) is None:
+            error = FullState(name=target, sstereos=frozenset(["error"]))
+            sc = replace(sc, states=sc.states | {error})
+    elif exception:
+        target = b["exc"]
 
     # one representative call per trigger name, over the relevant trigger kind
     all_calls: dict[str, Call] = {}
-    for t in sorted(sc.trans, key=trans_key):
-        if t.call.exception == exception_rule and t.call.name not in all_calls:
+    for t in sc.sorted_trans():
+        if t.call.exception == exception and t.call.name not in all_calls:
             all_calls[t.call.name] = call_expr_of(t.call)
 
     added: set[Trans] = set()
     for s in sc.sorted_states():
+        trg = target or s.name
         groups = call_groups(s, sc)
-        outgoing_names = set(groups)
-        for name in sorted(set(all_calls) - outgoing_names):
-            added.add(
-                Trans(None, s.name, None, all_calls[name], None, target_of(s))
-            )
+        for name in sorted(set(all_calls) - set(groups)):
+            added.add(Trans(None, s.name, None, all_calls[name], None, trg))
         for name, ts in sorted(groups.items()):
             rep = min(ts, key=trans_key).call
-            if rep.exception != exception_rule:
-                continue
-            pre = _neg_precond(ts)
-            added.add(
-                Trans(None, s.name, pre, call_expr_of(rep), None, target_of(s))
-            )
-    out = sc.with_(trans=sc.trans | added)
-    if rule == 24:
-        out = out.with_(stereos=out.stereos - {COMPLETION_IGNORE})
-    elif rule == 25:
-        out = out.with_(stereos=out.stereos - {COMPLETION_ERROR})
-    return out
+            if rep.exception == exception:
+                added.add(Trans(None, s.name, _neg_precond(ts), call_expr_of(rep), None, trg))
+    # the rule consumes its stereotype; exception completion has none
+    return replace(sc, trans=sc.trans | added, stereos=sc.stereos - {stereo})
+
+
+# Once the chart is flat, stereotypes that have no remaining effect
+# (priorities, chaos completion, sequential conditions) are dropped so the
+# final result carries no stereotypes.
+_DROPPABLE = frozenset({PRIO_INNER, PRIO_OUTER, COMPLETION_CHAOS, SEQUENTIAL})
+
+
+def _find_drop_stereos(sc: SCFull):  # engine step 27
+    if sc.stereos & _DROPPABLE and _flat(sc):
+        yield ()
+
+
+def _drop_stereos(sc: SCFull, b: Binding) -> SCFull:
+    return replace(sc, stereos=sc.stereos - _DROPPABLE)
+
+
+class Rule(NamedTuple):
+    number: int
+    name: str
+    find: Callable[[SCFull], Iterable[tuple]]  # the items of each binding
+    apply: Callable[[SCFull, Binding], SCFull]
+
+
+def _always(t: Trans, sc: SCFull) -> bool:
+    return True
+
+
+RULES = (
+    Rule(1, "elimDo", _each_state(lambda s, sc: s.do is not None), _elim_do),
+    Rule(2, "elimInternalT1", partial(_find_internal, True), _internal_to_substates),
+    Rule(3, "elimInternalT2", partial(_find_internal, False), _internal_to_inner_state),
+    Rule(4, "addInitTop", partial(_find_add_top, "initial"), partial(_add_top, "initial")),
+    Rule(5, "addInitSub", _each_state(partial(_needs_sub_mod, "initial", ingoing_t)),
+         partial(_add_sub_mod, "initial")),
+    Rule(6, "forwardToSub", partial(_find_to_sub, "initial", ingoing_t, _always),
+         partial(_move_to_sub, "initial", "trg")),
+    Rule(7, "deleteInitSub", partial(_find_delete_sub_mod, "initial", initial_irrelevant),
+         partial(_delete_mod, "initial")),
+    Rule(8, "addFinalTop", partial(_find_add_top, "final"), partial(_add_top, "final")),
+    Rule(9, "addFinalSub", _each_state(partial(_needs_sub_mod, "final", outgoing_t)),
+         partial(_add_sub_mod, "final")),
+    Rule(10, "backwardToSub",
+         partial(_find_to_sub, "final", outgoing_t, lambda t, sc: not sc.stereos & PRIO_STEREOS),
+         partial(_move_to_sub, "final", "src")),
+    Rule(11, "backwardToSubPrioInner", partial(_find_prio_groups, PRIO_INNER), _prio_inner),
+    Rule(12, "backwardToSubPrioOuter", partial(_find_prio_groups, PRIO_OUTER), _prio_outer),
+    Rule(13, "backwardToSubPrio",
+         partial(_find_to_sub, "final", outgoing_t, lambda t, sc: t.prio is not None),
+         partial(_move_to_sub, "final", "src")),
+    Rule(14, "elimPrio", _find_elim_prio, _elim_prio),
+    Rule(15, "deleteFinalSub", partial(_find_delete_sub_mod, "final", final_irrelevant),
+         partial(_delete_mod, "final")),
+    Rule(16, "moveExitActions", _each_state(partial(_exit_movable, False)),
+         partial(_move_exit, False)),
+    Rule(17, "moveExitActionsSeq", _each_state(partial(_exit_movable, True)),
+         partial(_move_exit, True)),
+    Rule(18, "removeExitAction", _each_state(partial(_action_removable, "exit", outgoing_t)),
+         partial(_remove_action, "exit")),
+    Rule(19, "moveEntryActions", _each_state(partial(_entry_movable, False)),
+         partial(_move_entry, False)),
+    Rule(20, "moveEntryActionsSeq", _each_state(partial(_entry_movable, True)),
+         partial(_move_entry, True)),
+    Rule(21, "removeEntryAction", _each_state(partial(_action_removable, "entry", ingoing_t)),
+         partial(_remove_action, "entry")),
+    Rule(22, "moveInvariant", _each_state(_inv_movable), _move_invariant),
+    Rule(23, "removeHierarchy", _find_remove_hierarchy, _remove_hierarchy),
+    Rule(24, "completionIgnore", partial(_find_completion, COMPLETION_IGNORE),
+         partial(_apply_completion, COMPLETION_IGNORE)),
+    Rule(25, "completionError", partial(_find_completion, COMPLETION_ERROR),
+         partial(_apply_completion, COMPLETION_ERROR)),
+    Rule(26, "completionException", partial(_find_completion, None),
+         partial(_apply_completion, None)),
+    # engine-only clean-up step, not one of the paper's rules
+    Rule(27, "dropStereotypes", _find_drop_stereos, _drop_stereos),
+)
+_RULE_BY_NUMBER = {r.number: r for r in RULES}
+ENGINE_STEP_NAMES = {r.number: r.name for r in RULES}
+RULE_NAMES = {r.number: r.name for r in RULES[:-1]}
+RULE_NUMBERS = {name: num for num, name in RULE_NAMES.items()}
+
+
+def _rule(number: int) -> Rule:
+    if number not in _RULE_BY_NUMBER:
+        raise ValueError(f"unknown rule {number}")
+    return _RULE_BY_NUMBER[number]
+
+
+def _bindings(rule: Rule, sc: SCFull) -> Iterator[Binding]:
+    return (Binding(rule.number, items) for items in rule.find(sc))
+
+
+def find_bindings(rule: int, sc: SCFull) -> list[Binding]:
+    return list(_bindings(_rule(rule), sc))
+
+
+def apply_rule(rule: int, sc: SCFull, b: Binding) -> SCFull:
+    if b not in _bindings(_rule(rule), sc):
+        raise BindingStale(f"rule {rule} ({ENGINE_STEP_NAMES[rule]}): {b.describe()}")
+    return _apply(rule, sc, b)
+
+
+def _apply(rule: int, sc: SCFull, b: Binding) -> SCFull:
+    return _rule(rule).apply(sc, b)
 
 
 # ---------------------------------------------------------------------------
 # Fixpoint engine
+
+def _candidates(sc: SCFull, skip_exception: bool) -> Iterator[tuple[Rule, Binding]]:
+    """Every (rule, binding) pair on sc, lowest rule number first."""
+    for rule in RULES:
+        if not (skip_exception and rule.number == 26):
+            yield from ((rule, b) for b in _bindings(rule, sc))
+
 
 def transform_fixpoint(
     sc: SCFull,
@@ -907,10 +791,12 @@ def transform_fixpoint(
 ) -> tuple[SCFull, list[TraceEntry]]:
     """Apply rules until none changes the chart.
 
-    strategy: "paper" (lowest rule number first, first binding) or
-    "random:<seed>" (uniformly random applicable rule and binding each step).
-    The exception-completion rule runs at most once; applications that would
-    leave the chart unchanged are skipped.
+    strategy: "paper" tries the rules lowest number first and each rule's
+    bindings in order, and applies the first binding that changes the chart;
+    bindings after it are not looked for. "random:<seed>" lists every binding
+    of every rule, shuffles the list, and applies the first one that changes
+    the chart. Applications that would leave the chart unchanged are skipped,
+    and the exception-completion rule runs at most once.
     """
     rng: Optional[random.Random] = None
     if strategy.startswith("random:"):
@@ -919,45 +805,30 @@ def transform_fixpoint(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     trace: list[TraceEntry] = []
-    steps = 0
     done_exception = False
+    sc_hash: Optional[str] = None
     while True:
-        candidates: list[tuple[int, Binding]] = []
-        for rule in ENGINE_STEP_NAMES:
-            if rule == 26 and done_exception:
-                continue
-            for b in find_bindings(rule, sc):
-                candidates.append((rule, b))
+        candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, done_exception)
         if rng is not None:
+            candidates = list(candidates)
             rng.shuffle(candidates)
-
-        progressed = False
         for rule, b in candidates:
-            new = _apply(rule, sc, b)
-            if new == sc:
-                if rule == 26:
-                    done_exception = True
-                continue
-            steps += 1
-            if steps > max_steps:
-                raise NonTermination(f"no fixpoint within {max_steps} steps")
-            trace.append(
-                TraceEntry(
-                    rule,
-                    ENGINE_STEP_NAMES[rule],
-                    b.describe(),
-                    chart_hash(sc),
-                    chart_hash(new),
-                )
-            )
-            if rule == 26:
+            new = rule.apply(sc, b)
+            if rule.number == 26:
                 done_exception = True
-            sc = new
+            if new == sc:
+                continue
+            if len(trace) >= max_steps:
+                raise NonTermination(f"no fixpoint within {max_steps} steps")
+            new_hash = chart_hash(new)
+            trace.append(TraceEntry(
+                rule.number, rule.name, b.describe(), sc_hash or chart_hash(sc), new_hash
+            ))
+            sc, sc_hash = new, new_hash
             if on_step is not None:
-                on_step(steps, sc)
-            progressed = True
+                on_step(len(trace), sc)
             break
-        if not progressed:
+        else:
             return sc, trace
 
 

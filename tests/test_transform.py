@@ -17,14 +17,18 @@ from scforge.actions import (
     TIMEOUT,
     TRUE,
 )
+from dataclasses import replace
+
 from scforge.ast import FullState, InternT, SCFull, Trans
 from scforge.parse import parse
 from scforge.printer import print_chart
 from scforge.transform import (
     BindingStale,
     NotSimplifiable,
+    ENGINE_STEP_NAMES,
     RULE_NAMES,
     RULE_NUMBERS,
+    RULES,
     apply_rule,
     chain_below,
     find_bindings,
@@ -90,6 +94,35 @@ def test_lcs():
     assert lcs(x, x, sc) == a  # strict superstates only
     assert chain_below(x, a, sc) == []
     assert chain_below(x, None, sc) == [a]
+
+
+def test_chart_index_answers_structural_queries():
+    sc = parse(
+        """statechart D for C {
+            initial state A { initial state B { initial state X; } state Y; }
+            state Z;
+            X -> Y : f();
+            Y -> Z : g();
+        }"""
+    )
+    idx = sc.index
+    assert sc.index is idx  # built once per chart value
+    assert [s.name for s in idx.states] == ["A", "B", "X", "Y", "Z"]
+    assert idx.parent == {"B": "A", "X": "B", "Y": "A"}
+    assert {s.name for s in idx.children[None]} == {"A", "Z"}
+    assert [s.name for s in idx.ancestors["X"]] == ["B", "A"]
+    assert {t.call.name for t in idx.outgoing["Y"]} == {"g"}
+    assert {t.call.name for t in idx.ingoing["Y"]} == {"f"}
+    assert lcs(sc.state("X"), sc.state("Y"), sc) == sc.state("A")
+    assert replace(sc, sub=frozenset()).index.parent == {}
+
+
+def test_chart_index_stops_at_a_cycle():
+    sc = SCFull(
+        states=frozenset([FullState(name="A"), FullState(name="B")]),
+        sub=frozenset([("A", "B"), ("B", "A")]),
+    )
+    assert [s.name for s in sc.index.ancestors["A"]] == ["B"]
 
 
 def test_initial_irrelevant_rule7_example():
@@ -533,3 +566,10 @@ def test_rule_names_bijective():
     assert len(RULE_NAMES) == 26
     assert sorted(RULE_NAMES) == list(range(1, 27))
     assert len(set(RULE_NAMES.values())) == 26
+
+
+def test_rule_table_has_one_entry_per_engine_step():
+    assert [r.number for r in RULES] == list(range(1, 28))
+    assert ENGINE_STEP_NAMES == {**RULE_NAMES, 27: "dropStereotypes"}
+    with pytest.raises(ValueError):
+        find_bindings(28, NESTED)

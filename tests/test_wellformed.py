@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
@@ -78,7 +79,7 @@ def test_cc2_exception_trigger_needs_exception_state():
     assert "CC2" in codes(check_all(sc, CTX))
     # adding an exception state clears it
     exc = FullState(sstereos=frozenset(["exception"]), name="X")
-    sc2 = sc.with_(states=sc.states | {exc})
+    sc2 = replace(sc, states=sc.states | {exc})
     assert "CC2" not in codes(check_all(sc2, CTX))
 
 
@@ -96,7 +97,7 @@ def test_cc3_completion_excludes_error_states():
     )
     assert "CC3" in codes(check_all(sc, CTX))
     # completion:error is exempt: it introduces an error state itself
-    sc2 = sc.with_(stereos=frozenset(["completion:error"]))
+    sc2 = replace(sc, stereos=frozenset(["completion:error"]))
     assert "CC3" not in codes(check_all(sc2, CTX))
 
 
@@ -311,7 +312,7 @@ def test_removing_elements_never_adds_structural_violations(sc, data):
     smaller = sc
     if sc.trans:
         drop = data.draw(st.sampled_from(sorted(sc.trans, key=repr)))
-        smaller = sc.with_(trans=sc.trans - {drop})
+        smaller = replace(sc, trans=sc.trans - {drop})
     after = {v.code for v in findings(check_all(smaller))}
     for code in ("CC1", "CC3", "CC7", "CC12"):
         if code in after:
