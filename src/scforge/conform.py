@@ -18,13 +18,11 @@ from typing import Iterable, Optional
 
 from .actions import (
     Message,
-    UnboundVariable,
-    eval_cond,
     exec_stmt,
     match_call,
 )
 from .ast import SCSimp, triggers_simp
-from .flatinterp import format_message, parse_message
+from .flatinterp import _cond_satisfied, _guard_holds, format_message, parse_message
 from .vdb import And, Basic, Or, Sym, Term
 
 
@@ -161,24 +159,6 @@ def proc_check(node: OGSNode, oid: str, m: Message) -> bool:
     return any(top == m for top in node.object(oid).stack_tops())
 
 
-def _holds(cond, store: dict, v: dict) -> bool:
-    if cond is None:
-        return True
-    try:
-        return eval_cond(cond, store, v)
-    except UnboundVariable:
-        return True  # conditions over absent variables are vacuous
-
-
-def _enabled_guard(cond, store: dict, v: dict) -> bool:
-    if cond is None:
-        return True
-    try:
-        return eval_cond(cond, store, v)
-    except UnboundVariable:
-        return False
-
-
 # -- chart-level conformance (five numbered conditions) ---------------------
 
 def check_system_conformance(
@@ -216,7 +196,7 @@ def check_system_conformance(
     witnesses = []
     for nid in sorted(set().union(*proj.values()) if proj else set()):
         store = frag.node(nid).object(frag.main).vars_dict()
-        if not _holds(sc.inv, store, {}):
+        if not _cond_satisfied(sc.inv, store, {}):
             witnesses.append(f"chart invariant fails at {nid}")
     report.append({"condition": 1, "pass": not witnesses, "witnesses": witnesses})
 
@@ -233,7 +213,7 @@ def check_system_conformance(
     for s in sc.sorted_states():
         for nid in sorted(proj[s.name]):
             store = frag.node(nid).object(frag.main).vars_dict()
-            if not _holds(s.inv, store, {}):
+            if not _cond_satisfied(s.inv, store, {}):
                 witnesses.append(f"invariant of {s.name} fails at {nid}")
     report.append({"condition": 3, "pass": not witnesses, "witnesses": witnesses})
 
@@ -259,7 +239,7 @@ def check_system_conformance(
             store = node.object(frag.main).vars_dict()
             for m in node.object(frag.main).buffer:
                 v = match_call(t.call, m)
-                if v is None or not _enabled_guard(t.pre, store, v):
+                if v is None or not _guard_holds(t.pre, store, v):
                     continue
                 if not _transition_realized(sc, frag, proj, t, nid, m, v, bound):
                     witnesses.append(
@@ -301,7 +281,7 @@ def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
         end_obj = end.object(frag.main)
         if m in end_obj.buffer:
             continue  # the trigger message must have been consumed
-        if not _holds(t.act.post, end_obj.vars_dict(), v):
+        if t.act.post is not None and not _cond_satisfied(t.act.post, end_obj.vars_dict(), v):
             continue
         # exactly the statement's emissions (over its message names) occur
         observed = tuple(
