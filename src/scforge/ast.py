@@ -105,8 +105,9 @@ class ChartIndex:
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `ancestors` maps it to the
     strict superstates, parent first. On charts that break CC1 or CC12 the
-    answers are deterministic but partial: one parent per name, and an
-    ancestor chain stops at an undeclared or repeated state.
+    answers are deterministic but partial: one parent per name, and states
+    not reachable from the top level (on a cycle or below an undeclared
+    parent) have no ancestors.
     """
 
     def __init__(self, sc: SCFull):
@@ -117,21 +118,17 @@ class ChartIndex:
         self.children = _group(self.states, lambda s: self.parent.get(s.name))
         self.ingoing = _group(sc.trans, lambda t: t.trg)
         self.outgoing = _group(sc.trans, lambda t: t.src)
-        self.ancestors = {s.name: self._chain(s.name) for s in self.states}
+        self.ancestors: dict[str, tuple[FullState, ...]] = {}
+        todo = [(s, ()) for s in self.children.get(None, ())]
+        while todo:
+            s, above = todo.pop()
+            self.ancestors[s.name] = above
+            todo.extend((c, (s,) + above) for c in self.children.get(s.name, ()))
 
     @cached_property
     def trans(self) -> tuple[Trans, ...]:
+        """The transitions in `trans_key` order, sorted on first use."""
         return tuple(sorted(self._trans, key=trans_key))
-
-    def _chain(self, name: str) -> tuple[FullState, ...]:
-        out: list[FullState] = []
-        seen = {name}
-        cur = self.parent.get(name)
-        while cur in self.by_name and cur not in seen:
-            seen.add(cur)
-            out.append(self.by_name[cur])
-            cur = self.parent.get(cur)
-        return tuple(out)
 
 
 def _group(items, key) -> dict:

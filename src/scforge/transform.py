@@ -691,10 +691,6 @@ class Rule(NamedTuple):
     apply: Callable[[SCFull, Binding], SCFull]
 
 
-def _always(t: Trans, sc: SCFull) -> bool:
-    return True
-
-
 RULES = (
     Rule(1, "elimDo", _each_state(lambda s, sc: s.do is not None), _elim_do),
     Rule(2, "elimInternalT1", partial(_find_internal, True), _internal_to_substates),
@@ -702,7 +698,7 @@ RULES = (
     Rule(4, "addInitTop", partial(_find_add_top, "initial"), partial(_add_top, "initial")),
     Rule(5, "addInitSub", _each_state(partial(_needs_sub_mod, "initial", ingoing_t)),
          partial(_add_sub_mod, "initial")),
-    Rule(6, "forwardToSub", partial(_find_to_sub, "initial", ingoing_t, _always),
+    Rule(6, "forwardToSub", partial(_find_to_sub, "initial", ingoing_t, lambda t, sc: True),
          partial(_move_to_sub, "initial", "trg")),
     Rule(7, "deleteInitSub", partial(_find_delete_sub_mod, "initial", initial_irrelevant),
          partial(_delete_mod, "initial")),
