@@ -100,7 +100,7 @@ class SCFull:
 
 class ChartIndex:
     """Structural lookups over one `SCFull` value, built on first use and
-    kept with it.
+    kept with it; each part past the name lookups is built when first read.
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `ancestors` maps it to the
@@ -115,26 +115,39 @@ class ChartIndex:
         self.states = tuple(sorted(sc.states, key=lambda s: s.name))
         self.by_name = {s.name: s for s in self.states}
         self.parent = dict(sorted(sc.sub))
-        self.children = _group(self.states, lambda s: self.parent.get(s.name))
-        self.ingoing = _group(sc.trans, lambda t: t.trg)
-        self.outgoing = _group(sc.trans, lambda t: t.src)
-        self.ancestors: dict[str, tuple[FullState, ...]] = {}
-        todo = [(s, ()) for s in self.children.get(None, ())]
-        while todo:
-            s, above = todo.pop()
-            self.ancestors[s.name] = above
-            todo.extend((c, (s,) + above) for c in self.children.get(s.name, ()))
 
     @cached_property
     def trans(self) -> tuple[Trans, ...]:
-        """The transitions in `trans_key` order, sorted on first use."""
+        """The transitions in `trans_key` order."""
         return tuple(sorted(self._trans, key=trans_key))
+
+    @cached_property
+    def children(self) -> dict[Optional[str], frozenset[FullState]]:
+        return _group(self.states, lambda s: self.parent.get(s.name))
+
+    @cached_property
+    def ingoing(self) -> dict[str, frozenset[Trans]]:
+        return _group(self._trans, lambda t: t.trg)
+
+    @cached_property
+    def outgoing(self) -> dict[str, frozenset[Trans]]:
+        return _group(self._trans, lambda t: t.src)
+
+    @cached_property
+    def ancestors(self) -> dict[str, tuple[FullState, ...]]:
+        out: dict[str, tuple[FullState, ...]] = {}
+        todo = [(s, ()) for s in self.children.get(None, ())]
+        while todo:
+            s, above = todo.pop()
+            out[s.name] = above
+            todo.extend((c, (s,) + above) for c in self.children.get(s.name, ()))
+        return out
 
 
 def _group(items, key) -> dict:
     groups: dict = {}
     for x in items:
-        groups.setdefault(key(x), set()).add(x)
+        groups.setdefault(key(x), []).append(x)
     return {k: frozenset(v) for k, v in groups.items()}
 
 
