@@ -1,8 +1,8 @@
 """Reproducibility of flattening: the same chart flattens to the same flat
 chart and trace in every process.
 
-Run this module as a script to print the flattening digests of the golden
-corpus as JSON (the format of `fixtures/flatten_golden.json`).
+`PYTHONPATH=src python tests/test_golden.py` prints the flattening digests
+of the golden corpus as JSON, in the format of `fixtures/flatten_golden.json`.
 """
 
 from __future__ import annotations
