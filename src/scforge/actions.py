@@ -7,10 +7,8 @@ Everything here is an immutable value; evaluation never mutates its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
-
-IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*\Z")
 
 # Reserved names: generated input parameters, the timer flag, and the
 # timer trigger injected by the do-action elimination.
@@ -19,10 +17,6 @@ TIMEOUT = "timeout"
 INP_RE = re.compile(r"inp[0-9]+\Z")
 
 Value = Union[int, bool, tuple]
-
-
-def is_ident(text: str) -> bool:
-    return bool(IDENT_RE.match(text))
 
 
 def values_equal(a: "Value", b: "Value") -> bool:
@@ -202,7 +196,6 @@ class CMatch(Cond):
 
 
 TRUE = CTrue()
-FALSE = CFalse()
 
 
 def conj(*conds: Cond) -> Cond:
@@ -358,14 +351,6 @@ def match_cond_of(c: Call) -> Cond:
         else:
             conjuncts.append(CMatch(inp_name(i + 1), p))
     return conj(*conjuncts)
-
-
-def name_of(c: Call) -> str:
-    return c.name
-
-
-def is_exception(c: Call) -> bool:
-    return c.exception
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,30 @@ def _events(spec: str):
     parts = [
         p.strip()
         for line in text.splitlines() or [text]
-        for p in line.split(",")
         if not line.lstrip().startswith("#")
+        for p in _split_top_level(line)
     ]
-    try:
-        return [flatinterp.parse_message(p) for p in parts if p]
-    except ValueError as e:
-        raise UsageError(f"bad event: {e}")
+    events = []
+    for p in filter(None, parts):
+        try:
+            events.append(flatinterp.parse_message(p))
+        except (LexError, StatechartSyntaxError) as e:
+            raise UsageError(f"bad event {p!r}: {e}")
+    return events
+
+
+def _split_top_level(line: str) -> list:
+    """Split at the commas outside parentheses and brackets."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(line):
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(line[start:i])
+            start = i + 1
+    return parts + [line[start:]]
 
 
 def _flatten(sc, args):

@@ -23,7 +23,7 @@ from .actions import (
 )
 from .ast import SCSimp, triggers_simp
 from .flatinterp import _cond_satisfied, _guard_holds, format_message, parse_message
-from .vdb import And, Basic, Or, Sym, Term
+from .vdb import Basic, Or, Sym, Term
 
 
 class UnknownObject(Exception):
@@ -96,6 +96,9 @@ class SystemFragment:
         for i in init:
             if i not in by_id:
                 raise ValueError(f"initial id {i!r} is not a node")
+        for n in nodes:
+            if main not in dict(n.objects):
+                raise ValueError(f"node {n.id!r} has no main object {main!r}")
         return cls(tuple(sorted(by_id.items())), tuple(edges), frozenset(init), main)
 
     @classmethod

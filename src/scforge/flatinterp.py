@@ -53,28 +53,35 @@ def _freeze(store: dict) -> tuple:
 
 
 # -- outcomes ---------------------------------------------------------------
+#
+# Every outcome records the message its step consumed; only the quiescent
+# `Step` of an empty buffer consumed none.
 
 @dataclass(frozen=True)
 class Step:
     next: Configuration
+    consumed: Optional[Message] = None
 
 
 @dataclass(frozen=True)
 class Chaos:
     reason: str
     next: Configuration  # with the offending message dropped
+    consumed: Optional[Message] = None
 
 
 @dataclass(frozen=True)
 class PostconditionViolated:
     transition: SimpTrans
     next: Configuration
+    consumed: Optional[Message] = None
 
 
 @dataclass(frozen=True)
 class InvariantViolated:
     state: str
     next: Configuration
+    consumed: Optional[Message] = None
 
 
 Outcome = Union[Step, Chaos, PostconditionViolated, InvariantViolated]
@@ -152,52 +159,67 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
     return out
 
 
-def _drop_first(buffer: tuple, m: Message) -> tuple:
-    out = list(buffer)
-    out.remove(m)
-    return tuple(out)
-
-
 def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
     t, m, v = choice
     store = conf.store_dict()
-    buffer = _drop_first(conf.buffer, m)
+    i = conf.buffer.index(m)
+    buffer = conf.buffer[:i] + conf.buffer[i + 1:]
     try:
         new_store, msgs = exec_stmt(t.act.stmt, store, v)
     except ActionConditionViolated:
         nxt = Configuration.make(t.trg, store, buffer, conf.emitted)
-        return PostconditionViolated(t, nxt)
+        return PostconditionViolated(t, nxt, m)
     nxt = Configuration.make(t.trg, new_store, buffer, conf.emitted + msgs)
     if t.act.post is not None and not _cond_satisfied(t.act.post, new_store, v):
-        return PostconditionViolated(t, nxt)
+        return PostconditionViolated(t, nxt, m)
     if not _cond_satisfied(sc.inv, new_store, v):
-        return InvariantViolated("<chart>", nxt)
+        return InvariantViolated("<chart>", nxt, m)
     target = sc.state(t.trg)
     if not _cond_satisfied(target.inv, new_store, v):
-        return InvariantViolated(t.trg, nxt)
-    return Step(nxt)
+        return InvariantViolated(t.trg, nxt, m)
+    return Step(nxt, m)
+
+
+def _forced_or_enabled(conf: Configuration, sc: SCSimp, match: str):
+    """The outcome the head message forces, or else the enabled choices.
+
+    The buffer must be non-empty. A timeout whose timer was never set (or
+    was stopped) evaporates; a head that enables nothing is chaos.
+    """
+    head = conf.buffer[0]
+    if head.name == TIMEOUT and not dict(conf.store).get(TIMER_FLAG, False):
+        return Step(replace(conf, buffer=conf.buffer[1:]), head)
+    choices = enabled(conf, sc, match)
+    if not choices:
+        dropped = replace(conf, buffer=conf.buffer[1:])
+        return Chaos(f"no enabled transition for {head.name} in {conf.current}", dropped, head)
+    return choices
 
 
 def step(conf: Configuration, sc: SCSimp, scheduler=None, match: str = "fifo") -> Outcome:
     if not conf.buffer:
         return Step(conf)  # quiescent
-    head = conf.buffer[0]
-    if head.name == TIMEOUT and not dict(conf.store).get(TIMER_FLAG, False):
-        # a timeout whose timer was never set (or was stopped) evaporates
-        return Step(replace(conf, buffer=conf.buffer[1:]))
-    choices = enabled(conf, sc, match)
-    if not choices:
-        dropped = replace(conf, buffer=_drop_first(conf.buffer, head))
-        return Chaos(f"no enabled transition for {head.name} in {conf.current}", dropped)
-    choice = (scheduler or LexScheduler()).choose(choices)
-    return fire(conf, choice, sc)
+    forced = _forced_or_enabled(conf, sc, match)
+    if not isinstance(forced, list):
+        return forced
+    return fire(conf, (scheduler or LexScheduler()).choose(forced), sc)
 
 
 @dataclass
 class RunResult:
-    trajectory: list  # Configurations, initial first
-    emissions: tuple  # all emitted Messages in order
+    start: Configuration
+    steps: list  # one outcome per consumed message, in order
     outcome: Outcome  # Step(last) when the run ended quiescent
+
+    @property
+    def trajectory(self) -> list:
+        """Configurations, initial first."""
+        return [self.start] + [o.next for o in self.steps]
+
+    @property
+    def emissions(self) -> tuple:
+        """All emitted Messages in order."""
+        return self.final.emitted
 
     @property
     def quiescent(self) -> bool:
@@ -208,6 +230,12 @@ class RunResult:
         return self.outcome.next
 
 
+def _start(sc: SCSimp, init: str, inputs: Iterable[Message]) -> Configuration:
+    if "initial" not in sc.state(init).modifiers:
+        raise BadInitialState(init)
+    return Configuration.make(init, {}, tuple(inputs))
+
+
 def run(
     sc: SCSimp,
     init: str,
@@ -216,22 +244,19 @@ def run(
     match: str = "fifo",
     max_steps: int = 10000,
 ) -> RunResult:
-    state = sc.state(init)
-    if "initial" not in state.modifiers:
-        raise BadInitialState(init)
-    conf = Configuration.make(init, {}, tuple(inputs))
-    trajectory = [conf]
+    start = conf = _start(sc, init, inputs)
+    steps = []
     outcome: Outcome = Step(conf)
     for _ in range(max_steps):
         if not conf.buffer:
             outcome = Step(conf)
             break
         outcome = step(conf, sc, scheduler, match)
+        steps.append(outcome)
         conf = outcome.next
-        trajectory.append(conf)
         if not isinstance(outcome, Step):
             break
-    return RunResult(trajectory, conf.emitted, outcome)
+    return RunResult(start, steps, outcome)
 
 
 def run_all_initials(sc: SCSimp, inputs, scheduler=None, match: str = "fifo",
@@ -252,16 +277,9 @@ def _json_value(v):
 def run_log_lines(result: RunResult) -> list:
     """One JSON-ready dict per step: {step, state, consumed, emitted, storeDiff}."""
     out = []
-    prev = result.trajectory[0]
-    for i, conf in enumerate(result.trajectory[1:], start=1):
-        consumed = None
-        remaining = list(conf.buffer)
-        for m in prev.buffer:
-            if m in remaining:
-                remaining.remove(m)
-            else:
-                consumed = format_message(m)
-                break
+    prev = result.start
+    for i, outcome in enumerate(result.steps, start=1):
+        conf = outcome.next
         emitted = [format_message(m) for m in conf.emitted[len(prev.emitted):]]
         before, after = dict(prev.store), dict(conf.store)
         diff = {
@@ -270,7 +288,7 @@ def run_log_lines(result: RunResult) -> list:
             if k not in before or before[k] != after[k]
         }
         out.append(
-            {"step": i, "state": conf.current, "consumed": consumed,
+            {"step": i, "state": conf.current, "consumed": format_message(outcome.consumed),
              "emitted": emitted, "storeDiff": diff}
         )
         prev = conf
@@ -286,12 +304,8 @@ def explore_emissions(
 ) -> set:
     """All (emissions, outcome-kind) pairs reachable over every scheduler
     choice, by exhaustive branching."""
-    state = sc.state(init)
-    if "initial" not in state.modifiers:
-        raise BadInitialState(init)
-    start = Configuration.make(init, {}, tuple(inputs))
     out: set = set()
-    stack = [(start, 0)]
+    stack = [(_start(sc, init, inputs), 0)]
     seen = set()
     while stack:
         conf, depth = stack.pop()
@@ -301,22 +315,13 @@ def explore_emissions(
         if not conf.buffer or depth >= max_steps:
             out.add((conf.emitted, "quiescent"))
             continue
-        head = conf.buffer[0]
-        if head.name == TIMEOUT and not dict(conf.store).get(TIMER_FLAG, False):
-            stack.append((replace(conf, buffer=conf.buffer[1:]), depth + 1))
-            continue
-        choices = enabled(conf, sc, match)
-        if not choices:
-            dropped = replace(conf, buffer=_drop_first(conf.buffer, head))
-            out.add((dropped.emitted, "chaos"))
-            continue
-        for choice in choices:
-            res = fire(conf, choice, sc)
+        forced = _forced_or_enabled(conf, sc, match)
+        outcomes = [fire(conf, c, sc) for c in forced] if isinstance(forced, list) else [forced]
+        for res in outcomes:
             if isinstance(res, Step):
                 stack.append((res.next, depth + 1))
             else:
-                kind = type(res).__name__
-                out.add((res.next.emitted, kind.lower()))
+                out.add((res.next.emitted, type(res).__name__.lower()))
     return out
 
 

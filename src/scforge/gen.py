@@ -22,8 +22,6 @@ from .actions import (
     EVar,
     PVar,
     Send,
-    SKIP,
-    TRUE,
 )
 from .ast import FullState, InternT, SCFull, Trans
 

@@ -58,7 +58,6 @@ from .ast import (
     CHART_STEREOS,
     FullState,
     InternT,
-    MODIFIERS,
     SCFull,
     STATE_STEREOS,
     Trans,

@@ -40,7 +40,7 @@ from .actions import (
     StopTimer,
     Stmt,
 )
-from .ast import FullState, InternT, SCFull, SCSimp, SimpTrans, Trans, trans_key
+from .ast import FullState, SCFull, SCSimp, Trans
 
 
 # -- values, patterns, expressions, conditions ------------------------------
@@ -202,7 +202,6 @@ def print_chart(sc: SCFull) -> str:
     lines.append(head + " {")
     if sc.inv is not None:
         lines.append(f"    [{print_cond(sc.inv)}];")
-    parents = {p for _, p in sc.sub}
     top = [s for s in sc.sorted_states() if sc.parent_name(s.name) is None]
     for s in top:
         lines.extend(_print_state(sc, s, "    "))

@@ -24,9 +24,11 @@ from .actions import (
     Assign,
     CTrue,
     ELit,
-    Send,
-    eval_expr,
     PVar,
+    Send,
+    action_stmt,
+    exec_stmt,
+    stmt_read_vars,
 )
 from .ast import SCFull, SCSimp
 
@@ -390,7 +392,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     expanded over the finite `domain` (state S holding value d becomes S(d)).
     """
     if isinstance(sc, SCFull):
-        trans = sorted(sc.trans, key=lambda t: (t.src, t.trg, t.call.name))
+        trans = sc.sorted_trans()
         problems = []
         for s in sc.sorted_states():
             if s.do is not None:
@@ -436,7 +438,7 @@ def _entry_exit(entry, exit) -> tuple:
 
 def _encode_hier(sc: SCFull) -> Term:
     problems = []
-    for t in sorted(sc.trans, key=lambda t: (t.src, t.trg)):
+    for t in sc.sorted_trans():
         if not _is_trivial(t.pre):
             problems.append(f"transition {t.src}->{t.trg} has a guard")
         if t.act is not None and not _is_trivial(t.act.post):
@@ -451,7 +453,7 @@ def _encode_hier(sc: SCFull) -> Term:
         raise NotGuardFree(problems)
 
     def children_of(parent: Optional[str]) -> list:
-        subs = [s for s in sc.sorted_states() if sc.parent_name(s.name) == parent]
+        subs = sc.index.children.get(parent, ())
         return sorted(subs, key=lambda s: ("initial" not in s.modifiers, s.name))
 
     counter = itertools.count(1)
@@ -467,7 +469,7 @@ def _encode_hier(sc: SCFull) -> Term:
             raise NotGuardFree([f"{name} has no initial (sub)state"])
         index = {s.name: k + 1 for k, s in enumerate(kids)}
         transitions = set()
-        for t in sorted(sc.trans, key=lambda t: (t.src, t.trg, t.call.name)):
+        for t in sc.sorted_trans():
             if sc.parent_name(t.src) != parent or t.src not in index:
                 continue
             alpha = _ground_syms(t.act.stmt) if t.act is not None else ()
@@ -526,14 +528,11 @@ def _encode_flat(sc, states, trans, domain) -> Term:
     carriers: set = set()
     if var is not None:
         for t in trans:
-            assigns = any(
-                isinstance(p, Assign) and p.var == var
-                for p in (t.act.stmt if t.act else ())
-            )
-            reads = var in _read_vars(t)
-            if assigns:
+            stmt = action_stmt(t.act)
+            params = {a.name for a in t.call.args}
+            if any(isinstance(p, Assign) and p.var == var for p in stmt):
                 carriers.add(t.trg)
-            if reads:
+            if var in stmt_read_vars(stmt) - params:
                 carriers.add(t.src)
 
     # children: initial states first, carriers expanded over the domain
@@ -565,7 +564,9 @@ def _encode_flat(sc, states, trans, domain) -> Term:
                     env[var] = d
                 if param is not None:
                     env[param] = i
-                alpha, final = _run_action(t, env, var)
+                new_store, msgs = exec_stmt(action_stmt(t.act), {}, env)
+                alpha = tuple(Sym(m.name, m.args) for m in msgs)
+                final = new_store.get(var, env.get(var))
                 if t.trg in carriers:
                     if final is None:
                         raise NotGuardFree(
@@ -593,34 +594,6 @@ def _encode_flat(sc, states, trans, domain) -> Term:
     term = Or(sc.diagram_name, tuple(children), 1, frozenset(transitions))
     validate_term(term)
     return term
-
-
-def _read_vars(t) -> set:
-    from .actions import expr_vars
-
-    out: set = set()
-    params = {a.name for a in t.call.args}
-    for prim in (t.act.stmt if t.act is not None else ()):
-        if isinstance(prim, Assign):
-            out |= expr_vars(prim.expr)
-        elif isinstance(prim, Send):
-            for a in prim.args:
-                out |= expr_vars(a)
-    return out - params
-
-
-def _run_action(t, env: dict, var) -> tuple:
-    """Evaluate the send/assign sequence under env; returns (actions, final
-    value of the data variable or None)."""
-    store = dict(env)
-    alpha = []
-    for prim in (t.act.stmt if t.act is not None else ()):
-        if isinstance(prim, Assign):
-            store[prim.var] = eval_expr(prim.expr, store)
-        else:
-            args = tuple(eval_expr(a, store) for a in prim.args)
-            alpha.append(Sym(prim.name, args))
-    return tuple(alpha), store.get(var) if var is not None else None
 
 
 # -- term text format -------------------------------------------------------

@@ -208,6 +208,28 @@ def test_run_events_from_file(capsys, buffer_file, tmp_path):
     assert "emitted send(3)" in out
 
 
+def test_run_events_with_several_arguments(capsys, tmp_path):
+    chart = tmp_path / "two.sc"
+    chart.write_text(
+        "statechart Two for C { initial state A; A -> A : f(x, y) / send(y); }"
+    )
+    code, out, _ = run_cli(
+        capsys, "run", str(chart), "--events", "f(1, 2), f([3, 4], 5)"
+    )
+    assert code == 0
+    assert "emitted send(2), send(5)" in out
+
+
+@pytest.mark.parametrize("command", [["run"], ["vdb-run", "--domain=-1,3"]])
+def test_malformed_event_is_usage(capsys, buffer_file, command):
+    code, out, err = run_cli(
+        capsys, *command, buffer_file, "--events", "put(x)"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad event 'put(x)'") and err.count("\n") == 1
+
+
 def test_run_bad_init_is_usage(capsys, buffer_file):
     code, _, err = run_cli(
         capsys, "run", buffer_file, "--events", "get()", "--init", "NonEmpty"
@@ -293,6 +315,19 @@ def test_conform_incomplete_projection_is_usage(capsys, buffer_file, tmp_path):
         str(FIXTURES / "fig_ok_fragment.json"), str(proj),
     )
     assert code == 2
+
+
+def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_path):
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    frag["main"] = "ghost"
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(frag))
+    code, _, err = run_cli(
+        capsys, "conform", buffer_file, str(path),
+        str(FIXTURES / "buffer_projection.json"),
+    )
+    assert code == 2
+    assert "no main object 'ghost'" in err
 
 
 # -- gen ---------------------------------------------------------------------

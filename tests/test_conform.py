@@ -303,6 +303,19 @@ def test_fragment_rejects_dangling_edges():
         )
 
 
+def test_fragment_rejects_a_node_without_the_main_object():
+    with pytest.raises(ValueError, match="main object"):
+        SystemFragment.make(
+            nodes=[
+                OGSNode.make("a", {"o": ObjectState.make()}),
+                OGSNode.make("b", {"other": ObjectState.make()}),
+            ],
+            edges=[("a", "b", ())],
+            init=["a"],
+            main="o",
+        )
+
+
 def test_fragment_run_requires_existing_edges():
     with pytest.raises(ValueError):
         fragment_run(OK_FRAG, ["s1", "s3"])

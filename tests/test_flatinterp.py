@@ -357,15 +357,40 @@ def test_scheduler_from_spec():
 
 # -- run log and message format ---------------------------------------------
 
-def test_run_log_lines():
-    result = run(BUFFER, "Empty", msgs("put(3)", "get()"))
-    log = run_log_lines(result)
-    assert log == [
-        {"step": 1, "state": "NonEmpty", "consumed": "put(3)", "emitted": [],
-         "storeDiff": {"v": 3}},
-        {"step": 2, "state": "Empty", "consumed": "get()", "emitted": ["send(3)"],
-         "storeDiff": {}},
-    ]
+@pytest.mark.parametrize(
+    "sc, init, inputs, match, expected",
+    [
+        pytest.param(BUFFER, "Empty", ("put(3)", "get()"), "fifo", [
+            {"step": 1, "state": "NonEmpty", "consumed": "put(3)", "emitted": [],
+             "storeDiff": {"v": 3}},
+            {"step": 2, "state": "Empty", "consumed": "get()", "emitted": ["send(3)"],
+             "storeDiff": {}},
+        ], id="fifo"),
+        pytest.param(BUFFER, "Empty", ("put(3)", "bogus()", "get()"), "fifo", [
+            {"step": 1, "state": "NonEmpty", "consumed": "put(3)", "emitted": [],
+             "storeDiff": {"v": 3}},
+            {"step": 2, "state": "NonEmpty", "consumed": "bogus()", "emitted": [],
+             "storeDiff": {}},
+        ], id="chaos-drops-the-head"),
+        pytest.param(TIMER, "Idle", ("timeout()", "arm()"), "fifo", [
+            {"step": 1, "state": "Idle", "consumed": "timeout()", "emitted": [],
+             "storeDiff": {}},
+            {"step": 2, "state": "Armed", "consumed": "arm()", "emitted": [],
+             "storeDiff": {"$timer": True}},
+        ], id="timeout-evaporates"),
+        pytest.param(BUFFER, "Empty", ("bogus()", "put(3)", "get()"), "anywhere", [
+            {"step": 1, "state": "Empty", "consumed": "get()", "emitted": ["send(-1)"],
+             "storeDiff": {}},
+            {"step": 2, "state": "NonEmpty", "consumed": "put(3)", "emitted": [],
+             "storeDiff": {"v": 3}},
+            {"step": 3, "state": "NonEmpty", "consumed": "bogus()", "emitted": [],
+             "storeDiff": {}},
+        ], id="anywhere-consumes-past-the-head"),
+    ],
+)
+def test_run_log_lines(sc, init, inputs, match, expected):
+    result = run(sc, init, msgs(*inputs), match=match)
+    assert run_log_lines(result) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Reproducibility of flattening: the same chart flattens to the same flat
-chart and trace in every process.
+"""Reproducibility of flattening and term encoding: the same chart flattens
+to the same flat chart and trace, and encodes to the same term, in every
+process.
 
 `PYTHONPATH=src python tests/test_golden.py` prints the flattening digests
 of the golden corpus as JSON, in the format of `fixtures/flatten_golden.json`.
@@ -39,18 +40,37 @@ for states in (6, 10):
 """
 
 
-def _flatten_in_fresh_process(hash_seed: str) -> str:
+# Encodes gen_guard_free seeds 0-59 as written and gen_chart seeds 0-59 at 6
+# states after flattening; prints each term, or the error the encoder raised.
+ENCODE_SCRIPT = """
+from scforge.gen import gen_chart, gen_guard_free
+from scforge.transform import transform_fixpoint
+from scforge.vdb import NotGuardFree, UnboundedValueDomain, encode_guard_free, term_to_sexpr
+
+def show(label, sc):
+    try:
+        print(label, term_to_sexpr(encode_guard_free(sc)))
+    except (NotGuardFree, UnboundedValueDomain) as e:
+        print(label, type(e).__name__, e)
+
+for seed in range(60):
+    show(f"guard-free {seed}", gen_guard_free(seed))
+    show(f"flat {seed}", transform_fixpoint(gen_chart(seed, max_states=6))[0])
+"""
+
+
+def _run_in_fresh_process(script: str, hash_seed: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
-        [sys.executable, "-c", FLATTEN_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, check=True,
     )
     return proc.stdout
 
 
 def test_flattening_is_identical_across_processes():
-    first = _flatten_in_fresh_process("1")
-    second = _flatten_in_fresh_process("2")
+    first = _run_in_fresh_process(FLATTEN_SCRIPT, "1")
+    second = _run_in_fresh_process(FLATTEN_SCRIPT, "2")
     assert first.count("== seed") == 120
     differing = [
         "seed " + a.split("\n", 1)[0]
@@ -58,6 +78,14 @@ def test_flattening_is_identical_across_processes():
         if a != b
     ]
     assert not differing, f"{len(differing)} charts differ, first: {differing[:3]}"
+
+
+def test_term_encoding_is_identical_across_processes():
+    first = _run_in_fresh_process(ENCODE_SCRIPT, "1").splitlines()
+    second = _run_in_fresh_process(ENCODE_SCRIPT, "2").splitlines()
+    assert len(first) == len(second) == 120
+    differing = [a.split(" ", 2)[:2] for a, b in zip(first, second) if a != b]
+    assert not differing, f"{len(differing)} encodings differ, first: {differing[:3]}"
 
 
 def flatten_digest(sc, strategy: str) -> str:
