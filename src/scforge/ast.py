@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional, Union
 
 from .actions import Action, Call, Cond
 
@@ -77,7 +77,7 @@ class SCFull:
 
     @cached_property
     def index(self) -> "ChartIndex":
-        return ChartIndex(self)
+        return ChartIndex(self.states, self.trans, self.sub)
 
     def state(self, name: str) -> FullState:
         return self.index.by_name[name]
@@ -99,43 +99,49 @@ class SCFull:
 
 
 class ChartIndex:
-    """Structural lookups over one `SCFull` value, built on first use and
-    kept with it; each part past the name lookups is built when first read.
+    """Structural lookups over one chart value, full or simplified, built on
+    first use and kept with it; each part past the name lookups is built
+    when first read.
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
-    (children of None are the top-level states); `ancestors` maps it to the
-    strict superstates, parent first. On charts that break CC1 or CC12 the
-    answers are deterministic but partial: one parent per name, and states
-    not reachable from the top level (on a cycle or below an undeclared
-    parent) have no ancestors.
+    (children of None are the top-level states); `outgoing_in_order` maps it
+    to a tuple in `trans_key` order; `ancestors` maps it to the strict
+    superstates, parent first. On charts that break CC1 or CC12 the answers
+    are deterministic but partial: one parent per name, and states not
+    reachable from the top level (on a cycle or below an undeclared parent)
+    have no ancestors.
     """
 
-    def __init__(self, sc: SCFull):
-        self._trans = sc.trans
-        self.states = tuple(sorted(sc.states, key=lambda s: s.name))
+    def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset()):
+        self._trans = trans
+        self.states = tuple(sorted(states, key=lambda s: s.name))
         self.by_name = {s.name: s for s in self.states}
-        self.parent = dict(sorted(sc.sub))
+        self.parent = dict(sorted(sub))
 
     @cached_property
-    def trans(self) -> tuple[Trans, ...]:
+    def trans(self) -> tuple:
         """The transitions in `trans_key` order."""
         return tuple(sorted(self._trans, key=trans_key))
 
     @cached_property
-    def children(self) -> dict[Optional[str], frozenset[FullState]]:
+    def children(self) -> dict[Optional[str], frozenset]:
         return _group(self.states, lambda s: self.parent.get(s.name))
 
     @cached_property
-    def ingoing(self) -> dict[str, frozenset[Trans]]:
+    def ingoing(self) -> dict[str, frozenset]:
         return _group(self._trans, lambda t: t.trg)
 
     @cached_property
-    def outgoing(self) -> dict[str, frozenset[Trans]]:
+    def outgoing(self) -> dict[str, frozenset]:
         return _group(self._trans, lambda t: t.src)
 
     @cached_property
-    def ancestors(self) -> dict[str, tuple[FullState, ...]]:
-        out: dict[str, tuple[FullState, ...]] = {}
+    def outgoing_in_order(self) -> dict[str, tuple]:
+        return _group(self.trans, lambda t: t.src, tuple)
+
+    @cached_property
+    def ancestors(self) -> dict[str, tuple]:
+        out: dict[str, tuple] = {}
         todo = [(s, ()) for s in self.children.get(None, ())]
         while todo:
             s, above = todo.pop()
@@ -144,15 +150,17 @@ class ChartIndex:
         return out
 
 
-def _group(items, key) -> dict:
+def _group(items, key, kind=frozenset) -> dict:
     groups: dict = {}
     for x in items:
         groups.setdefault(key(x), []).append(x)
-    return {k: frozenset(v) for k, v in groups.items()}
+    return {k: kind(v) for k, v in groups.items()}
 
 
-def trans_key(t: Trans):
-    return (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act), repr(t.prio))
+def trans_key(t: Union[Trans, SimpTrans]):
+    """One total order on the transitions of either chart kind."""
+    return (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act), repr(t.prio),
+            repr(t.call.args), t.call.exception)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +180,7 @@ class SimpTrans:
     call: Call
     act: Action
     trg: str
+    prio: ClassVar[None] = None  # flat transitions carry no priority
 
 
 @dataclass(frozen=True)
@@ -182,23 +191,21 @@ class SCSimp:
     states: frozenset[SimpState]
     transitions: frozenset[SimpTrans]
 
+    @cached_property
+    def index(self) -> ChartIndex:
+        return ChartIndex(self.states, self.transitions)
+
     def state(self, name: str) -> SimpState:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self.index.by_name[name]
 
-    def sorted_states(self) -> list[SimpState]:
-        return sorted(self.states, key=lambda s: s.name)
+    def sorted_states(self) -> tuple[SimpState, ...]:
+        return self.index.states
 
-    def sorted_transitions(self) -> list[SimpTrans]:
-        return sorted(
-            self.transitions,
-            key=lambda t: (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act)),
-        )
+    def sorted_transitions(self) -> tuple[SimpTrans, ...]:
+        return self.index.trans
 
     def initial_states(self) -> list[SimpState]:
-        return [s for s in self.sorted_states() if "initial" in s.modifiers]
+        return [s for s in self.index.states if "initial" in s.modifiers]
 
 
 def triggers_full(sc: SCFull) -> set[str]:

@@ -2,7 +2,8 @@
 conform, and gen subcommands wired over the library modules.
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or input
-errors, 3 an internal exploration bound was exceeded.
+errors (an ill-formed chart among them), 3 an internal exploration bound was
+exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import flatinterp, vdb
 from .parse import LexError, ReservedIdentifier, StatechartSyntaxError, parse
 from .printer import print_chart, print_simp, to_dot, to_json
 from .transform import (
+    IllFormedInput,
     NonTermination,
     NotSimplifiable,
     flat_and_simplified,
@@ -86,11 +88,24 @@ def _split_top_level(line: str) -> list:
     return parts + [line[start:]]
 
 
-def _flatten(sc, args):
+def _flatten(args):
+    """Parse and check `args.chart`, then flatten it."""
+    sc = _parse_chart(args.chart)
+    codes = list(dict.fromkeys(v.code for v in check_all(sc) if not v.skipped))
+    if codes:
+        raise IllFormedInput(f"{args.chart}: ill-formed chart ({', '.join(codes)})")
     try:
         return transform_fixpoint(sc, strategy=args.strategy, max_steps=args.max_steps)
     except NonTermination as e:
         raise BoundError(str(e))
+
+
+def _simplified(args):
+    flat, _ = _flatten(args)
+    try:
+        return to_simplified(flat)
+    except NotSimplifiable as e:
+        raise UsageError(f"chart does not flatten: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +143,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    sc = _parse_chart(args.chart)
-    flat, trace = _flatten(sc, args)
+    flat, trace = _flatten(args)
     if args.format == "json":
         print(json.dumps({
             "chart": json.loads(to_json(flat)),
@@ -147,8 +161,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simplify(args) -> int:
-    sc = _parse_chart(args.chart)
-    flat, _ = _flatten(sc, args)
+    flat, _ = _flatten(args)
     try:
         simp = to_simplified(flat)
     except NotSimplifiable as e:
@@ -159,20 +172,13 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    sc = _parse_chart(args.chart)
-    flat, _ = _flatten(sc, args)
-    try:
-        simp = to_simplified(flat)
-    except NotSimplifiable as e:
-        raise UsageError(f"chart does not flatten: {e}")
+    simp = _simplified(args)
     try:
         scheduler = flatinterp.scheduler_from_spec(args.scheduler)
     except ValueError as e:
         raise UsageError(str(e))
     events = _events(args.events)
-    inits = [args.init] if args.init else sorted(
-        s.name for s in simp.initial_states()
-    )
+    inits = [args.init] if args.init else [s.name for s in simp.initial_states()]
     if not inits:
         raise UsageError("chart has no initial state")
     ok = True
@@ -254,12 +260,7 @@ def cmd_vdb_run(args) -> int:
 
 
 def cmd_conform(args) -> int:
-    sc = _parse_chart(args.chart)
-    flat, _ = _flatten(sc, args)
-    try:
-        simp = to_simplified(flat)
-    except NotSimplifiable as e:
-        raise UsageError(f"chart does not flatten: {e}")
+    simp = _simplified(args)
     try:
         frag = conform_mod.SystemFragment.from_json(_read(args.fragment))
     except (ValueError, KeyError) as e:
@@ -398,7 +399,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, IllFormedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BoundError as e:

@@ -146,11 +146,10 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
         candidates = conf.buffer
     else:
         raise ValueError(f"unknown match mode {match!r}")
+    outgoing = sc.index.outgoing_in_order.get(conf.current, ())
     out = []
     for m in candidates:
-        for t in sc.sorted_transitions():
-            if t.src != conf.current:
-                continue
+        for t in outgoing:
             v = match_call(t.call, m)
             if v is None:
                 continue
@@ -264,7 +263,7 @@ def run_all_initials(sc: SCSimp, inputs, scheduler=None, match: str = "fifo",
     """Run from every initial state; keys sorted by state name."""
     return {
         s.name: run(sc, s.name, inputs, scheduler, match, max_steps)
-        for s in sorted(sc.initial_states(), key=lambda s: s.name)
+        for s in sc.initial_states()
     }
 
 

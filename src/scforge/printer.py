@@ -175,9 +175,6 @@ def _print_state(sc: SCFull, s: FullState, indent: str) -> list[str]:
         if m in s.modifiers:
             head += m + " "
     head += f"state {s.name}"
-    children = sorted(
-        (c for c, p in sc.sub if p == s.name), key=lambda n: n
-    )
     body: list[str] = []
     inner = indent + "    "
     if s.inv is not None:
@@ -187,11 +184,15 @@ def _print_state(sc: SCFull, s: FullState, indent: str) -> list[str]:
             body.append(f"{inner}{kw} {print_action(a)};")
     for it in sorted(s.internT, key=lambda it: _trans_body(it.pre, it.call, it.act)):
         body.append(f"{inner}-> {_trans_body(it.pre, it.call, it.act)};")
-    for child in children:
-        body.extend(_print_state(sc, sc.state(child), inner))
+    for child in _children(sc, s.name):
+        body.extend(_print_state(sc, child, inner))
     if not body:
         return [f"{indent}{head};"]
     return [f"{indent}{head} {{"] + body + [f"{indent}}}"]
+
+
+def _children(sc: SCFull, name: Optional[str]) -> list[FullState]:
+    return sorted(sc.index.children.get(name, ()), key=lambda s: s.name)
 
 
 def print_chart(sc: SCFull) -> str:
@@ -202,8 +203,7 @@ def print_chart(sc: SCFull) -> str:
     lines.append(head + " {")
     if sc.inv is not None:
         lines.append(f"    [{print_cond(sc.inv)}];")
-    top = [s for s in sc.sorted_states() if sc.parent_name(s.name) is None]
-    for s in top:
+    for s in _children(sc, None):
         lines.extend(_print_state(sc, s, "    "))
     for t in sc.sorted_trans():
         lines.append("    " + _print_trans(t))
@@ -317,7 +317,7 @@ def to_dot(sc: SCFull) -> str:
     lines = ["digraph statechart {", "    compound=true;", "    rankdir=LR;"]
 
     def emit(state: FullState, indent: str):
-        children = sorted(c for c, p in sc.sub if p == state.name)
+        children = _children(sc, state.name)
         label = state.name
         if "initial" in state.modifiers:
             label = "● " + label
@@ -330,16 +330,15 @@ def to_dot(sc: SCFull) -> str:
                 f'{indent}    "{_dot_escape(state.name)}" [shape=point, style=invis];'
             )
             for c in children:
-                emit(sc.state(c), indent + "    ")
+                emit(c, indent + "    ")
             lines.append(f"{indent}}}")
         else:
             lines.append(
                 f'{indent}"{_dot_escape(state.name)}" [label="{_dot_escape(label)}", shape=box, style=rounded];'
             )
 
-    for s in sc.sorted_states():
-        if sc.parent_name(s.name) is None:
-            emit(s, "    ")
+    for s in _children(sc, None):
+        emit(s, "    ")
     for t in sc.sorted_trans():
         label = print_call(t.call)
         if t.pre is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .actions import (
@@ -189,9 +189,9 @@ def _reset(t: Term, keep_top: bool) -> Term:
     if isinstance(t, Basic):
         return t
     subs = tuple(_reset(s, False) for s in t.subterms)
-    if isinstance(t, And):
-        return And(t.name, subs, t.entry, t.exit)
-    return Or(t.name, subs, t.active if keep_top else 1, t.transitions, t.entry, t.exit)
+    if isinstance(t, Or) and not keep_top:
+        return replace(t, subterms=subs, active=1)
+    return replace(t, subterms=subs)
 
 
 def _force_active(t: Term, target: str) -> Optional[Term]:
@@ -206,8 +206,8 @@ def _force_active(t: Term, target: str) -> Optional[Term]:
         if forced is not None:
             subs = t.subterms[:idx] + (forced,) + t.subterms[idx + 1:]
             if isinstance(t, And):
-                return And(t.name, subs, t.entry, t.exit)
-            return Or(t.name, subs, idx + 1, t.transitions, t.entry, t.exit)
+                return replace(t, subterms=subs)
+            return replace(t, subterms=subs, active=idx + 1)
     return None
 
 
@@ -246,7 +246,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
         for combo in itertools.product(*child_steps):
             f = 1 if any(fj for _, fj, _ in combo) else 0
             subs = tuple(tj for _, _, tj in combo)
-            term = And(t.name, subs, t.entry, t.exit)
+            term = replace(t, subterms=subs)
             for perm in itertools.permutations(range(len(combo))):
                 alpha = tuple(x for k in perm for x in combo[k][0])
                 out.add((alpha, f, term))
@@ -260,7 +260,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
     # inner transitions take priority and propagate
     for alpha, _, s_new in inner_fired:
         subs = t.subterms[:t.active - 1] + (s_new,) + t.subterms[t.active:]
-        out.add((alpha, 1, Or(t.name, subs, t.active, t.transitions, t.entry, t.exit)))
+        out.add((alpha, 1, replace(t, subterms=subs)))
     if not inner_fired:
         # own transitions fire only when the active child cannot
         for tr in sorted(t.transitions, key=lambda tr: tr.tname):
@@ -270,7 +270,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
                 continue
             target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
             subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
-            term = Or(t.name, subs, tr.j, t.transitions, t.entry, t.exit)
+            term = replace(t, subterms=subs, active=tr.j)
             for e1 in exit_seqs(active):
                 for e2 in entry_seqs(target):
                     out.add((e1 + tr.alpha + e2, 1, term))

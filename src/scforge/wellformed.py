@@ -8,16 +8,15 @@ skipped diagnostics rather than silently dropped.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .actions import (
     Action,
     Assign,
     Call,
     Cond,
-    PCons,
-    PEmpty,
     Send,
     cond_vars,
     pattern_vars,
@@ -28,6 +27,7 @@ from .ast import (
     COMPLETION_ERROR,
     COMPLETION_STEREOS,
     PRIO_STEREOS,
+    InternT,
     SCFull,
     SCSimp,
     triggers_full,
@@ -73,28 +73,78 @@ def _sort(violations: list[Violation]) -> list[Violation]:
     return sorted(violations, key=lambda v: (int(v.code[2:]), v.subject, v.message))
 
 
-def _closure(pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
-    out = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(out):
-            for c, d in list(out):
-                if b == c and (a, d) not in out:
-                    out.add((a, d))
-                    changed = True
+def _on_cycle(sub: Iterable[tuple[str, str]]) -> set[str]:
+    """The names that are a (transitive) substate of themselves: walking up
+    every parent of every `sub` pair leads back to them."""
+    parents: dict[str, set[str]] = {}
+    for child, parent in sub:
+        parents.setdefault(child, set()).add(parent)
+    out = set()
+    for start in parents:
+        seen: set[str] = set()
+        todo = list(parents[start])
+        while todo and start not in seen:
+            n = todo.pop()
+            if n not in seen:
+                seen.add(n)
+                todo.extend(parents.get(n, ()))
+        if start in seen:
+            out.add(start)
+    return out
+
+
+def _triggered(sc: Union[SCFull, SCSimp]) -> Iterator[tuple]:
+    """Each transition and internal transition, with the subject its
+    violations name."""
+    for t in sc.index.trans:
+        yield t, f"transition {t.src}->{t.trg}"
+    if isinstance(sc, SCFull):
+        for s in sc.sorted_states():
+            for it in s.internT:
+                yield it, f"state {s.name}"
+
+
+def _call_vars(call: Call) -> list[str]:
+    return [v for a in call.args for v in pattern_vars(a)]
+
+
+def _check_shared(sc: Union[SCFull, SCSimp]) -> list[Violation]:
+    """CC4, CC7 and CC12, which apply to both chart kinds."""
+    out: list[Violation] = []
+
+    # CC4: transition endpoints are declared.
+    names = {s.name for s in sc.states}
+    for t in sc.index.trans:
+        for n in (t.src, t.trg):
+            if n not in names:
+                out.append(
+                    Violation("CC4", f"transition {t.src}->{t.trg}", f"undeclared state {n}")
+                )
+
+    # CC7: event parameters are pairwise different.
+    for x, subject in _triggered(sc):
+        seen: set[str] = set()
+        for v in _call_vars(x.call):
+            if v in seen:
+                out.append(Violation("CC7", subject, f"duplicate event parameter {v}"))
+            seen.add(v)
+
+    # CC12: state names pairwise distinct.
+    by_name = Counter(s.name for s in sc.states)
+    for n, count in sorted(by_name.items()):
+        if count > 1:
+            out.append(Violation("CC12", f"state {n}", f"{count} states share this name"))
     return out
 
 
 def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violation]:
-    out: list[Violation] = []
+    out = _check_shared(sc)
     names = {s.name for s in sc.states}
     chart = f"statechart {sc.diagram_name}"
 
     # CC1: Sub+ is irreflexive, and the relation only mentions declared states.
-    for a, b in _closure(sc.sub):
-        if a == b:
-            out.append(Violation("CC1", f"state {a}", "state is a (transitive) substate of itself"))
+    for a in _on_cycle(sc.sub):
+        out.append(Violation("CC1", f"state {a}", "state is a (transitive) substate of itself"))
     for a, b in sorted(sc.sub):
         for n in (a, b):
             if n not in names:
@@ -103,27 +153,17 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
                 )
 
     # CC2: exception triggers require an exception state.
-    has_exception_state = any("exception" in s.sstereos for s in sc.states)
-    if not has_exception_state:
-        for t in sc.sorted_trans():
-            if t.call.exception:
+    if not any("exception" in s.sstereos for s in sc.states):
+        for x, subject in _triggered(sc):
+            if x.call.exception:
+                internal = "internal " if isinstance(x, InternT) else ""
                 out.append(
                     Violation(
                         "CC2",
-                        f"transition {t.src}->{t.trg}",
-                        "exception trigger but no state carries stereotype exception",
+                        subject,
+                        f"{internal}exception trigger but no state carries stereotype exception",
                     )
                 )
-        for s in sc.sorted_states():
-            for it in s.internT:
-                if it.call.exception:
-                    out.append(
-                        Violation(
-                            "CC2",
-                            f"state {s.name}",
-                            "internal exception trigger but no state carries stereotype exception",
-                        )
-                    )
 
     # CC3: at most one priority and one completion stereotype; a completion
     # stereotype forbids error states (except completion:error, which itself
@@ -144,14 +184,6 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
                     )
                 )
 
-    # CC4: transition endpoints are declared.
-    for t in sc.sorted_trans():
-        for n in (t.src, t.trg):
-            if n not in names:
-                out.append(
-                    Violation("CC4", f"transition {t.src}->{t.trg}", f"undeclared state {n}")
-                )
-
     # CC5/CC6/CC8/CC9/CC11 need the class signature.
     if ctx is None:
         for code in CTX_CODES:
@@ -160,20 +192,6 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
             )
     else:
         out.extend(_check_with_ctx(sc, ctx))
-
-    # CC7: event parameters are pairwise different.
-    def check_params(call: Call, subject: str):
-        seen: set[str] = set()
-        for v in pattern_vars(_args_pattern(call)):
-            if v in seen:
-                out.append(Violation("CC7", subject, f"duplicate event parameter {v}"))
-            seen.add(v)
-
-    for t in sc.sorted_trans():
-        check_params(t.call, f"transition {t.src}->{t.trg}")
-    for s in sc.sorted_states():
-        for it in s.internT:
-            check_params(it.call, f"state {s.name}")
 
     # CC10 (direct approximation): statements may not send a message whose
     # name is one of the chart's triggers.
@@ -193,28 +211,17 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
                     )
                 )
 
-    for t in sc.sorted_trans():
-        check_sends(t.act, f"transition {t.src}->{t.trg}")
+    for x, subject in _triggered(sc):
+        check_sends(x.act, subject)
     for s in sc.sorted_states():
         for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
             check_sends(act, f"state {s.name} {what}")
-        for it in s.internT:
-            check_sends(it.act, f"state {s.name}")
-
-    # CC12: state names pairwise distinct.
-    by_name: dict[str, int] = {}
-    for s in sc.states:
-        by_name[s.name] = by_name.get(s.name, 0) + 1
-    for n, count in sorted(by_name.items()):
-        if count > 1:
-            out.append(Violation("CC12", f"state {n}", f"{count} states share this name"))
 
     # CC13/CC14: constructor and finalize call life-cycle restrictions.
-    ingoing = {n: [t for t in sc.trans if t.trg == n] for n in names}
-    outgoing = {n: [t for t in sc.trans if t.src == n] for n in names}
+    ingoing, outgoing = sc.index.ingoing, sc.index.outgoing
     for s in sc.sorted_states():
         if "initial" in s.modifiers and any(
-            t.call.name == sc.class_name for t in outgoing.get(s.name, [])
+            t.call.name == sc.class_name for t in outgoing.get(s.name, ())
         ):
             if ingoing.get(s.name):
                 out.append(
@@ -225,7 +232,7 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
                     )
                 )
         if "final" in s.modifiers and any(
-            t.call.name == "finalize" for t in ingoing.get(s.name, [])
+            t.call.name == "finalize" for t in ingoing.get(s.name, ())
         ):
             if outgoing.get(s.name):
                 out.append(
@@ -239,14 +246,6 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
     return _sort(out)
 
 
-def _args_pattern(call: Call):
-    # a single pattern holding all arguments, in order
-    p = PEmpty()
-    for a in reversed(call.args):
-        p = PCons(a, p)
-    return p
-
-
 def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
     out: list[Violation] = []
     chart = f"statechart {sc.diagram_name}"
@@ -258,17 +257,10 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
         )
 
     # CC6: triggers are declared methods (constructor calls use the class name).
-    def check_event(call: Call, subject: str):
-        key = (call.name, len(call.args))
-        if call.name == sc.class_name or key in ctx.methods:
-            return
-        out.append(Violation("CC6", subject, f"event {call.name}/{len(call.args)} not declared"))
-
-    for t in sc.sorted_trans():
-        check_event(t.call, f"transition {t.src}->{t.trg}")
-    for s in sc.sorted_states():
-        for it in s.internT:
-            check_event(it.call, f"state {s.name}")
+    for x, subject in _triggered(sc):
+        call = x.call
+        if call.name != sc.class_name and (call.name, len(call.args)) not in ctx.methods:
+            out.append(Violation("CC6", subject, f"event {call.name}/{len(call.args)} not declared"))
 
     attrs = set(ctx.attributes)
 
@@ -291,16 +283,6 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
             for v in sorted(cond_vars(cond) - attrs - args):
                 out.append(Violation("CC9", subject, f"{what} refers to undeclared {v}"))
 
-    for t in sc.sorted_trans():
-        args = set(pattern_vars(_args_pattern(t.call)))
-        check_prepost(t.pre, t.act, args, f"transition {t.src}->{t.trg}")
-    for s in sc.sorted_states():
-        for it in s.internT:
-            args = set(pattern_vars(_args_pattern(it.call)))
-            check_prepost(it.pre, it.act, args, f"state {s.name}")
-        for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
-            check_prepost(None, act, set(), f"state {s.name} {what}")
-
     # CC11: statements read/write declared attributes and call declared methods.
     def check_stmt(act: Optional[Action], args: set[str], subject: str):
         if act is None:
@@ -315,14 +297,13 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
                     Violation("CC11", subject, f"statement calls undeclared {prim.name}/{len(prim.args)}")
                 )
 
-    for t in sc.sorted_trans():
-        args = set(pattern_vars(_args_pattern(t.call)))
-        check_stmt(t.act, args, f"transition {t.src}->{t.trg}")
+    for x, subject in _triggered(sc):
+        args = set(_call_vars(x.call))
+        check_prepost(x.pre, x.act, args, subject)
+        check_stmt(x.act, args, subject)
     for s in sc.sorted_states():
-        for it in s.internT:
-            args = set(pattern_vars(_args_pattern(it.call)))
-            check_stmt(it.act, args, f"state {s.name}")
         for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
+            check_prepost(None, act, set(), f"state {s.name} {what}")
             check_stmt(act, set(), f"state {s.name} {what}")
 
     return out
@@ -330,23 +311,4 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
 
 def check_simp(sc: SCSimp) -> list[Violation]:
     """The hierarchy-free subset: CC4, CC7, CC12."""
-    out: list[Violation] = []
-    names = {s.name for s in sc.states}
-    for t in sc.sorted_transitions():
-        for n in (t.src, t.trg):
-            if n not in names:
-                out.append(Violation("CC4", f"transition {t.src}->{t.trg}", f"undeclared state {n}"))
-        seen: set[str] = set()
-        for v in pattern_vars(_args_pattern(t.call)):
-            if v in seen:
-                out.append(
-                    Violation("CC7", f"transition {t.src}->{t.trg}", f"duplicate event parameter {v}")
-                )
-            seen.add(v)
-    by_name: dict[str, int] = {}
-    for s in sc.states:
-        by_name[s.name] = by_name.get(s.name, 0) + 1
-    for n, count in sorted(by_name.items()):
-        if count > 1:
-            out.append(Violation("CC12", f"state {n}", f"{count} states share this name"))
-    return _sort(out)
+    return _sort(_check_shared(sc))

@@ -46,6 +46,14 @@ statechart Dup for C {
 """
 
 
+NOWHERE_SC = """
+statechart Dangling for C {
+    initial state A;
+    A -> Nowhere : f();
+}
+"""
+
+
 @pytest.fixture
 def buffer_file(tmp_path):
     p = tmp_path / "buffer.sc"
@@ -228,6 +236,16 @@ def test_malformed_event_is_usage(capsys, buffer_file, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad event 'put(x)'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["run", "--events", "f()"], ["simplify"], ["transform"]])
+def test_ill_formed_chart_is_usage(capsys, tmp_path, command):
+    chart = tmp_path / "nowhere.sc"
+    chart.write_text(NOWHERE_SC)
+    code, out, err = run_cli(capsys, command[0], str(chart), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {chart}: ill-formed chart (CC4)\n"
 
 
 def test_run_bad_init_is_usage(capsys, buffer_file):

@@ -59,6 +59,22 @@ for seed in range(60):
 """
 
 
+# Prints a chart whose transitions differ only in their call patterns.
+TIE_SCRIPT = '''
+from scforge.parse import parse
+from scforge.printer import print_chart
+
+print(print_chart(parse("""statechart Tie for C {
+    initial state A;
+    state B;
+    A -> B : f(k) / send(1);
+    A -> B : f(1) / send(1);
+    A -> B : f(2) / send(1);
+    A -> B : f([]) / send(1);
+}""")))
+'''
+
+
 def _run_in_fresh_process(script: str, hash_seed: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
@@ -86,6 +102,12 @@ def test_term_encoding_is_identical_across_processes():
     assert len(first) == len(second) == 120
     differing = [a.split(" ", 2)[:2] for a, b in zip(first, second) if a != b]
     assert not differing, f"{len(differing)} encodings differ, first: {differing[:3]}"
+
+
+def test_transitions_tied_but_for_their_patterns_print_identically_across_processes():
+    first = _run_in_fresh_process(TIE_SCRIPT, "1")
+    assert first.count(" -> B : f(") == 4
+    assert _run_in_fresh_process(TIE_SCRIPT, "2") == first
 
 
 def flatten_digest(sc, strategy: str) -> str:

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from scforge.ast import FullState, InternT, SCFull, Trans
 from scforge.parse import parse
-from scforge.printer import print_chart
+from scforge.printer import print_call, print_chart
 from scforge.transform import (
     BindingStale,
     NotSimplifiable,
@@ -115,6 +115,33 @@ def test_chart_index_answers_structural_queries():
     assert {t.call.name for t in idx.ingoing["Y"]} == {"f"}
     assert lcs(sc.state("X"), sc.state("Y"), sc) == sc.state("A")
     assert replace(sc, sub=frozenset()).index.parent == {}
+
+
+def test_simplified_chart_index_keeps_the_old_orders():
+    simp = to_simplified(transform_fixpoint(parse(
+        """statechart D for C {
+            initial state B;
+            initial state A;
+            state C;
+            B -> A : [0 < x] g(x) / send(2);
+            B -> A : g(x) / send(1);
+            A -> C : f();
+            A -> B : h(1);
+            A -> B : h(2);
+        }"""
+    ))[0])
+    assert simp.index is simp.index  # built once per chart value
+    assert simp.state("C").name == "C"
+    with pytest.raises(KeyError):
+        simp.state("Nowhere")
+    assert [s.name for s in simp.sorted_states()] == ["A", "B", "C"]
+    assert [s.name for s in simp.initial_states()] == ["A", "B"]
+    # the order of the former SCSimp key, with its ties broken by the call patterns
+    old_key = lambda t: (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act))
+    ordered = simp.sorted_transitions()
+    assert [old_key(t) for t in ordered] == sorted(old_key(t) for t in simp.transitions)
+    assert [print_call(t.call) for t in ordered[:2]] == ["h(1)", "h(2)"]
+    assert [t.call.name for t in simp.index.outgoing_in_order["A"]] == ["h", "h", "f"]
 
 
 def test_chart_index_terminates_on_a_substate_cycle():

@@ -67,6 +67,36 @@ def test_cc1_cycle():
     assert codes(check_all(sc, CTX)).count("CC1") >= 2
 
 
+def _naive_cycle_names(sub):
+    """The names a with (a, a) in the transitive closure of `sub`."""
+    closure = set(sub)
+    while True:
+        step = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not step:
+            return {a for a, b in closure if a == b}
+        closure |= step
+
+
+@given(st.frozensets(st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF")), max_size=12))
+def test_cc1_cycles_match_the_transitive_closure(sub):
+    # Some names get two parents, and some pairs name undeclared states.
+    sc = make(states=frozenset(FullState(name=n) for n in "ABCD"), sub=sub)
+    cyclic = {
+        v.subject.removeprefix("state ")
+        for v in check_all(sc)
+        if v.code == "CC1" and v.message == "state is a (transitive) substate of itself"
+    }
+    assert cyclic == _naive_cycle_names(sub)
+
+
+def test_cc1_cycle_through_a_second_parent():
+    # B's parents are A and C; the cycle B < C < B runs through the second one.
+    sts = frozenset(FullState(name=n) for n in "ABC")
+    sc = make(states=sts, sub=frozenset([("B", "A"), ("B", "C"), ("C", "B")]))
+    cyclic = {v.subject for v in check_all(sc) if v.code == "CC1"}
+    assert cyclic == {"state B", "state C"}
+
+
 def test_cc1_dangling_sub():
     sc = make(sub=frozenset([("Ghost", "A")]))
     assert "CC1" in codes(check_all(sc, CTX))
