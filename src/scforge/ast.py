@@ -41,6 +41,29 @@ class InternT:
     act: Optional[Action]
 
 
+def _hash_once(cls):
+    """Cache each instance's dataclass-generated hash on first use: chart
+    rewrites rebuild sets of the same elements on every step, and the
+    generated hash walks their condition and action trees each time. The
+    cache is left out of pickled state, as string hashes differ between
+    processes."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", generated(self))
+            return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Trans:
     prio: Optional[int]  # the <<prio=n>> transition stereotype
@@ -52,6 +75,7 @@ class Trans:
     pos: Optional[tuple[int, int]] = field(default=None, compare=False, hash=False, repr=False)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FullState:
     sstereos: frozenset[str] = frozenset()
@@ -106,10 +130,12 @@ class ChartIndex:
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `outgoing_in_order` maps it
     to a tuple in `trans_key` order; `ancestors` maps it to the strict
-    superstates, parent first. On charts that break CC1 or CC12 the answers
-    are deterministic but partial: one parent per name, and states not
-    reachable from the top level (on a cycle or below an undeclared parent)
-    have no ancestors.
+    superstates, parent first. `ingoing_at_or_above` and
+    `outgoing_at_or_above` are the names of the states that have such a
+    transition themselves or on one of their ancestors. On charts that break
+    CC1 or CC12 the answers are deterministic but partial: one parent per
+    name, and states not reachable from the top level (on a cycle or below an
+    undeclared parent) have no ancestors.
     """
 
     def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset()):
@@ -148,6 +174,26 @@ class ChartIndex:
             out[s.name] = above
             todo.extend((c, (s,) + above) for c in self.children.get(s.name, ()))
         return out
+
+    @cached_property
+    def ingoing_at_or_above(self) -> frozenset[str]:
+        return self._at_or_above(self.ingoing)
+
+    @cached_property
+    def outgoing_at_or_above(self) -> frozenset[str]:
+        return self._at_or_above(self.outgoing)
+
+    def _at_or_above(self, names) -> frozenset[str]:
+        """`names` and, in one top-down pass, every state below one of them."""
+        out = set(names)
+        todo = list(self.children.get(None, ()))
+        while todo:
+            s = todo.pop()
+            below = self.children.get(s.name, ())
+            if s.name in out:
+                out.update(c.name for c in below)
+            todo.extend(below)
+        return frozenset(out)
 
 
 def _group(items, key, kind=frozenset) -> dict:

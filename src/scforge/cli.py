@@ -2,8 +2,8 @@
 conform, and gen subcommands wired over the library modules.
 
 Exit codes: 0 success, 1 violations or failed checks, 2 usage or input
-errors (an ill-formed chart among them), 3 an internal exploration bound was
-exceeded.
+errors (an ill-formed chart, or an action that cannot be evaluated on the
+given events, among them), 3 an internal exploration bound was exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import conform as conform_mod
 from . import flatinterp, vdb
+from .actions import ActionError, UnboundVariable
 from .parse import LexError, ReservedIdentifier, StatechartSyntaxError, parse
 from .printer import print_chart, print_simp, to_dot, to_json
 from .transform import (
@@ -88,12 +89,22 @@ def _split_top_level(line: str) -> list:
     return parts + [line[start:]]
 
 
-def _flatten(args):
-    """Parse and check `args.chart`, then flatten it."""
-    sc = _parse_chart(args.chart)
+def _checked(sc, path: str):
+    """sc, unless the CC checks find something wrong with it."""
     codes = list(dict.fromkeys(v.code for v in check_all(sc) if not v.skipped))
     if codes:
-        raise IllFormedInput(f"{args.chart}: ill-formed chart ({', '.join(codes)})")
+        raise IllFormedInput(f"{path}: ill-formed chart ({', '.join(codes)})")
+    return sc
+
+
+def _action_error(e: ActionError) -> UsageError:
+    """An action that cannot be evaluated on the given input."""
+    return UsageError(f"unbound variable {e}" if isinstance(e, UnboundVariable) else str(e))
+
+
+def _flatten(args):
+    """Parse and check `args.chart`, then flatten it."""
+    sc = _checked(_parse_chart(args.chart), args.chart)
     try:
         return transform_fixpoint(sc, strategy=args.strategy, max_steps=args.max_steps)
     except NonTermination as e:
@@ -190,6 +201,8 @@ def cmd_run(args) -> int:
             )
         except flatinterp.BadInitialState:
             raise UsageError(f"{init} is not an initial state")
+        except ActionError as e:
+            raise _action_error(e)
         kind = type(result.outcome).__name__.lower()
         ok = ok and result.quiescent
         out[init] = {
@@ -222,7 +235,7 @@ def _load_term(path: str, domain):
         except (LexError, StatechartSyntaxError, ReservedIdentifier) as e:
             raise UsageError(f"{path}: {e}")
         try:
-            return vdb.encode_guard_free(sc, domain=domain)
+            return vdb.encode_guard_free(_checked(sc, path), domain=domain)
         except (vdb.NotGuardFree, vdb.UnboundedValueDomain) as e:
             raise UsageError(f"{path}: {e}")
     try:
@@ -275,6 +288,8 @@ def cmd_conform(args) -> int:
         )
     except conform_mod.IncompleteProjection as e:
         raise UsageError(f"incomplete projection: {e}")
+    except ActionError as e:
+        raise _action_error(e)
     if args.format == "json":
         print(conform_mod.report_to_json(report))
     else:

@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .actions import (
@@ -106,17 +107,55 @@ class Binding:
         return ", ".join(f"{k}={show(v)}" for k, v in self.items)
 
 
-@dataclass(frozen=True)
+def chart_hash(sc: SCFull) -> str:
+    return hashlib.sha256(print_chart(sc).encode()).hexdigest()[:16]
+
+
+class _Digest:
+    """`chart_hash` of one chart, computed on first read; the chart is let go
+    once it is. It is kept as a copy without the chart's index, which would
+    otherwise stay alive with it."""
+
+    __slots__ = ("_chart", "_value")
+
+    def __init__(self, chart: SCFull):
+        self._chart, self._value = replace(chart), None
+
+    @property
+    def value(self) -> str:
+        if self._value is None:
+            self._value, self._chart = chart_hash(self._chart), None
+        return self._value
+
+    def __eq__(self, other):
+        return self.value == other.value if isinstance(other, _Digest) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+@dataclass(frozen=True, repr=False)
 class TraceEntry:
+    """One rewrite step. The digests of the charts before and after it are
+    computed on first read, once per chart: consecutive entries share one."""
+
     rule: int
     name: str
     binding: str
-    before_hash: str
-    after_hash: str
+    before: _Digest
+    after: _Digest
 
+    @property
+    def before_hash(self) -> str:
+        return self.before.value
 
-def chart_hash(sc: SCFull) -> str:
-    return hashlib.sha256(print_chart(sc).encode()).hexdigest()[:16]
+    @property
+    def after_hash(self) -> str:
+        return self.after.value
+
+    def __repr__(self) -> str:
+        return (f"TraceEntry(rule={self.rule!r}, name={self.name!r}, binding={self.binding!r}, "
+                f"before_hash={self.before_hash!r}, after_hash={self.after_hash!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +194,35 @@ def simple_state(s: FullState, sc: SCFull) -> bool:
     return not substates(s, sc) and s.do is None and not s.internT
 
 
-def _irrelevant(mod: str, edges, s: FullState, sc: SCFull) -> bool:
+# The states with an ingoing (outgoing) transition on themselves or on a
+# superstate, by name.
+_ENTERED = attrgetter("index.ingoing_at_or_above")
+_LEFT = attrgetter("index.outgoing_at_or_above")
+
+
+def _above(at_or_above, s: FullState, sc: SCFull) -> bool:
+    """A strict superstate of s is in `at_or_above(sc)` (`_ENTERED` or
+    `_LEFT`): as those sets are closed downward, s's parent is."""
+    sups = list_of_all_superstates(s, sc)
+    return bool(sups) and sups[0].name in at_or_above(sc)
+
+
+def _irrelevant(mod: str, at_or_above, s: FullState, sc: SCFull) -> bool:
     """The chart has a top-level `mod` state, and neither s nor any of its
-    superstates is one or has an `edges` transition."""
+    superstates is one or has a transition in the direction of `at_or_above`.
+    Of s and its superstates, only the outermost can be top-level."""
     tops = _top_names(mod, sc)
-    return bool(tops) and not any(
-        x.name in tops or edges(x, sc) for x in (s, *list_of_all_superstates(s, sc))
-    )
+    sups = list_of_all_superstates(s, sc)
+    return (bool(tops) and (sups[-1] if sups else s).name not in tops
+            and s.name not in at_or_above(sc))
 
 
 def initial_irrelevant(s: FullState, sc: SCFull) -> bool:
-    return _irrelevant("initial", ingoing_t, s, sc)
+    return _irrelevant("initial", _ENTERED, s, sc)
 
 
 def final_irrelevant(s: FullState, sc: SCFull) -> bool:
-    return _irrelevant("final", outgoing_t, s, sc)
+    return _irrelevant("final", _LEFT, s, sc)
 
 
 def call_groups(s: FullState, sc: SCFull) -> dict[str, set[Trans]]:
@@ -207,9 +260,9 @@ def flat_and_simplified(sc: SCFull) -> bool:
         if substates(s, sc):
             if ingoing_t(s, sc) or outgoing_t(s, sc) or s.inv is not None:
                 return False
-        if initial_irrelevant(s, sc) and "initial" in s.modifiers:
+        if "initial" in s.modifiers and initial_irrelevant(s, sc):
             return False
-        if final_irrelevant(s, sc) and "final" in s.modifiers:
+        if "final" in s.modifiers and final_irrelevant(s, sc):
             return False
     return True
 
@@ -495,9 +548,7 @@ def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
 
 def _find_elim_prio(sc: SCFull):  # rule 14
     for s in sc.sorted_states():
-        if simple_state(s, sc) and not any(
-            outgoing_t(sup, sc) for sup in list_of_all_superstates(s, sc)
-        ):
+        if simple_state(s, sc) and not _above(_LEFT, s, sc):
             for _, ts in sorted(call_groups(s, sc).items()):
                 if any(t.prio is not None for t in ts):
                     yield (("s", s.name), ("ts", frozenset(ts)))
@@ -524,7 +575,7 @@ def _exit_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17
         (SEQUENTIAL in sc.stereos) == seq
         and s.exit is not None
         and simple_state(s, sc)
-        and not any(outgoing_t(sup, sc) for sup in list_of_all_superstates(s, sc))
+        and not _above(_LEFT, s, sc)
     )
 
 
@@ -553,7 +604,7 @@ def _entry_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 19, 20
         and s.entry is not None
         and "initial" not in s.modifiers
         and simple_state(s, sc)
-        and not any(ingoing_t(sup, sc) for sup in list_of_all_superstates(s, sc))
+        and not _above(_ENTERED, s, sc)
     )
 
 
@@ -578,12 +629,10 @@ def _move_entry(seq: bool, sc: SCFull, b: Binding) -> SCFull:
                    trans=(sc.trans - ingoing) | moved)
 
 
-def _action_removable(attr: str, edges, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
-    """s has an `attr` action, and no `edges` transition of s or of a
-    superstate would run it."""
-    return getattr(s, attr) is not None and not any(
-        edges(x, sc) for x in (s, *list_of_all_superstates(s, sc))
-    )
+def _action_removable(attr: str, at_or_above, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
+    """s has an `attr` action, and no transition of s or of a superstate in
+    the direction of `at_or_above` would run it."""
+    return getattr(s, attr) is not None and s.name not in at_or_above(sc)
 
 
 def _remove_action(attr: str, sc: SCFull, b: Binding) -> SCFull:
@@ -720,13 +769,13 @@ RULES = (
          partial(_move_exit, False)),
     Rule(17, "moveExitActionsSeq", _each_state(partial(_exit_movable, True)),
          partial(_move_exit, True)),
-    Rule(18, "removeExitAction", _each_state(partial(_action_removable, "exit", outgoing_t)),
+    Rule(18, "removeExitAction", _each_state(partial(_action_removable, "exit", _LEFT)),
          partial(_remove_action, "exit")),
     Rule(19, "moveEntryActions", _each_state(partial(_entry_movable, False)),
          partial(_move_entry, False)),
     Rule(20, "moveEntryActionsSeq", _each_state(partial(_entry_movable, True)),
          partial(_move_entry, True)),
-    Rule(21, "removeEntryAction", _each_state(partial(_action_removable, "entry", ingoing_t)),
+    Rule(21, "removeEntryAction", _each_state(partial(_action_removable, "entry", _ENTERED)),
          partial(_remove_action, "entry")),
     Rule(22, "moveInvariant", _each_state(_inv_movable), _move_invariant),
     Rule(23, "removeHierarchy", _find_remove_hierarchy, _remove_hierarchy),
@@ -802,7 +851,7 @@ def transform_fixpoint(
 
     trace: list[TraceEntry] = []
     done_exception = False
-    sc_hash: Optional[str] = None
+    digest = _Digest(sc)
     while True:
         candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, done_exception)
         if rng is not None:
@@ -816,11 +865,9 @@ def transform_fixpoint(
                 continue
             if len(trace) >= max_steps:
                 raise NonTermination(f"no fixpoint within {max_steps} steps")
-            new_hash = chart_hash(new)
-            trace.append(TraceEntry(
-                rule.number, rule.name, b.describe(), sc_hash or chart_hash(sc), new_hash
-            ))
-            sc, sc_hash = new, new_hash
+            new_digest = _Digest(new)
+            trace.append(TraceEntry(rule.number, rule.name, b.describe(), digest, new_digest))
+            sc, digest = new, new_digest
             if on_step is not None:
                 on_step(len(trace), sc)
             break

@@ -238,7 +238,9 @@ def test_malformed_event_is_usage(capsys, buffer_file, command):
     assert err.startswith("error: bad event 'put(x)'") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["run", "--events", "f()"], ["simplify"], ["transform"]])
+@pytest.mark.parametrize("command", [
+    ["run", "--events", "f()"], ["simplify"], ["transform"], ["vdb-run", "--events", "f()"],
+])
 def test_ill_formed_chart_is_usage(capsys, tmp_path, command):
     chart = tmp_path / "nowhere.sc"
     chart.write_text(NOWHERE_SC)
@@ -246,6 +248,15 @@ def test_ill_formed_chart_is_usage(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {chart}: ill-formed chart (CC4)\n"
+
+
+def test_run_unbound_variable_is_usage(capsys, tmp_path):
+    chart = tmp_path / "unbound.sc"
+    chart.write_text("statechart U for C { initial state A; state B; A -> B : f() / send(v); }")
+    code, out, err = run_cli(capsys, "run", str(chart), "--events", "f()")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unbound variable v\n"
 
 
 def test_run_bad_init_is_usage(capsys, buffer_file):
@@ -333,6 +344,19 @@ def test_conform_incomplete_projection_is_usage(capsys, buffer_file, tmp_path):
         str(FIXTURES / "fig_ok_fragment.json"), str(proj),
     )
     assert code == 2
+
+
+def test_conform_unbound_variable_is_usage(capsys, tmp_path):
+    chart = tmp_path / "unbound.sc"
+    chart.write_text(BUFFER_SC.replace("send(v)", "send(w)"))
+    code, out, err = run_cli(
+        capsys, "conform", str(chart),
+        str(FIXTURES / "fig_ok_fragment.json"),
+        str(FIXTURES / "buffer_projection.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unbound variable w\n"
 
 
 def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scforge.actions import (
     Action,
@@ -19,7 +20,9 @@ from scforge.actions import (
 )
 from dataclasses import replace
 
+from scforge import transform
 from scforge.ast import FullState, InternT, SCFull, Trans
+from scforge.gen import gen_chart
 from scforge.parse import parse
 from scforge.printer import print_call, print_chart
 from scforge.transform import (
@@ -150,6 +153,88 @@ def test_chart_index_terminates_on_a_substate_cycle():
         sub=frozenset([("A", "B"), ("B", "A")]),
     )
     assert superstates(sc.state("A"), sc) == frozenset()  # unreachable from the top
+
+
+# -- the index's ancestor predicates against a naive walk --------------------
+
+def naive_superstates(s, sc):
+    """Walk up the parent relation, one parent per name as the index keeps
+    it; a state whose walk meets a cycle or an undeclared parent has none."""
+    parent, by_name = dict(sorted(sc.sub)), {st.name: st for st in sc.states}
+    chain, name = [], s.name
+    while name in parent:
+        name = parent[name]
+        if name not in by_name or name in (s.name, *(st.name for st in chain)):
+            return ()
+        chain.append(by_name[name])
+    return tuple(chain)
+
+
+def naive_has_edge(end, x, sc):
+    return any(getattr(t, end) == x.name for t in sc.trans)
+
+
+def naive_irrelevant(mod, end, s, sc):
+    parent = dict(sc.sub)
+    tops = {st.name for st in sc.states if st.name not in parent and mod in st.modifiers}
+    return bool(tops) and not any(
+        x.name in tops or naive_has_edge(end, x, sc) for x in (s, *naive_superstates(s, sc))
+    )
+
+
+def naive_removable(attr, end, s, sc):
+    return getattr(s, attr) is not None and not any(
+        naive_has_edge(end, x, sc) for x in (s, *naive_superstates(s, sc))
+    )
+
+
+def mutate(sc, kind, i, j):
+    """A substate cycle, an undeclared parent, a second parent, or a new
+    initial or final modifier, on the states at positions i and j."""
+    names = sorted(st.name for st in sc.states)
+    a, b = names[i % len(names)], names[j % len(names)]
+    if kind == "cycle":
+        return replace(sc, sub=sc.sub | {(a, b), (b, a)})
+    if kind == "ghost":
+        return replace(sc, sub=sc.sub | {(a, "Ghost")})
+    if kind == "second":
+        return replace(sc, sub=sc.sub | {(a, b)})
+    st_a = sc.state(a)
+    return sc.replace_state(st_a, replace(st_a, modifiers=st_a.modifiers | {kind}))
+
+
+def assert_predicates_match_naive_walk(sc):
+    for s in sc.states:
+        assert initial_irrelevant(s, sc) == naive_irrelevant("initial", "trg", s, sc), s.name
+        assert final_irrelevant(s, sc) == naive_irrelevant("final", "src", s, sc), s.name
+        assert transform._action_removable("entry", transform._ENTERED, s, sc) == \
+            naive_removable("entry", "trg", s, sc), s.name
+        assert transform._action_removable("exit", transform._LEFT, s, sc) == \
+            naive_removable("exit", "src", s, sc), s.name
+        sups = naive_superstates(s, sc)
+        assert transform._above(transform._ENTERED, s, sc) == \
+            any(naive_has_edge("trg", x, sc) for x in sups), s.name
+        assert transform._above(transform._LEFT, s, sc) == \
+            any(naive_has_edge("src", x, sc) for x in sups), s.name
+
+
+mutations = st.lists(st.tuples(
+    st.sampled_from(["cycle", "ghost", "second", "initial", "final"]),
+    st.integers(0, 63), st.integers(0, 63),
+), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 12), mutations)
+def test_index_predicates_match_a_naive_ancestor_walk(seed, states, muts):
+    sc = gen_chart(seed, max_states=states)
+    steps = []
+    transform_fixpoint(sc, on_step=lambda _, c: steps.append(c))
+    mutant = sc
+    for kind, i, j in muts:
+        mutant = mutate(mutant, kind, i, j)
+    for chart in [sc, mutant, *steps[::3]]:
+        assert_predicates_match_naive_walk(chart)
 
 
 def test_initial_irrelevant_rule7_example():
@@ -519,6 +604,30 @@ def test_fixpoint_trace_is_replayable():
     assert trace[-1].after_hash == chart_hash(out)
     for prev, nxt in zip(trace, trace[1:]):
         assert prev.after_hash == nxt.before_hash
+
+
+def test_fixpoint_computes_trace_digests_only_on_demand(monkeypatch):
+    printed = []
+
+    def counting_print_chart(sc):
+        printed.append(id(sc))
+        return print_chart(sc)
+
+    monkeypatch.setattr(transform, "print_chart", counting_print_chart)
+    runs = []
+    for seed in range(4):
+        sc = gen_chart(seed, max_states=10)
+        charts = [sc]
+        _, trace = transform_fixpoint(sc, on_step=lambda _, c: charts.append(c))
+        assert trace
+        runs.append((charts, trace))
+    assert printed == []
+    digests = [[(e.before_hash, e.after_hash) for e in trace] for _, trace in runs]
+    assert len(printed) == len(set(printed))  # each chart printed at most once
+    monkeypatch.undo()
+    for (charts, _), pairs in zip(runs, digests):
+        hashes = [transform.chart_hash(c) for c in charts]
+        assert pairs == list(zip(hashes, hashes[1:]))
 
 
 def test_fixpoint_random_strategy_also_flattens():
