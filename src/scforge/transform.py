@@ -201,8 +201,9 @@ _LEFT = attrgetter("index.outgoing_at_or_above")
 
 
 def _above(at_or_above, s: FullState, sc: SCFull) -> bool:
-    """A strict superstate of s is in `at_or_above(sc)` (`_ENTERED` or
-    `_LEFT`): as those sets are closed downward, s's parent is."""
+    """A strict superstate of s has a transition in the direction of
+    `at_or_above` (`_ENTERED` or `_LEFT`): s's parent is in that set, which
+    holds every state below such a superstate."""
     sups = list_of_all_superstates(s, sc)
     return bool(sups) and sups[0].name in at_or_above(sc)
 

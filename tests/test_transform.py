@@ -18,7 +18,8 @@ from scforge.actions import (
     TIMEOUT,
     TRUE,
 )
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 from scforge import transform
 from scforge.ast import FullState, InternT, SCFull, Trans
@@ -145,6 +146,16 @@ def test_simplified_chart_index_keeps_the_old_orders():
     assert [old_key(t) for t in ordered] == sorted(old_key(t) for t in simp.transitions)
     assert [print_call(t.call) for t in ordered[:2]] == ["h(1)", "h(2)"]
     assert [t.call.name for t in simp.index.outgoing_in_order["A"]] == ["h", "h", "f"]
+
+
+def test_chart_elements_hash_once_to_the_generated_value():
+    sc = gen_chart(3, max_states=10)
+    for x in [*sc.states, *sc.trans, replace(next(iter(sc.trans)), pos=(1, 2))]:
+        generated = hash(tuple(getattr(x, f.name) for f in fields(x) if f.compare))
+        assert hash(x) == hash(x) == generated
+        copy = pickle.loads(pickle.dumps(x))
+        assert "_hash" not in vars(copy)  # string hashes differ between processes
+        assert copy == x and hash(copy) == generated
 
 
 def test_chart_index_terminates_on_a_substate_cycle():
