@@ -26,6 +26,27 @@ def values_equal(a: "Value", b: "Value") -> bool:
     return type(a) is type(b) and a == b
 
 
+def is_json_value(x) -> bool:
+    """Does decoded JSON `x` denote a value: an int, a boolean, or a list of
+    values?"""
+    return isinstance(x, int) or fits(x, [is_json_value])
+
+
+def fits(data, shape) -> bool:
+    """Does decoded JSON `data` have `shape`? A shape is a type, a tuple of
+    types or a predicate; `[s]` is a list of `s`; `{str: s}` an object
+    mapping any key to `s`; any other dict an object whose keys, where
+    present, have the shapes the dict gives them."""
+    if isinstance(shape, list):
+        return isinstance(data, list) and all(fits(x, shape[0]) for x in data)
+    if isinstance(shape, dict):
+        return isinstance(data, dict) and all(
+            fits(v, shape[str] if str in shape else shape.get(k, object))
+            for k, v in data.items()
+        )
+    return isinstance(data, shape) if isinstance(shape, (type, tuple)) else shape(data)
+
+
 def is_reserved(name: str) -> bool:
     return name == TIMEOUT or "$" in name or bool(INP_RE.match(name))
 
@@ -385,6 +406,16 @@ def eval_expr(e: Expr, env: Valuation) -> Value:
 def eval_cond(c: Cond, store: Valuation, v: Valuation) -> bool:
     env = merge(store, v)
     return _eval_cond(c, env)
+
+
+def holds(c: Cond, store: Valuation, v: Valuation, unbound: bool) -> bool:
+    """eval_cond, answering `unbound` when the condition reads an unbound
+    variable: a guard over it cannot hold (False), while an invariant or
+    postcondition over it is vacuous (True)."""
+    try:
+        return eval_cond(c, store, v)
+    except UnboundVariable:
+        return unbound
 
 
 def _eval_cond(c: Cond, env: Valuation) -> bool:

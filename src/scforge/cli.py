@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import conform as conform_mod
 from . import flatinterp, vdb
@@ -42,6 +43,9 @@ class BoundError(Exception):
     pass
 
 
+SYNTAX_ERRORS = (LexError, StatechartSyntaxError, ReservedIdentifier)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -49,10 +53,11 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {e.strerror}")
 
 
-def _parse_chart(path: str):
+def _parse_chart(path: str, text: Optional[str] = None):
+    """The chart in `path`, whose `text` the caller may have read already."""
     try:
-        return parse(_read(path))
-    except (LexError, StatechartSyntaxError, ReservedIdentifier) as e:
+        return parse(_read(path) if text is None else text)
+    except SYNTAX_ERRORS as e:
         raise UsageError(f"{path}: {e}")
 
 
@@ -70,7 +75,7 @@ def _events(spec: str):
     for p in filter(None, parts):
         try:
             events.append(flatinterp.parse_message(p))
-        except (LexError, StatechartSyntaxError) as e:
+        except SYNTAX_ERRORS as e:
             raise UsageError(f"bad event {p!r}: {e}")
     return events
 
@@ -230,12 +235,9 @@ def cmd_run(args) -> int:
 def _load_term(path: str, domain):
     text = _read(path)
     if text.lstrip().startswith("statechart"):
+        sc = _checked(_parse_chart(path, text), path)
         try:
-            sc = parse(text)
-        except (LexError, StatechartSyntaxError, ReservedIdentifier) as e:
-            raise UsageError(f"{path}: {e}")
-        try:
-            return vdb.encode_guard_free(_checked(sc, path), domain=domain)
+            return vdb.encode_guard_free(sc, domain=domain)
         except (vdb.NotGuardFree, vdb.UnboundedValueDomain) as e:
             raise UsageError(f"{path}: {e}")
     try:
@@ -276,7 +278,7 @@ def cmd_conform(args) -> int:
     simp = _simplified(args)
     try:
         frag = conform_mod.SystemFragment.from_json(_read(args.fragment))
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, *SYNTAX_ERRORS) as e:
         raise UsageError(f"{args.fragment}: {e}")
     try:
         proj = conform_mod.load_projection(_read(args.projection))

@@ -16,13 +16,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .actions import (
-    Message,
-    exec_stmt,
-    match_call,
-)
+from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call
 from .ast import SCSimp, triggers_simp
-from .flatinterp import _cond_satisfied, _guard_holds, format_message, parse_message
+from .flatinterp import format_message
+from .parse import parse_message
 from .vdb import Basic, Or, Sym, Term
 
 
@@ -104,6 +101,20 @@ class SystemFragment:
     @classmethod
     def from_json(cls, text: str) -> "SystemFragment":
         data = json.loads(text)
+        shape = {
+            "main": str,
+            "init": [str],
+            "nodes": [{"id": str, "objects": {str: {
+                "vars": {str: is_json_value}, "threads": {str: [str]}, "buffer": [str],
+            }}}],
+            "edges": [{"from": str, "to": str, "M": [str]}],
+        }
+        if not fits(data, shape):
+            raise ValueError(
+                "not a fragment: expected {main, init: [ids], nodes: [{id, objects: "
+                "{oid: {vars, threads, buffer}}}], edges: [{from, to, M}]} with "
+                "string ids and messages"
+            )
         nodes = []
         for nd in data["nodes"]:
             objects = {}
@@ -138,6 +149,8 @@ class SystemFragment:
 
 def load_projection(text: str) -> dict:
     data = json.loads(text)
+    if not fits(data, {str: [str]}):
+        raise ValueError("not a projection: expected an object mapping names to lists of node ids")
     return {name: frozenset(ids) for name, ids in data.items()}
 
 
@@ -199,7 +212,7 @@ def check_system_conformance(
     witnesses = []
     for nid in sorted(set().union(*proj.values()) if proj else set()):
         store = frag.node(nid).object(frag.main).vars_dict()
-        if not _cond_satisfied(sc.inv, store, {}):
+        if not holds(sc.inv, store, {}, unbound=True):
             witnesses.append(f"chart invariant fails at {nid}")
     report.append({"condition": 1, "pass": not witnesses, "witnesses": witnesses})
 
@@ -216,7 +229,7 @@ def check_system_conformance(
     for s in sc.sorted_states():
         for nid in sorted(proj[s.name]):
             store = frag.node(nid).object(frag.main).vars_dict()
-            if not _cond_satisfied(s.inv, store, {}):
+            if not holds(s.inv, store, {}, unbound=True):
                 witnesses.append(f"invariant of {s.name} fails at {nid}")
     report.append({"condition": 3, "pass": not witnesses, "witnesses": witnesses})
 
@@ -242,7 +255,7 @@ def check_system_conformance(
             store = node.object(frag.main).vars_dict()
             for m in node.object(frag.main).buffer:
                 v = match_call(t.call, m)
-                if v is None or not _guard_holds(t.pre, store, v):
+                if v is None or not holds(t.pre, store, v, unbound=False):
                     continue
                 if not _transition_realized(sc, frag, proj, t, nid, m, v, bound):
                     witnesses.append(
@@ -284,7 +297,7 @@ def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
         end_obj = end.object(frag.main)
         if m in end_obj.buffer:
             continue  # the trigger message must have been consumed
-        if t.act.post is not None and not _cond_satisfied(t.act.post, end_obj.vars_dict(), v):
+        if t.act.post is not None and not holds(t.act.post, end_obj.vars_dict(), v, unbound=True):
             continue
         # exactly the statement's emissions (over its message names) occur
         observed = tuple(

@@ -19,13 +19,13 @@ from .actions import (
     Message,
     TIMEOUT,
     TIMER_FLAG,
-    UnboundVariable,
-    Valuation,
-    eval_cond,
     exec_stmt,
+    holds,
     match_call,
 )
 from .ast import SCSimp, SimpTrans
+from .parse import parse_message  # noqa: F401 -- re-exported: it reads what format_message writes
+from .printer import print_value
 
 
 class BadInitialState(Exception):
@@ -119,20 +119,6 @@ def scheduler_from_spec(spec: str):
 
 # -- enabling and firing ----------------------------------------------------
 
-def _guard_holds(pre, store: dict, v: Valuation) -> bool:
-    try:
-        return eval_cond(pre, store, v)
-    except UnboundVariable:
-        return False  # a guard over a never-assigned variable cannot hold
-
-
-def _cond_satisfied(cond, store: dict, v: Valuation) -> bool:
-    try:
-        return eval_cond(cond, store, v)
-    except UnboundVariable:
-        return True  # invariants over not-yet-assigned variables are vacuous
-
-
 def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
     """All (transition, message, valuation) triples that may fire.
 
@@ -153,7 +139,7 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
             v = match_call(t.call, m)
             if v is None:
                 continue
-            if _guard_holds(t.pre, store, v):
+            if holds(t.pre, store, v, unbound=False):
                 out.append((t, m, v))
     return out
 
@@ -169,12 +155,12 @@ def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
         nxt = Configuration.make(t.trg, store, buffer, conf.emitted)
         return PostconditionViolated(t, nxt, m)
     nxt = Configuration.make(t.trg, new_store, buffer, conf.emitted + msgs)
-    if t.act.post is not None and not _cond_satisfied(t.act.post, new_store, v):
+    if t.act.post is not None and not holds(t.act.post, new_store, v, unbound=True):
         return PostconditionViolated(t, nxt, m)
-    if not _cond_satisfied(sc.inv, new_store, v):
+    if not holds(sc.inv, new_store, v, unbound=True):
         return InvariantViolated("<chart>", nxt, m)
     target = sc.state(t.trg)
-    if not _cond_satisfied(target.inv, new_store, v):
+    if not holds(target.inv, new_store, v, unbound=True):
         return InvariantViolated(t.trg, nxt, m)
     return Step(nxt, m)
 
@@ -326,58 +312,6 @@ def explore_emissions(
 
 # -- message text format ----------------------------------------------------
 
-def parse_message(text: str) -> Message:
-    """Parse `name(arg, ...)` with integer, boolean, and [list] arguments."""
-    from .parse import Parser
-
-    p = Parser(text, allow_reserved=True)
-    exception = False
-    if p.at("kw", "throw"):
-        p.next()
-        exception = True
-    name = p.ident()
-    p.expect("(")
-    args = []
-    if not p.at(")"):
-        args.append(_value(p))
-        while p.at(","):
-            p.next()
-            args.append(_value(p))
-    p.expect(")")
-    p.expect("eof")
-    return Message(name, tuple(args), exception)
-
-
-def _value(p):
-    from .parse import StatechartSyntaxError
-
-    if p.at("int"):
-        return p.next().value
-    if p.at("-") and p.peek(1).kind == "int":
-        p.next()
-        return -p.next().value
-    if p.at("kw", "true"):
-        p.next()
-        return True
-    if p.at("kw", "false"):
-        p.next()
-        return False
-    if p.at("["):
-        p.next()
-        items = []
-        if not p.at("]"):
-            items.append(_value(p))
-            while p.at(","):
-                p.next()
-                items.append(_value(p))
-        p.expect("]")
-        return tuple(items)
-    tok = p.peek()
-    raise StatechartSyntaxError(tok.line, tok.col, "value")
-
-
 def format_message(m: Message) -> str:
-    from .printer import print_value
-
     throw = "throw " if m.exception else ""
     return f"{throw}{m.name}(" + ", ".join(print_value(a) for a in m.args) + ")"

@@ -20,7 +20,7 @@ Transitions may appear at any nesting level; they always belong to the chart.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import actions as act
 from .actions import (
@@ -43,6 +43,7 @@ from .actions import (
     ELit,
     EVar,
     Expr,
+    Message,
     Pattern,
     PCons,
     PEmpty,
@@ -103,6 +104,8 @@ KEYWORDS = {
 
 PUNCT2 = {"<<", ">>", "->", "&&", "||", "<=", "=="}
 PUNCT1 = set("{}()[];,:/&!=<+-")
+
+NO_LITERAL = object()  # Parser.literal found no literal
 
 
 class Token:
@@ -187,21 +190,67 @@ class Parser:
         tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
 
+    def accept(self, kind: str, value=None) -> bool:
+        """Consume the next token if it is a `kind` (of `value`)."""
+        if self.at(kind, value):
+            self.next()
+            return True
+        return False
+
+    def fail(self, expected: str) -> NoReturn:
+        tok = self.peek()
+        raise StatechartSyntaxError(tok.line, tok.col, expected)
+
     def expect(self, kind: str, value=None) -> Token:
         if not self.at(kind, value):
-            tok = self.peek()
-            raise StatechartSyntaxError(tok.line, tok.col, value or kind)
+            self.fail(value or kind)
         return self.next()
 
-    def ident(self, declaring: bool = False) -> str:
+    # -- shared grammar rules ----------------------------------------------
+
+    def ident(self, declaring: bool = False, exempt: str = "") -> str:
+        """A name. A declaring name (a state, a pattern or assigned variable,
+        a trigger or a sent message other than `exempt`) must not be
+        reserved, unless the parser allows reserved names."""
         tok = self.peek()
         if tok.kind != "ident":
-            raise StatechartSyntaxError(tok.line, tok.col, "identifier")
-        tok = self.next()
-        name = tok.value
-        if declaring and not self.allow_reserved and act.is_reserved(name):
+            self.fail("identifier")
+        name = self.next().value
+        if declaring and not self.allow_reserved and name != exempt and act.is_reserved(name):
             raise ReservedIdentifier(tok.line, tok.col, name)
         return name
+
+    def items(self, item, close: str) -> list:
+        """`item, item, ...` (possibly none), then the `close` token."""
+        out = []
+        if not self.at(close):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+        self.expect(close)
+        return out
+
+    def literal(self):
+        """An int, a negative int, `true` or `false`; NO_LITERAL if none is next."""
+        if self.at("int"):
+            return self.next().value
+        if self.at("-") and self.peek(1).kind == "int":
+            self.next()
+            return -self.next().value
+        if self.peek().value in ("true", "false"):
+            return self.next().value == "true"
+        return NO_LITERAL
+
+    def throw(self) -> bool:
+        """Reads an optional `throw` prefix; True if it was there."""
+        return self.accept("kw", "throw")
+
+    def check_stereotype(self, values, prio, allowed, what: str) -> None:
+        if prio is not None:
+            self.fail(f"{what} stereotype")
+        for v in values:
+            if v not in allowed:
+                self.fail(f"{what} stereotype (got {v!r})")
 
     # -- entry point -------------------------------------------------------
 
@@ -213,13 +262,7 @@ class Parser:
         stereos: frozenset[str] = frozenset()
         if self.at("<<"):
             values, prio = self.parse_stereotype()
-            if prio is not None:
-                tok = self.peek()
-                raise StatechartSyntaxError(tok.line, tok.col, "chart stereotype")
-            for v in values:
-                if v not in CHART_STEREOS:
-                    tok = self.peek()
-                    raise StatechartSyntaxError(tok.line, tok.col, f"chart stereotype (got {v!r})")
+            self.check_stereotype(values, prio, CHART_STEREOS, "chart")
             stereos = frozenset(values)
         self.expect("{")
         states: list[FullState] = []
@@ -246,62 +289,44 @@ class Parser:
             self.expect(";")
             return
         # stereotype may precede either a state or a transition
-        save = self.pos
         stereo_vals: list[str] = []
         prio: Optional[int] = None
         if self.at("<<"):
             stereo_vals, prio = self.parse_stereotype()
-        if self.at("kw", "state") or self.at("kw", "initial") or self.at("kw", "final"):
+        if self.peek().value in ("state", "initial", "final"):
             self.parse_state(parent, stereo_vals, prio, states, trans, sub)
         else:
             self.parse_transition(stereo_vals, prio, trans)
 
     def parse_state(self, parent, stereo_vals, prio, states, trans, sub) -> None:
-        tok = self.peek()
-        if prio is not None:
-            raise StatechartSyntaxError(tok.line, tok.col, "state stereotype")
-        for v in stereo_vals:
-            if v not in STATE_STEREOS:
-                raise StatechartSyntaxError(tok.line, tok.col, f"state stereotype (got {v!r})")
+        self.check_stereotype(stereo_vals, prio, STATE_STEREOS, "state")
         modifiers: set[str] = set()
-        while self.at("kw", "initial") or self.at("kw", "final"):
+        while self.peek().value in ("initial", "final"):
             modifiers.add(self.next().value)
         self.expect("kw", "state")
         tok = self.peek()
         name = self.ident(declaring=True)
-        pos = (tok.line, tok.col)
         if parent is not None:
             sub.append((name, parent))
         inv: Optional[Cond] = None
-        entry = exit_ = do = None
+        actions: dict[str, Action] = {}
         internT: list[InternT] = []
-        if self.at(";"):
-            self.next()
-        else:
+        if not self.accept(";"):
             self.expect("{")
             invs_local: list[Cond] = []
             while self.at("["):
                 invs_local.append(self.parse_bracket_cond())
                 self.expect(";")
             inv = act.conj_opt(*invs_local)
-            while self.at("kw", "entry") or self.at("kw", "do") or self.at("kw", "exit"):
+            while self.peek().value in ("entry", "do", "exit"):
                 kw = self.next().value
-                action = self.parse_action_part()
+                actions[kw] = self.parse_action_part()
                 self.expect(";")
-                if kw == "entry":
-                    entry = action
-                elif kw == "do":
-                    do = action
-                else:
-                    exit_ = action
             while not self.at("}"):
-                if self.at("->"):
-                    self.next()
-                    if self.at(":"):
-                        self.next()
-                    pre, call, action = self.parse_trans_body()
+                if self.accept("->"):
+                    self.accept(":")
+                    internT.append(InternT(*self.parse_trans_body()))
                     self.expect(";")
-                    internT.append(InternT(pre, call, action))
                 else:
                     self.parse_item(name, states, trans, sub, [])
             self.expect("}")
@@ -311,28 +336,24 @@ class Parser:
                 modifiers=frozenset(modifiers),
                 name=name,
                 inv=inv,
-                entry=entry,
-                exit=exit_,
-                do=do,
+                entry=actions.get("entry"),
+                exit=actions.get("exit"),
+                do=actions.get("do"),
                 internT=frozenset(internT),
-                pos=pos,
+                pos=(tok.line, tok.col),
             )
         )
 
     def parse_transition(self, stereo_vals, prio, trans) -> None:
         tok = self.peek()
         if stereo_vals:
-            raise StatechartSyntaxError(tok.line, tok.col, "transition stereotype <<prio=n>>")
+            self.fail("transition stereotype <<prio=n>>")
         src = self.ident()
         self.expect("->")
         trg = self.ident()
-        pre = call = action = None
-        if self.at(":"):
-            self.next()
-            pre, call, action = self.parse_trans_body()
-        else:
-            tok2 = self.peek()
-            raise StatechartSyntaxError(tok2.line, tok2.col, "': <transition body>'")
+        if not self.accept(":"):
+            self.fail("': <transition body>'")
+        pre, call, action = self.parse_trans_body()
         self.expect(";")
         trans.append(Trans(prio, src, pre, call, action, trg, pos=(tok.line, tok.col)))
 
@@ -347,25 +368,12 @@ class Parser:
         return pre, call, action
 
     def parse_call_pattern(self) -> Call:
-        exception = False
-        if self.at("kw", "throw"):
-            self.next()
-            exception = True
-        tok = self.peek()
-        name = self.ident()
+        exception = self.throw()
         # `timeout` is a legitimate trigger (the timer expiry event); the other
         # reserved names stay off-limits.
-        if not self.allow_reserved and name != act.TIMEOUT and act.is_reserved(name):
-            raise ReservedIdentifier(tok.line, tok.col, name)
+        name = self.ident(declaring=True, exempt=act.TIMEOUT)
         self.expect("(")
-        args: list[Pattern] = []
-        if not self.at(")"):
-            args.append(self.parse_pattern())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_pattern())
-        self.expect(")")
-        return Call(name, tuple(args), exception)
+        return Call(name, tuple(self.items(self.parse_pattern, ")")), exception)
 
     def parse_action_part(self) -> Action:
         self.expect("/")
@@ -380,32 +388,25 @@ class Parser:
     def parse_stereotype(self) -> tuple[list[str], Optional[int]]:
         """Returns (canonical values, prio) where prio comes from <<prio=n>>."""
         self.expect("<<")
-        values: list[str] = []
-        prio: Optional[int] = None
-        while True:
-            tok = self.peek()
-            word = self.ident()
-            if word == "prio" and self.at("="):
-                self.next()
-                prio = self.expect("int").value
-            elif self.at(":"):
-                self.next()
-                second = self.ident()
-                values.append(f"{word}:{second}")
-            elif word == "action":
-                # the two-word stereotype "action conditions:sequential"
-                second = self.ident()
-                self.expect(":")
-                third = self.ident()
-                values.append(f"{word} {second}:{third}")
-            else:
-                values.append(word)
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(">>")
-        return values, prio
+        if self.at(">>"):
+            self.fail("identifier")  # a stereotype list is never empty
+        entries = self.items(self.parse_stereotype_entry, ">>")
+        prios = [e for e in entries if isinstance(e, int)]
+        return [e for e in entries if isinstance(e, str)], (prios[-1] if prios else None)
+
+    def parse_stereotype_entry(self):
+        """A stereotype value, or the int n of `prio=n`."""
+        word = self.ident()
+        if word == "prio" and self.accept("="):
+            return self.expect("int").value
+        if self.accept(":"):
+            return f"{word}:{self.ident()}"
+        if word == "action":
+            # the two-word stereotype "action conditions:sequential"
+            second = self.ident()
+            self.expect(":")
+            return f"{word} {second}:{self.ident()}"
+        return word
 
     # -- conditions --------------------------------------------------------
 
@@ -417,46 +418,38 @@ class Parser:
 
     def parse_cond(self) -> Cond:
         left = self.parse_conj()
-        while self.at("||"):
-            self.next()
+        while self.accept("||"):
             left = COr(left, self.parse_conj())
         return left
 
     def parse_conj(self) -> Cond:
         left = self.parse_unary()
-        while self.at("&&"):
-            self.next()
+        while self.accept("&&"):
             left = CAnd(left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Cond:
-        if self.at("!"):
-            self.next()
+        if self.accept("!"):
             return CNot(self.parse_unary())
         return self.parse_cond_atom()
 
     EXPR_FOLLOW = ("==", "<", "<=", "+", "-", ":")
 
     def parse_cond_atom(self) -> Cond:
-        if self.at("("):
+        save = self.pos
+        if self.accept("("):
             # could be a parenthesized condition or a parenthesized expression
-            save = self.pos
             try:
-                self.next()
                 c = self.parse_cond()
                 self.expect(")")
                 if self.peek().kind in self.EXPR_FOLLOW:
-                    tok = self.peek()
-                    raise StatechartSyntaxError(tok.line, tok.col, "condition")
+                    self.fail("condition")
                 return c
             except StatechartSyntaxError:
                 self.pos = save  # re-parse as an expression comparison
-        if (self.at("kw", "true") or self.at("kw", "false")) and self.peek(
-            1
-        ).kind not in self.EXPR_FOLLOW:
+        if self.peek().value in ("true", "false") and self.peek(1).kind not in self.EXPR_FOLLOW:
             return CTrue() if self.next().value == "true" else CFalse()
-        if self.at("kw", "matches"):
-            self.next()
+        if self.accept("kw", "matches"):
             self.expect("(")
             var = self.ident()
             self.expect(",")
@@ -465,20 +458,17 @@ class Parser:
             return CMatch(var, pat)
         expr = self.parse_expr()
         for op in ("==", "<=", "<"):
-            if self.at(op):
-                self.next()
+            if self.accept(op):
                 return CCmp(op, expr, self.parse_expr())
         if isinstance(expr, EVar):
             return CVar(expr.name)
-        tok = self.peek()
-        raise StatechartSyntaxError(tok.line, tok.col, "comparison operator")
+        self.fail("comparison operator")
 
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         left = self.parse_arith()
-        if self.at(":"):
-            self.next()
+        if self.accept(":"):
             return ECons(left, self.parse_expr())
         return left
 
@@ -490,148 +480,108 @@ class Parser:
         return left
 
     def parse_expr_atom(self) -> Expr:
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             e = self.parse_expr()
             self.expect(")")
             return e
-        if self.at("int"):
-            return ELit(self.next().value)
-        if self.at("-") and self.peek(1).kind == "int":
-            self.next()
-            return ELit(-self.next().value)
-        if self.at("kw", "true"):
-            self.next()
-            return ELit(True)
-        if self.at("kw", "false"):
-            self.next()
-            return ELit(False)
-        if self.at("["):
-            self.next()
-            items: list[Expr] = []
-            if not self.at("]"):
-                items.append(self.parse_expr())
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_expr())
-            self.expect("]")
-            return EList(tuple(items))
+        value = self.literal()
+        if value is not NO_LITERAL:
+            return ELit(value)
+        if self.accept("["):
+            return EList(tuple(self.items(self.parse_expr, "]")))
         if self.at("ident"):
             return EVar(self.ident())
-        tok = self.peek()
-        raise StatechartSyntaxError(tok.line, tok.col, "expression")
+        self.fail("expression")
 
     # -- patterns ----------------------------------------------------------
 
     def parse_pattern(self) -> Pattern:
         left = self.parse_pattern_atom()
-        if self.at(":"):
-            self.next()
+        if self.accept(":"):
             return PCons(left, self.parse_pattern())
         return left
 
     def parse_pattern_atom(self) -> Pattern:
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             p = self.parse_pattern()
             self.expect(")")
             return p
-        if self.at("int"):
-            return PLit(self.next().value)
-        if self.at("-") and self.peek(1).kind == "int":
-            self.next()
-            return PLit(-self.next().value)
-        if self.at("kw", "true"):
-            self.next()
-            return PLit(True)
-        if self.at("kw", "false"):
-            self.next()
-            return PLit(False)
-        if self.at("["):
-            self.next()
-            items: list[Pattern] = []
-            if not self.at("]"):
-                items.append(self.parse_pattern())
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_pattern())
-            self.expect("]")
+        value = self.literal()
+        if value is not NO_LITERAL:
+            return PLit(value)
+        if self.accept("["):
             out: Pattern = PEmpty()
-            for item in reversed(items):
+            for item in reversed(self.items(self.parse_pattern, "]")):
                 out = PCons(item, out)
             return out
         if self.at("ident"):
-            tok = self.peek()
-            name = self.ident()
-            if not self.allow_reserved and act.is_reserved(name):
-                raise ReservedIdentifier(tok.line, tok.col, name)
+            name = self.ident(declaring=True)
             if self.at("+") and self.peek(1).kind == "int":
                 self.next()
-                k = self.next().value
-                return PPlus(name, k)
+                return PPlus(name, self.next().value)
             return PVar(name)
-        tok = self.peek()
-        raise StatechartSyntaxError(tok.line, tok.col, "pattern")
+        self.fail("pattern")
 
     # -- statements --------------------------------------------------------
 
     def parse_stmt_seq(self) -> Stmt:
         prims: list = []
         self.parse_stmt_prim(prims)
-        while self.at("&"):
-            self.next()
+        while self.accept("&"):
             self.parse_stmt_prim(prims)
         return tuple(prims)
 
     def parse_stmt_prim(self, prims: list) -> None:
-        if self.at("kw", "skip"):
-            self.next()
+        if self.accept("kw", "skip"):
             return
-        if self.at("kw", "setTimer"):
-            self.next()
+        if self.accept("kw", "setTimer"):
             prims.append(SetTimer())
             return
-        if self.at("kw", "stopTimer"):
-            self.next()
+        if self.accept("kw", "stopTimer"):
             prims.append(StopTimer())
             return
-        if self.at("kw", "check"):
-            self.next()
+        if self.accept("kw", "check"):
             self.expect("(")
             c = self.parse_cond()
             self.expect(")")
             prims.append(Check(c))
             return
-        exception = False
-        if self.at("kw", "throw"):
-            self.next()
-            exception = True
-        tok = self.peek()
-        name = self.ident()
-        if self.at("=") and not exception:
-            if not self.allow_reserved and act.is_reserved(name):
-                raise ReservedIdentifier(tok.line, tok.col, name)
-            self.next()
+        exception = self.throw()
+        name = self.ident(declaring=True)
+        if not exception and self.accept("="):
             prims.append(Assign(name, self.parse_expr()))
             return
-        if not self.allow_reserved and act.is_reserved(name):
-            raise ReservedIdentifier(tok.line, tok.col, name)
         self.expect("(")
-        args: list[Expr] = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_expr())
-        self.expect(")")
-        prims.append(Send(name, tuple(args), exception))
+        prims.append(Send(name, tuple(self.items(self.parse_expr, ")")), exception))
+
+    # -- message text ------------------------------------------------------
+
+    def parse_value(self):
+        """A message argument: a literal or a [list] of values."""
+        value = self.literal()
+        if value is not NO_LITERAL:
+            return value
+        if self.accept("["):
+            return tuple(self.items(self.parse_value, "]"))
+        self.fail("value")
 
 
 def parse(text: str, allow_reserved: bool = False) -> SCFull:
-    """Parse statechart text. Strict mode rejects reserved identifiers
-    (inp<k>, timeout, the timer flag, $-names are fine for states only when
-    allow_reserved is set)."""
+    """Parse statechart text. Strict mode rejects the reserved names `inp<k>`,
+    `timeout` (except as a trigger) and `$`-names wherever the chart
+    introduces a name; `allow_reserved` lifts that."""
     parser = Parser(text, allow_reserved=allow_reserved)
     sc = parser.parse_chart()
     parser.expect("eof")
     return sc
+
+
+def parse_message(text: str) -> Message:
+    """Parse `name(arg, ...)` with integer, boolean, and [list] arguments."""
+    p = Parser(text, allow_reserved=True)
+    exception = p.throw()
+    name = p.ident()
+    p.expect("(")
+    args = tuple(p.items(p.parse_value, ")"))
+    p.expect("eof")
+    return Message(name, args, exception)

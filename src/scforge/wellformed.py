@@ -19,6 +19,7 @@ from .actions import (
     Cond,
     Send,
     cond_vars,
+    fits,
     pattern_vars,
     stmt_read_vars,
     stmt_sends,
@@ -59,6 +60,11 @@ class SignatureContext:
     @classmethod
     def from_json(cls, text: str) -> "SignatureContext":
         data = json.loads(text)
+        shape = {"class": str, "methods": [{"name": str, "arity": (int, str)}], "attributes": [str]}
+        if not fits(data, shape):
+            raise ValueError(
+                "not a class signature: expected {class, methods: [{name, arity}], attributes: [names]}"
+            )
         return cls(
             class_name=data["class"],
             methods=frozenset((m["name"], int(m["arity"])) for m in data.get("methods", [])),

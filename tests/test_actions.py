@@ -41,6 +41,7 @@ from scforge.actions import (
     eval_cond,
     eval_expr,
     exec_stmt,
+    holds,
     is_reserved,
     match_call,
     match_cond_of,
@@ -236,6 +237,14 @@ def test_eval_expr():
     assert eval_expr(EList((ELit(1), EVar("x"))), env) == (1, 3)
     with pytest.raises(UnboundVariable):
         eval_expr(EVar("nope"), env)
+
+
+def test_holds_answers_unbound_for_an_unbound_variable():
+    c = CCmp("<", EVar("x"), ELit(3))
+    assert holds(c, {"x": 1}, {}, unbound=False) is True
+    assert holds(c, {"x": 5}, {}, unbound=True) is False
+    assert holds(c, {}, {}, unbound=False) is False
+    assert holds(c, {}, {}, unbound=True) is True
 
 
 def test_eval_cond_merges_store_and_valuation():

@@ -372,6 +372,44 @@ def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_
     assert "no main object 'ghost'" in err
 
 
+def _fragment_with(edit):
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    edit(frag)
+    return frag
+
+
+@pytest.mark.parametrize("command, bad", [
+    pytest.param("conform-fragment", _fragment_with(
+        lambda f: f["edges"][0].update(M=5)), id="edge-label-not-a-list"),
+    pytest.param("conform-fragment", _fragment_with(
+        lambda f: f["nodes"][0]["objects"]["o"].update(vars=3)), id="vars-not-an-object"),
+    pytest.param("conform-fragment", _fragment_with(
+        lambda f: f.update(nodes=5)), id="nodes-not-a-list"),
+    pytest.param("conform-fragment", _fragment_with(
+        lambda f: f["nodes"][0]["objects"]["o"].update(buffer=["put(x)"])),
+        id="buffer-message-malformed"),
+    pytest.param("conform-projection", ["s1"], id="projection-a-list"),
+    pytest.param("conform-projection", {"Empty": 3, "NonEmpty": ["s1"]},
+                 id="projection-to-a-number"),
+    pytest.param("check-ctx", {"class": "C", "methods": [3]}, id="method-a-number"),
+    pytest.param("check-ctx", [1], id="signature-a-list"),
+])
+def test_malformed_json_input_is_usage(capsys, buffer_file, tmp_path, command, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    argv = {
+        "conform-fragment": ["conform", buffer_file, str(path),
+                             str(FIXTURES / "buffer_projection.json")],
+        "conform-projection": ["conform", buffer_file,
+                               str(FIXTURES / "fig_ok_fragment.json"), str(path)],
+        "check-ctx": ["check", buffer_file, "--ctx", str(path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 # -- gen ---------------------------------------------------------------------
 
 def test_gen_output_parses_and_checks_clean(capsys, tmp_path):

@@ -29,7 +29,7 @@ from scforge.flatinterp import (
     scheduler_from_spec,
     step,
 )
-from scforge.parse import parse
+from scforge.parse import KEYWORDS, parse
 from scforge.transform import to_simplified, transform_fixpoint
 
 
@@ -179,6 +179,25 @@ def test_fire_target_state_invariant_violation():
     out = fire(conf, choice, sc)
     assert isinstance(out, InvariantViolated)
     assert out.state == "B"
+
+
+def test_unbound_variables_fail_guards_and_satisfy_invariants():
+    sc = simp(
+        """
+        statechart D for C {
+            [w < 1];
+            initial state A;
+            state B { [v == 1]; }
+            A -> B : f() / send(1) [u == 1];
+            A -> A : [z < 1] g();
+        }
+        """
+    )
+    assert enabled(Configuration.make("A", buffer=msgs("g()")), sc) == []
+    conf = Configuration.make("A", buffer=msgs("f()"))
+    [choice] = enabled(conf, sc)
+    out = fire(conf, choice, sc)
+    assert isinstance(out, Step) and out.next.current == "B"
 
 
 # -- step -------------------------------------------------------------------
@@ -398,6 +417,28 @@ def test_run_log_lines(sc, init, inputs, match, expected):
     ["put(3)", "get()", "f(-1, true, [1, 2, [false]])", "throw oops(0)"],
 )
 def test_message_text_round_trip(text):
+    assert format_message(parse_message(text)) == text
+
+
+message_values = st.recursive(
+    st.integers(-1000, 1000) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+messages = st.builds(
+    Message,
+    st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,6}", fullmatch=True).filter(
+        lambda name: name not in KEYWORDS),
+    st.lists(message_values, max_size=4).map(tuple),
+    st.booleans(),
+)
+
+
+@given(messages)
+def test_generated_message_round_trip(m):
+    text = format_message(m)
+    assert parse_message(text) == m
+    # == identifies True with 1; the text tells them apart
     assert format_message(parse_message(text)) == text
 
 

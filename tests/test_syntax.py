@@ -179,20 +179,27 @@ def test_transition_requires_body():
         parse("statechart D for C { state A; A -> A; }")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "statechart D for C { state timeout; }",
-        "statechart D for C { state inp1; }",
-        "statechart D for C { state A$x; }",
-        "statechart D for C { state A; A -> A : f(inp1); }",
-        "statechart D for C { state A; A -> A : f() / timeout = 1; }",
-        "statechart D for C { state A; A -> A : f() / inp2(); }",
-    ],
-)
+# Each rejected text, with the reserved name and its (line, col).
+RESERVED_TEXTS = {
+    "statechart D for C { state timeout; }": ("timeout", (1, 28)),
+    "statechart D for C { state inp1; }": ("inp1", (1, 28)),
+    "statechart D for C { state A$x; }": ("A$x", (1, 28)),
+    "statechart D for C { state A; A -> A : f(inp1); }": ("inp1", (1, 42)),
+    "statechart D for C { state A; A -> A : f() / timeout = 1; }": ("timeout", (1, 46)),
+    "statechart D for C { state A; A -> A : f() / inp2(); }": ("inp2", (1, 46)),
+    "statechart D for C { state A; A -> A : inp1(); }": ("inp1", (1, 40)),
+    "statechart D for C { state A; A -> A : f() / throw timeout(); }": ("timeout", (1, 52)),
+    "statechart D for C {\n  state A {\n    -> g([1, x$y + 2]);\n  }\n}": ("x$y", (3, 14)),
+}
+
+
+@pytest.mark.parametrize("text", list(RESERVED_TEXTS))
 def test_reserved_identifiers_rejected(text):
-    with pytest.raises(ReservedIdentifier):
+    name, pos = RESERVED_TEXTS[text]
+    with pytest.raises(ReservedIdentifier) as err:
         parse(text)
+    assert (err.value.line, err.value.col) == pos
+    assert str(err.value) == f"{pos[0]}:{pos[1]}: reserved identifier {name!r}"
 
 
 def test_reserved_identifiers_allowed_when_requested():
@@ -208,6 +215,9 @@ def test_timeout_is_a_legal_trigger():
     sc = parse("statechart D for C { state A; A -> A : timeout(); }")
     [t] = list(sc.trans)
     assert t.call == Call("timeout", ())
+    sc = parse("statechart D for C { state A; A -> A : throw timeout(); }")
+    [t] = list(sc.trans)
+    assert t.call == Call("timeout", (), exception=True)
 
 
 def test_unknown_chart_stereotype_rejected():
