@@ -217,6 +217,11 @@ class SimpState:
     modifiers: frozenset[str]
     name: str
     inv: Cond
+    # flat states carry no actions of their own
+    entry: ClassVar[None] = None
+    exit: ClassVar[None] = None
+    do: ClassVar[None] = None
+    internT: ClassVar[frozenset] = frozenset()
 
 
 @dataclass(frozen=True)

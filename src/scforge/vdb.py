@@ -7,9 +7,23 @@ active). A two-level semantics drives it: auxiliary judgments
 that merely consumes the event) and, on top, Kripke steps over (term, event
 queue) nodes where the outputs of a step are fed back into the queue.
 
-Includes an encoder from guard-free statecharts to terms: hierarchy becomes
-nested or-terms, and data-carrying states are expanded over a finite value
-domain (state `NonEmpty` holding v becomes the family `NonEmpty(v)`).
+Includes an encoder from guard-free statecharts to terms: each hierarchy
+level becomes an or-term, and the states that carry a flat chart's data
+variable are expanded over a finite value domain (state `NonEmpty` holding v
+becomes the family `NonEmpty(v)`). The chart must keep these rules:
+
+- guard-free: no guards, postconditions, do actions or internal transitions;
+- one data variable at most, and only on flat charts: a flat chart's
+  transitions match a single variable event pattern, send and assign, and
+  read only the data variable and the event parameter; a hierarchical
+  chart's transitions carry no event data and only send ground values;
+- transitions join sibling states only;
+- entry and exit actions are ground send sequences;
+- every level has an initial state.
+
+A chart that breaks a rule raises `NotGuardFree`, and one whose data needs a
+domain that is missing or too small raises `UnboundedValueDomain`;
+`scforge vdb-run` reports either as one `error:` line at exit 2.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from .actions import (
     ELit,
     PVar,
     Send,
+    action_post,
     action_stmt,
     exec_stmt,
     stmt_read_vars,
@@ -384,214 +399,124 @@ def _data_name(state: str, value) -> str:
     return f"{state}({print_value(value)})"
 
 
+def _ground_syms(stmt) -> Optional[tuple]:
+    """A statement as a ground action-symbol sequence, or None if impossible."""
+    if not all(isinstance(p, Send) and all(isinstance(a, ELit) for a in p.args) for p in stmt):
+        return None
+    return tuple(Sym(p.name, tuple(a.value for a in p.args)) for p in stmt)
+
+
 def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None) -> Term:
     """Translate a guard-free statechart into a statemachine term.
 
-    Hierarchy becomes nested or-terms (active index 1 = an initial substate).
-    A single data variable is allowed on flat charts; its carrying states are
-    expanded over the finite `domain` (state S holding value d becomes S(d)).
+    Each hierarchy level becomes an or-term whose children are numbered
+    initial states first (active index 1 = an initial state); a flat chart is
+    the one-level case. The carrying states of a flat chart's data variable
+    are expanded over the finite `domain` (state S holding d becomes S(d)).
+    The rules a chart must keep are listed in the module docstring.
     """
-    if isinstance(sc, SCFull):
-        trans = sc.sorted_trans()
-        problems = []
-        for s in sc.sorted_states():
-            if s.do is not None:
-                problems.append(f"state {s.name} has a do action")
-            if s.internT:
-                problems.append(f"state {s.name} has internal transitions")
-            for act, what in ((s.entry, "entry"), (s.exit, "exit")):
-                if act is not None and _ground_syms(act.stmt) is None:
-                    problems.append(f"state {s.name} {what} is not a ground send sequence")
-        if problems:
-            raise NotGuardFree(problems)
-        if sc.sub:
-            return _encode_hier(sc)
-        states = [(s.name, s.modifiers, s.entry, s.exit) for s in sc.sorted_states()]
-    else:
-        trans = sorted(
-            sc.transitions, key=lambda t: (t.src, t.trg, t.call.name, repr(t))
-        )
-        states = [(s.name, s.modifiers, None, None) for s in sc.sorted_states()]
-    return _encode_flat(sc, states, trans, domain)
-
-
-def _ground_syms(stmt) -> Optional[tuple]:
-    """A statement as a ground action-symbol sequence, or None if impossible."""
-    out = []
-    for prim in stmt:
-        if not isinstance(prim, Send):
-            return None
-        args = []
-        for a in prim.args:
-            if not isinstance(a, ELit):
-                return None
-            args.append(a.value)
-        out.append(Sym(prim.name, tuple(args)))
-    return tuple(out)
-
-
-def _entry_exit(entry, exit) -> tuple:
-    en = _ground_syms(entry.stmt) if entry is not None else ()
-    ex = _ground_syms(exit.stmt) if exit is not None else ()
-    return en, ex
-
-
-def _encode_hier(sc: SCFull) -> Term:
+    index = sc.index
+    hier = bool(index.parent)
+    trans = index.trans if isinstance(sc, SCFull) else sorted(
+        sc.transitions, key=lambda t: (t.src, t.trg, t.call.name, repr(t)))
     problems = []
-    for t in sc.sorted_trans():
-        if not _is_trivial(t.pre):
-            problems.append(f"transition {t.src}->{t.trg} has a guard")
-        if t.act is not None and not _is_trivial(t.act.post):
-            problems.append(f"transition {t.src}->{t.trg} has a postcondition")
-        if t.call.args:
-            problems.append(f"transition {t.src}->{t.trg} carries event data in a hierarchical chart")
-        if sc.parent_name(t.src) != sc.parent_name(t.trg):
-            problems.append(f"transition {t.src}->{t.trg} crosses hierarchy levels")
-        if t.act is not None and _ground_syms(t.act.stmt) is None:
-            problems.append(f"transition {t.src}->{t.trg} action is not a ground send sequence")
+    for s in index.states:
+        if s.do is not None:
+            problems.append(f"state {s.name} has a do action")
+        if s.internT:
+            problems.append(f"state {s.name} has internal transitions")
+        for act, what in ((s.entry, "entry"), (s.exit, "exit")):
+            if _ground_syms(action_stmt(act)) is None:
+                problems.append(f"state {s.name} {what} is not a ground send sequence")
     if problems:
         raise NotGuardFree(problems)
 
-    def children_of(parent: Optional[str]) -> list:
-        subs = sc.index.children.get(parent, ())
-        return sorted(subs, key=lambda s: ("initial" not in s.modifiers, s.name))
-
-    counter = itertools.count(1)
-
-    def build(parent: Optional[str], name: str, entry, exit) -> Term:
-        kids = children_of(parent)
-        if not kids and parent is not None:
-            en, ex = _entry_exit(entry, exit)
-            return Basic(parent, en, ex)
-        if parent is None and not kids:
-            raise NotGuardFree(["chart has no states"])
-        if "initial" not in kids[0].modifiers:
-            raise NotGuardFree([f"{name} has no initial (sub)state"])
-        index = {s.name: k + 1 for k, s in enumerate(kids)}
-        transitions = set()
-        for t in sc.sorted_trans():
-            if sc.parent_name(t.src) != parent or t.src not in index:
-                continue
-            alpha = _ground_syms(t.act.stmt) if t.act is not None else ()
-            transitions.add(
-                VdbTransition(
-                    tname=f"t{next(counter)}",
-                    i=index[t.src],
-                    ns=frozenset(),
-                    e=Sym(t.call.name, ()),
-                    alpha=alpha,
-                    nt=frozenset(),
-                    j=index[t.trg],
-                )
-            )
-        subterms = tuple(build(s.name, s.name, s.entry, s.exit) for s in kids)
-        en, ex = _entry_exit(entry, exit)
-        return Or(name, subterms, 1, frozenset(transitions), en, ex)
-
-    term = build(None, sc.diagram_name, None, None)
-    validate_term(term)
-    return term
-
-
-def _encode_flat(sc, states, trans, domain) -> Term:
-    problems = []
-    data_vars = set()
+    assigns, reads = {}, {}  # flat charts: per transition, the variables it writes and reads
     for t in trans:
+        where, stmt = f"transition {t.src}->{t.trg}", action_stmt(t.act)
         if not _is_trivial(t.pre):
-            problems.append(f"transition {t.src}->{t.trg} has a guard")
-        act = t.act
-        if act is not None and not _is_trivial(act.post):
-            problems.append(f"transition {t.src}->{t.trg} has a postcondition")
-        if len(t.call.args) > 1 or any(not isinstance(a, PVar) for a in t.call.args):
-            problems.append(
-                f"transition {t.src}->{t.trg}: only a single variable event pattern is supported"
-            )
-        for prim in (act.stmt if act is not None else ()):
-            if isinstance(prim, Assign):
-                data_vars.add(prim.var)
-            elif not isinstance(prim, Send):
-                problems.append(f"transition {t.src}->{t.trg} uses a non send/assign statement")
+            problems.append(f"{where} has a guard")
+        if not _is_trivial(action_post(t.act)):
+            problems.append(f"{where} has a postcondition")
+        params = {a.name for a in t.call.args if isinstance(a, PVar)}
+        if hier and t.call.args:
+            problems.append(f"{where} carries event data in a hierarchical chart")
+        elif len(t.call.args) > 1 or any(not isinstance(a, PVar) for a in t.call.args):
+            problems.append(f"{where}: only a single variable event pattern is supported")
+        if index.parent.get(t.src) != index.parent.get(t.trg):
+            problems.append(f"{where} crosses hierarchy levels")
+        if hier:
+            if _ground_syms(stmt) is None:
+                problems.append(f"{where} action is not a ground send sequence")
+            continue
+        problems += [f"{where} uses a non send/assign statement"
+                     for p in stmt if not isinstance(p, (Send, Assign))]
+        assigns[t] = {p.var for p in stmt if isinstance(p, Assign)}
+        reads[t] = stmt_read_vars(stmt) - params
+    data_vars = set().union(*assigns.values())
     if len(data_vars) > 1:
         problems.append(f"more than one data variable: {', '.join(sorted(data_vars))}")
+    # reads are checked on charts that pass the other checks
+    problems = problems or [f"transition {t.src}->{t.trg} reads {name}, which is neither "
+                            "the data variable nor the event parameter"
+                            for t, names in reads.items() for name in sorted(names - data_vars)]
     if problems:
         raise NotGuardFree(problems)
 
-    var = next(iter(data_vars)) if data_vars else None
-    needs_domain = var is not None or any(t.call.args for t in trans)
-    if needs_domain and not domain:
-        raise UnboundedValueDomain(
-            "chart carries data; supply a finite value domain"
-        )
-
+    var = next(iter(data_vars), None)
+    if (var is not None or any(t.call.args for t in trans)) and not domain:
+        raise UnboundedValueDomain("chart carries data; supply a finite value domain")
     # a state carries the variable when an ingoing transition assigns it or
     # an outgoing one reads it
-    carriers: set = set()
-    if var is not None:
-        for t in trans:
-            stmt = action_stmt(t.act)
-            params = {a.name for a in t.call.args}
-            if any(isinstance(p, Assign) and p.var == var for p in stmt):
-                carriers.add(t.trg)
-            if var in stmt_read_vars(stmt) - params:
-                carriers.add(t.src)
-
-    # children: initial states first, carriers expanded over the domain
-    ordered = sorted(states, key=lambda s: ("initial" not in s[1], s[0]))
-    if not ordered or "initial" not in ordered[0][1]:
-        raise NotGuardFree(["chart has no initial state"])
-    children: list = []
-    index: dict = {}
-    for name, _mods, entry, exit in ordered:
-        en, ex = _entry_exit(entry, exit)
-        if name in carriers:
-            for d in domain:
-                index[(name, d)] = len(children) + 1
-                children.append(Basic(_data_name(name, d), en, ex))
-        else:
-            index[(name, None)] = len(children) + 1
-            children.append(Basic(name, en, ex))
-
-    transitions = set()
+    carriers = ({t.trg for t, names in assigns.items() if var in names}
+                | {t.src for t, names in reads.items() if var in names})
     counter = itertools.count(1)
-    for t in trans:
-        param = t.call.args[0].name if t.call.args else None
-        param_values = tuple(domain) if param is not None else (None,)
-        src_values = tuple(domain) if t.src in carriers else (None,)
-        for d in src_values:
-            for i in param_values:
-                env = {}
-                if d is not None:
-                    env[var] = d
-                if param is not None:
-                    env[param] = i
-                new_store, msgs = exec_stmt(action_stmt(t.act), {}, env)
-                alpha = tuple(Sym(m.name, m.args) for m in msgs)
-                final = new_store.get(var, env.get(var))
-                if t.trg in carriers:
-                    if final is None:
-                        raise NotGuardFree(
-                            [f"transition {t.src}->{t.trg}: value of {var} in target undetermined"]
-                        )
-                    if final not in domain:
-                        raise UnboundedValueDomain(
-                            f"value {final!r} escapes the supplied domain"
-                        )
-                    j = index[(t.trg, final)]
-                else:
-                    j = index[(t.trg, None)]
-                payload = (i,) if param is not None else ()
-                transitions.add(
-                    VdbTransition(
+
+    def child(s, d) -> Term:
+        en, ex = _ground_syms(action_stmt(s.entry)), _ground_syms(action_stmt(s.exit))
+        if s.name in index.children:
+            return level(s.name, s.name, en, ex)
+        return Basic(s.name if d is None else _data_name(s.name, d), en, ex)
+
+    def level(parent: Optional[str], name: str, en: tuple = (), ex: tuple = ()) -> Or:
+        """The or-term of the states directly below `parent`: its own
+        transitions are numbered before those of its composite children."""
+        kids = sorted(index.children.get(parent, ()),
+                      key=lambda s: ("initial" not in s.modifiers, s.name))
+        if not kids or "initial" not in kids[0].modifiers:
+            raise NotGuardFree([f"{name} has no initial (sub)state" if hier
+                                else "chart has no initial state"])
+        slots = [(s, d) for s in kids for d in (domain if s.name in carriers else (None,))]
+        pos = {(s.name, d): k + 1 for k, (s, d) in enumerate(slots)}
+        transitions = set()
+        for t in trans:
+            if index.parent.get(t.src) != parent:
+                continue
+            param = t.call.args[0].name if t.call.args else None
+            for d in (domain if t.src in carriers else (None,)):
+                for i in (domain if param is not None else (None,)):
+                    env = {var: d, param: i}
+                    store, msgs = exec_stmt(action_stmt(t.act), {}, env)
+                    final = None
+                    if t.trg in carriers:
+                        final = store.get(var, env.get(var))
+                        if final is None:
+                            raise NotGuardFree([f"transition {t.src}->{t.trg}: value of {var}"
+                                                " in target undetermined"])
+                        if final not in domain:
+                            raise UnboundedValueDomain(f"value {final!r} escapes the supplied domain")
+                    transitions.add(VdbTransition(
                         tname=f"t{next(counter)}",
-                        i=index[(t.src, d)],
+                        i=pos[(t.src, d)],
                         ns=frozenset(),
-                        e=Sym(t.call.name, payload),
-                        alpha=alpha,
+                        e=Sym(t.call.name, () if param is None else (i,)),
+                        alpha=tuple(Sym(m.name, m.args) for m in msgs),
                         nt=frozenset(),
-                        j=j,
-                    )
-                )
-    term = Or(sc.diagram_name, tuple(children), 1, frozenset(transitions))
+                        j=pos[(t.trg, final)],
+                    ))
+        return Or(name, tuple(child(s, d) for s, d in slots), 1, frozenset(transitions), en, ex)
+
+    term = level(None, sc.diagram_name)
     validate_term(term)
     return term
 

@@ -303,6 +303,20 @@ def test_vdb_run_data_chart_without_domain_is_usage(capsys, buffer_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("action, domain, name", [
+    ("f() / send(v)", [], "v"),
+    ("f(x) / send(w)", ["--domain=0,1"], "w"),
+])
+def test_vdb_run_read_of_unassigned_variable_is_usage(capsys, tmp_path, action, domain, name):
+    chart = tmp_path / "unbound.sc"
+    chart.write_text(f"statechart D for C {{ initial state A; A -> A : {action}; }}")
+    code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", "f()", *domain)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {chart}: transition A->A reads {name}, which is neither "
+                   "the data variable nor the event parameter\n")
+
+
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):
     p = tmp_path / "term.sexpr"
     p.write_text("(basic Idle () ())")

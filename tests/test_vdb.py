@@ -369,6 +369,20 @@ def test_encode_value_escaping_domain():
         encode_guard_free(sc, domain=(0, 1))
 
 
+@pytest.mark.parametrize("action, domain, name", [
+    ("f() / send(v)", None, "v"),
+    ("f(x) / send(w)", (0, 1), "w"),
+    ("f(x) / v = w & send(v)", (0, 1), "w"),
+])
+def test_encode_rejects_reads_of_unassigned_variables(action, domain, name):
+    sc = parse(f"statechart D for C {{ initial state A; A -> A : {action}; }}")
+    with pytest.raises(NotGuardFree) as e:
+        encode_guard_free(sc, domain=domain)
+    assert e.value.offending == [
+        f"transition A->A reads {name}, which is neither the data variable nor the event parameter"
+    ]
+
+
 def test_encode_hierarchy_to_nested_or():
     sc = parse(
         """
