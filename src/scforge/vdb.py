@@ -417,8 +417,6 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     """
     index = sc.index
     hier = bool(index.parent)
-    trans = index.trans if isinstance(sc, SCFull) else sorted(
-        sc.transitions, key=lambda t: (t.src, t.trg, t.call.name, repr(t)))
     problems = []
     for s in index.states:
         if s.do is not None:
@@ -432,7 +430,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         raise NotGuardFree(problems)
 
     assigns, reads = {}, {}  # flat charts: per transition, the variables it writes and reads
-    for t in trans:
+    for t in index.trans:
         where, stmt = f"transition {t.src}->{t.trg}", action_stmt(t.act)
         if not _is_trivial(t.pre):
             problems.append(f"{where} has a guard")
@@ -464,7 +462,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         raise NotGuardFree(problems)
 
     var = next(iter(data_vars), None)
-    if (var is not None or any(t.call.args for t in trans)) and not domain:
+    if (var is not None or any(t.call.args for t in index.trans)) and not domain:
         raise UnboundedValueDomain("chart carries data; supply a finite value domain")
     # a state carries the variable when an ingoing transition assigns it or
     # an outgoing one reads it
@@ -489,7 +487,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         slots = [(s, d) for s in kids for d in (domain if s.name in carriers else (None,))]
         pos = {(s.name, d): k + 1 for k, (s, d) in enumerate(slots)}
         transitions = set()
-        for t in trans:
+        for t in index.trans:
             if index.parent.get(t.src) != parent:
                 continue
             param = t.call.args[0].name if t.call.args else None
