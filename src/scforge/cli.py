@@ -278,7 +278,7 @@ def cmd_conform(args) -> int:
     simp = _simplified(args)
     try:
         frag = conform_mod.SystemFragment.from_json(_read(args.fragment))
-    except (ValueError, KeyError, *SYNTAX_ERRORS) as e:
+    except (ValueError, KeyError) as e:
         raise UsageError(f"{args.fragment}: {e}")
     try:
         proj = conform_mod.load_projection(_read(args.projection))
@@ -289,7 +289,7 @@ def cmd_conform(args) -> int:
             simp, frag, proj, bound=args.bound
         )
     except conform_mod.IncompleteProjection as e:
-        raise UsageError(f"incomplete projection: {e}")
+        raise UsageError(f"{args.projection}: {e}")
     except ActionError as e:
         raise _action_error(e)
     if args.format == "json":

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call
 from .ast import SCSimp, triggers_simp
 from .flatinterp import format_message
-from .parse import parse_message
+from .parse import LexError, StatechartSyntaxError, parse_message
 from .vdb import Basic, Or, Sym, Term
 
 
@@ -28,7 +28,7 @@ class UnknownObject(Exception):
 
 
 class IncompleteProjection(Exception):
-    pass
+    """A projection that misses a chart state or names an unknown state or node."""
 
 
 # -- fragment data model ----------------------------------------------------
@@ -119,17 +119,18 @@ class SystemFragment:
         for nd in data["nodes"]:
             objects = {}
             for oid, body in nd.get("objects", {}).items():
+                where = f"node {nd['id']!r}, object {oid!r}"
                 objects[oid] = ObjectState.make(
                     vars={k: _freeze_value(v) for k, v in body.get("vars", {}).items()},
                     threads={
-                        tid: tuple(parse_message(m) for m in stack)
+                        tid: _messages(stack, f"{where}, thread {tid!r}")
                         for tid, stack in body.get("threads", {}).items()
                     },
-                    buffer=tuple(parse_message(m) for m in body.get("buffer", [])),
+                    buffer=_messages(body.get("buffer", []), f"{where}, buffer"),
                 )
             nodes.append(OGSNode.make(nd["id"], objects))
         edges = tuple(
-            (e["from"], e["to"], tuple(parse_message(m) for m in e.get("M", [])))
+            (e["from"], e["to"], _messages(e.get("M", []), f"edge {e['from']!r} -> {e['to']!r}, M"))
             for e in data.get("edges", [])
         )
         return cls.make(nodes, edges, data.get("init", []), data["main"])
@@ -145,6 +146,17 @@ class SystemFragment:
 
     def successors(self, id: str):
         return [(to, m) for frm, to, m in self.edges if frm == id]
+
+
+def _messages(texts, where: str) -> tuple:
+    """The messages of one fragment field; `where` names the field."""
+    out = []
+    for text in texts:
+        try:
+            out.append(parse_message(text))
+        except (LexError, StatechartSyntaxError) as e:
+            raise ValueError(f"{where}: malformed message {text!r}: {e}") from None
+    return tuple(out)
 
 
 def load_projection(text: str) -> dict:
@@ -193,11 +205,16 @@ def check_system_conformance(
        bounded microstep chain ending in the target's projection, with the
        statement's store effect and exactly its emissions in between.
     """
-    missing = [s.name for s in sc.sorted_states() if s.name not in proj]
+    states = {s.name for s in sc.sorted_states()}
+    missing = sorted(states - proj.keys())
     if missing:
-        raise IncompleteProjection(", ".join(missing))
+        raise IncompleteProjection(f"no projection for {', '.join(missing)}")
     known = set(frag.node_ids())
     for name, ids in proj.items():
+        # term-level names S(value) project the data states of a chart state S
+        if name not in states and not (name.endswith(")") and name.partition("(")[0] in states):
+            raise IncompleteProjection(f"{name} is neither a chart state nor S(value) "
+                                       "for a chart state S")
         stray = ids - known
         if stray:
             raise IncompleteProjection(

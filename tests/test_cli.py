@@ -386,6 +386,39 @@ def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_
     assert "no main object 'ghost'" in err
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda o, f: o.update(buffer=["get()", "put(x)"]), "node 's1', object 'o', buffer"),
+    (lambda o, f: o.update(threads={"th1": ["put(x)"]}), "node 's1', object 'o', thread 'th1'"),
+    (lambda o, f: f["edges"][0].update(M=["put(x)"]), "edge 's1' -> 's2', M"),
+])
+def test_conform_malformed_fragment_message_names_its_place(capsys, buffer_file, tmp_path,
+                                                            edit, where):
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    edit(frag["nodes"][0]["objects"]["o"], frag)
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(frag))
+    code, out, err = run_cli(
+        capsys, "conform", buffer_file, str(path), str(FIXTURES / "buffer_projection.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {where}: malformed message 'put(x)': 1:5: expected value\n"
+
+
+def test_conform_projection_naming_no_chart_state_is_usage(capsys, buffer_file, tmp_path):
+    proj = json.loads((FIXTURES / "buffer_projection.json").read_text())
+    proj["Ghost"] = ["s2"]
+    path = tmp_path / "proj.json"
+    path.write_text(json.dumps(proj))
+    code, out, err = run_cli(
+        capsys, "conform", buffer_file, str(FIXTURES / "fig_ok_fragment.json"), str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: Ghost is neither a chart state nor S(value) "
+                   "for a chart state S\n")
+
+
 def _fragment_with(edit):
     frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
     edit(frag)

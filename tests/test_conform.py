@@ -181,6 +181,22 @@ def test_incomplete_projection_raises():
         )
 
 
+def test_projection_keys_must_name_chart_states():
+    proj = {"Empty": frozenset(["s6"]), "NonEmpty": frozenset(["s1"])}
+    for key in ("Ghost", "Ghost(3)", "NonEmpty)", "Empty3)"):
+        with pytest.raises(IncompleteProjection, match="neither a chart state"):
+            check_system_conformance(BUFFER, OK_FRAG, {**proj, key: frozenset(["s2"])})
+    report = check_system_conformance(BUFFER, OK_FRAG, {**proj, "NonEmpty(3)": frozenset(["s1"])})
+    assert conformance_passed(report)
+
+
+def test_fragment_names_the_place_of_a_malformed_message():
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    frag["edges"][2]["M"] = ["send(3"]
+    with pytest.raises(ValueError, match=r"^edge 's3' -> 's4', M: malformed message 'send\(3'"):
+        SystemFragment.from_json(json.dumps(frag))
+
+
 def test_conformance_pass_is_monotone_in_bound():
     for bound in (5, 6, 10):
         assert conformance_passed(
