@@ -401,9 +401,12 @@ def _data_name(state: str, value) -> str:
 
 def _ground_syms(stmt) -> Optional[tuple]:
     """A statement as a ground action-symbol sequence, or None if impossible."""
-    if not all(isinstance(p, Send) and all(isinstance(a, ELit) for a in p.args) for p in stmt):
-        return None
-    return tuple(Sym(p.name, tuple(a.value for a in p.args)) for p in stmt)
+    out = []
+    for p in stmt:
+        if not isinstance(p, Send) or not all(isinstance(a, ELit) for a in p.args):
+            return None
+        out.append(Sym(p.name, tuple(a.value for a in p.args)))
+    return tuple(out)
 
 
 def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None) -> Term:
@@ -417,14 +420,15 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     """
     index = sc.index
     hier = bool(index.parent)
-    problems = []
+    problems, actions = [], {}  # actions: state name -> its entry and exit symbols
     for s in index.states:
         if s.do is not None:
             problems.append(f"state {s.name} has a do action")
         if s.internT:
             problems.append(f"state {s.name} has internal transitions")
-        for act, what in ((s.entry, "entry"), (s.exit, "exit")):
-            if _ground_syms(action_stmt(act)) is None:
+        actions[s.name] = _ground_syms(action_stmt(s.entry)), _ground_syms(action_stmt(s.exit))
+        for seq, what in zip(actions[s.name], ("entry", "exit")):
+            if seq is None:
                 problems.append(f"state {s.name} {what} is not a ground send sequence")
     if problems:
         raise NotGuardFree(problems)
@@ -471,7 +475,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     counter = itertools.count(1)
 
     def child(s, d) -> Term:
-        en, ex = _ground_syms(action_stmt(s.entry)), _ground_syms(action_stmt(s.exit))
+        en, ex = actions[s.name]
         if s.name in index.children:
             return level(s.name, s.name, en, ex)
         return Basic(s.name if d is None else _data_name(s.name, d), en, ex)
