@@ -130,7 +130,8 @@ class SystemFragment:
                 )
             nodes.append(OGSNode.make(nd["id"], objects))
         edges = tuple(
-            (e["from"], e["to"], _messages(e.get("M", []), f"edge {e['from']!r} -> {e['to']!r}, M"))
+            (e["from"], e["to"],
+             _messages(e.get("M", []), f"edge {e['from']!r} -> {e['to']!r}, M"))
             for e in data.get("edges", [])
         )
         return cls.make(nodes, edges, data.get("init", []), data["main"])
@@ -205,8 +206,8 @@ def check_system_conformance(
        bounded microstep chain ending in the target's projection, with the
        statement's store effect and exactly its emissions in between.
     """
-    states = {s.name for s in sc.sorted_states()}
-    missing = sorted(states - proj.keys())
+    states = sc.index.by_name
+    missing = sorted(states.keys() - proj.keys())
     if missing:
         raise IncompleteProjection(f"no projection for {', '.join(missing)}")
     known = set(frag.node_ids())

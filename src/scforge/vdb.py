@@ -402,10 +402,15 @@ def _data_name(state: str, value) -> str:
 def _ground_syms(stmt) -> Optional[tuple]:
     """A statement as a ground action-symbol sequence, or None if impossible."""
     out = []
-    for p in stmt:
-        if not isinstance(p, Send) or not all(isinstance(a, ELit) for a in p.args):
+    for prim in stmt:
+        if not isinstance(prim, Send):
             return None
-        out.append(Sym(p.name, tuple(a.value for a in p.args)))
+        args = []
+        for a in prim.args:
+            if not isinstance(a, ELit):
+                return None
+            args.append(a.value)
+        out.append(Sym(prim.name, tuple(args)))
     return tuple(out)
 
 
@@ -506,7 +511,8 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
                             raise NotGuardFree([f"transition {t.src}->{t.trg}: value of {var}"
                                                 " in target undetermined"])
                         if final not in domain:
-                            raise UnboundedValueDomain(f"value {final!r} escapes the supplied domain")
+                            raise UnboundedValueDomain(
+                                f"value {final!r} escapes the supplied domain")
                     transitions.add(VdbTransition(
                         tname=f"t{next(counter)}",
                         i=pos[(t.src, d)],
