@@ -11,7 +11,7 @@ so completion behavior stays observable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .actions import (
@@ -32,20 +32,145 @@ class BadInitialState(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# Configurations derived from one start share its input tuple and the prefix
+# of their emitted messages, so a step costs O(1) in the run length, in time
+# and in retained memory. `buffer` and `emitted` are built when read.
+
+_MASK = (1 << 61) - 1
+
+
+class _Emitted:
+    """The messages emitted so far, as a persistent chain (C. Okasaki,
+    *Purely Functional Data Structures*, 1998): each node holds one step's
+    messages on top of the node before it, the running length and a hash of
+    the whole sequence, computed once and independent of how it is split
+    into steps."""
+
+    __slots__ = ("prev", "msgs", "length", "hash")
+
+    def __init__(self, prev: Optional[_Emitted], msgs: tuple):
+        self.prev = prev
+        self.msgs = msgs
+        h = prev.hash if prev else 0
+        for m in msgs:
+            h = (h * 1000003 + hash(m)) & _MASK
+        self.hash = h
+        self.length = (prev.length if prev else 0) + len(msgs)
+
+    def then(self, msgs: tuple) -> _Emitted:
+        return _Emitted(self, msgs) if msgs else self
+
+    def to_tuple(self) -> tuple:
+        chunks = []
+        node = self
+        while node is not None:
+            chunks.append(node.msgs)
+            node = node.prev
+        return tuple(m for chunk in reversed(chunks) for m in chunk)
+
+    def same(self, other: _Emitted) -> bool:
+        return self is other or (self.length == other.length and self.hash == other.hash
+                                 and self.to_tuple() == other.to_tuple())
+
+
+_NOTHING = _Emitted(None, ())
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Configuration:
+    """One object's state, store, pending buffer and emitted messages.
+
+    The buffer is the run's input tuple `inputs` from the `head` offset on,
+    less the indices in `skipped`: messages past the head consumed out of
+    order under "anywhere" matching. The head is always the first unconsumed
+    message. Equality and hashing are by the value of (current, store,
+    buffer, emitted)."""
+
     current: str
     store: tuple  # sorted (name, value) pairs
-    buffer: tuple  # FIFO of Message, head first
-    emitted: tuple  # Messages emitted so far, in order
+    inputs: tuple  # the run's input messages
+    head: int = 0
+    skipped: frozenset = frozenset()
+    _emitted: _Emitted = _NOTHING
 
     @classmethod
     def make(cls, current: str, store: Optional[dict] = None,
              buffer: Iterable[Message] = (), emitted: Iterable[Message] = ()):
-        return cls(current, _freeze(store or {}), tuple(buffer), tuple(emitted))
+        return cls(current, _freeze(store or {}), tuple(buffer),
+                   _emitted=_NOTHING.then(tuple(emitted)))
+
+    @property
+    def buffer(self) -> tuple:
+        """The pending messages, head first."""
+        if not self.skipped:
+            return self.inputs[self.head:]
+        return tuple(m for i, m in enumerate(self.inputs[self.head:], self.head)
+                     if i not in self.skipped)
+
+    @property
+    def emitted(self) -> tuple:
+        """The messages emitted so far, in order."""
+        return self._emitted.to_tuple()
+
+    def pending(self) -> bool:
+        return self.head < len(self.inputs)
 
     def store_dict(self) -> dict:
         return dict(self.store)
+
+    def _index(self, m: Message) -> int:
+        """The input index of the first pending message equal to m."""
+        for i in range(self.head, len(self.inputs)):
+            if i not in self.skipped and self.inputs[i] == m:
+                return i
+        raise ValueError(f"{m!r} is not in the buffer")
+
+    def _after(self, i: int, current: str, store: tuple, msgs: tuple = ()) -> Configuration:
+        """The configuration in `current` with `store` once input i is
+        consumed and `msgs` emitted."""
+        head, skipped = self.head, self.skipped
+        if i == head:
+            head += 1
+            while head in skipped:
+                skipped = skipped - {head}
+                head += 1
+        else:
+            skipped = skipped | {i}
+        return Configuration(current, store, self.inputs, head, skipped, self._emitted.then(msgs))
+
+    def _size(self) -> int:
+        return len(self.inputs) - self.head - len(self.skipped)
+
+    def _last(self):
+        i = len(self.inputs) - 1
+        while i in self.skipped:
+            i -= 1
+        return self.inputs[i] if i >= self.head else None
+
+    def _same_buffer(self, other: Configuration) -> bool:
+        if (self.inputs is other.inputs and self.head == other.head
+                and self.skipped == other.skipped):
+            return True
+        return self._size() == other._size() and self.buffer == other.buffer
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return (self.current == other.current and self.store == other.store
+                and self._emitted.same(other._emitted) and self._same_buffer(other))
+
+    def __hash__(self):
+        # The buffer is hashed by its length and its end messages: O(1), and
+        # equal for equal buffers whatever inputs and offsets they come from.
+        first = self.inputs[self.head] if self.pending() else None
+        return hash((self.current, self.store, self._size(), first, self._last(),
+                     self._emitted.length, self._emitted.hash))
+
+    def __repr__(self):
+        return (f"Configuration(current={self.current!r}, store={self.store!r}, "
+                f"buffer={self.buffer!r}, emitted={self.emitted!r})")
 
 
 def _freeze(store: dict) -> tuple:
@@ -57,27 +182,27 @@ def _freeze(store: dict) -> tuple:
 # Every outcome records the message its step consumed; only the quiescent
 # `Step` of an empty buffer consumed none.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     next: Configuration
     consumed: Optional[Message] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chaos:
     reason: str
     next: Configuration  # with the offending message dropped
     consumed: Optional[Message] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostconditionViolated:
     transition: SimpTrans
     next: Configuration
     consumed: Optional[Message] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantViolated:
     state: str
     next: Configuration
@@ -98,7 +223,7 @@ class LexScheduler:
     """Deterministic: smallest choice in a fixed lexicographic order."""
 
     def choose(self, choices):
-        return min(choices, key=_choice_key)
+        return choices[0] if len(choices) == 1 else min(choices, key=_choice_key)
 
 
 class RandomScheduler:
@@ -106,7 +231,10 @@ class RandomScheduler:
         self.rng = random.Random(seed)
 
     def choose(self, choices):
-        return self.rng.choice(sorted(choices, key=_choice_key))
+        # A lone choice needs no sort, but still draws from the generator.
+        if len(choices) > 1:
+            choices = sorted(choices, key=_choice_key)
+        return self.rng.choice(choices)
 
 
 def scheduler_from_spec(spec: str):
@@ -127,7 +255,7 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
     """
     store = conf.store_dict()
     if match == "fifo":
-        candidates = conf.buffer[:1]
+        candidates = conf.inputs[conf.head:conf.head + 1]
     elif match == "anywhere":
         candidates = conf.buffer
     else:
@@ -147,14 +275,12 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
 def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
     t, m, v = choice
     store = conf.store_dict()
-    i = conf.buffer.index(m)
-    buffer = conf.buffer[:i] + conf.buffer[i + 1:]
+    i = conf._index(m)
     try:
         new_store, msgs = exec_stmt(t.act.stmt, store, v)
     except ActionConditionViolated:
-        nxt = Configuration.make(t.trg, store, buffer, conf.emitted)
-        return PostconditionViolated(t, nxt, m)
-    nxt = Configuration.make(t.trg, new_store, buffer, conf.emitted + msgs)
+        return PostconditionViolated(t, conf._after(i, t.trg, conf.store), m)
+    nxt = conf._after(i, t.trg, _freeze(new_store), msgs)
     if t.act.post is not None and not holds(t.act.post, new_store, v, unbound=True):
         return PostconditionViolated(t, nxt, m)
     if not holds(sc.inv, new_store, v, unbound=True):
@@ -171,18 +297,18 @@ def _forced_or_enabled(conf: Configuration, sc: SCSimp, match: str):
     The buffer must be non-empty. A timeout whose timer was never set (or
     was stopped) evaporates; a head that enables nothing is chaos.
     """
-    head = conf.buffer[0]
+    head = conf.inputs[conf.head]
     if head.name == TIMEOUT and not dict(conf.store).get(TIMER_FLAG, False):
-        return Step(replace(conf, buffer=conf.buffer[1:]), head)
+        return Step(conf._after(conf.head, conf.current, conf.store), head)
     choices = enabled(conf, sc, match)
     if not choices:
-        dropped = replace(conf, buffer=conf.buffer[1:])
+        dropped = conf._after(conf.head, conf.current, conf.store)
         return Chaos(f"no enabled transition for {head.name} in {conf.current}", dropped, head)
     return choices
 
 
 def step(conf: Configuration, sc: SCSimp, scheduler=None, match: str = "fifo") -> Outcome:
-    if not conf.buffer:
+    if not conf.pending():
         return Step(conf)  # quiescent
     forced = _forced_or_enabled(conf, sc, match)
     if not isinstance(forced, list):
@@ -233,7 +359,7 @@ def run(
     steps = []
     outcome: Outcome = Step(conf)
     for _ in range(max_steps):
-        if not conf.buffer:
+        if not conf.pending():
             outcome = Step(conf)
             break
         outcome = step(conf, sc, scheduler, match)
@@ -265,7 +391,9 @@ def run_log_lines(result: RunResult) -> list:
     prev = result.start
     for i, outcome in enumerate(result.steps, start=1):
         conf = outcome.next
-        emitted = [format_message(m) for m in conf.emitted[len(prev.emitted):]]
+        # A step that emits nothing keeps its predecessor's chain node.
+        node = conf._emitted
+        emitted = [format_message(m) for m in node.msgs] if node is not prev._emitted else []
         before, after = dict(prev.store), dict(conf.store)
         diff = {
             k: _json_value(after[k])
@@ -297,7 +425,7 @@ def explore_emissions(
         if (conf, depth) in seen:
             continue
         seen.add((conf, depth))
-        if not conf.buffer or depth >= max_steps:
+        if not conf.pending() or depth >= max_steps:
             out.add((conf.emitted, "quiescent"))
             continue
         forced = _forced_or_enabled(conf, sc, match)
