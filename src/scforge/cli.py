@@ -208,6 +208,10 @@ def cmd_run(args) -> int:
             raise UsageError(f"{init} is not an initial state")
         except ActionError as e:
             raise _action_error(e)
+        if result.quiescent and result.final.pending():
+            raise BoundError(
+                f"run from {init} consumed {len(result.steps)} of {len(events)} events"
+                f" in {args.max_steps} steps; --max-steps raises the bound")
         kind = type(result.outcome).__name__.lower()
         ok = ok and result.quiescent
         out[init] = {
@@ -322,11 +326,10 @@ def _add_format(p, choices=("text", "json")):
                    help="output format (default text)")
 
 
-def _add_transform_flags(p):
+def _add_transform_flags(p, max_steps_help="rewrite step bound (default 10000)"):
     p.add_argument("--strategy", default="paper",
                    help="rule strategy: paper | random:<seed> (default paper)")
-    p.add_argument("--max-steps", type=int, default=10000,
-                   help="rewrite step bound (default 10000)")
+    p.add_argument("--max-steps", type=int, default=10000, help=max_steps_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="choice scheduler: lex | rand:<seed> (default lex)")
     p.add_argument("--match", choices=("fifo", "anywhere"), default="fifo",
                    help="buffer matching discipline (default fifo)")
-    _add_transform_flags(p)
+    _add_transform_flags(p, "bound on rewrite steps, and on the events a run consumes;"
+                         " a run that stops at it with events left exits 3 (default 10000)")
     _add_format(p)
     p.set_defaults(func=cmd_run)
 

@@ -228,6 +228,30 @@ def test_run_events_with_several_arguments(capsys, tmp_path):
     assert "emitted send(2), send(5)" in out
 
 
+def test_run_stopped_by_the_step_bound_exits_three(capsys, buffer_file, tmp_path):
+    ev = tmp_path / "events.txt"
+    ev.write_text("put(1), get()\n" * 6000)
+    code, out, err = run_cli(capsys, "run", buffer_file, "--events", f"@{ev}")
+    assert code == 3
+    assert out == ""
+    assert err == ("bound exceeded: run from Empty consumed 10000 of 12000 events"
+                   " in 10000 steps; --max-steps raises the bound\n")
+    code, out, _ = run_cli(capsys, "run", buffer_file, "--events", f"@{ev}",
+                           "--max-steps", "12000", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["Empty"]["log"]) == 12000
+
+
+def test_run_bound_counts_only_unconsumed_events(capsys, buffer_file):
+    code, _, _ = run_cli(capsys, "run", buffer_file, "--events", "put(1), get()",
+                         "--max-steps", "2")
+    assert code == 0
+    code, _, err = run_cli(capsys, "run", buffer_file, "--events", "put(1), get()",
+                           "--max-steps", "1")
+    assert code == 3
+    assert "consumed 1 of 2 events" in err
+
+
 @pytest.mark.parametrize("command", [["run"], ["vdb-run", "--domain=-1,3"]])
 def test_malformed_event_is_usage(capsys, buffer_file, command):
     code, out, err = run_cli(

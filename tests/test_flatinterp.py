@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +298,65 @@ def test_run_all_initials():
     results = run_all_initials(sc, msgs("f()"))
     assert [m.args[0] for m in results["A"].emissions] == [1]
     assert [m.args[0] for m in results["B"].emissions] == [2]
+
+
+# -- configurations share their run's input and emitted prefix -------------
+
+def test_configurations_compare_by_value_whatever_their_inputs():
+    f, g, send = Message("f"), Message("g"), Message("send", (1,))
+    derived = Configuration.make("A", buffer=(f, g), emitted=(send,))._after(0, "A", ())
+    fresh = Configuration.make("A", buffer=(g,), emitted=(send,))
+    assert derived.buffer == (g,) and derived.inputs == (f, g)
+    assert derived == fresh and hash(derived) == hash(fresh)
+    assert derived != Configuration.make("A", buffer=(f,), emitted=(send,))
+    assert derived != Configuration.make("A", buffer=(g,))
+
+
+def test_emitted_hash_ignores_how_steps_split_the_messages():
+    a, b = Message("a"), Message("b")
+    one_step = Configuration.make("A", emitted=(a, b))
+    two_steps = Configuration.make("A", buffer=(a, a))._after(0, "A", (), (a,))._after(1, "A", (), (b,))
+    assert two_steps.emitted == (a, b)
+    assert one_step == two_steps and hash(one_step) == hash(two_steps)
+
+
+def test_anywhere_consumption_keeps_the_head_on_the_first_pending_message():
+    conf = Configuration.make("A", buffer=msgs("f()", "g()", "h()", "k()"))
+    past = conf._after(2, "A", ())._after(1, "A", ())
+    assert (past.head, past.skipped, past.buffer) == (0, {1, 2}, msgs("f()", "k()"))
+    caught_up = past._after(0, "A", ())
+    assert (caught_up.head, caught_up.skipped, caught_up.buffer) == (3, frozenset(), msgs("k()"))
+    assert caught_up == Configuration.make("A", buffer=msgs("k()"))
+
+
+def test_equal_messages_consumed_at_different_places_leave_equal_buffers():
+    conf = Configuration.make("A", buffer=msgs("f()", "f()"))
+    a, b = conf._after(0, "A", ()), conf._after(1, "A", ())
+    assert (a.head, b.head) == (1, 0)
+    assert a == b and hash(a) == hash(b)
+
+
+def _retained_bytes(sc, init, inputs):
+    tracemalloc.start()
+    try:
+        result = run(sc, init, inputs, max_steps=len(inputs) + 1)
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_retains_memory_linear_in_its_length():
+    """Four times the events retain four times the memory; a run that copies
+    its buffer into every configuration retains about sixteen times."""
+    rng = random.Random(8)
+    stream = tuple(Message("put", (rng.randint(0, 9),)) if rng.random() < 0.5
+                   else Message("get") for _ in range(8000))
+    run(BUFFER, "Empty", stream[:10])  # builds the chart's index outside the measurement
+    small, _ = _retained_bytes(BUFFER, "Empty", stream[:2000])
+    large, result = _retained_bytes(BUFFER, "Empty", stream)
+    assert len(result.steps) == 8000 and result.quiescent
+    assert large / small <= 6, (small, large)
+    assert all(conf.inputs is result.start.inputs for conf in result.trajectory)
 
 
 # -- timers -----------------------------------------------------------------
