@@ -41,12 +41,25 @@ class InternT:
     act: Optional[Action]
 
 
+# Values that elements compute once and keep: their hash and, for
+# transitions, their sort key (`trans_key`).
+_CACHES = ("_hash", "_key")
+
+
+def _pickled_without_caches(cls):
+    """Leave the cached values out of pickled state: string hashes differ
+    between processes, and the rest is recomputed on first use."""
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 def _hash_once(cls):
     """Cache each instance's dataclass-generated hash on first use: chart
     rewrites rebuild sets of the same elements on every step, and the
-    generated hash walks their condition and action trees each time. The
-    cache is left out of pickled state, as string hashes differ between
-    processes."""
+    generated hash walks their condition and action trees each time."""
     generated = cls.__hash__
 
     def __hash__(self):
@@ -56,11 +69,8 @@ def _hash_once(cls):
             object.__setattr__(self, "_hash", generated(self))
             return self._hash
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
+    cls.__hash__ = __hash__
+    return _pickled_without_caches(cls)
 
 
 @_hash_once
@@ -204,9 +214,16 @@ def _group(items, key, kind=frozenset) -> dict:
 
 
 def trans_key(t: Union[Trans, SimpTrans]):
-    """One total order on the transitions of either chart kind."""
-    return (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act), repr(t.prio),
-            repr(t.call.args), t.call.exception)
+    """One total order on the transitions of either chart kind. Each
+    transition computes its key once, on first use, and keeps it: the
+    rewrite engine sorts the same transitions on every step."""
+    try:
+        return t._key
+    except AttributeError:
+        key = (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act),
+               repr(t.prio), repr(t.call.args), t.call.exception)
+        object.__setattr__(t, "_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +241,7 @@ class SimpState:
     internT: ClassVar[frozenset] = frozenset()
 
 
+@_pickled_without_caches
 @dataclass(frozen=True)
 class SimpTrans:
     src: str

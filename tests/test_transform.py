@@ -22,7 +22,7 @@ import pickle
 from dataclasses import fields, replace
 
 from scforge import transform
-from scforge.ast import FullState, InternT, SCFull, Trans
+from scforge.ast import FullState, InternT, SCFull, Trans, trans_key
 from scforge.gen import gen_chart
 from scforge.parse import parse
 from scforge.printer import print_call, print_chart
@@ -156,6 +156,17 @@ def test_chart_elements_hash_once_to_the_generated_value():
         copy = pickle.loads(pickle.dumps(x))
         assert "_hash" not in vars(copy)  # string hashes differ between processes
         assert copy == x and hash(copy) == generated
+
+
+def test_transitions_compute_their_sort_key_once():
+    flat, _ = transform_fixpoint(gen_chart(3, max_states=10))
+    for t in [*gen_chart(3, max_states=10).trans, *to_simplified(flat).transitions]:
+        key = trans_key(t)
+        assert trans_key(t) is key
+        assert key == (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act),
+                       repr(t.prio), repr(t.call.args), t.call.exception)
+        copy = pickle.loads(pickle.dumps(t))
+        assert "_key" not in vars(copy) and copy == t and trans_key(copy) == key
 
 
 def test_chart_index_terminates_on_a_substate_cycle():
