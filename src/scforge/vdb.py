@@ -439,6 +439,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         raise NotGuardFree(problems)
 
     assigns, reads = {}, {}  # flat charts: per transition, the variables it writes and reads
+    sends = {}  # hierarchical charts: per transition, its ground send symbols
     for t in index.trans:
         where, stmt = f"transition {t.src}->{t.trg}", action_stmt(t.act)
         if not _is_trivial(t.pre):
@@ -453,7 +454,8 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         if index.parent.get(t.src) != index.parent.get(t.trg):
             problems.append(f"{where} crosses hierarchy levels")
         if hier:
-            if _ground_syms(stmt) is None:
+            sends[t] = _ground_syms(stmt)
+            if sends[t] is None:
                 problems.append(f"{where} action is not a ground send sequence")
             continue
         problems += [f"{where} uses a non send/assign statement"
@@ -503,7 +505,11 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
             for d in (domain if t.src in carriers else (None,)):
                 for i in (domain if param is not None else (None,)):
                     env = {var: d, param: i}
-                    store, msgs = exec_stmt(action_stmt(t.act), {}, env)
+                    if t in sends:
+                        store, alpha = {}, sends[t]
+                    else:
+                        store, msgs = exec_stmt(action_stmt(t.act), {}, env)
+                        alpha = tuple(Sym(m.name, m.args) for m in msgs)
                     final = None
                     if t.trg in carriers:
                         final = store.get(var, env.get(var))
@@ -518,7 +524,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
                         i=pos[(t.src, d)],
                         ns=frozenset(),
                         e=Sym(t.call.name, () if param is None else (i,)),
-                        alpha=tuple(Sym(m.name, m.args) for m in msgs),
+                        alpha=alpha,
                         nt=frozenset(),
                         j=pos[(t.trg, final)],
                     ))
