@@ -141,12 +141,6 @@ class Configuration:
     def _size(self) -> int:
         return len(self.inputs) - self.head - len(self.skipped)
 
-    def _last(self):
-        i = len(self.inputs) - 1
-        while i in self.skipped:
-            i -= 1
-        return self.inputs[i] if i >= self.head else None
-
     def _same_buffer(self, other: Configuration) -> bool:
         if (self.inputs is other.inputs and self.head == other.head
                 and self.skipped == other.skipped):
@@ -162,10 +156,10 @@ class Configuration:
                 and self._emitted.same(other._emitted) and self._same_buffer(other))
 
     def __hash__(self):
-        # The buffer is hashed by its length and its end messages: O(1), and
-        # equal for equal buffers whatever inputs and offsets they come from.
+        # The buffer is hashed by its length and its head: O(1), and equal
+        # for equal buffers whatever inputs and offsets they come from.
         first = self.inputs[self.head] if self.pending() else None
-        return hash((self.current, self.store, self._size(), first, self._last(),
+        return hash((self.current, self.store, self._size(), first,
                      self._emitted.length, self._emitted.hash))
 
     def __repr__(self):
@@ -422,9 +416,10 @@ def explore_emissions(
     seen = set()
     while stack:
         conf, depth = stack.pop()
-        if (conf, depth) in seen:
+        before = len(seen)
+        seen.add((conf, depth))  # one hash per configuration
+        if len(seen) == before:
             continue
-        seen.add((conf, depth))
         if not conf.pending() or depth >= max_steps:
             out.add((conf.emitted, "quiescent"))
             continue
