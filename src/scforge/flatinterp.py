@@ -113,6 +113,7 @@ class Configuration:
         return self._emitted.to_tuple()
 
     def pending(self) -> bool:
+        """Whether a message waits in the buffer."""
         return self.head < len(self.inputs)
 
     def store_dict(self) -> dict:
