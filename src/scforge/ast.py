@@ -41,9 +41,9 @@ class InternT:
     act: Optional[Action]
 
 
-# Values that elements compute once and keep: their hash and, for
-# transitions, their sort key (`trans_key`).
-_CACHES = ("_hash", "_key")
+# Values that elements compute once and keep: their hash, for transitions
+# their sort key (`trans_key`), and for term symbols their text.
+_CACHES = ("_hash", "_key", "_text")
 
 
 def _pickled_without_caches(cls):
@@ -56,10 +56,11 @@ def _pickled_without_caches(cls):
     return cls
 
 
-def _hash_once(cls):
+def hash_once(cls):
     """Cache each instance's dataclass-generated hash on first use: chart
-    rewrites rebuild sets of the same elements on every step, and the
-    generated hash walks their condition and action trees each time."""
+    rewrites and term exploration look the same elements up in sets and
+    dicts on every step, and the generated hash walks their whole tree each
+    time."""
     generated = cls.__hash__
 
     def __hash__(self):
@@ -73,7 +74,7 @@ def _hash_once(cls):
     return _pickled_without_caches(cls)
 
 
-@_hash_once
+@hash_once
 @dataclass(frozen=True)
 class Trans:
     prio: Optional[int]  # the <<prio=n>> transition stereotype
@@ -85,7 +86,7 @@ class Trans:
     pos: Optional[tuple[int, int]] = field(default=None, compare=False, hash=False, repr=False)
 
 
-@_hash_once
+@hash_once
 @dataclass(frozen=True)
 class FullState:
     sstereos: frozenset[str] = frozenset()
@@ -142,10 +143,11 @@ class ChartIndex:
     to a tuple in `trans_key` order; `ancestors` maps it to the strict
     superstates, parent first. `ingoing_at_or_above` and
     `outgoing_at_or_above` are the names of the states that have such a
-    transition themselves or on one of their ancestors. On charts that break
-    CC1 or CC12 the answers are deterministic but partial: one parent per
-    name, and states not reachable from the top level (on a cycle or below an
-    undeclared parent) have no ancestors.
+    transition themselves or on one of their ancestors. `top_names` maps
+    each modifier to the names of the top-level states carrying it. On
+    charts that break CC1 or CC12 the answers are deterministic but partial:
+    one parent per name, and states not reachable from the top level (on a
+    cycle or below an undeclared parent) have no ancestors.
     """
 
     def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset()):
@@ -174,6 +176,13 @@ class ChartIndex:
     @cached_property
     def outgoing_in_order(self) -> dict[str, tuple]:
         return _group(self.trans, lambda t: t.src, tuple)
+
+    @cached_property
+    def top_names(self) -> dict[str, frozenset[str]]:
+        """Per modifier (`initial`, `final`), the names of the top-level
+        states that carry it."""
+        tops = self.children.get(None, ())
+        return {mod: frozenset(s.name for s in tops if mod in s.modifiers) for mod in MODIFIERS}
 
     @cached_property
     def ancestors(self) -> dict[str, tuple]:

@@ -264,12 +264,11 @@ def cmd_vdb_run(args) -> int:
     try:
         runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps)
     except vdb.StateSpaceBound as e:
-        raise BoundError(str(e))
-    ordered = sorted(runs, key=lambda r: (len(r), str(r)))
+        raise BoundError(f"{e}; {e.variable} raises the bound")
     if args.format == "json":
-        print(vdb.runs_to_json(ordered))
+        print(vdb.runs_to_json(runs))
     else:
-        for i, r in enumerate(ordered):
+        for i, r in enumerate(vdb.sorted_runs(runs, by_length=True)):
             print(f"run {i + 1}:")
             for node in r:
                 conf = ", ".join(sorted(vdb.conf_of(node.term)))

@@ -182,12 +182,8 @@ def outgoing_t(s: FullState, sc: SCFull) -> frozenset[Trans]:
     return sc.index.outgoing.get(s.name, frozenset())
 
 
-def _top_names(mod: str, sc: SCFull) -> set[str]:
-    return {s.name for s in sc.index.children.get(None, ()) if mod in s.modifiers}
-
-
 def top_initial(sc: SCFull) -> bool:
-    return bool(_top_names("initial", sc))
+    return bool(sc.index.top_names["initial"])
 
 
 def simple_state(s: FullState, sc: SCFull) -> bool:
@@ -212,7 +208,7 @@ def _irrelevant(mod: str, at_or_above, s: FullState, sc: SCFull) -> bool:
     """The chart has a top-level `mod` state, and neither s nor any of its
     superstates is one or has a transition in the direction of `at_or_above`.
     Of s and its superstates, only the outermost can be top-level."""
-    tops = _top_names(mod, sc)
+    tops = sc.index.top_names[mod]
     sups = list_of_all_superstates(s, sc)
     return (bool(tops) and (sups[-1] if sups else s).name not in tops
             and s.name not in at_or_above(sc))

@@ -28,6 +28,7 @@ domain that is missing or too small raises `UnboundedValueDomain`;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -45,7 +46,8 @@ from .actions import (
     exec_stmt,
     stmt_read_vars,
 )
-from .ast import SCFull, SCSimp
+from .ast import SCFull, SCSimp, hash_once
+from .printer import print_value
 
 
 class UnknownTargetName(Exception):
@@ -53,7 +55,12 @@ class UnknownTargetName(Exception):
 
 
 class StateSpaceBound(Exception):
-    pass
+    """Exploration went past a bound; `variable` names the environment
+    variable that sets the bound's default."""
+
+    def __init__(self, message: str, variable: str):
+        super().__init__(message)
+        self.variable = variable
 
 
 class NotGuardFree(Exception):
@@ -74,6 +81,10 @@ NONE, DEEP, SHALLOW = "none", "deep", "shallow"
 HISTORY_TYPES = (NONE, DEEP, SHALLOW)
 
 
+# Terms, symbols and Kripke nodes hash once: exploration looks the same
+# values up in sets and dicts on every step.
+
+@hash_once
 @dataclass(frozen=True)
 class Sym:
     """An event or action symbol: a name with concrete payload values."""
@@ -82,11 +93,17 @@ class Sym:
     payload: tuple = ()
 
     def __str__(self):
-        from .printer import print_value
+        """The symbol's text, rendered on first use and kept: exploration
+        shares each symbol among many runs, and callers render every run."""
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{self.name}(" + ", ".join(print_value(p) for p in self.payload) + ")"
+            object.__setattr__(self, "_text", text)
+            return text
 
-        return f"{self.name}(" + ", ".join(print_value(p) for p in self.payload) + ")"
 
-
+@hash_once
 @dataclass(frozen=True)
 class VdbTransition:
     tname: str
@@ -99,6 +116,7 @@ class VdbTransition:
     ht: str = NONE
 
 
+@hash_once
 @dataclass(frozen=True)
 class Basic:
     name: str
@@ -106,6 +124,7 @@ class Basic:
     exit: tuple = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class And:
     name: str
@@ -114,6 +133,7 @@ class And:
     exit: tuple = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class Or:
     name: str
@@ -296,6 +316,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
 
 # -- Kripke steps -----------------------------------------------------------
 
+@hash_once
 @dataclass(frozen=True)
 class KripkeNode:
     term: Term
@@ -323,12 +344,18 @@ def drop_join(alphabet: Iterable[str]):
     return join
 
 
-def consume_input(node: KripkeNode, sel=fifo_sel, join=fifo_join) -> frozenset:
+def consume_input(node: KripkeNode, sel=fifo_sel, join=fifo_join,
+                  memo: Optional[dict] = None) -> frozenset:
     """All successor nodes: pick an event via sel, take any auxiliary step,
-    merge the outputs back into the queue via join."""
+    merge the outputs back into the queue via join. A `memo` dict shared
+    between calls lets each (term, event) pair derive its steps once."""
+    memo = {} if memo is None else memo
     out = set()
     for e, rest in sel(node.queue):
-        for alpha, _, term in aux_step(node.term, e):
+        steps = memo.get((node.term, e))
+        if steps is None:
+            steps = memo[node.term, e] = aux_step(node.term, e)
+        for alpha, _, term in steps:
             out.add(KripkeNode(term, join(alpha, rest)))
     return frozenset(out)
 
@@ -339,31 +366,52 @@ def run_bounded(
     sel=fifo_sel,
     join=fifo_join,
     max_nodes: Optional[int] = None,
+    max_runs: Optional[int] = None,
 ) -> frozenset:
-    """All maximal step sequences of length <= max_steps from start."""
+    """All maximal step sequences of length <= max_steps from start.
+
+    Raises `StateSpaceBound` when more than `max_nodes` distinct nodes
+    (default `SCFORGE_MAX_NODES`, else 10000) are reachable within
+    max_steps, and otherwise when there are more than `max_runs` runs
+    (default `SCFORGE_MAX_RUNS`, else 100000). Every reachable node's
+    successors are derived first, breadth-first, and the runs are
+    enumerated after, so which bound is reported does not depend on the
+    order of exploration.
+    """
     if max_nodes is None:
         max_nodes = int(os.environ.get("SCFORGE_MAX_NODES", "10000"))
-    succs: dict = {}
+    if max_runs is None:
+        max_runs = int(os.environ.get("SCFORGE_MAX_RUNS", "100000"))
+    memo: dict = {}  # (term, event) -> its auxiliary steps
+    succs: dict = {}  # node -> its successors, for the nodes runs may extend
     nodes_seen = {start}
-
-    def successors(node: KripkeNode) -> frozenset:
-        if node not in succs:
-            succs[node] = consume_input(node, sel, join)
-            nodes_seen.update(succs[node])
+    level, depth = [start], 0
+    while level and depth < max_steps:
+        depth += 1
+        deeper = []
+        for node in level:
+            succs[node] = nxt = consume_input(node, sel, join, memo)
+            for n in nxt:
+                if n not in nodes_seen:
+                    nodes_seen.add(n)
+                    deeper.append(n)
             if len(nodes_seen) > max_nodes:
-                raise StateSpaceBound(f"more than {max_nodes} distinct nodes")
-        return succs[node]
+                raise StateSpaceBound(f"more than {max_nodes} distinct nodes",
+                                      "SCFORGE_MAX_NODES")
+        level = deeper
 
-    runs = set()
+    # paths on the stack are pairwise distinct, so no run is found twice
+    runs = []
     stack = [(start,)]
     while stack:
         path = stack.pop()
-        nxt = successors(path[-1]) if len(path) <= max_steps else frozenset()
+        nxt = succs[path[-1]] if len(path) <= max_steps else ()
         if not nxt:
-            runs.add(path)
+            runs.append(path)
+            if len(runs) > max_runs:
+                raise StateSpaceBound(f"more than {max_runs} runs", "SCFORGE_MAX_RUNS")
             continue
-        for node in nxt:
-            stack.append(path + (node,))
+        stack.extend(path + (node,) for node in nxt)
     return frozenset(runs)
 
 
@@ -382,8 +430,22 @@ def node_to_json(node: KripkeNode) -> dict:
     }
 
 
+def sorted_runs(runs: Iterable[tuple], by_length: bool = False) -> list:
+    """The runs in the order of their repr (after their length, with
+    `by_length`). Runs share their nodes, so each node's repr is computed
+    once."""
+    node_repr = functools.cache(repr)
+
+    def text(run: tuple) -> str:  # repr(run)
+        return "(" + ", ".join(map(node_repr, run)) + ("," if len(run) == 1 else "") + ")"
+
+    if by_length:
+        return sorted(runs, key=lambda run: (len(run), text(run)))
+    return sorted(runs, key=text)
+
+
 def runs_to_json(runs: Iterable[tuple]) -> str:
-    data = [[node_to_json(n) for n in run] for run in sorted(runs, key=repr)]
+    data = [[node_to_json(n) for n in run] for run in sorted_runs(runs)]
     return json.dumps(data, indent=2)
 
 
@@ -394,8 +456,6 @@ def _is_trivial(cond) -> bool:
 
 
 def _data_name(state: str, value) -> str:
-    from .printer import print_value
-
     return f"{state}({print_value(value)})"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -339,6 +340,55 @@ def test_vdb_run_read_of_unassigned_variable_is_usage(capsys, tmp_path, action, 
     assert out == ""
     assert err == (f"error: {chart}: transition A->A reads {name}, which is neither "
                    "the data variable nor the event parameter\n")
+
+
+# Every state has two f() transitions with different outputs: 2**L runs.
+BRANCH_SC = "\n".join(
+    ["statechart Branch for C <<prio:inner, completion:ignore>> {"]
+    + [f"    {'initial ' if i == 0 else ''}state B{i};" for i in range(4)]
+    + [line for i in range(4) for line in (f"    B{i} -> B{(i + 1) % 4} : f() / out1(1);",
+                                           f"    B{i} -> B{(i + 2) % 4} : f() / out2(2);",
+                                           f"    B{i} -> B{(i + 3) % 4} : g();")]
+    + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("events, text_digest, json_digest", [
+    ("f(), g(), f(), f()",
+     "422a570d12fd5b825ac58579ab86c527ad15ee90667080a1344464da912c735a",
+     "028279c3209d582b96bf56ed5c1d5a7a25c6f8b990839017c8dda1209c2255e3"),
+    ("f(), f(), g(), f(), f(), f()",
+     "001ad3cbfe846595dd705be5fe68917b220760ad07749ba72ab1e344652f4d70",
+     "a12aaa792b3dc5ab135842944ed2421d12945de07693c3d522314a1a216df4ec"),
+])
+def test_vdb_run_outputs_on_a_branching_chart(capsys, tmp_path, events, text_digest, json_digest):
+    """Text runs are ordered by length and then repr, JSON runs by repr; the
+    digests pin both outputs byte for byte."""
+    chart = tmp_path / "branch.sc"
+    chart.write_text(BRANCH_SC)
+    code, out, _ = run_cli(capsys, "vdb-run", str(chart), "--events", events)
+    assert code == 0 and out.count("run ") == 2 ** events.count("f")
+    assert hashlib.sha256(out.encode()).hexdigest() == text_digest
+    code, out, _ = run_cli(capsys, "vdb-run", str(chart), "--events", events, "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 2 ** events.count("f")
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("SCFORGE_MAX_NODES", "5", "more than 5 distinct nodes"),
+    ("SCFORGE_MAX_RUNS", "7", "more than 7 runs"),
+])
+def test_vdb_run_bounds_exit_three_naming_their_variable(capsys, tmp_path, monkeypatch,
+                                                         variable, value, message):
+    chart = tmp_path / "branch.sc"
+    chart.write_text(BRANCH_SC)
+    monkeypatch.setenv(variable, value)
+    code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", "f(), f(), f()")
+    assert code == 3
+    assert out == ""
+    assert err == f"bound exceeded: {message}; {variable} raises the bound\n"
+    monkeypatch.setenv(variable, "100")
+    code, out, _ = run_cli(capsys, "vdb-run", str(chart), "--events", "f(), f(), f()")
+    assert code == 0 and out.count("run ") == 8
 
 
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):

@@ -169,6 +169,20 @@ def test_transitions_compute_their_sort_key_once():
         assert "_key" not in vars(copy) and copy == t and trans_key(copy) == key
 
 
+def test_chart_index_keeps_the_top_level_modifier_names():
+    sc = parse("""statechart D for C {
+        initial state A { initial state A1; final state A2; A1 -> A2 : f(); }
+        state B;
+        final state F;
+        A -> B : g();
+        B -> F : h();
+    }""")
+    assert sc.index.top_names == {"initial": {"A"}, "final": {"F"}}
+    assert sc.index.top_names is sc.index.top_names
+    assert transform.top_initial(sc)
+    assert not transform.top_initial(replace(sc, states=sc.states - {sc.state("A")}))
+
+
 def test_chart_index_terminates_on_a_substate_cycle():
     sc = SCFull(
         states=frozenset([FullState(name="A"), FullState(name="B")]),

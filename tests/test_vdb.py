@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scforge import vdb
 from scforge.flatinterp import explore_emissions, parse_message
 from scforge.parse import parse
 from scforge.transform import to_simplified, transform_fixpoint
@@ -266,6 +270,11 @@ def test_run_bounded_stutter_chain_shrinks_queue():
     assert run_outputs(run) == ()
 
 
+def test_run_bounded_ends_with_the_queue_under_a_large_step_bound():
+    start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
+    assert run_bounded(start, max_steps=10**12) == run_bounded(start, max_steps=3)
+
+
 def test_run_bounded_node_cap():
     start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
     with pytest.raises(StateSpaceBound):
@@ -287,6 +296,109 @@ def test_run_json_output():
         {"term-conf": ["Buffer", "NonEmpty(3)"], "queue": []},
     ]]
     assert node_to_json(start)["queue"] == ["put(3)"]
+
+
+# -- exploration cost: hashes, derivations and runs -------------------------
+
+BRANCH_SC = """
+statechart Branch for C <<prio:inner, completion:ignore>> {
+    initial state B0;
+    state B1;
+    state B2;
+    B0 -> B1 : f() / out1(1);
+    B0 -> B2 : f() / out2(2);
+    B1 -> B2 : f() / out1(1);
+    B1 -> B0 : f() / out2(2);
+    B2 -> B0 : f() / out1(1);
+    B2 -> B1 : f() / out2(2);
+    B2 -> B0 : g();
+}
+"""
+
+
+def branch_start(word="ffgff") -> KripkeNode:
+    """Two f() transitions with different outputs leave each state, so a
+    word with L f() symbols has 2**L runs."""
+    return KripkeNode(encode_guard_free(parse(BRANCH_SC)), tuple(Sym(c) for c in word))
+
+
+def test_terms_symbols_and_nodes_hash_once_to_the_generated_value():
+    inner = Or("In", (Basic("a", (Sym("en"),)), Basic("b")), 2, frozenset())
+    both = And("Both", (inner, Basic("c")), (), (Sym("ex", (1,)),))
+    [run] = run_bounded(KripkeNode(buffer_term(), (Sym("put", (3,)),)), max_steps=1)
+    values = [Sym("m", (1, (2, True))), *buffer_term().transitions, inner, both,
+              Or("Top", (both, Basic("d")), 1, frozenset()), *run]
+    for x in values:
+        generated = hash(tuple(getattr(x, f.name) for f in fields(x)))
+        assert hash(x) == generated and vars(x)["_hash"] == generated
+        object.__setattr__(x, "_hash", -7)
+        assert hash(x) == -7  # the second hash reads the kept value
+        object.__setattr__(x, "_hash", generated)
+        copy = pickle.loads(pickle.dumps(x))
+        assert "_hash" not in vars(copy)  # string hashes differ between processes
+        assert copy == x and hash(copy) == generated
+
+
+def test_symbol_text_is_rendered_once():
+    nested = Sym("m", (1, (2, (3, True)), (), False))
+    for sym, text in [(Sym("get"), "get()"), (Sym("put", (-1,)), "put(-1)"),
+                      (nested, "m(1, [2, [3, true]], [], false)")]:
+        assert str(sym) == text
+        assert str(sym) is str(sym)
+        assert str(Sym(sym.name, sym.payload)) == text  # a fresh rendering
+        copy = pickle.loads(pickle.dumps(sym))
+        assert "_text" not in vars(copy) and str(copy) == text
+
+
+def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
+    real, depth, calls = vdb.aux_step, [0], Counter()
+
+    def counting(t, e):
+        if not depth[0]:  # count calls from outside aux_step only
+            calls[t, e] += 1
+        depth[0] += 1
+        try:
+            return real(t, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(vdb, "aux_step", counting)
+    start = branch_start("ffgfff")
+    runs = run_bounded(start, max_steps=100)
+    assert len(runs) == 2 ** 5
+    nodes = {n for r in runs for n in r}
+    assert len(calls) < len(nodes) and set(calls.values()) == {1}
+    # the derivations are kept for one exploration only
+    assert run_bounded(start, max_steps=100) == runs
+    assert set(calls.values()) == {2}
+
+
+def test_sorted_runs_orders_by_repr():
+    for word in ("", "f", "ffgff"):
+        runs = run_bounded(branch_start(word), max_steps=100)
+        assert vdb.sorted_runs(runs) == sorted(runs, key=repr)
+        assert vdb.sorted_runs(runs, by_length=True) == sorted(runs, key=lambda r: (len(r), repr(r)))
+
+
+def test_run_bounded_run_cap(monkeypatch):
+    start = branch_start("ffgff")
+    assert len(run_bounded(start, max_steps=100, max_runs=16)) == 16
+    with pytest.raises(StateSpaceBound) as bound:
+        run_bounded(start, max_steps=100, max_runs=15)
+    assert str(bound.value) == "more than 15 runs"
+    assert bound.value.variable == "SCFORGE_MAX_RUNS"
+    monkeypatch.setenv("SCFORGE_MAX_RUNS", "4")
+    with pytest.raises(StateSpaceBound, match="^more than 4 runs$"):
+        run_bounded(start, max_steps=100)
+    assert len(run_bounded(start, max_steps=2)) == 4
+
+
+def test_run_bounded_node_cap_is_reported_before_the_run_cap():
+    start = branch_start("ffgff")
+    with pytest.raises(StateSpaceBound) as bound:
+        run_bounded(start, max_steps=100, max_nodes=10, max_runs=1)
+    assert str(bound.value) == "more than 10 distinct nodes"
+    assert bound.value.variable == "SCFORGE_MAX_NODES"
 
 
 # -- encoding ---------------------------------------------------------------
