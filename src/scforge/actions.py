@@ -221,13 +221,7 @@ TRUE = CTrue()
 
 def conj(*conds: Cond) -> Cond:
     """Right-folded conjunction; the empty conjunction is true."""
-    cs = [c for c in conds if c is not None]
-    if not cs:
-        return TRUE
-    out = cs[-1]
-    for c in reversed(cs[:-1]):
-        out = CAnd(c, out)
-    return out
+    return conj_opt(*conds) or TRUE
 
 
 def conj_opt(*conds: Optional[Cond]) -> Optional[Cond]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar, Optional, Union
 
@@ -83,7 +83,6 @@ class Trans:
     call: Call
     act: Optional[Action]
     trg: str
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, hash=False, repr=False)
 
 
 @hash_once
@@ -97,7 +96,6 @@ class FullState:
     exit: Optional[Action] = None
     do: Optional[Action] = None
     internT: frozenset[InternT] = frozenset()
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -163,19 +161,19 @@ class ChartIndex:
 
     @cached_property
     def children(self) -> dict[Optional[str], frozenset]:
-        return _group(self.states, lambda s: self.parent.get(s.name))
+        return group_by(self.states, lambda s: self.parent.get(s.name))
 
     @cached_property
     def ingoing(self) -> dict[str, frozenset]:
-        return _group(self._trans, lambda t: t.trg)
+        return group_by(self._trans, lambda t: t.trg)
 
     @cached_property
     def outgoing(self) -> dict[str, frozenset]:
-        return _group(self._trans, lambda t: t.src)
+        return group_by(self._trans, lambda t: t.src)
 
     @cached_property
     def outgoing_in_order(self) -> dict[str, tuple]:
-        return _group(self.trans, lambda t: t.src, tuple)
+        return group_by(self.trans, lambda t: t.src, tuple)
 
     @cached_property
     def top_names(self) -> dict[str, frozenset[str]]:
@@ -215,7 +213,9 @@ class ChartIndex:
         return frozenset(out)
 
 
-def _group(items, key, kind=frozenset) -> dict:
+def group_by(items, key, kind=frozenset) -> dict:
+    """The items by their key, in order of first appearance, each group
+    collected into a `kind`."""
     groups: dict = {}
     for x in items:
         groups.setdefault(key(x), []).append(x)
@@ -243,7 +243,8 @@ class SimpState:
     modifiers: frozenset[str]
     name: str
     inv: Cond
-    # flat states carry no actions of their own
+    # flat states carry no stereotypes or actions of their own
+    sstereos: ClassVar[frozenset] = frozenset()
     entry: ClassVar[None] = None
     exit: ClassVar[None] = None
     do: ClassVar[None] = None
@@ -268,6 +269,7 @@ class SCSimp:
     inv: Cond
     states: frozenset[SimpState]
     transitions: frozenset[SimpTrans]
+    stereos: ClassVar[frozenset] = frozenset()  # flat charts carry no stereotypes
 
     @cached_property
     def index(self) -> ChartIndex:
@@ -279,20 +281,16 @@ class SCSimp:
     def sorted_states(self) -> tuple[SimpState, ...]:
         return self.index.states
 
-    def sorted_transitions(self) -> tuple[SimpTrans, ...]:
+    def sorted_trans(self) -> tuple[SimpTrans, ...]:
         return self.index.trans
 
     def initial_states(self) -> list[SimpState]:
         return [s for s in self.index.states if "initial" in s.modifiers]
 
 
-def triggers_full(sc: SCFull) -> set[str]:
+def triggers(sc: Union[SCFull, SCSimp]) -> set[str]:
     """All trigger names: calls on transitions and internal transitions."""
-    names = {t.call.name for t in sc.trans}
-    for s in sc.states:
+    names = {t.call.name for t in sc.index.trans}
+    for s in sc.index.states:
         names |= {it.call.name for it in s.internT}
     return names
-
-
-def triggers_simp(sc: SCSimp) -> set[str]:
-    return {t.call.name for t in sc.transitions}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call
-from .ast import SCSimp, triggers_simp
+from .ast import SCSimp, triggers
 from .flatinterp import format_message
 from .parse import LexError, StatechartSyntaxError, parse_message
 from .vdb import Basic, Or, Sym, Term
@@ -252,7 +252,7 @@ def check_system_conformance(
     report.append({"condition": 3, "pass": not witnesses, "witnesses": witnesses})
 
     # 4: run-to-completion — at most one trigger message in processing
-    trig = triggers_simp(sc)
+    trig = triggers(sc)
     witnesses = []
     for nid in frag.node_ids():
         tops = [
@@ -267,7 +267,7 @@ def check_system_conformance(
 
     # 5: enabled transitions are realized by microstep chains
     witnesses = []
-    for t in sc.sorted_transitions():
+    for t in sc.sorted_trans():
         for nid in sorted(proj[t.src]):
             node = frag.node(nid)
             store = node.object(frag.main).vars_dict()

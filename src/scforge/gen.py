@@ -23,7 +23,7 @@ from .actions import (
     PVar,
     Send,
 )
-from .ast import FullState, InternT, SCFull, Trans
+from .ast import FullState, InternT, SCFull, Trans, group_by
 
 
 TRIGGERS = ("f", "g", "h")
@@ -46,10 +46,7 @@ def _tree(rng: random.Random, n_states: int, max_depth: int):
 def _mark_initials(rng: random.Random, names, parent) -> dict:
     """Each level gets exactly one initial state; returns name -> modifiers."""
     mods = {n: set() for n in names}
-    levels: dict = {}
-    for n in names:
-        levels.setdefault(parent[n], []).append(n)
-    for group in levels.values():
+    for group in group_by(names, parent.get, list).values():
         mods[rng.choice(group)].add("initial")
         for n in group:
             if "initial" not in mods[n] and rng.random() < 0.2:
@@ -165,10 +162,7 @@ def gen_guard_free(seed: int, max_states: int = 6, n_triggers: int = 3) -> SCFul
     triggers = TRIGGERS[: rng.randint(1, n_triggers)]
 
     mods = {nm: set() for nm in names}
-    levels: dict = {}
-    for nm in names:
-        levels.setdefault(parent[nm], []).append(nm)
-    for group in levels.values():
+    for group in group_by(names, parent.get, list).values():
         mods[min(group)].add("initial")
 
     states = [
@@ -214,11 +208,8 @@ def initial_leaf(sc: SCFull) -> str:
     """The leaf reached by descending initial states from the top."""
     current = None
     while True:
-        kids = sorted(
-            s.name
-            for s in sc.states
-            if sc.parent_name(s.name) == current and "initial" in s.modifiers
-        )
+        kids = sorted(s.name for s in sc.index.children.get(current, ())
+                      if "initial" in s.modifiers)
         if not kids:
             if current is None:
                 raise ValueError("no initial top state")

@@ -304,7 +304,6 @@ class Parser:
         while self.peek().value in ("initial", "final"):
             modifiers.add(self.next().value)
         self.expect("kw", "state")
-        tok = self.peek()
         name = self.ident(declaring=True)
         if parent is not None:
             sub.append((name, parent))
@@ -340,12 +339,10 @@ class Parser:
                 exit=actions.get("exit"),
                 do=actions.get("do"),
                 internT=frozenset(internT),
-                pos=(tok.line, tok.col),
             )
         )
 
     def parse_transition(self, stereo_vals, prio, trans) -> None:
-        tok = self.peek()
         if stereo_vals:
             self.fail("transition stereotype <<prio=n>>")
         src = self.ident()
@@ -355,7 +352,7 @@ class Parser:
             self.fail("': <transition body>'")
         pre, call, action = self.parse_trans_body()
         self.expect(";")
-        trans.append(Trans(prio, src, pre, call, action, trg, pos=(tok.line, tok.col)))
+        trans.append(Trans(prio, src, pre, call, action, trg))
 
     def parse_trans_body(self):
         pre = None

@@ -7,7 +7,7 @@ round-trips through the parser: ``parse(print_chart(sc)) == sc``.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Union
 
 from .actions import (
     Action,
@@ -195,7 +195,7 @@ def _children(sc: SCFull, name: Optional[str]) -> list[FullState]:
     return sorted(sc.index.children.get(name, ()), key=lambda s: s.name)
 
 
-def print_chart(sc: SCFull) -> str:
+def print_chart(sc: Union[SCFull, SCSimp]) -> str:
     lines = []
     head = f"statechart {sc.diagram_name} for {sc.class_name}"
     if sc.stereos:
@@ -211,24 +211,8 @@ def print_chart(sc: SCFull) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- simplified statecharts -------------------------------------------------
-
-def print_simp(sc: SCSimp) -> str:
-    lines = [f"statechart {sc.diagram_name} for {sc.class_name} {{"]
-    lines.append(f"    [{print_cond(sc.inv)}];")
-    for s in sc.sorted_states():
-        head = "    "
-        for m in ("initial", "final"):
-            if m in s.modifiers:
-                head += m + " "
-        head += f"state {s.name} {{"
-        lines.append(head)
-        lines.append(f"        [{print_cond(s.inv)}];")
-        lines.append("    }")
-    for t in sc.sorted_transitions():
-        lines.append(f"    {t.src} -> {t.trg} : {_trans_body(t.pre, t.call, t.act)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+# Simplified charts are the flat fragment of full ones and print the same way.
+print_simp = print_chart
 
 
 # -- JSON -------------------------------------------------------------------
@@ -296,7 +280,7 @@ def simp_to_dict(sc: SCSimp) -> dict:
                 "trigger": print_call(t.call),
                 "action": print_action(t.act),
             }
-            for t in sc.sorted_transitions()
+            for t in sc.sorted_trans()
         ],
     }
 

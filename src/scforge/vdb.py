@@ -32,7 +32,7 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Union
 
 from .actions import (
@@ -188,36 +188,28 @@ def conf_of(t: Term) -> frozenset:
     return frozenset([t.name]) | conf_of(t.subterms[t.active - 1])
 
 
-def entry_seqs(t: Term) -> frozenset:
+def _action_seqs(t: Term, exiting: bool) -> frozenset:
+    """Entering t runs its entry actions before those of its active
+    children, exiting runs its exit actions after theirs; the children of an
+    and-term take turns in every order."""
+    own = t.exit if exiting else t.entry
     if isinstance(t, Basic):
-        return frozenset([t.entry])
-    if isinstance(t, Or):
-        return frozenset(t.entry + b for b in entry_seqs(t.subterms[t.active - 1]))
-    out = set()
-    for perm in itertools.permutations(t.subterms):
-        for parts in itertools.product(*(entry_seqs(s) for s in perm)):
-            out.add(t.entry + tuple(x for part in parts for x in part))
-    return frozenset(out)
+        inner = [()]
+    elif isinstance(t, Or):
+        inner = _action_seqs(t.subterms[t.active - 1], exiting)
+    else:
+        inner = (tuple(x for part in parts for x in part)
+                 for perm in itertools.permutations(t.subterms)
+                 for parts in itertools.product(*(_action_seqs(s, exiting) for s in perm)))
+    return frozenset(b + own if exiting else own + b for b in inner)
+
+
+def entry_seqs(t: Term) -> frozenset:
+    return _action_seqs(t, exiting=False)
 
 
 def exit_seqs(t: Term) -> frozenset:
-    if isinstance(t, Basic):
-        return frozenset([t.exit])
-    if isinstance(t, Or):
-        return frozenset(b + t.exit for b in exit_seqs(t.subterms[t.active - 1]))
-    out = set()
-    for perm in itertools.permutations(t.subterms):
-        for parts in itertools.product(*(exit_seqs(s) for s in perm)):
-            out.add(tuple(x for part in parts for x in part) + t.exit)
-    return frozenset(out)
-
-
-def _names(t: Term) -> set:
-    out = {t.name}
-    if not isinstance(t, Basic):
-        for s in t.subterms:
-            out |= _names(s)
-    return out
+    return _action_seqs(t, exiting=True)
 
 
 def _reset(t: Term, keep_top: bool) -> Term:
@@ -596,6 +588,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
 
 
 # -- term text format -------------------------------------------------------
+# A term or transition is its kind, then its fields in declaration order.
 
 _PLAIN = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-$")
 
@@ -616,36 +609,90 @@ def _value_sexpr(v) -> str:
     raise TypeError(f"bad payload value {v!r}")
 
 
-def _sym_sexpr(s: Sym) -> str:
-    return "(" + " ".join([_atom(s.name)] + [_value_sexpr(p) for p in s.payload]) + ")"
+def _paren(items: Iterable[str]) -> str:
+    return "(" + " ".join(items) + ")"
 
 
-def _seq_sexpr(seq: tuple) -> str:
-    return "(" + " ".join(_sym_sexpr(s) for s in seq) + ")"
+def _read_list(tree) -> list:
+    if not isinstance(tree, list):
+        raise ValueError(f"expected a list, not {tree!r}")
+    return tree
 
 
-def term_to_sexpr(t: Term) -> str:
-    if isinstance(t, Basic):
-        return f"(basic {_atom(t.name)} {_seq_sexpr(t.entry)} {_seq_sexpr(t.exit)})"
-    subs = "(" + " ".join(term_to_sexpr(s) for s in t.subterms) + ")"
-    if isinstance(t, And):
-        return f"(and {_atom(t.name)} {subs} {_seq_sexpr(t.entry)} {_seq_sexpr(t.exit)})"
-    trans = "(" + " ".join(
-        _trans_sexpr(tr) for tr in sorted(t.transitions, key=lambda tr: tr.tname)
-    ) + ")"
-    return (
-        f"(or {_atom(t.name)} {subs} {t.active} {trans} "
-        f"{_seq_sexpr(t.entry)} {_seq_sexpr(t.exit)})"
-    )
+def _read_atom(tree) -> str:
+    if isinstance(tree, list):
+        raise ValueError(f"expected an atom, not the list {tree!r}")
+    return tree
 
 
-def _trans_sexpr(tr: VdbTransition) -> str:
-    ns = "(" + " ".join(_atom(n) for n in sorted(tr.ns)) + ")"
-    nt = "(" + " ".join(_atom(n) for n in sorted(tr.nt)) + ")"
-    return (
-        f"(trans {_atom(tr.tname)} {tr.i} {ns} {_sym_sexpr(tr.e)} "
-        f"{_seq_sexpr(tr.alpha)} {nt} {tr.j} {tr.ht})"
-    )
+def _read_int(tree) -> int:
+    try:
+        return int(_read_atom(tree))
+    except ValueError:
+        raise ValueError(f"expected an integer, not {tree!r}") from None
+
+
+def _read_value(tree):
+    if isinstance(tree, list):
+        return tuple(map(_read_value, tree))
+    if tree in ("true", "false"):
+        return tree == "true"
+    return _read_int(tree)
+
+
+def _read_history(tree) -> str:
+    if tree not in HISTORY_TYPES:
+        raise ValueError(f"bad history type {tree!r}")
+    return tree
+
+
+def _write_sym(s: Sym) -> str:
+    return _paren([_atom(s.name)] + [_value_sexpr(p) for p in s.payload])
+
+
+def _read_sym(tree) -> Sym:
+    items = _read_list(tree)
+    if not items:
+        raise ValueError("expected a symbol, not ()")
+    return Sym(_read_atom(items[0]), tuple(map(_read_value, items[1:])))
+
+
+_KINDS = {"basic": Basic, "and": And, "or": Or, "trans": VdbTransition}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_NAME = (_atom, _read_atom)
+_INT = (str, _read_int)
+_SEQ = (lambda seq: _paren(map(_write_sym, seq)),
+        lambda tree: tuple(map(_read_sym, _read_list(tree))))
+_NAMES = (lambda names: _paren(map(_atom, sorted(names))),
+          lambda tree: frozenset(map(_read_atom, _read_list(tree))))
+# field name -> (write, read)
+_FIELDS = {
+    "name": _NAME, "tname": _NAME,
+    "active": _INT, "i": _INT, "j": _INT,
+    "entry": _SEQ, "exit": _SEQ, "alpha": _SEQ,
+    "ns": _NAMES, "nt": _NAMES,
+    "e": (_write_sym, _read_sym),
+    "ht": (str, _read_history),
+    "subterms": (lambda subs: _paren(map(term_to_sexpr, subs)),
+                 lambda tree: tuple(_read(x, ("basic", "and", "or")) for x in _read_list(tree))),
+    "transitions": (lambda trans: _paren(map(term_to_sexpr, sorted(trans, key=lambda tr: tr.tname))),
+                    lambda tree: frozenset(_read(x, ("trans",)) for x in _read_list(tree))),
+}
+
+
+def term_to_sexpr(t: Union[Term, VdbTransition]) -> str:
+    return _paren([_KIND_OF[type(t)]] + [_FIELDS[f.name][0](getattr(t, f.name)) for f in fields(t)])
+
+
+def _read(tree, kinds: tuple):
+    """The term or transition `tree` spells, whose kind is one of `kinds`."""
+    items = _read_list(tree)
+    if not items or items[0] not in kinds:
+        raise ValueError(f"expected {'/'.join(kinds)}, not {tree!r}")
+    cls = _KINDS[items[0]]
+    if len(items) != 1 + len(fields(cls)):
+        raise ValueError(f"{items[0]} takes {len(fields(cls))} fields, not {len(items) - 1}")
+    return cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
 
 
 def _sexpr_tokens(text: str):
@@ -700,69 +747,4 @@ def term_from_sexpr(text: str) -> Term:
     tree, pos = _read_sexpr(tokens, 0)
     if pos != len(tokens):
         raise ValueError("trailing input after term")
-    return _term_from_tree(tree)
-
-
-def _value_from_tree(tree):
-    if isinstance(tree, list):
-        return tuple(_value_from_tree(x) for x in tree)
-    if tree == "true":
-        return True
-    if tree == "false":
-        return False
-    try:
-        return int(tree)
-    except ValueError:
-        raise ValueError(f"bad payload value {tree!r}")
-
-
-def _sym_from_tree(tree) -> Sym:
-    if not isinstance(tree, list) or not tree:
-        raise ValueError(f"bad symbol {tree!r}")
-    return Sym(tree[0], tuple(_value_from_tree(x) for x in tree[1:]))
-
-
-def _seq_from_tree(tree) -> tuple:
-    return tuple(_sym_from_tree(x) for x in tree)
-
-
-def _term_from_tree(tree) -> Term:
-    if not isinstance(tree, list) or not tree:
-        raise ValueError(f"bad term {tree!r}")
-    head = tree[0]
-    if head == "basic":
-        _, name, en, ex = tree
-        return Basic(name, _seq_from_tree(en), _seq_from_tree(ex))
-    if head == "and":
-        _, name, subs, en, ex = tree
-        return And(name, tuple(_term_from_tree(s) for s in subs),
-                   _seq_from_tree(en), _seq_from_tree(ex))
-    if head == "or":
-        _, name, subs, active, trans, en, ex = tree
-        return Or(
-            name,
-            tuple(_term_from_tree(s) for s in subs),
-            int(active),
-            frozenset(_trans_from_tree(tr) for tr in trans),
-            _seq_from_tree(en),
-            _seq_from_tree(ex),
-        )
-    raise ValueError(f"bad term head {head!r}")
-
-
-def _trans_from_tree(tree) -> VdbTransition:
-    if not isinstance(tree, list) or tree[:1] != ["trans"]:
-        raise ValueError(f"bad transition {tree!r}")
-    _, tname, i, ns, e, alpha, nt, j, ht = tree
-    if ht not in HISTORY_TYPES:
-        raise ValueError(f"bad history type {ht!r}")
-    return VdbTransition(
-        tname=tname,
-        i=int(i),
-        ns=frozenset(ns),
-        e=_sym_from_tree(e),
-        alpha=_seq_from_tree(alpha),
-        nt=frozenset(nt),
-        j=int(j),
-        ht=ht,
-    )
+    return _read(tree, ("basic", "and", "or"))

@@ -31,7 +31,7 @@ from .ast import (
     InternT,
     SCFull,
     SCSimp,
-    triggers_full,
+    triggers,
 )
 
 
@@ -104,10 +104,9 @@ def _triggered(sc: Union[SCFull, SCSimp]) -> Iterator[tuple]:
     violations name."""
     for t in sc.index.trans:
         yield t, f"transition {t.src}->{t.trg}"
-    if isinstance(sc, SCFull):
-        for s in sc.sorted_states():
-            for it in s.internT:
-                yield it, f"state {s.name}"
+    for s in sc.sorted_states():
+        for it in s.internT:
+            yield it, f"state {s.name}"
 
 
 def _call_vars(call: Call) -> list[str]:
@@ -201,7 +200,7 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
 
     # CC10 (direct approximation): statements may not send a message whose
     # name is one of the chart's triggers.
-    trig = triggers_full(sc)
+    trig = triggers(sc)
 
     def check_sends(act: Optional[Action], subject: str):
         if act is None:
