@@ -148,7 +148,8 @@ Term = Union[Basic, And, Or]
 
 
 def validate_term(t: Term) -> None:
-    """State and transition names must be pairwise distinct; indices in range."""
+    """State and transition names must be pairwise distinct; or-terms must
+    pass `_check_or`."""
     seen_states: set = set()
     seen_trans: set = set()
 
@@ -161,21 +162,31 @@ def validate_term(t: Term) -> None:
         if not t.subterms:
             raise ValueError(f"{t.name!r} has no subterms")
         if isinstance(t, Or):
-            if not 1 <= t.active <= len(t.subterms):
-                raise ValueError(f"{t.name!r}: active index {t.active} out of range")
+            _check_or(t)
             for tr in t.transitions:
                 if tr.tname in seen_trans:
                     raise ValueError(f"duplicate transition name {tr.tname!r}")
                 seen_trans.add(tr.tname)
-                for idx in (tr.i, tr.j):
-                    if not 1 <= idx <= len(t.subterms):
-                        raise ValueError(f"{tr.tname!r}: index {idx} out of range")
-                if tr.ht not in HISTORY_TYPES:
-                    raise ValueError(f"{tr.tname!r}: bad history type {tr.ht!r}")
         for s in t.subterms:
             walk(s)
 
     walk(t)
+
+
+def _check_or(t: Or) -> None:
+    """Indices in range, known history types, and target-determinator names
+    inside their target: what exploration needs to run the or-term."""
+    if not 1 <= t.active <= len(t.subterms):
+        raise ValueError(f"{t.name!r}: active index {t.active} out of range")
+    for tr in sorted(t.transitions, key=lambda tr: tr.tname):
+        for idx in (tr.i, tr.j):
+            if not 1 <= idx <= len(t.subterms):
+                raise ValueError(f"{tr.tname!r}: index {idx} out of range")
+        if tr.ht not in HISTORY_TYPES:
+            raise ValueError(f"{tr.tname!r}: bad history type {tr.ht!r}")
+        for name in sorted(tr.nt):
+            if _force_active(t.subterms[tr.j - 1], name) is None:
+                raise ValueError(f"{tr.tname!r}: target determinator {name!r} is not in its target")
 
 
 # -- configuration, entry/exit, next ----------------------------------------
@@ -640,12 +651,6 @@ def _read_value(tree):
     return _read_int(tree)
 
 
-def _read_history(tree) -> str:
-    if tree not in HISTORY_TYPES:
-        raise ValueError(f"bad history type {tree!r}")
-    return tree
-
-
 def _write_sym(s: Sym) -> str:
     return _paren([_atom(s.name)] + [_value_sexpr(p) for p in s.payload])
 
@@ -672,7 +677,7 @@ _FIELDS = {
     "entry": _SEQ, "exit": _SEQ, "alpha": _SEQ,
     "ns": _NAMES, "nt": _NAMES,
     "e": (_write_sym, _read_sym),
-    "ht": (str, _read_history),
+    "ht": (str, _read_atom),
     "subterms": (lambda subs: _paren(map(term_to_sexpr, subs)),
                  lambda tree: tuple(_read(x, ("basic", "and", "or")) for x in _read_list(tree))),
     "transitions": (lambda trans: _paren(map(term_to_sexpr, sorted(trans, key=lambda tr: tr.tname))),
@@ -692,7 +697,10 @@ def _read(tree, kinds: tuple):
     cls = _KINDS[items[0]]
     if len(items) != 1 + len(fields(cls)):
         raise ValueError(f"{items[0]} takes {len(fields(cls))} fields, not {len(items) - 1}")
-    return cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
+    out = cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
+    if isinstance(out, Or):
+        _check_or(out)
+    return out
 
 
 def _sexpr_tokens(text: str):

@@ -391,6 +391,34 @@ def test_vdb_run_bounds_exit_three_naming_their_variable(capsys, tmp_path, monke
     assert code == 0 and out.count("run ") == 8
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(basic (x) () ())", "expected an atom, not the list ['x']"),
+    ("(or A ((basic B () ())) 5 () () ())", "'A': active index 5 out of range"),
+    ("(or A ((basic B () ()) (basic C () ())) 1 ((trans t 1 () (f) () () 7 none)) () ())",
+     "'t': index 7 out of range"),
+    ("(or A ((basic B () ()) (basic C () ())) 1 ((trans t 1 () (f) () (Zed) 2 none)) () ())",
+     "'t': target determinator 'Zed' is not in its target"),
+    ("(or A ((basic B () ())) 1 ((trans t 1 () (f) () () 1 sideways)) () ())",
+     "'t': bad history type 'sideways'"),
+    ("(or A ((trans t 1 () (f) () () 1 none)) 1 () () ())",
+     "expected basic/and/or, not ['trans', 't', '1', [], ['f'], [], [], '1', 'none']"),
+    ("(or A ((basic B () ())) 1 ((basic C () ())) () ())",
+     "expected trans, not ['basic', 'C', [], []]"),
+    ("(or A ((basic B () ())) x () () ())", "expected an integer, not 'x'"),
+    ("(basic A (()) ())", "expected a symbol, not ()"),
+    ("(basic A ((f x)) ())", "expected an integer, not 'x'"),
+    ("(basic A () () ())", "basic takes 3 fields, not 4"),
+    ("(or A (basic B () ()) 1 () () ())", "expected a list, not 'basic'"),
+    ("()", "expected basic/and/or, not []"),
+])
+def test_vdb_run_rejects_a_term_file_exploration_cannot_run(capsys, tmp_path, text, message):
+    p = tmp_path / "term.sexpr"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "vdb-run", str(p), "--events", "f()")
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: {message}\n"
+
+
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):
     p = tmp_path / "term.sexpr"
     p.write_text("(basic Idle () ())")
