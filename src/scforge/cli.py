@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -250,7 +251,25 @@ def _load_term(path: str, domain):
         raise UsageError(f"{path}: {e}")
 
 
+# The environment variables that set `vdb.run_bounded`'s bounds, by keyword.
+VDB_BOUNDS = {"max_nodes": "SCFORGE_MAX_NODES", "max_runs": "SCFORGE_MAX_RUNS"}
+
+
+def _env_bounds() -> dict:
+    """The bounds set in the environment; each must be a positive integer."""
+    bounds = {}
+    for key, variable in VDB_BOUNDS.items():
+        text = os.environ.get(variable)
+        if text is None:
+            continue
+        if not text.strip().isdecimal() or int(text) < 1:
+            raise UsageError(f"{variable} must be a positive integer, not {text!r}")
+        bounds[key] = int(text)
+    return bounds
+
+
 def cmd_vdb_run(args) -> int:
+    bounds = _env_bounds()
     domain = None
     if args.domain:
         try:
@@ -262,7 +281,7 @@ def cmd_vdb_run(args) -> int:
         vdb.Sym(m.name, tuple(m.args)) for m in _events(args.events)
     )
     try:
-        runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps)
+        runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps, **bounds)
     except vdb.StateSpaceBound as e:
         raise BoundError(f"{e}; {e.variable} raises the bound")
     if args.format == "json":

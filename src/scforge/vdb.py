@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Union
 
@@ -56,7 +55,7 @@ class UnknownTargetName(Exception):
 
 class StateSpaceBound(Exception):
     """Exploration went past a bound; `variable` names the environment
-    variable that sets the bound's default."""
+    variable through which `scforge vdb-run` sets the bound."""
 
     def __init__(self, message: str, variable: str):
         super().__init__(message)
@@ -368,23 +367,17 @@ def run_bounded(
     max_steps: int,
     sel=fifo_sel,
     join=fifo_join,
-    max_nodes: Optional[int] = None,
-    max_runs: Optional[int] = None,
+    max_nodes: int = 10000,
+    max_runs: int = 100000,
 ) -> frozenset:
     """All maximal step sequences of length <= max_steps from start.
 
-    Raises `StateSpaceBound` when more than `max_nodes` distinct nodes
-    (default `SCFORGE_MAX_NODES`, else 10000) are reachable within
-    max_steps, and otherwise when there are more than `max_runs` runs
-    (default `SCFORGE_MAX_RUNS`, else 100000). Every reachable node's
-    successors are derived first, breadth-first, and the runs are
-    enumerated after, so which bound is reported does not depend on the
-    order of exploration.
+    Raises `StateSpaceBound` when more than `max_nodes` distinct nodes are
+    reachable within max_steps, and otherwise when there are more than
+    `max_runs` runs. Every reachable node's successors are derived first,
+    breadth-first, and the runs are enumerated after, so which bound is
+    reported does not depend on the order of exploration.
     """
-    if max_nodes is None:
-        max_nodes = int(os.environ.get("SCFORGE_MAX_NODES", "10000"))
-    if max_runs is None:
-        max_runs = int(os.environ.get("SCFORGE_MAX_RUNS", "100000"))
     memo: dict = {}  # (term, event) -> its auxiliary steps
     succs: dict = {}  # node -> its successors, for the nodes runs may extend
     nodes_seen = {start}

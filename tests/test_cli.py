@@ -391,6 +391,30 @@ def test_vdb_run_bounds_exit_three_naming_their_variable(capsys, tmp_path, monke
     assert code == 0 and out.count("run ") == 8
 
 
+def test_vdb_run_run_bound_from_the_environment(capsys, tmp_path, monkeypatch):
+    chart = tmp_path / "branch.sc"
+    chart.write_text(BRANCH_SC)
+    monkeypatch.setenv("SCFORGE_MAX_RUNS", "4")
+    events = "f(), f(), g(), f(), f()"
+    code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", events)
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: more than 4 runs; SCFORGE_MAX_RUNS raises the bound\n"
+    code, out, _ = run_cli(capsys, "vdb-run", str(chart), "--events", events, "--max-steps", "2")
+    assert code == 0 and out.count("run ") == 4
+
+
+@pytest.mark.parametrize("variable", ["SCFORGE_MAX_NODES", "SCFORGE_MAX_RUNS"])
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5", "", "2.5"])
+def test_vdb_run_rejects_a_bound_that_is_no_positive_integer(capsys, tmp_path, monkeypatch,
+                                                             variable, value):
+    chart = tmp_path / "branch.sc"
+    chart.write_text(BRANCH_SC)
+    monkeypatch.setenv(variable, value)
+    code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", "f()")
+    assert (code, out) == (2, "")
+    assert err == f"error: {variable} must be a positive integer, not {value!r}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("(basic (x) () ())", "expected an atom, not the list ['x']"),
     ("(or A ((basic B () ())) 5 () () ())", "'A': active index 5 out of range"),

@@ -380,17 +380,20 @@ def test_sorted_runs_orders_by_repr():
         assert vdb.sorted_runs(runs, by_length=True) == sorted(runs, key=lambda r: (len(r), repr(r)))
 
 
-def test_run_bounded_run_cap(monkeypatch):
+def test_run_bounded_run_cap():
     start = branch_start("ffgff")
     assert len(run_bounded(start, max_steps=100, max_runs=16)) == 16
     with pytest.raises(StateSpaceBound) as bound:
         run_bounded(start, max_steps=100, max_runs=15)
     assert str(bound.value) == "more than 15 runs"
     assert bound.value.variable == "SCFORGE_MAX_RUNS"
+
+
+def test_run_bounded_reads_no_bound_from_the_environment(monkeypatch):
+    start = branch_start("ffgff")
     monkeypatch.setenv("SCFORGE_MAX_RUNS", "4")
-    with pytest.raises(StateSpaceBound, match="^more than 4 runs$"):
-        run_bounded(start, max_steps=100)
-    assert len(run_bounded(start, max_steps=2)) == 4
+    monkeypatch.setenv("SCFORGE_MAX_NODES", "2")
+    assert len(run_bounded(start, max_steps=100)) == 16
 
 
 def test_run_bounded_node_cap_is_reported_before_the_run_cap():
