@@ -15,8 +15,10 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from scforge.ast import SEQUENTIAL
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_chart
@@ -125,9 +127,15 @@ def flatten_digest(sc, strategy: str) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def sequential(sc):
+    """sc with the stereotype that makes rules 17 and 20 move its actions."""
+    return replace(sc, stereos=sc.stereos | {SEQUENTIAL})
+
+
 def golden_digests() -> dict[str, str]:
-    """The acceptance corpus and extra charts under `paper`, and the first 50
-    corpus charts under `random:1`."""
+    """The acceptance corpus and extra charts under `paper`, the first 50
+    corpus charts under `random:1`, and gen_chart seeds 0-99 at 6 and 10
+    states with sequential action conditions under `paper`."""
     out = {}
     for seed, sc in enumerate(corpus()):
         out[f"paper/corpus/{seed}"] = flatten_digest(sc, "paper")
@@ -135,6 +143,10 @@ def golden_digests() -> dict[str, str]:
         out[f"paper/extra/{i}"] = flatten_digest(parse(text), "paper")
     for seed, sc in enumerate(corpus()[:50]):
         out[f"random:1/corpus/{seed}"] = flatten_digest(sc, "random:1")
+    for states in (6, 10):
+        for seed in range(100):
+            out[f"paper/sequential/{states}/{seed}"] = flatten_digest(
+                sequential(gen_chart(seed, max_states=states)), "paper")
     return out
 
 
