@@ -357,15 +357,12 @@ def call_expr_of(c: Call) -> Call:
     return Call(c.name, tuple(PVar(inp_name(i + 1)) for i in range(len(c.args))), c.exception)
 
 
-def match_cond_of(c: Call) -> Cond:
-    """Conjunction of matchPattern(inp<i>, pattern_i) over non-variable arguments."""
-    conjuncts: list[Cond] = []
-    for i, p in enumerate(c.args):
-        if isinstance(p, PVar):
-            conjuncts.append(TRUE)
-        else:
-            conjuncts.append(CMatch(inp_name(i + 1), p))
-    return conj(*conjuncts)
+def match_cond_of(c: Call) -> Optional[Cond]:
+    """Conjunction of matchPattern(inp<i>, pattern_i) over the non-variable
+    arguments, or absent when every argument is a plain variable."""
+    return conj_opt(*(
+        CMatch(inp_name(i + 1), p) for i, p in enumerate(c.args) if not isinstance(p, PVar)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,7 @@ def cmd_conform(args) -> int:
 def cmd_gen(args) -> int:
     from .gen import gen_chart, gen_guard_free
 
+    _at_least("--states", args.states, 2 if args.guard_free else 3)
     if args.guard_free:
         sc = gen_guard_free(args.seed, max_states=args.states)
     else:
@@ -339,6 +340,18 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 
+def _at_least(flag: str, value: int, minimum: int) -> int:
+    if value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, not {value}")
+    return value
+
+
+def _int_at_least(flag: str, minimum: int):
+    """argparse type: an integer of at least `minimum`. A smaller one is a
+    one-line usage error; a non-integer stays argparse's own error."""
+    return lambda text: _at_least(flag, int(text), minimum)
+
+
 def _add_format(p, choices=("text", "json")):
     p.add_argument("--format", choices=choices, default="text",
                    help="output format (default text)")
@@ -347,7 +360,8 @@ def _add_format(p, choices=("text", "json")):
 def _add_transform_flags(p, max_steps_help="rewrite step bound (default 10000)"):
     p.add_argument("--strategy", default="paper",
                    help="rule strategy: paper | random:<seed> (default paper)")
-    p.add_argument("--max-steps", type=int, default=10000, help=max_steps_help)
+    p.add_argument("--max-steps", type=_int_at_least("--max-steps", 0), default=10000,
+                   help=max_steps_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".sc chart or term s-expression file")
     p.add_argument("--events", required=True,
                    help="comma-separated messages, or @file")
-    p.add_argument("--max-steps", type=int, default=100,
+    p.add_argument("--max-steps", type=_int_at_least("--max-steps", 0), default=100,
                    help="maximum run length (default 100)")
     p.add_argument("--domain",
                    help="comma-separated integer value domain for data charts")
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chart")
     p.add_argument("fragment", help="fragment JSON file")
     p.add_argument("projection", help="projection JSON file")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_int_at_least("--bound", 0), default=None,
                    help="microstep search bound (default: node count)")
     _add_transform_flags(p)
     _add_format(p)
@@ -434,16 +448,20 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except (UsageError, IllFormedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BoundError as e:
         print(f"bound exceeded: {e}", file=sys.stderr)
         return EXIT_BOUND
+    except BrokenPipeError:
+        # the reader closed stdout early: end quietly, and point stdout at
+        # devnull so that the interpreter's final flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 from typing import Iterable, Optional
 
 from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call
@@ -136,17 +138,25 @@ class SystemFragment:
         )
         return cls.make(nodes, edges, data.get("init", []), data["main"])
 
+    @cached_property
+    def _by_id(self) -> dict:
+        return dict(self.nodes)
+
+    @cached_property
+    def _successors(self) -> dict:
+        out: dict = {}
+        for frm, to, m in self.edges:
+            out.setdefault(frm, []).append((to, m))
+        return out
+
     def node(self, id: str) -> OGSNode:
-        for i, n in self.nodes:
-            if i == id:
-                return n
-        raise KeyError(id)
+        return self._by_id[id]
 
     def node_ids(self):
-        return [i for i, _ in self.nodes]
+        return list(self._by_id)
 
     def successors(self, id: str):
-        return [(to, m) for frm, to, m in self.edges if frm == id]
+        return self._successors.get(id, [])
 
 
 def _messages(texts, where: str) -> tuple:
@@ -255,11 +265,7 @@ def check_system_conformance(
     trig = triggers(sc)
     witnesses = []
     for nid in frag.node_ids():
-        tops = [
-            m for m in frag.node(nid).object(frag.main).stack_tops()
-            if m.name in trig
-        ]
-        distinct = {m for m in tops}
+        distinct = {m for m in frag.node(nid).object(frag.main).stack_tops() if m.name in trig}
         if len(distinct) > 1:
             names = ", ".join(sorted(format_message(m) for m in distinct))
             witnesses.append(f"{nid} processes {names} simultaneously")
@@ -289,6 +295,10 @@ def conformance_passed(report: list) -> bool:
 
 
 def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
+    """Breadth-first search, to depth `bound`, of the product of the fragment
+    and the statement's emissions (M. Vardi, P. Wolper, LICS 1986). A product
+    state (node, k, shown) has matched the first k emissions in order, and
+    records whether some node so far shows the store effect."""
     store = frag.node(start).object(frag.main).vars_dict()
     new_store, emitted = exec_stmt(t.act.stmt, store, v)
     delta = {
@@ -297,38 +307,31 @@ def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
     }
     sent_names = {e.name for e in emitted}
 
-    # depth-first search over microstep paths of length <= bound
-    def paths():
-        stack = [((start,), ((),))]
-        while stack:
-            ids, labels = stack.pop()
-            yield ids, labels
-            if len(ids) <= bound:
-                for to, mlabel in frag.successors(ids[-1]):
-                    stack.append((ids + (to,), labels + (mlabel,)))
+    def shows(nid):
+        vars2 = frag.node(nid).object(frag.main).vars_dict()
+        return all(vars2.get(k) == val for k, val in delta.items())
 
-    for ids, labels in paths():
-        n3 = len(ids) - 1
-        end = frag.node(ids[n3])
-        if ids[n3] not in proj[t.trg]:
-            continue
-        end_obj = end.object(frag.main)
-        if m in end_obj.buffer:
-            continue  # the trigger message must have been consumed
-        if t.act.post is not None and not holds(t.act.post, end_obj.vars_dict(), v, unbound=True):
-            continue
+    def accepting(nid, k, shown):
+        end_obj = frag.node(nid).object(frag.main)
+        # the trigger message must have been consumed
+        return (k == len(emitted) and shown and nid in proj[t.trg] and m not in end_obj.buffer
+                and (t.act.post is None or holds(t.act.post, end_obj.vars_dict(), v, unbound=True)))
+
+    frontier = {(start, 0, shows(start))}
+    seen = set(frontier)
+    for depth in count():
+        if any(accepting(*state) for state in frontier):
+            return True
+        if depth >= bound or not frontier:
+            return False
         # exactly the statement's emissions (over its message names) occur
-        observed = tuple(
-            out for mlabel in labels for out in mlabel if out.name in sent_names
-        )
-        if observed != emitted:
-            continue
-        # some window os1..os2 shows the store effect
-        for n2 in range(n3 + 1):
-            vars2 = frag.node(ids[n2]).object(frag.main).vars_dict()
-            if all(vars2.get(k) == val for k, val in delta.items()):
-                return True
-    return False
+        frontier = {
+            (to, k + len(out), shown or shows(to))
+            for nid, k, shown in frontier for to, mlabel in frag.successors(nid)
+            for out in [tuple(o for o in mlabel if o.name in sent_names)]
+            if emitted[k:k + len(out)] == out
+        } - seen
+        seen |= frontier
 
 
 def report_to_json(report: list) -> str:

@@ -41,6 +41,7 @@ from .actions import (
     call_expr_of,
     conj_opt,
     inp_name,
+    match_cond_of,
     seq_actions_all,
     CAnd,
     COr,
@@ -335,22 +336,11 @@ def _subst_action(a: Optional[Action], m: dict[str, Expr]) -> Optional[Action]:
     )
 
 
-def _match_cond(call: Call) -> Optional[Cond]:
-    """Matching conditions for the non-variable argument patterns, or absent
-    when every argument is a plain variable."""
-    conjs = [
-        CMatch(inp_name(i + 1), p)
-        for i, p in enumerate(call.args)
-        if not isinstance(p, PVar)
-    ]
-    return conj_opt(*conjs)
-
-
 def _fire_cond(t: Trans) -> Cond:
     """pre && match for a transition, under its own input renaming."""
     m = _subst_map(t.call)
     pre = None if t.pre is None else _subst_cond(t.pre, m)
-    c = conj_opt(pre, _match_cond(t.call))
+    c = conj_opt(pre, match_cond_of(t.call))
     return c if c is not None else TRUE
 
 
@@ -366,7 +356,7 @@ def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = No
     m = _subst_map(t.call)
     pre = conj_opt(
         None if t.pre is None else _subst_cond(t.pre, m),
-        _match_cond(t.call),
+        match_cond_of(t.call),
         extra_pre,
     )
     return Trans(
@@ -564,66 +554,49 @@ def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
     return replace(sc, trans=(sc.trans - ts) | added)
 
 
-def _exit_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17
-    # final states are allowed: the exit action only runs when the state is
+# action attribute -> (the superstates whose transitions would run it, the
+# transitions it moves onto, the end of such a transition away from s)
+_MOVES = {
+    "exit": (_LEFT, outgoing_t, attrgetter("trg")),
+    "entry": (_ENTERED, ingoing_t, attrgetter("src")),
+}
+
+
+def _action_movable(attr: str, seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17, 19, 20
+    # final states may move their exit action: it only runs when the state is
     # left through a transition, which is exactly where the action moves to
     # (termination runs it in neither version)
     return (
         (SEQUENTIAL in sc.stereos) == seq
-        and s.exit is not None
+        and getattr(s, attr) is not None
+        and (attr == "exit" or "initial" not in s.modifiers)
         and simple_state(s, sc)
-        and not _above(_LEFT, s, sc)
+        and not _above(_MOVES[attr][0], s, sc)
     )
 
 
-def _move_exit(seq: bool, sc: SCFull, b: Binding) -> SCFull:
+def _move_action(attr: str, seq: bool, sc: SCFull, b: Binding) -> SCFull:
+    """Move the `attr` actions of s and of the superstates a transition
+    leaves (exit) or enters (entry) onto each such transition of s."""
     s = sc.state(b["s"])
-    outgoing = outgoing_t(s, sc)
+    _, transitions_of, far_end = _MOVES[attr]
+    ts = transitions_of(s, sc)
     moved = set()
-    for t in sorted(outgoing, key=trans_key):
-        chain = chain_below(s, lcs(s, sc.state(t.trg), sc), sc)
-        acts = [s.exit] + [st.exit for st in chain if st.exit is not None]
-        if seq:
-            act = Action(seq_actions_all(acts + [t.act or Action()]).stmt, action_post(t.act))
+    for t in sorted(ts, key=trans_key):
+        chain = chain_below(s, lcs(s, sc.state(far_end(t)), sc), sc)
+        own = [getattr(st, attr) for st in [s] + chain if getattr(st, attr) is not None]
+        # states are left innermost first, before t's action, and entered
+        # outermost first, after it
+        acts = own + [t.act or Action()] if attr == "exit" else [t.act or Action()] + own[::-1]
+        if not seq:
+            act = Action(tuple(x for a in acts for x in a.stmt), conj_opt(*(a.post for a in acts)))
         else:
-            act = Action(
-                tuple(x for a in acts for x in a.stmt) + action_stmt(t.act),
-                conj_opt(*(a.post for a in acts), action_post(t.act)),
-            )
+            act = seq_actions_all(acts)
+            if attr == "entry":  # rule 20 also keeps t's postcondition; rule 17 does not
+                act = Action(act.stmt, conj_opt(action_post(t.act), act.post))
         moved.add(replace(t, act=act))
-    return replace(sc.replace_state(s, replace(s, exit=None)),
-                   trans=(sc.trans - outgoing) | moved)
-
-
-def _entry_movable(seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 19, 20
-    return (
-        (SEQUENTIAL in sc.stereos) == seq
-        and s.entry is not None
-        and "initial" not in s.modifiers
-        and simple_state(s, sc)
-        and not _above(_ENTERED, s, sc)
-    )
-
-
-def _move_entry(seq: bool, sc: SCFull, b: Binding) -> SCFull:
-    s = sc.state(b["s"])
-    ingoing = ingoing_t(s, sc)
-    moved = set()
-    for t in sorted(ingoing, key=trans_key):
-        chain = chain_below(s, lcs(s, sc.state(t.src), sc), sc)
-        # entered outermost first: reverse of the upward chain, then s
-        acts = [st.entry for st in reversed(chain) if st.entry is not None] + [s.entry]
-        if seq:
-            act = Action(seq_actions_all([t.act or Action()] + acts).stmt,
-                         conj_opt(action_post(t.act), s.entry.post))
-        else:
-            act = Action(
-                action_stmt(t.act) + tuple(x for a in acts for x in a.stmt),
-                conj_opt(action_post(t.act), *(a.post for a in acts)),
-            )
-        moved.add(replace(t, act=act))
-    return replace(sc.replace_state(s, replace(s, entry=None)),
-                   trans=(sc.trans - ingoing) | moved)
+    return replace(sc.replace_state(s, replace(s, **{attr: None})),
+                   trans=(sc.trans - ts) | moved)
 
 
 def _action_removable(attr: str, at_or_above, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
@@ -762,16 +735,16 @@ RULES = (
     Rule(14, "elimPrio", _find_elim_prio, _elim_prio),
     Rule(15, "deleteFinalSub", partial(_find_delete_sub_mod, "final", final_irrelevant),
          partial(_delete_mod, "final")),
-    Rule(16, "moveExitActions", _each_state(partial(_exit_movable, False)),
-         partial(_move_exit, False)),
-    Rule(17, "moveExitActionsSeq", _each_state(partial(_exit_movable, True)),
-         partial(_move_exit, True)),
+    Rule(16, "moveExitActions", _each_state(partial(_action_movable, "exit", False)),
+         partial(_move_action, "exit", False)),
+    Rule(17, "moveExitActionsSeq", _each_state(partial(_action_movable, "exit", True)),
+         partial(_move_action, "exit", True)),
     Rule(18, "removeExitAction", _each_state(partial(_action_removable, "exit", _LEFT)),
          partial(_remove_action, "exit")),
-    Rule(19, "moveEntryActions", _each_state(partial(_entry_movable, False)),
-         partial(_move_entry, False)),
-    Rule(20, "moveEntryActionsSeq", _each_state(partial(_entry_movable, True)),
-         partial(_move_entry, True)),
+    Rule(19, "moveEntryActions", _each_state(partial(_action_movable, "entry", False)),
+         partial(_move_action, "entry", False)),
+    Rule(20, "moveEntryActionsSeq", _each_state(partial(_action_movable, "entry", True)),
+         partial(_move_action, "entry", True)),
     Rule(21, "removeEntryAction", _each_state(partial(_action_removable, "entry", _ENTERED)),
          partial(_remove_action, "entry")),
     Rule(22, "moveInvariant", _each_state(_inv_movable), _move_invariant),

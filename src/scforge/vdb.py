@@ -600,7 +600,7 @@ _PLAIN = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-$"
 def _atom(name: str) -> str:
     if name and all(c in _PLAIN for c in name) and not name[0].isdigit():
         return name
-    return "|" + name.replace("|", "\\|") + "|"
+    return "|" + name.replace("\\", "\\\\").replace("|", "\\|") + "|"
 
 
 def _value_sexpr(v) -> str:
@@ -696,6 +696,10 @@ def _read(tree, kinds: tuple):
     return out
 
 
+# Parenthesis tokens; a quoted atom `|(|` is the string "(", not one of them.
+_OPEN, _CLOSE = object(), object()
+
+
 def _sexpr_tokens(text: str):
     i, n = 0, len(text)
     while i < n:
@@ -703,7 +707,7 @@ def _sexpr_tokens(text: str):
         if c.isspace():
             i += 1
         elif c in "()":
-            yield c
+            yield _OPEN if c == "(" else _CLOSE
             i += 1
         elif c == "|":
             j = i + 1
@@ -729,16 +733,16 @@ def _read_sexpr(tokens: list, pos: int):
     if pos >= len(tokens):
         raise ValueError("unexpected end of input")
     tok = tokens[pos]
-    if tok == "(":
+    if tok is _OPEN:
         items = []
         pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
+        while pos < len(tokens) and tokens[pos] is not _CLOSE:
             item, pos = _read_sexpr(tokens, pos)
             items.append(item)
         if pos >= len(tokens):
             raise ValueError("missing closing parenthesis")
         return items, pos + 1
-    if tok == ")":
+    if tok is _CLOSE:
         raise ValueError("unexpected closing parenthesis")
     return tok, pos + 1
 

@@ -18,6 +18,7 @@ from scforge.actions import (
     PLit,
     PPlus,
     PVar,
+    TRUE,
     eval_cond,
     inp_name,
     match_call,
@@ -429,7 +430,7 @@ def test_criterion_9_action_language_oracles():
     for p1 in _patterns("a", 1):
         for p2 in _patterns("b", 1):
             call = Call("m", (p1, p2))
-            cond = match_cond_of(call)
+            cond = match_cond_of(call) or TRUE
             for v1 in VALUES:
                 for v2 in VALUES:
                     msg = Message("m", (v1, v2))

@@ -34,7 +34,6 @@ from scforge.actions import (
     SetTimer,
     StopTimer,
     TIMER_FLAG,
-    TRUE,
     UnboundVariable,
     call_expr_of,
     conj,
@@ -211,9 +210,10 @@ def test_call_expr_of_replaces_args_with_input_variables():
 def test_match_cond_of():
     c = Call("f", (PLit(3), PVar("x")))
     cond = match_cond_of(c)
-    assert cond == CAnd(CMatch("inp1", PLit(3)), TRUE)
+    assert cond == CMatch("inp1", PLit(3))
     assert eval_cond(cond, {"inp1": 3, "inp2": 9}, {}) is True
     assert eval_cond(cond, {"inp1": 4, "inp2": 9}, {}) is False
+    assert match_cond_of(Call("f", (PVar("x"), PVar("y")))) is None
 
 
 def test_is_reserved():

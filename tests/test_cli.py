@@ -616,3 +616,54 @@ def test_module_entry_point(buffer_file):
     )
     assert proc.returncode == 0
     assert "statechart Buffer" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    gen = subprocess.run(
+        [sys.executable, "-m", "scforge.cli", "gen", "--guard-free", "--seed", "36"],
+        capture_output=True, text=True, check=True,
+    )
+    chart = tmp_path / "gf.sc"
+    chart.write_text(gen.stdout)
+    # about 950 KB of runs, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scforge.cli", "vdb-run", str(chart),
+         "--events", ", ".join(["f()"] * 10)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"run 1:\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--states", "1"], "--states must be at least 3, not 1"),
+    (["gen", "--states", "2"], "--states must be at least 3, not 2"),
+    (["gen", "--states", "1", "--guard-free"], "--states must be at least 2, not 1"),
+    (["conform", "{chart}", "f.json", "p.json", "--bound", "-2"],
+     "--bound must be at least 0, not -2"),
+    (["transform", "{chart}", "--max-steps", "-1"], "--max-steps must be at least 0, not -1"),
+    (["run", "{chart}", "--events", "put(1)", "--max-steps", "-1"],
+     "--max-steps must be at least 0, not -1"),
+    (["vdb-run", "{chart}", "--events", "get()", "--max-steps", "-1"],
+     "--max-steps must be at least 0, not -1"),
+])
+def test_out_of_range_numbers_are_one_line_usage_errors(capsys, buffer_file, argv, message):
+    code, out, err = run_cli(capsys, *(a.format(chart=buffer_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_smallest_numbers_are_accepted(capsys, buffer_file):
+    assert run_cli(capsys, "gen", "--states", "3")[0] == 0
+    assert run_cli(capsys, "gen", "--states", "2", "--guard-free")[0] == 0
+    assert run_cli(capsys, "vdb-run", buffer_file, "--events", "get()", "--max-steps", "0",
+                   "--domain", "0")[0] == 0
+    code, out, _ = run_cli(capsys, "conform", buffer_file,
+                           str(FIXTURES / "fig_ok_fragment.json"),
+                           str(FIXTURES / "buffer_projection.json"), "--bound", "0")
+    assert code == 1 and "not realized within 0 steps" in out

@@ -606,6 +606,12 @@ def test_sexpr_quotes_nonplain_names():
     assert term_from_sexpr(text) == Basic("NonEmpty(3)")
 
 
+@pytest.mark.parametrize("name", ["(", ")", "\\", "a\\b", "|", "a|b", "\\|", "( )", ""])
+def test_sexpr_round_trips_names_with_delimiters_and_escapes(name):
+    t = Basic(name, (Sym(name, (1,)),), ())
+    assert term_from_sexpr(term_to_sexpr(t)) == t
+
+
 def test_sexpr_errors():
     with pytest.raises(ValueError):
         term_from_sexpr("(basic A ()")  # unbalanced
