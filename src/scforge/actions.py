@@ -7,7 +7,7 @@ Everything here is an immutable value; evaluation never mutates its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 # Reserved names: generated input parameters, the timer flag, and the
@@ -474,49 +474,48 @@ def seq_actions_all(actions: list[Action]) -> Action:
     return out
 
 
-def cond_vars(c: Cond) -> set[str]:
-    """Free variables of a condition."""
-    if isinstance(c, CVar):
-        return {c.name}
-    if isinstance(c, CNot):
-        return cond_vars(c.operand)
-    if isinstance(c, (CAnd, COr)):
-        return cond_vars(c.left) | cond_vars(c.right)
-    if isinstance(c, CCmp):
-        return expr_vars(c.left) | expr_vars(c.right)
-    if isinstance(c, CMatch):
-        return {c.var}
-    return set()
+# ---------------------------------------------------------------------------
+# Traversal: one walk serves every question about where a variable sits
+
+_NODES = (Expr, Cond, StmtPrim, Action)
 
 
-def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, EBin):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, ECons):
-        return expr_vars(e.head) | expr_vars(e.tail)
-    if isinstance(e, EList):
-        out: set[str] = set()
-        for item in e.items:
-            out |= expr_vars(item)
-        return out
-    return set()
+def _children(x) -> dict:
+    """The direct subtrees of an expression, condition, statement or action:
+    the items of a tuple by position, and the fields of a node that hold a
+    node or a tuple by name. A literal's value is data, not a subtree; names,
+    patterns and an absent condition are leaves."""
+    if isinstance(x, tuple):
+        return dict(enumerate(x))
+    if not isinstance(x, _NODES) or isinstance(x, ELit):
+        return {}
+    return {f: getattr(x, f) for f in x.__dataclass_fields__
+            if isinstance(getattr(x, f), _NODES + (tuple,))}
 
 
-def stmt_read_vars(s: Stmt) -> set[str]:
-    """Variables read by a statement (assign targets are not reads)."""
-    out: set[str] = set()
-    for prim in s:
-        if isinstance(prim, Assign):
-            out |= expr_vars(prim.expr)
-        elif isinstance(prim, Send):
-            for a in prim.args:
-                out |= expr_vars(a)
-        elif isinstance(prim, Check):
-            out |= cond_vars(prim.cond)
-    return out
+def reads(x) -> set[str]:
+    """The variables that an expression, condition, statement or action
+    reads. An assignment's target is written, not read."""
+    if isinstance(x, (EVar, CVar)):
+        return {x.name}
+    if isinstance(x, CMatch):
+        return {x.var}
+    return set().union(*map(reads, _children(x).values()))
 
 
-def stmt_sends(s: Stmt) -> list[Send]:
-    return [prim for prim in s if isinstance(prim, Send)]
+def rename(x, m: dict[str, Expr]):
+    """x with each variable it reads that `m` maps replaced by its image. A
+    condition's own variable (`CVar`, `CMatch`) takes only a plain variable;
+    assignment targets stay."""
+    if isinstance(x, EVar):
+        return m.get(x.name, x)
+    if isinstance(x, CVar):
+        r = m.get(x.name)
+        return CVar(r.name) if isinstance(r, EVar) else x
+    if isinstance(x, CMatch):
+        r = m.get(x.var)
+        return CMatch(r.name, x.pattern) if isinstance(r, EVar) else x
+    kids = {f: rename(v, m) for f, v in _children(x).items()}
+    if isinstance(x, tuple):
+        return tuple(kids.values())
+    return replace(x, **kids) if kids else x

@@ -18,12 +18,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .actions import (
     Action,
     Call,
-    CMatch,
     CNot,
     Cond,
     EBin,
-    ECons,
-    EList,
     ELit,
     EVar,
     Expr,
@@ -33,20 +30,15 @@ from .actions import (
     StopTimer,
     TIMEOUT,
     TRUE,
-    Assign,
-    Check,
-    Send,
     action_post,
     action_stmt,
     call_expr_of,
+    conj,
     conj_opt,
     inp_name,
     match_cond_of,
+    rename,
     seq_actions_all,
-    CAnd,
-    COr,
-    CCmp,
-    CVar,
 )
 from .ast import (
     COMPLETION_CHAOS,
@@ -283,65 +275,9 @@ def _subst_map(call: Call) -> dict[str, Expr]:
     return out
 
 
-def _subst_expr(e: Expr, m: dict[str, Expr]) -> Expr:
-    if isinstance(e, EVar):
-        return m.get(e.name, e)
-    if isinstance(e, EBin):
-        return EBin(e.op, _subst_expr(e.left, m), _subst_expr(e.right, m))
-    if isinstance(e, ECons):
-        return ECons(_subst_expr(e.head, m), _subst_expr(e.tail, m))
-    if isinstance(e, EList):
-        return EList(tuple(_subst_expr(x, m) for x in e.items))
-    return e
-
-
-def _subst_cond(c: Cond, m: dict[str, Expr]) -> Cond:
-    if isinstance(c, CVar):
-        r = m.get(c.name)
-        return CVar(r.name) if isinstance(r, EVar) else c
-    if isinstance(c, CNot):
-        return CNot(_subst_cond(c.operand, m))
-    if isinstance(c, CAnd):
-        return CAnd(_subst_cond(c.left, m), _subst_cond(c.right, m))
-    if isinstance(c, COr):
-        return COr(_subst_cond(c.left, m), _subst_cond(c.right, m))
-    if isinstance(c, CCmp):
-        return CCmp(c.op, _subst_expr(c.left, m), _subst_expr(c.right, m))
-    if isinstance(c, CMatch):
-        r = m.get(c.var)
-        return CMatch(r.name, c.pattern) if isinstance(r, EVar) else c
-    return c
-
-
-def _subst_stmt(s, m: dict[str, Expr]):
-    out = []
-    for prim in s:
-        if isinstance(prim, Assign):
-            out.append(Assign(prim.var, _subst_expr(prim.expr, m)))
-        elif isinstance(prim, Send):
-            out.append(Send(prim.name, tuple(_subst_expr(a, m) for a in prim.args), prim.exception))
-        elif isinstance(prim, Check):
-            out.append(Check(_subst_cond(prim.cond, m)))
-        else:
-            out.append(prim)
-    return tuple(out)
-
-
-def _subst_action(a: Optional[Action], m: dict[str, Expr]) -> Optional[Action]:
-    if a is None:
-        return None
-    return Action(
-        _subst_stmt(a.stmt, m),
-        None if a.post is None else _subst_cond(a.post, m),
-    )
-
-
 def _fire_cond(t: Trans) -> Cond:
     """pre && match for a transition, under its own input renaming."""
-    m = _subst_map(t.call)
-    pre = None if t.pre is None else _subst_cond(t.pre, m)
-    c = conj_opt(pre, match_cond_of(t.call))
-    return c if c is not None else TRUE
+    return conj(rename(t.pre, _subst_map(t.call)), match_cond_of(t.call))
 
 
 def _neg_precond(ts) -> Optional[Cond]:
@@ -354,17 +290,13 @@ def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = No
     """Rebuild t with its call's patterns replaced by input variables; the
     pattern constraints and `extra_pre` join the precondition."""
     m = _subst_map(t.call)
-    pre = conj_opt(
-        None if t.pre is None else _subst_cond(t.pre, m),
-        match_cond_of(t.call),
-        extra_pre,
-    )
+    pre = conj_opt(rename(t.pre, m), match_cond_of(t.call), extra_pre)
     return Trans(
         None if drop_prio else t.prio,
         src if src is not None else t.src,
         pre,
         call_expr_of(t.call),
-        _subst_action(t.act, m),
+        rename(t.act, m),
         trg if trg is not None else t.trg,
     )
 

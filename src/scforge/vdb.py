@@ -43,7 +43,7 @@ from .actions import (
     action_post,
     action_stmt,
     exec_stmt,
-    stmt_read_vars,
+    reads,
 )
 from .ast import SCFull, SCSimp, hash_once
 from .printer import print_value
@@ -494,7 +494,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     if problems:
         raise NotGuardFree(problems)
 
-    assigns, reads = {}, {}  # flat charts: per transition, the variables it writes and reads
+    assigns, uses = {}, {}  # flat charts: per transition, the variables it writes and reads
     sends = {}  # hierarchical charts: per transition, its ground send symbols
     for t in index.trans:
         where, stmt = f"transition {t.src}->{t.trg}", action_stmt(t.act)
@@ -517,14 +517,14 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
         problems += [f"{where} uses a non send/assign statement"
                      for p in stmt if not isinstance(p, (Send, Assign))]
         assigns[t] = {p.var for p in stmt if isinstance(p, Assign)}
-        reads[t] = stmt_read_vars(stmt) - params
+        uses[t] = reads(stmt) - params
     data_vars = set().union(*assigns.values())
     if len(data_vars) > 1:
         problems.append(f"more than one data variable: {', '.join(sorted(data_vars))}")
     # reads are checked on charts that pass the other checks
     problems = problems or [f"transition {t.src}->{t.trg} reads {name}, which is neither "
                             "the data variable nor the event parameter"
-                            for t, names in reads.items() for name in sorted(names - data_vars)]
+                            for t, names in uses.items() for name in sorted(names - data_vars)]
     if problems:
         raise NotGuardFree(problems)
 
@@ -534,7 +534,7 @@ def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None)
     # a state carries the variable when an ingoing transition assigns it or
     # an outgoing one reads it
     carriers = ({t.trg for t, names in assigns.items() if var in names}
-                | {t.src for t, names in reads.items() if var in names})
+                | {t.src for t, names in uses.items() if var in names})
     counter = itertools.count(1)
 
     def child(s, d) -> Term:

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .actions import (
-    Action,
     Assign,
     Call,
-    Cond,
     Send,
-    cond_vars,
+    action_post,
+    action_stmt,
     fits,
     pattern_vars,
-    stmt_read_vars,
-    stmt_sends,
+    reads,
 )
 from .ast import (
     COMPLETION_ERROR,
@@ -113,6 +111,19 @@ def _call_vars(call: Call) -> list[str]:
     return [v for a in call.args for v in pattern_vars(a)]
 
 
+def _actions(sc: SCFull) -> Iterator[tuple]:
+    """Each action of the chart, as (its precondition, the names its event
+    binds, the subject its violations name, the action itself): the possibly
+    absent action of every transition and internal transition, and every
+    entry, do and exit action of a state."""
+    for x, subject in _triggered(sc):
+        yield x.pre, set(_call_vars(x.call)), subject, x.act
+    for s in sc.sorted_states():
+        for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
+            if act is not None:
+                yield None, set(), f"state {s.name} {what}", act
+
+
 def _check_shared(sc: Union[SCFull, SCSimp]) -> list[Violation]:
     """CC4, CC7 and CC12, which apply to both chart kinds."""
     out: list[Violation] = []
@@ -201,26 +212,17 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
     # CC10 (direct approximation): statements may not send a message whose
     # name is one of the chart's triggers.
     trig = triggers(sc)
-
-    def check_sends(act: Optional[Action], subject: str):
-        if act is None:
-            return
-        for send in stmt_sends(act.stmt):
-            if send.name in trig:
+    for _, _, subject, act in _actions(sc):
+        for prim in action_stmt(act):
+            if isinstance(prim, Send) and prim.name in trig:
                 out.append(
                     Violation(
                         "CC10",
                         subject,
-                        f"statement sends {send.name}, a trigger of this statechart "
+                        f"statement sends {prim.name}, a trigger of this statechart "
                         "(direct-call approximation)",
                     )
                 )
-
-    for x, subject in _triggered(sc):
-        check_sends(x.act, subject)
-    for s in sc.sorted_states():
-        for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
-            check_sends(act, f"state {s.name} {what}")
 
     # CC13/CC14: constructor and finalize call life-cycle restrictions.
     ingoing, outgoing = sc.index.ingoing, sc.index.outgoing
@@ -270,46 +272,25 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
     attrs = set(ctx.attributes)
 
     # CC8: invariants refer only to declared attributes.
-    def check_inv(inv: Optional[Cond], subject: str):
-        if inv is None:
-            return
-        for v in sorted(cond_vars(inv) - attrs):
+    for inv, subject in [(sc.inv, chart)] + [(s.inv, f"state {s.name}") for s in sc.sorted_states()]:
+        for v in sorted(reads(inv) - attrs):
             out.append(Violation("CC8", subject, f"invariant refers to undeclared {v}"))
 
-    check_inv(sc.inv, chart)
-    for s in sc.sorted_states():
-        check_inv(s.inv, f"state {s.name}")
-
     # CC9: pre/postconditions may additionally use the event's arguments.
-    def check_prepost(pre: Optional[Cond], act: Optional[Action], args: set[str], subject: str):
-        for cond, what in ((pre, "precondition"), (act.post if act else None, "postcondition")):
-            if cond is None:
-                continue
-            for v in sorted(cond_vars(cond) - attrs - args):
-                out.append(Violation("CC9", subject, f"{what} refers to undeclared {v}"))
-
     # CC11: statements read/write declared attributes and call declared methods.
-    def check_stmt(act: Optional[Action], args: set[str], subject: str):
-        if act is None:
-            return
-        for v in sorted(stmt_read_vars(act.stmt) - attrs - args):
+    for pre, args, subject, act in _actions(sc):
+        for cond, what in ((pre, "precondition"), (action_post(act), "postcondition")):
+            for v in sorted(reads(cond) - attrs - args):
+                out.append(Violation("CC9", subject, f"{what} refers to undeclared {v}"))
+        for v in sorted(reads(action_stmt(act)) - attrs - args):
             out.append(Violation("CC11", subject, f"statement reads undeclared {v}"))
-        for prim in act.stmt:
+        for prim in action_stmt(act):
             if isinstance(prim, Assign) and prim.var not in attrs:
                 out.append(Violation("CC11", subject, f"statement assigns undeclared {prim.var}"))
             if isinstance(prim, Send) and (prim.name, len(prim.args)) not in ctx.methods:
                 out.append(
                     Violation("CC11", subject, f"statement calls undeclared {prim.name}/{len(prim.args)}")
                 )
-
-    for x, subject in _triggered(sc):
-        args = set(_call_vars(x.call))
-        check_prepost(x.pre, x.act, args, subject)
-        check_stmt(x.act, args, subject)
-    for s in sc.sorted_states():
-        for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
-            check_prepost(None, act, set(), f"state {s.name} {what}")
-            check_stmt(act, set(), f"state {s.name} {what}")
 
     return out
 

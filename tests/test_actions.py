@@ -14,9 +14,12 @@ from scforge.actions import (
     Call,
     CAnd,
     CCmp,
+    CFalse,
     Check,
     CMatch,
+    CNot,
     ConflictingValuation,
+    COr,
     CTrue,
     CVar,
     EBin,
@@ -47,6 +50,8 @@ from scforge.actions import (
     match_pattern,
     merge,
     pattern_vars,
+    reads,
+    rename,
     seq_actions,
     values_equal,
 )
@@ -300,6 +305,52 @@ def test_seq_actions_checks_intermediate_condition():
     bad = seq_actions(Action((Assign("x", ELit(1)),), CCmp("==", EVar("x"), ELit(9))), a2)
     with pytest.raises(ActionConditionViolated):
         exec_stmt(bad.stmt, {}, {})
+
+
+# -- the one traversal: reads and rename -------------------------------------
+
+V, W = EVar("v"), EVar("w")
+INP1, INP2_1 = EVar("inp1"), EBin("-", EVar("inp2"), ELit(1))
+RENAMING = {"v": INP1, "w": INP2_1}
+CONS = PCons(PVar("h"), PVar("t"))
+
+# (term, the variables it reads, the term under RENAMING)
+TRAVERSAL_TABLE = [
+    (W, {"w"}, INP2_1),
+    (ELit((1, (2, True))), set(), ELit((1, (2, True)))),
+    (EBin("+", V, EVar("u")), {"v", "u"}, EBin("+", INP1, EVar("u"))),
+    (ECons(W, EVar("t")), {"w", "t"}, ECons(INP2_1, EVar("t"))),
+    (EList((V, ELit(3))), {"v"}, EList((INP1, ELit(3)))),
+    (CTrue(), set(), CTrue()),
+    (CFalse(), set(), CFalse()),
+    (CVar("v"), {"v"}, CVar("inp1")),
+    (CNot(CVar("u")), {"u"}, CNot(CVar("u"))),
+    (CAnd(CVar("v"), CCmp("<", W, ELit(2))), {"v", "w"},
+     CAnd(CVar("inp1"), CCmp("<", INP2_1, ELit(2)))),
+    (COr(CFalse(), CVar("v")), {"v"}, COr(CFalse(), CVar("inp1"))),
+    (CCmp("==", W, V), {"w", "v"}, CCmp("==", INP2_1, INP1)),
+    # a pattern's variables are bound by the match, not read
+    (CMatch("v", CONS), {"v"}, CMatch("inp1", CONS)),
+    # an assignment's target is neither read nor renamed
+    (Assign("v", W), {"w"}, Assign("v", INP2_1)),
+    (Send("o", (V, ELit(1)), True), {"v"}, Send("o", (INP1, ELit(1)), True)),
+    (SetTimer(), set(), SetTimer()),
+    (StopTimer(), set(), StopTimer()),
+    (Check(CVar("v")), {"v"}, Check(CVar("inp1"))),
+    ((Assign("u", V), Send("o", (EVar("u"),))), {"v", "u"},
+     (Assign("u", INP1), Send("o", (EVar("u"),)))),
+    (Action((Assign("x", V),), CCmp("==", W, EVar("x"))), {"v", "w", "x"},
+     Action((Assign("x", INP1),), CCmp("==", INP2_1, EVar("x")))),
+    (Action((SetTimer(),)), set(), Action((SetTimer(),))),
+    (None, set(), None),
+]
+
+
+@pytest.mark.parametrize("term, read, renamed", TRAVERSAL_TABLE)
+def test_reads_and_rename_visit_every_node_type(term, read, renamed):
+    assert reads(term) == read
+    assert rename(term, RENAMING) == renamed
+    assert rename(term, {}) == term
 
 
 # -- properties -------------------------------------------------------------
