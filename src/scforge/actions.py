@@ -504,16 +504,26 @@ def reads(x) -> set[str]:
 
 
 def rename(x, m: dict[str, Expr]):
-    """x with each variable it reads that `m` maps replaced by its image. A
-    condition's own variable (`CVar`, `CMatch`) takes only a plain variable;
-    assignment targets stay."""
+    """x with each variable it reads that `m` maps replaced by its image;
+    assignment targets stay. `m` maps a variable to a plain variable, or a
+    `v+k` pattern variable to `inp - k`, an int. A condition's own variable
+    (`CVar`, `CMatch`) takes no expression, so over `inp - k` the condition
+    moves onto `inp`: the literal n becomes n + k, and every other pattern
+    matches every int or none; a bare variable holds where it is not 0."""
     if isinstance(x, EVar):
         return m.get(x.name, x)
     if isinstance(x, CVar):
         r = m.get(x.name)
+        if isinstance(r, EBin):
+            return CNot(rename(CMatch(x.name, PLit(0)), m))
         return CVar(r.name) if isinstance(r, EVar) else x
     if isinstance(x, CMatch):
         r = m.get(x.var)
+        if isinstance(r, EBin):
+            p = x.pattern
+            if isinstance(p, PLit) and type(p.value) is int:
+                p = PLit(p.value + r.right.value)
+            return CMatch(r.left.name, p)
         return CMatch(r.name, x.pattern) if isinstance(r, EVar) else x
     kids = {f: rename(v, m) for f, v in _children(x).items()}
     if isinstance(x, tuple):

@@ -331,6 +331,14 @@ TRAVERSAL_TABLE = [
     (CCmp("==", W, V), {"w", "v"}, CCmp("==", INP2_1, INP1)),
     # a pattern's variables are bound by the match, not read
     (CMatch("v", CONS), {"v"}, CMatch("inp1", CONS)),
+    # over `inp2 - 1` a condition moves onto inp2: w is an int, a literal
+    # shifts by 1, any other pattern matches every int or none, and a bare w
+    # holds where it is not 0
+    (CMatch("w", PLit(2)), {"w"}, CMatch("inp2", PLit(3))),
+    (CMatch("w", PLit(True)), {"w"}, CMatch("inp2", PLit(True))),
+    (CMatch("w", CONS), {"w"}, CMatch("inp2", CONS)),
+    (CMatch("w", PPlus("y", 4)), {"w"}, CMatch("inp2", PPlus("y", 4))),
+    (CVar("w"), {"w"}, CNot(CMatch("inp2", PLit(1)))),
     # an assignment's target is neither read nor renamed
     (Assign("v", W), {"w"}, Assign("v", INP2_1)),
     (Send("o", (V, ELit(1)), True), {"v"}, Send("o", (INP1, ELit(1)), True)),
@@ -351,6 +359,17 @@ def test_reads_and_rename_visit_every_node_type(term, read, renamed):
     assert reads(term) == read
     assert rename(term, RENAMING) == renamed
     assert rename(term, {}) == term
+
+
+def test_rename_onto_an_offset_input_keeps_what_a_condition_means():
+    # w is bound to inp2 - 1 exactly when inp2 is an int; over every such
+    # int, a condition on w holds where its renaming holds on inp2
+    conds = [CVar("w")] + [CMatch("w", p) for p in small_patterns(1)]
+    conds += [CMatch("w", PLit(n)) for n in range(-2, 3)]
+    for c in conds:
+        for n in range(-3, 4):
+            renamed = rename(c, RENAMING)
+            assert eval_cond(c, {}, {"w": n}) == eval_cond(renamed, {}, {"inp2": n + 1}), (c, n)
 
 
 # -- properties -------------------------------------------------------------

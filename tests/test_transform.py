@@ -17,11 +17,13 @@ from scforge.actions import (
     StopTimer,
     TIMEOUT,
     TRUE,
+    reads,
 )
 import pickle
 from dataclasses import fields, replace
 
 from scforge import transform
+from scforge.flatinterp import explore_emissions, parse_message, run
 from scforge.ast import FullState, InternT, SCFull, Trans, trans_key
 from scforge.gen import gen_chart
 from scforge.parse import parse
@@ -534,6 +536,30 @@ def test_elim_prio_negates_higher_priorities():
     from scforge.actions import EVar
 
     assert high.act.stmt == (Send("out", (EVar("inp1"),)),)
+
+
+# A guard over a `v+k` pattern variable: normalisation replaces the variable
+# by `inp1 - 1`, so a condition left on the variable would read it unbound.
+@pytest.mark.parametrize("stereo, body, events, expected", [
+    ("completion:ignore", "A -> B : [matches(x, 2)] f(x+1) / o(x);", "f(4), f(3)", ["o(2)"]),
+    ("completion:ignore", "A -> B : [x] f(x+1) / o(x);", "f(1), f(3)", ["o(2)"]),
+    ("completion:ignore", "A -> B : [x] f(x+1) / o(x);", "f([1]), f(true), f(3)", ["o(2)"]),
+    ("prio:inner", "<<prio=2>> A -> B : [x] f(x+1) / o(x); <<prio=1>> A -> A : f(y) / p(y);",
+     "f(1), f(3)", ["p(1)", "o(2)"]),
+])
+def test_normalised_guards_over_offset_variables_keep_behaviour(stereo, body, events, expected):
+    text = f"statechart P for C <<{stereo}>> {{ initial state A; state B; {body} }}"
+    flat = to_simplified(transform_fixpoint(parse(text))[0])
+    normalised = [t for t in flat.transitions if t.call == Call("f", (PVar("inp1"),))]
+    assert normalised and all(reads(t.pre) <= {"inp1"} for t in normalised)
+    printed = print_chart(flat)
+    inputs = [parse_message(m) for m in events.split(", ")]
+    emitted = tuple(parse_message(m) for m in expected)
+    for sc in (flat, to_simplified(parse(printed, allow_reserved=True))):
+        result = run(sc, "A", inputs)
+        assert result.quiescent and result.final.current == "B"
+        assert result.emissions == emitted
+        assert explore_emissions(sc, "A", inputs) == {(emitted, "quiescent")}
 
 
 def test_prio_inner_vs_outer_structural():
