@@ -347,8 +347,8 @@ def _at_least(flag: str, value: int, minimum: int) -> int:
 
 
 def _int_at_least(flag: str, minimum: int):
-    """argparse type: an integer of at least `minimum`. A smaller one is a
-    one-line usage error; a non-integer stays argparse's own error."""
+    """argparse type: an integer of at least `minimum`; a smaller one is a
+    usage error."""
     return lambda text: _at_least(flag, int(text), minimum)
 
 
@@ -364,8 +364,16 @@ def _add_transform_flags(p, max_steps_help="rewrite step bound (default 10000)")
                    help=max_steps_help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line usage errors; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="scforge",
         description="Statechart toolkit: parse, check, flatten, run, and "
         "compare charts against system-model fragments.",

@@ -658,6 +658,28 @@ def test_out_of_range_numbers_are_one_line_usage_errors(capsys, buffer_file, arg
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--seed", "abc"], "scforge gen: argument --seed: invalid int value: 'abc'"),
+    (["run"], "scforge run: the following arguments are required: chart, --events"),
+    # how argparse lists the choices differs between Python versions
+    (["run", "{chart}", "--events", "get()", "--match", "nope"],
+     "scforge run: argument --match: invalid choice: 'nope' (choose from "),
+    ([], "scforge: the following arguments are required: command"),
+])
+def test_argument_errors_are_one_line_usage_errors(capsys, buffer_file, argv, message):
+    code, out, err = run_cli(capsys, *(a.format(chart=buffer_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: scforge") and err == ""
+
+
 def test_smallest_numbers_are_accepted(capsys, buffer_file):
     assert run_cli(capsys, "gen", "--states", "3")[0] == 0
     assert run_cli(capsys, "gen", "--states", "2", "--guard-free")[0] == 0
