@@ -477,7 +477,7 @@ def seq_actions_all(actions: list[Action]) -> Action:
 # ---------------------------------------------------------------------------
 # Traversal: one walk serves every question about where a variable sits
 
-_NODES = (Expr, Cond, StmtPrim, Action)
+_TREES = (Expr, Cond, StmtPrim, Action, tuple)
 
 
 def _children(x) -> dict:
@@ -487,10 +487,9 @@ def _children(x) -> dict:
     patterns and an absent condition are leaves."""
     if isinstance(x, tuple):
         return dict(enumerate(x))
-    if not isinstance(x, _NODES) or isinstance(x, ELit):
+    if not isinstance(x, _TREES) or isinstance(x, ELit):
         return {}
-    return {f: getattr(x, f) for f in x.__dataclass_fields__
-            if isinstance(getattr(x, f), _NODES + (tuple,))}
+    return {f: v for f in x.__dataclass_fields__ if isinstance(v := getattr(x, f), _TREES)}
 
 
 def reads(x) -> set[str]:
