@@ -375,6 +375,10 @@ def _lookup(name: str, env: Valuation) -> Value:
         raise UnboundVariable(name) from None
 
 
+def _operand_error(op: str, left: Value, right: Value) -> ActionError:
+    return ActionError(f"cannot apply {op} to {left!r} and {right!r}")
+
+
 def eval_expr(e: Expr, env: Valuation) -> Value:
     if isinstance(e, EVar):
         return _lookup(e.name, env)
@@ -383,7 +387,10 @@ def eval_expr(e: Expr, env: Valuation) -> Value:
     if isinstance(e, EBin):
         left = eval_expr(e.left, env)
         right = eval_expr(e.right, env)
-        return left + right if e.op == "+" else left - right
+        try:
+            return left + right if e.op == "+" else left - right
+        except TypeError:
+            raise _operand_error(e.op, left, right) from None
     if isinstance(e, ECons):
         tail = eval_expr(e.tail, env)
         if not isinstance(tail, tuple):
@@ -427,10 +434,13 @@ def _eval_cond(c: Cond, env: Valuation) -> bool:
         right = eval_expr(c.right, env)
         if c.op == "==":
             return left == right
-        if c.op == "<":
-            return left < right
-        if c.op == "<=":
-            return left <= right
+        try:
+            if c.op == "<":
+                return left < right
+            if c.op == "<=":
+                return left <= right
+        except TypeError:
+            raise _operand_error(c.op, left, right) from None
         raise TypeError(f"bad comparison operator {c.op!r}")
     if isinstance(c, CMatch):
         return match_pattern(c.pattern, _lookup(c.var, env)) is not None

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import ClassVar, Optional, Union
 
 from .actions import Action, Call, Cond
@@ -134,7 +136,7 @@ class SCFull:
 class ChartIndex:
     """Structural lookups over one chart value, full or simplified, built on
     first use and kept with it; each part past the name lookups is built
-    when first read.
+    when first read, unless `derive` patched it from a parent chart's.
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `outgoing_in_order` maps it
@@ -149,10 +151,51 @@ class ChartIndex:
     """
 
     def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset()):
-        self._trans = trans
-        self.states = tuple(sorted(states, key=lambda s: s.name))
+        self._trans, self._sub = trans, sub
+        self.states = tuple(sorted(states, key=_NAME))
         self.by_name = {s.name: s for s in self.states}
         self.parent = dict(sorted(sub))
+
+    def derive(self, chart: "SCFull", dstates: frozenset, dtrans: frozenset) -> "ChartIndex":
+        """The index of `chart`, whose states and transitions differ from
+        this index's chart's by the symmetric differences `dstates` and
+        `dtrans`. Over the same substate relation and state names, it shares
+        this index's `parent` map and patches the other parts where those
+        differences fall: `ancestors` below the changed states, and the
+        `*_at_or_above` sets only when a state gained its first or lost its
+        last transition in their direction (the sorted transitions are built
+        on first read). Otherwise the index is built afresh."""
+        added = {s.name: s for s in dstates if s in chart.states}
+        removed = {s.name for s in dstates if s not in chart.states}
+        if ((chart.sub is not self._sub and chart.sub != self._sub) or removed != added.keys()
+                or len(added) + len(removed) != len(dstates)
+                or len(self.by_name) != len(self.states)):
+            return ChartIndex(chart.states, chart.trans, chart.sub)
+        new = ChartIndex.__new__(ChartIndex)
+        new._trans, new._sub, new.parent = chart.trans, self._sub, self.parent
+        new.states, new.by_name, new.children = self.states, self.by_name, self.children
+        new.ancestors = self.ancestors
+        if all(name in self.parent for name in added):  # no top-level state changed
+            new.top_names = self.top_names
+        if added:
+            new.by_name = {**self.by_name, **added}
+            states = list(self.states)
+            for name, s in added.items():
+                states[bisect_left(self.states, name, key=_NAME)] = s
+            new.states = tuple(states)
+            new.children = _regrouped(self.children, dstates, lambda s: self.parent.get(s.name))
+            new.ancestors = ancestors = dict(self.ancestors)
+            for name in sorted(added, key=lambda n: len(ancestors.get(n, ()))):  # outermost first
+                if name in ancestors:
+                    above = (added[name],) + ancestors[name]
+                    new._chains(ancestors, [(c, above) for c in new.children.get(name, ())])
+        for edges, end in (("ingoing", _TRG), ("outgoing", _SRC)):
+            was = getattr(self, edges)
+            now = vars(new)[edges] = _regrouped(was, dtrans, end)
+            if all((end(t) in was) == (end(t) in now) for t in dtrans):
+                at_or_above = edges + "_at_or_above"
+                vars(new)[at_or_above] = getattr(self, at_or_above)
+        return new
 
     @cached_property
     def trans(self) -> tuple:
@@ -184,8 +227,11 @@ class ChartIndex:
 
     @cached_property
     def ancestors(self) -> dict[str, tuple]:
-        out: dict[str, tuple] = {}
-        todo = [(s, ()) for s in self.children.get(None, ())]
+        return self._chains({}, [(s, ()) for s in self.children.get(None, ())])
+
+    def _chains(self, out: dict, todo: list) -> dict:
+        """`out` with the ancestor chain of each state on `todo`, given with
+        its chain, and of every state below it."""
         while todo:
             s, above = todo.pop()
             out[s.name] = above
@@ -211,6 +257,25 @@ class ChartIndex:
                 out.update(c.name for c in below)
             todo.extend(below)
         return frozenset(out)
+
+
+_NAME, _SRC, _TRG = attrgetter("name"), attrgetter("src"), attrgetter("trg")
+
+
+def _regrouped(groups: dict, diff, key) -> dict:
+    """`groups` (frozensets by key, as `group_by` builds them) after each
+    item of `diff`, a symmetric difference between two versions of the
+    grouped items, has entered or left its group."""
+    if not diff:
+        return groups
+    out = dict(groups)
+    for k, d in group_by(diff, key).items():
+        group = out.get(k, frozenset()) ^ d
+        if group:
+            out[k] = group
+        else:
+            del out[k]
+    return out
 
 
 def group_by(items, key, kind=frozenset) -> dict:

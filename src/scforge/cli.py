@@ -245,6 +245,8 @@ def _load_term(path: str, domain):
             return vdb.encode_guard_free(sc, domain=domain)
         except (vdb.NotGuardFree, vdb.UnboundedValueDomain) as e:
             raise UsageError(f"{path}: {e}")
+        except ActionError as e:
+            raise _action_error(e)
     try:
         return vdb.term_from_sexpr(text)
     except ValueError as e:

@@ -302,18 +302,21 @@ def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = No
 
 
 # ---------------------------------------------------------------------------
-# The rules. A find function yields the items of each binding of its rule on
-# a chart, in the order the paper strategy tries them; an apply function
-# rewrites the chart for one binding. Paired rules share a function that takes
-# the modifier, stereotype or action they differ in.
+# The rules. Every rule but 4, 8 and 23-27 binds a state `s` first: its
+# matcher lists the items of each binding at one state, and its bindings on a
+# chart are those of every state in turn. The other rules have a find
+# function over the whole chart. Either lists the bindings in the order the
+# paper strategy tries them; an apply function rewrites the chart for one
+# binding. Paired rules share a function that takes the modifier, stereotype
+# or action they differ in.
 
 def _intern_key(it: InternT):
     return (it.call.name, len(it.call.args), repr(it.pre), repr(it.act))
 
 
-def _each_state(pred):
-    """Find function binding `s` to the name of each state with pred(s, sc)."""
-    return lambda sc: ((("s", s.name),) for s in sc.sorted_states() if pred(s, sc))
+def _when(pred):
+    """The matcher binding `s` to the state's name where pred(s, sc) holds."""
+    return lambda s, sc: [(("s", s.name),)] if pred(s, sc) else []
 
 
 def _with_timer(a: Optional[Action], prim) -> Action:
@@ -332,11 +335,10 @@ def _elim_do(sc: SCFull, b: Binding) -> SCFull:  # rule 1
     ))
 
 
-def _find_internal(composite: bool, sc: SCFull):  # rules 2, 3
-    for s in sc.sorted_states():
-        if bool(substates(s, sc)) == composite:
-            for it in sorted(s.internT, key=_intern_key):
-                yield (("s", s.name), ("inT", it))
+def _internal_at(composite: bool, s: FullState, sc: SCFull) -> list:  # rules 2, 3
+    if not s.internT or bool(substates(s, sc)) != composite:
+        return []
+    return [(("s", s.name), ("inT", it)) for it in sorted(s.internT, key=_intern_key)]
 
 
 def _internal_to_substates(sc: SCFull, b: Binding) -> SCFull:  # rule 2
@@ -388,14 +390,12 @@ def _add_sub_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
     return replace(sc, states=(sc.states - subs) | marked)
 
 
-def _find_to_sub(mod: str, edges, wanted, sc: SCFull):  # rules 6, 10, 13
-    """Each wanted transition entering (6) or leaving (10, 13) a state that
-    has a `mod` substate."""
-    for s in sc.sorted_states():
-        if any(mod in st.modifiers for st in substates(s, sc)):
-            for t in sorted(edges(s, sc), key=trans_key):
-                if wanted(t, sc):
-                    yield (("s", s.name), ("t", t))
+def _to_sub_at(mod: str, edges, wanted, s: FullState, sc: SCFull) -> list:  # rules 6, 10, 13
+    """Each wanted transition entering (6) or leaving (10, 13) s, if s has a
+    `mod` substate."""
+    if not any(mod in st.modifiers for st in substates(s, sc)):
+        return []
+    return [(("s", s.name), ("t", t)) for t in sorted(edges(s, sc), key=trans_key) if wanted(t, sc)]
 
 
 def _move_to_sub(mod: str, end: str, sc: SCFull, b: Binding) -> SCFull:
@@ -406,11 +406,8 @@ def _move_to_sub(mod: str, end: str, sc: SCFull, b: Binding) -> SCFull:
     return replace(sc, trans=(sc.trans - {t}) | moved)
 
 
-def _find_delete_sub_mod(mod: str, irrelevant, sc: SCFull):  # rules 7, 15
-    found = [s for s in sc.sorted_states() if mod in s.modifiers and irrelevant(s, sc)]
-    # ancestors first, so a deleted modifier cannot be re-added below
-    for s in sorted(found, key=lambda s: (len(list_of_all_superstates(s, sc)), s.name)):
-        yield (("s", s.name),)
+def _mod_irrelevant(mod: str, irrelevant, s: FullState, sc: SCFull) -> bool:  # rules 7, 15
+    return mod in s.modifiers and irrelevant(s, sc)
 
 
 def _delete_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
@@ -423,13 +420,11 @@ def _final_subs(s: FullState, sc: SCFull) -> list[FullState]:
                   key=lambda st: st.name)
 
 
-def _find_prio_groups(stereo: str, sc: SCFull):  # rules 11, 12
-    if stereo in sc.stereos:
-        for s in sc.sorted_states():
-            if any("final" in st.modifiers for st in substates(s, sc)):
-                for _, ts in sorted(call_groups(s, sc).items()):
-                    if all(t.prio is None for t in ts):
-                        yield (("s", s.name), ("ts", frozenset(ts)))
+def _prio_groups_at(stereo: str, s: FullState, sc: SCFull) -> list:  # rules 11, 12
+    if stereo not in sc.stereos or not any("final" in st.modifiers for st in substates(s, sc)):
+        return []
+    return [(("s", s.name), ("ts", frozenset(ts)))
+            for _, ts in sorted(call_groups(s, sc).items()) if all(t.prio is None for t in ts)]
 
 
 def _inner_calls(st: FullState, ts, sc: SCFull) -> set[Trans]:
@@ -465,12 +460,11 @@ def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
     return replace(sc, trans=(sc.trans - removed) | added)
 
 
-def _find_elim_prio(sc: SCFull):  # rule 14
-    for s in sc.sorted_states():
-        if simple_state(s, sc) and not _above(_LEFT, s, sc):
-            for _, ts in sorted(call_groups(s, sc).items()):
-                if any(t.prio is not None for t in ts):
-                    yield (("s", s.name), ("ts", frozenset(ts)))
+def _elim_prio_at(s: FullState, sc: SCFull) -> list:  # rule 14
+    if not simple_state(s, sc) or _above(_LEFT, s, sc):
+        return []
+    return [(("s", s.name), ("ts", frozenset(ts)))
+            for _, ts in sorted(call_groups(s, sc).items()) if any(t.prio is not None for t in ts)]
 
 
 def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
@@ -640,46 +634,75 @@ class Rule(NamedTuple):
     name: str
     find: Callable[[SCFull], Iterable[tuple]]  # the items of each binding
     apply: Callable[[SCFull, Binding], SCFull]
+    # rules that bind a state first: the items of each binding at one state
+    at: Optional[Callable[[FullState, SCFull], list]] = None
+    outer_first: bool = False  # states in (depth, name) order, not by name
+    # what else the matcher reads of the chart: "stereos", "top_names"
+    reads: frozenset[str] = frozenset()
+
+
+def _outer_key(name: str, sc: SCFull) -> tuple:
+    """Rules 7 and 15 are tried at ancestors first, so that a deleted
+    modifier cannot be re-added below."""
+    return len(sc.index.ancestors.get(name, ())), name
+
+
+def _find_at(at, outer_first: bool, sc: SCFull) -> Iterator[tuple]:
+    states = sc.sorted_states()
+    if outer_first:
+        states = sorted(states, key=lambda s: _outer_key(s.name, sc))
+    for s in states:
+        yield from at(s, sc)
+
+
+def _state_rule(number: int, name: str, at, apply, outer_first: bool = False,
+                reads: frozenset[str] = frozenset()) -> Rule:
+    return Rule(number, name, partial(_find_at, at, outer_first), apply, at, outer_first, reads)
+
+
+_STEREOS, _TOP_NAMES = frozenset({"stereos"}), frozenset({"top_names"})
 
 
 RULES = (
-    Rule(1, "elimDo", _each_state(lambda s, sc: s.do is not None), _elim_do),
-    Rule(2, "elimInternalT1", partial(_find_internal, True), _internal_to_substates),
-    Rule(3, "elimInternalT2", partial(_find_internal, False), _internal_to_inner_state),
+    _state_rule(1, "elimDo", _when(lambda s, sc: s.do is not None), _elim_do),
+    _state_rule(2, "elimInternalT1", partial(_internal_at, True), _internal_to_substates),
+    _state_rule(3, "elimInternalT2", partial(_internal_at, False), _internal_to_inner_state),
     Rule(4, "addInitTop", partial(_find_add_top, "initial"), partial(_add_top, "initial")),
-    Rule(5, "addInitSub", _each_state(partial(_needs_sub_mod, "initial", ingoing_t)),
-         partial(_add_sub_mod, "initial")),
-    Rule(6, "forwardToSub", partial(_find_to_sub, "initial", ingoing_t, lambda t, sc: True),
-         partial(_move_to_sub, "initial", "trg")),
-    Rule(7, "deleteInitSub", partial(_find_delete_sub_mod, "initial", initial_irrelevant),
-         partial(_delete_mod, "initial")),
+    _state_rule(5, "addInitSub", _when(partial(_needs_sub_mod, "initial", ingoing_t)),
+                partial(_add_sub_mod, "initial")),
+    _state_rule(6, "forwardToSub", partial(_to_sub_at, "initial", ingoing_t, lambda t, sc: True),
+                partial(_move_to_sub, "initial", "trg")),
+    _state_rule(7, "deleteInitSub", _when(partial(_mod_irrelevant, "initial", initial_irrelevant)),
+                partial(_delete_mod, "initial"), outer_first=True, reads=_TOP_NAMES),
     Rule(8, "addFinalTop", partial(_find_add_top, "final"), partial(_add_top, "final")),
-    Rule(9, "addFinalSub", _each_state(partial(_needs_sub_mod, "final", outgoing_t)),
-         partial(_add_sub_mod, "final")),
-    Rule(10, "backwardToSub",
-         partial(_find_to_sub, "final", outgoing_t, lambda t, sc: not sc.stereos & PRIO_STEREOS),
-         partial(_move_to_sub, "final", "src")),
-    Rule(11, "backwardToSubPrioInner", partial(_find_prio_groups, PRIO_INNER), _prio_inner),
-    Rule(12, "backwardToSubPrioOuter", partial(_find_prio_groups, PRIO_OUTER), _prio_outer),
-    Rule(13, "backwardToSubPrio",
-         partial(_find_to_sub, "final", outgoing_t, lambda t, sc: t.prio is not None),
-         partial(_move_to_sub, "final", "src")),
-    Rule(14, "elimPrio", _find_elim_prio, _elim_prio),
-    Rule(15, "deleteFinalSub", partial(_find_delete_sub_mod, "final", final_irrelevant),
-         partial(_delete_mod, "final")),
-    Rule(16, "moveExitActions", _each_state(partial(_action_movable, "exit", False)),
-         partial(_move_action, "exit", False)),
-    Rule(17, "moveExitActionsSeq", _each_state(partial(_action_movable, "exit", True)),
-         partial(_move_action, "exit", True)),
-    Rule(18, "removeExitAction", _each_state(partial(_action_removable, "exit", _LEFT)),
-         partial(_remove_action, "exit")),
-    Rule(19, "moveEntryActions", _each_state(partial(_action_movable, "entry", False)),
-         partial(_move_action, "entry", False)),
-    Rule(20, "moveEntryActionsSeq", _each_state(partial(_action_movable, "entry", True)),
-         partial(_move_action, "entry", True)),
-    Rule(21, "removeEntryAction", _each_state(partial(_action_removable, "entry", _ENTERED)),
-         partial(_remove_action, "entry")),
-    Rule(22, "moveInvariant", _each_state(_inv_movable), _move_invariant),
+    _state_rule(9, "addFinalSub", _when(partial(_needs_sub_mod, "final", outgoing_t)),
+                partial(_add_sub_mod, "final")),
+    _state_rule(10, "backwardToSub",
+                partial(_to_sub_at, "final", outgoing_t, lambda t, sc: not sc.stereos & PRIO_STEREOS),
+                partial(_move_to_sub, "final", "src"), reads=_STEREOS),
+    _state_rule(11, "backwardToSubPrioInner", partial(_prio_groups_at, PRIO_INNER), _prio_inner,
+                reads=_STEREOS),
+    _state_rule(12, "backwardToSubPrioOuter", partial(_prio_groups_at, PRIO_OUTER), _prio_outer,
+                reads=_STEREOS),
+    _state_rule(13, "backwardToSubPrio",
+                partial(_to_sub_at, "final", outgoing_t, lambda t, sc: t.prio is not None),
+                partial(_move_to_sub, "final", "src")),
+    _state_rule(14, "elimPrio", _elim_prio_at, _elim_prio),
+    _state_rule(15, "deleteFinalSub", _when(partial(_mod_irrelevant, "final", final_irrelevant)),
+                partial(_delete_mod, "final"), outer_first=True, reads=_TOP_NAMES),
+    _state_rule(16, "moveExitActions", _when(partial(_action_movable, "exit", False)),
+                partial(_move_action, "exit", False), reads=_STEREOS),
+    _state_rule(17, "moveExitActionsSeq", _when(partial(_action_movable, "exit", True)),
+                partial(_move_action, "exit", True), reads=_STEREOS),
+    _state_rule(18, "removeExitAction", _when(partial(_action_removable, "exit", _LEFT)),
+                partial(_remove_action, "exit")),
+    _state_rule(19, "moveEntryActions", _when(partial(_action_movable, "entry", False)),
+                partial(_move_action, "entry", False), reads=_STEREOS),
+    _state_rule(20, "moveEntryActionsSeq", _when(partial(_action_movable, "entry", True)),
+                partial(_move_action, "entry", True), reads=_STEREOS),
+    _state_rule(21, "removeEntryAction", _when(partial(_action_removable, "entry", _ENTERED)),
+                partial(_remove_action, "entry")),
+    _state_rule(22, "moveInvariant", _when(_inv_movable), _move_invariant),
     Rule(23, "removeHierarchy", _find_remove_hierarchy, _remove_hierarchy),
     Rule(24, "completionIgnore", partial(_find_completion, COMPLETION_IGNORE),
          partial(_apply_completion, COMPLETION_IGNORE)),
@@ -723,11 +746,101 @@ def _apply(rule: int, sc: SCFull, b: Binding) -> SCFull:
 # ---------------------------------------------------------------------------
 # Fixpoint engine
 
-def _candidates(sc: SCFull, skip_exception: bool) -> Iterator[tuple[Rule, Binding]]:
-    """Every (rule, binding) pair on sc, lowest rule number first."""
+class _Matches:
+    """The bindings of one state rule on the engine's current chart, kept by
+    state name. The states marked since the rule was last consulted are
+    re-tested when it is next consulted; at first, every state is."""
+
+    __slots__ = ("rule", "at_state", "dirty", "found")
+
+    def __init__(self, rule: Rule):
+        self.rule, self.at_state = rule, {}
+        self.dirty: Optional[set[str]] = None  # None: every state
+        self.found: Optional[list[Binding]] = None  # the bindings, once listed
+
+    def mark(self, names: Optional[set[str]], wide: set[str]) -> None:
+        if names is None or not self.rule.reads.isdisjoint(wide):
+            self.dirty = None
+        elif self.dirty is not None:
+            self.dirty |= names
+
+    def bindings(self, sc: SCFull) -> list[Binding]:
+        if self.dirty is not None and not self.dirty:  # nothing marked since the last consult
+            return self.found
+        at, at_state = self.rule.at, self.at_state
+        if self.dirty is None:
+            self.at_state = at_state = {s.name: found for s in sc.sorted_states()
+                                        if (found := at(s, sc))}
+            self.found, self.dirty = None, set()
+        elif self.dirty:
+            by_name = sc.index.by_name
+            for name in self.dirty:
+                s = by_name.get(name)
+                found = at(s, sc) if s is not None else []
+                if found != at_state.get(name, []):
+                    self.found = None
+                    if found:
+                        at_state[name] = found
+                    else:
+                        del at_state[name]
+            self.dirty.clear()
+        if self.found is None:
+            if self.rule.outer_first:
+                names = sorted(at_state, key=partial(_outer_key, sc=sc))
+            else:
+                names = sorted(at_state)
+            self.found = [Binding(self.rule.number, items) for n in names for items in at_state[n]]
+        return self.found
+
+
+def _candidates(sc: SCFull, matches: dict[int, _Matches],
+                skip_exception: bool) -> Iterator[tuple[Rule, Binding]]:
+    """Every (rule, binding) pair on sc, lowest rule number first; a state
+    rule's `matches` are brought up to date when the rule is reached."""
     for rule in RULES:
         if not (skip_exception and rule.number == 26):
-            yield from ((rule, b) for b in _bindings(rule, sc))
+            for b in matches[rule.number].bindings(sc) if rule.at else _bindings(rule, sc):
+                yield rule, b
+
+
+def _advance(old: SCFull, new: SCFull) -> tuple[Optional[set[str]], set[str]]:
+    """Give `new` the index derived from `old`'s. Return the names of the
+    states at which a state rule's matcher may answer differently on `new`
+    than on `old` (None: at every state), and which of the chart-wide inputs
+    in `Rule.reads` changed: a rule that reads one is re-tested at every
+    state.
+
+    A matcher at s reads s and its children, its ingoing and outgoing
+    transitions, whether s and its parent are in the two `*_at_or_above`
+    sets, its depth and top-level root, and its rule's `reads`. So it is
+    re-tested where a state changed and at that state's parent, at both ends
+    of a changed transition, and where a state or its parent entered or left
+    an `*_at_or_above` set; and at every state when the substate relation or
+    the state names changed."""
+    if new.sub is not old.sub and new.sub != old.sub:
+        return None, set()  # new's index is built when first read
+    dstates = old.states ^ new.states if new.states is not old.states else frozenset()
+    dtrans = old.trans ^ new.trans if new.trans is not old.trans else frozenset()
+    before = old.index
+    after = vars(new)["index"] = before.derive(new, dstates, dtrans)
+    if after.parent is not before.parent:  # built afresh: the state names changed
+        return None, set()
+    wide = set()
+    if new.stereos != old.stereos:
+        wide.add("stereos")
+    if after.top_names != before.top_names:
+        wide.add("top_names")
+    dirty = {s.name for s in dstates}
+    dirty.update([after.parent[n] for n in dirty if n in after.parent])
+    for t in dtrans:
+        dirty.update((t.src, t.trg))
+    for part in ("ingoing_at_or_above", "outgoing_at_or_above"):
+        was, now = getattr(before, part), getattr(after, part)
+        if now is not was:
+            for n in was ^ now:
+                dirty.add(n)
+                dirty.update(c.name for c in after.children.get(n, ()))
+    return dirty, wide
 
 
 def transform_fixpoint(
@@ -743,7 +856,10 @@ def transform_fixpoint(
     bindings after it are not looked for. "random:<seed>" lists every binding
     of every rule, shuffles the list, and applies the first one that changes
     the chart. Applications that would leave the chart unchanged are skipped,
-    and the exception-completion rule runs at most once.
+    and the exception-completion rule runs at most once. Both keep each state
+    rule's bindings from step to step and re-test them only where a step
+    could have changed them (`_advance`), which lists the same bindings, in
+    the same order, as a scan of every state.
     """
     rng: Optional[random.Random] = None
     if strategy.startswith("random:"):
@@ -752,10 +868,11 @@ def transform_fixpoint(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     trace: list[TraceEntry] = []
+    matches = {rule.number: _Matches(rule) for rule in RULES if rule.at}
     done_exception = False
     digest = _Digest(sc)
     while True:
-        candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, done_exception)
+        candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, matches, done_exception)
         if rng is not None:
             candidates = list(candidates)
             rng.shuffle(candidates)
@@ -769,6 +886,9 @@ def transform_fixpoint(
                 raise NonTermination(f"no fixpoint within {max_steps} steps")
             new_digest = _Digest(new)
             trace.append(TraceEntry(rule.number, rule.name, b.describe(), digest, new_digest))
+            dirty, wide = _advance(sc, new)
+            for m in matches.values():
+                m.mark(dirty, wide)
             sc, digest = new, new_digest
             if on_step is not None:
                 on_step(len(trace), sc)

@@ -441,8 +441,18 @@ def sorted_runs(runs: Iterable[tuple], by_length: bool = False) -> list:
 
 
 def runs_to_json(runs: Iterable[tuple]) -> str:
-    data = [[node_to_json(n) for n in run] for run in sorted_runs(runs)]
-    return json.dumps(data, indent=2)
+    """`json.dumps` of the runs' node lists with `indent=2`. Runs share their
+    nodes, so each node's text is rendered once and the lists are joined
+    here."""
+    @functools.cache
+    def node_text(node: KripkeNode) -> str:
+        return json.dumps(node_to_json(node), indent=2).replace("\n", "\n    ")
+
+    def run_text(run: tuple) -> str:
+        return "[\n    " + ",\n    ".join(map(node_text, run)) + "\n  ]" if run else "[]"
+
+    texts = [run_text(run) for run in sorted_runs(runs)]
+    return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
 
 
 # -- encoding guard-free statecharts ----------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from scforge.actions import (
     Action,
     ActionConditionViolated,
+    ActionError,
     Assign,
     Call,
     CAnd,
@@ -242,6 +243,22 @@ def test_eval_expr():
     assert eval_expr(EList((ELit(1), EVar("x"))), env) == (1, 3)
     with pytest.raises(UnboundVariable):
         eval_expr(EVar("nope"), env)
+
+
+@pytest.mark.parametrize("term, message", [
+    (EBin("+", EVar("x"), EVar("xs")), "cannot apply + to 3 and (1, 2)"),
+    (EBin("-", EVar("xs"), ELit(1)), "cannot apply - to (1, 2) and 1"),
+    (CCmp("<", EVar("xs"), ELit(2)), "cannot apply < to (1, 2) and 2"),
+    (CCmp("<=", ELit(2), EVar("xs")), "cannot apply <= to 2 and (1, 2)"),
+])
+def test_ill_typed_operands_raise_an_action_error(term, message):
+    env = {"x": 3, "xs": (1, 2)}
+    with pytest.raises(ActionError) as exc:
+        eval_expr(term, env) if isinstance(term, EBin) else eval_cond(term, env, {})
+    assert str(exc.value) == message
+    # lists still concatenate and compare in order
+    assert eval_expr(EBin("+", EVar("xs"), EVar("xs")), env) == (1, 2, 1, 2)
+    assert eval_cond(CCmp("<", EVar("xs"), ELit((2,))), env, {}) is True
 
 
 def test_holds_answers_unbound_for_an_unbound_variable():

@@ -284,6 +284,27 @@ def test_run_unbound_variable_is_usage(capsys, tmp_path):
     assert err == "error: unbound variable v\n"
 
 
+@pytest.mark.parametrize("chart, events, message", [
+    ("statechart L2 for C { initial state A; state B; A -> B : [x < 2] f(x) / o(x); }",
+     "f([1])", "cannot apply < to (1,) and 2"),
+    # the completion guard computes inp1 - 1 before it tests the pattern
+    ("statechart L3 for C <<completion:ignore>> { initial state A; state B;"
+     " A -> B : [x == 2] f(x+1) / o(x); }", "f([1]), f(3)", "cannot apply - to (1,) and 1"),
+])
+def test_run_ill_typed_guard_is_usage(capsys, tmp_path, chart, events, message):
+    path = tmp_path / "typed.sc"
+    path.write_text(chart)
+    code, out, err = run_cli(capsys, "run", str(path), "--events", events)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_vdb_run_ill_typed_statement_is_usage(capsys, tmp_path):
+    chart = tmp_path / "typed.sc"
+    chart.write_text("statechart V for C { initial state A; state B; A -> B : f(x) / o(x + [1]); }")
+    code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", "f(1)", "--domain=1,2")
+    assert (code, out, err) == (2, "", "error: cannot apply + to 1 and (1,)\n")
+
+
 def test_run_bad_init_is_usage(capsys, buffer_file):
     code, _, err = run_cli(
         capsys, "run", buffer_file, "--events", "get()", "--init", "NonEmpty"
@@ -497,6 +518,17 @@ def test_conform_unbound_variable_is_usage(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: unbound variable w\n"
+
+
+def test_conform_ill_typed_statement_is_usage(capsys, tmp_path):
+    chart = tmp_path / "typed.sc"
+    chart.write_text(BUFFER_SC.replace("send(v)", "send(v + [1])"))
+    code, out, err = run_cli(
+        capsys, "conform", str(chart),
+        str(FIXTURES / "fig_ok_fragment.json"),
+        str(FIXTURES / "buffer_projection.json"),
+    )
+    assert (code, out, err) == (2, "", "error: cannot apply + to 3 and (1,)\n")
 
 
 def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_path):

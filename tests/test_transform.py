@@ -20,12 +20,14 @@ from scforge.actions import (
     reads,
 )
 import pickle
+import random
 from dataclasses import fields, replace
+from functools import cached_property
 
 from scforge import transform
 from scforge.flatinterp import explore_emissions, parse_message, run
-from scforge.ast import FullState, InternT, SCFull, Trans, trans_key
-from scforge.gen import gen_chart
+from scforge.ast import ChartIndex, FullState, InternT, SCFull, Trans, trans_key
+from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_call, print_chart
 from scforge.transform import (
@@ -711,6 +713,93 @@ def test_fixpoint_random_strategy_also_flattens():
         out, _ = transform_fixpoint(sc, strategy=f"random:{seed}")
         assert flat_and_simplified(out)
         assert out.sub == frozenset()
+
+
+# -- the incremental engine against a reference that re-lists everything -----
+
+def naive_fixpoint(sc, strategy):
+    """The engine without incremental matching: every rule's bindings are
+    listed afresh on every chart, whose index is built from scratch."""
+    rng = random.Random(int(strategy.split(":")[1])) if strategy != "paper" else None
+    trace, done_exception = [], False
+    while True:
+        candidates = [(r, b) for r in RULES if not (done_exception and r.number == 26)
+                      for b in find_bindings(r.number, sc)]
+        if rng is not None:
+            rng.shuffle(candidates)
+        for r, b in candidates:
+            new = r.apply(sc, b)
+            done_exception = done_exception or r.number == 26
+            if new != sc:
+                trace.append((r.number, b.describe(), transform.chart_hash(new)))
+                sc = new
+                break
+        else:
+            return sc, trace
+
+
+def chain_chart(depth: int) -> SCFull:
+    """A nesting chain of initial states with entry actions, a leaf
+    transition, and a sibling of the chain that re-enters its top."""
+    text = "".join(f"initial state L{d} {{ entry / e{d}({d % 4}); " for d in range(depth))
+    text += "initial state Leaf; state Other; Leaf -> Other : f() / out(1); " + "} " * depth
+    return parse(f"statechart Chain for C {{ {text} state Out; Out -> L0 : g(); L0 -> Out : h(); }}")
+
+
+# A below an undeclared parent (CC12): once rule 4 marks T initial, A's own
+# initial modifier is irrelevant, though no step touched A.
+GHOST_PARENT = SCFull(
+    states=frozenset([FullState(name="T"), FullState(name="A", modifiers=frozenset(["initial"]))]),
+    trans=frozenset([Trans(None, "T", None, Call("f", ()), None, "T")]),
+    sub=frozenset([("A", "Ghost")]),
+)
+ORACLE_CHARTS = (
+    [gen_chart(seed, max_states=n) for n in (6, 10, 16) for seed in range(0, 24, 3)]
+    + [gen_guard_free(seed) for seed in range(0, 40, 4)]
+    + [chain_chart(depth) for depth in (10, 25, 40)]
+    + [GHOST_PARENT]
+)
+STRATEGIES = ("paper", "random:1", "random:2", "random:3")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_incremental_engine_matches_the_naive_reference(strategy):
+    for sc in ORACLE_CHARTS:
+        flat, trace = transform_fixpoint(sc, strategy=strategy)
+        assert (flat, [(e.rule, e.binding, e.after_hash) for e in trace]) == \
+            naive_fixpoint(sc, strategy), sc.diagram_name
+
+
+INDEX_PARTS = ["states", "by_name", "parent"] + [
+    name for name, v in vars(ChartIndex).items() if isinstance(v, cached_property)]
+
+
+def assert_index_is_fresh(step, sc):
+    fresh = ChartIndex(sc.states, sc.trans, sc.sub)
+    for part in INDEX_PARTS:
+        assert getattr(sc.index, part) == getattr(fresh, part), (step, part)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_derived_index_equals_a_fresh_one_at_every_step(strategy):
+    for sc in ORACLE_CHARTS:
+        transform_fixpoint(sc, strategy=strategy, on_step=assert_index_is_fresh)
+
+
+def test_derived_index_shares_what_a_step_left_unchanged():
+    sc = NESTED
+    a = sc.state("A")
+    new = sc.replace_state(a, replace(a, entry=Action((Send("e", ()),))))
+    idx = sc.index
+    derived = idx.derive(new, sc.states ^ new.states, frozenset())
+    assert derived.parent is idx.parent  # the same tree
+    assert derived.ingoing_at_or_above is idx.ingoing_at_or_above
+    assert derived.ancestors["X"] == (new.state("A"),)
+    for part in INDEX_PARTS:
+        assert getattr(derived, part) == getattr(ChartIndex(new.states, new.trans, new.sub), part)
+    # other state names: built afresh
+    grown = replace(new, states=new.states | {FullState(name="Z")})
+    assert idx.derive(grown, grown.states ^ sc.states, frozenset()).parent is not idx.parent
 
 
 def test_fixpoint_preserves_wellformedness():
