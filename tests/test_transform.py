@@ -719,7 +719,7 @@ def test_fixpoint_random_strategy_also_flattens():
 
 def naive_fixpoint(sc, strategy):
     """The engine without incremental matching: every rule's bindings are
-    listed afresh on every chart, whose index is built from scratch."""
+    listed afresh on every chart, whose index is built anew."""
     rng = random.Random(int(strategy.split(":")[1])) if strategy != "paper" else None
     trace, done_exception = [], False
     while True:
