@@ -772,7 +772,7 @@ class _Matches:
             self.at_state = at_state = {s.name: found for s in sc.sorted_states()
                                         if (found := at(s, sc))}
             self.found, self.dirty = None, set()
-        elif self.dirty:
+        else:
             by_name = sc.index.by_name
             for name in self.dirty:
                 s = by_name.get(name)
