@@ -140,8 +140,8 @@ class ChartIndex:
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `outgoing_in_order` maps it
-    to a tuple in `trans_key` order; `ancestors` maps it to the strict
-    superstates, parent first. `ingoing_at_or_above` and
+    to a tuple in `trans_key` order; `ancestors` maps it to the names of its
+    strict superstates, parent first. `ingoing_at_or_above` and
     `outgoing_at_or_above` are the names of the states that have such a
     transition themselves or on one of their ancestors. `top_names` maps
     each modifier to the names of the top-level states carrying it. On
@@ -161,10 +161,11 @@ class ChartIndex:
         this index's chart's by the symmetric differences `dstates` and
         `dtrans`. Over the same substate relation and state names, it shares
         this index's `parent` map and patches the other parts where those
-        differences fall: `ancestors` below the changed states, and the
-        `*_at_or_above` sets only when a state gained its first or lost its
-        last transition in their direction (the sorted transitions are built
-        on first read). Otherwise the index is built afresh."""
+        differences fall. It shares `ancestors` too, which reads only the
+        names and the substate relation, and the `*_at_or_above` sets unless a
+        state gained its first or lost its last transition in their direction
+        (the sorted transitions are built on first read). Otherwise the index
+        is built afresh."""
         added = {s.name: s for s in dstates if s in chart.states}
         removed = {s.name for s in dstates if s not in chart.states}
         if ((chart.sub is not self._sub and chart.sub != self._sub) or removed != added.keys()
@@ -184,11 +185,6 @@ class ChartIndex:
                 states[bisect_left(self.states, name, key=_NAME)] = s
             new.states = tuple(states)
             new.children = _regrouped(self.children, dstates, lambda s: self.parent.get(s.name))
-            new.ancestors = ancestors = dict(self.ancestors)
-            for name in sorted(added, key=lambda n: len(ancestors.get(n, ()))):  # outermost first
-                if name in ancestors:
-                    above = (added[name],) + ancestors[name]
-                    new._chains(ancestors, [(c, above) for c in new.children.get(name, ())])
         for edges, end in (("ingoing", _TRG), ("outgoing", _SRC)):
             was = getattr(self, edges)
             now = vars(new)[edges] = _regrouped(was, dtrans, end)
@@ -226,16 +222,12 @@ class ChartIndex:
         return {mod: frozenset(s.name for s in tops if mod in s.modifiers) for mod in MODIFIERS}
 
     @cached_property
-    def ancestors(self) -> dict[str, tuple]:
-        return self._chains({}, [(s, ()) for s in self.children.get(None, ())])
-
-    def _chains(self, out: dict, todo: list) -> dict:
-        """`out` with the ancestor chain of each state on `todo`, given with
-        its chain, and of every state below it."""
+    def ancestors(self) -> dict[str, tuple[str, ...]]:
+        out, todo = {}, [(s.name, ()) for s in self.children.get(None, ())]
         while todo:
-            s, above = todo.pop()
-            out[s.name] = above
-            todo.extend((c, (s,) + above) for c in self.children.get(s.name, ()))
+            name, above = todo.pop()
+            out[name] = above
+            todo.extend((c.name, (name,) + above) for c in self.children.get(name, ()))
         return out
 
     @cached_property

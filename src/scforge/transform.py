@@ -58,6 +58,7 @@ from .ast import (
     trans_key,
 )
 from .printer import print_chart
+from .wellformed import _on_cycle
 
 
 class BindingStale(Exception):
@@ -158,25 +159,12 @@ def substates(s: FullState, sc: SCFull) -> frozenset[FullState]:
     return sc.index.children.get(s.name, frozenset())
 
 
-def list_of_all_superstates(s: FullState, sc: SCFull) -> tuple[FullState, ...]:
-    """The strict superstates of s, parent first."""
-    return sc.index.ancestors.get(s.name, ())
-
-
-def superstates(s: FullState, sc: SCFull) -> frozenset[FullState]:
-    return frozenset(list_of_all_superstates(s, sc))
-
-
 def ingoing_t(s: FullState, sc: SCFull) -> frozenset[Trans]:
     return sc.index.ingoing.get(s.name, frozenset())
 
 
 def outgoing_t(s: FullState, sc: SCFull) -> frozenset[Trans]:
     return sc.index.outgoing.get(s.name, frozenset())
-
-
-def top_initial(sc: SCFull) -> bool:
-    return bool(sc.index.top_names["initial"])
 
 
 def simple_state(s: FullState, sc: SCFull) -> bool:
@@ -193,8 +181,8 @@ def _above(at_or_above, s: FullState, sc: SCFull) -> bool:
     """A strict superstate of s has a transition in the direction of
     `at_or_above` (`_ENTERED` or `_LEFT`): s's parent is in that set, which
     holds every state below such a superstate."""
-    sups = list_of_all_superstates(s, sc)
-    return bool(sups) and sups[0].name in at_or_above(sc)
+    sups = sc.index.ancestors.get(s.name, ())
+    return bool(sups) and sups[0] in at_or_above(sc)
 
 
 def _irrelevant(mod: str, at_or_above, s: FullState, sc: SCFull) -> bool:
@@ -202,8 +190,8 @@ def _irrelevant(mod: str, at_or_above, s: FullState, sc: SCFull) -> bool:
     superstates is one or has a transition in the direction of `at_or_above`.
     Of s and its superstates, only the outermost can be top-level."""
     tops = sc.index.top_names[mod]
-    sups = list_of_all_superstates(s, sc)
-    return (bool(tops) and (sups[-1] if sups else s).name not in tops
+    sups = sc.index.ancestors.get(s.name, ())
+    return (bool(tops) and (sups[-1] if sups else s.name) not in tops
             and s.name not in at_or_above(sc))
 
 
@@ -223,22 +211,13 @@ def call_groups(s: FullState, sc: SCFull) -> dict[str, set[Trans]]:
     return groups
 
 
-def lcs(s1: FullState, s2: FullState, sc: SCFull) -> Optional[FullState]:
-    """Least common strict superstate: the first shared entry of the two
-    ancestor chains."""
-    above2 = {st.name for st in list_of_all_superstates(s2, sc)}
-    return next((st for st in list_of_all_superstates(s1, sc) if st.name in above2), None)
-
-
-def chain_below(s: FullState, stop: Optional[FullState], sc: SCFull) -> list[FullState]:
-    """Superstates of s from the parent upward, strictly below `stop`
-    (all of them when stop is absent)."""
-    out = []
-    for st in list_of_all_superstates(s, sc):
-        if stop is not None and st.name == stop.name:
-            break
-        out.append(st)
-    return out
+def crossed_superstates(s: FullState, other: str, sc: SCFull) -> list[FullState]:
+    """The superstates of s, parent first, that are not superstates of the
+    state named `other`: those that a transition between the two leaves or
+    enters at s's end, strictly below their least common superstate."""
+    ancestors = sc.index.ancestors
+    shared = set(ancestors.get(other, ()))
+    return [sc.state(n) for n in ancestors.get(s.name, ()) if n not in shared]
 
 
 def flat_and_simplified(sc: SCFull) -> bool:
@@ -509,8 +488,8 @@ def _move_action(attr: str, seq: bool, sc: SCFull, b: Binding) -> SCFull:
     ts = transitions_of(s, sc)
     moved = set()
     for t in sorted(ts, key=trans_key):
-        chain = chain_below(s, lcs(s, sc.state(far_end(t)), sc), sc)
-        own = [getattr(st, attr) for st in [s] + chain if getattr(st, attr) is not None]
+        chain = [s, *crossed_superstates(s, far_end(t), sc)]
+        own = [getattr(st, attr) for st in chain if getattr(st, attr) is not None]
         # states are left innermost first, before t's action, and entered
         # outermost first, after it
         acts = own + [t.act or Action()] if attr == "exit" else [t.act or Action()] + own[::-1]
@@ -866,6 +845,10 @@ def transform_fixpoint(
         rng = random.Random(int(strategy.split(":", 1)[1]))
     elif strategy != "paper":
         raise ValueError(f"unknown strategy {strategy!r}")
+    # a name with a parent but no chain of superstates is on a substate
+    # cycle, below one, or below an undeclared parent
+    if sc.index.parent.keys() - sc.index.ancestors.keys() and (cycle := _on_cycle(sc.sub)):
+        raise IllFormedInput(f"substate cycle through {', '.join(sorted(cycle))}")
 
     trace: list[TraceEntry] = []
     matches = {rule.number: _Matches(rule) for rule in RULES if rule.at}

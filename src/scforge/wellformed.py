@@ -161,12 +161,20 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
     # CC1: Sub+ is irreflexive, and the relation only mentions declared states.
     for a in _on_cycle(sc.sub):
         out.append(Violation("CC1", f"state {a}", "state is a (transitive) substate of itself"))
+    parents: dict[str, list[str]] = {}
     for a, b in sorted(sc.sub):
+        parents.setdefault(a, []).append(b)
         for n in (a, b):
             if n not in names:
                 out.append(
                     Violation("CC1", f"sub ({a}, {b})", f"substate relation references undeclared state {n}")
                 )
+
+    # CC12 across the hierarchy: a name declared under two parents is two
+    # states, even where their declarations are equal and collapse into one.
+    for a, ps in parents.items():
+        if len(ps) > 1:
+            out.append(Violation("CC12", f"state {a}", f"declared under {len(ps)} parents: {', '.join(ps)}"))
 
     # CC2: exception triggers require an exception state.
     if not any("exception" in s.sstereos for s in sc.states):

@@ -46,6 +46,11 @@ statechart Dup for C {
 }
 """
 
+# X is declared identically under A and under B: one state value, two parents
+DUP_PARENTS_SC = """
+statechart D for C { initial state A { initial state X; } state B { initial state X; } A -> B : f(); }
+"""
+
 
 NOWHERE_SC = """
 statechart Dangling for C {
@@ -126,6 +131,16 @@ def test_check_duplicate_state_names_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", str(p))
     assert code == 1
     assert "CC12" in out
+
+
+def test_state_declared_under_two_parents_is_ill_formed(capsys, tmp_path):
+    p = tmp_path / "dup2p.sc"
+    p.write_text(DUP_PARENTS_SC)
+    code, out, _ = run_cli(capsys, "check", str(p))
+    assert code == 1
+    assert "violation CC12 state X: declared under 2 parents: A, B" in out
+    code, out, err = run_cli(capsys, "simplify", str(p))
+    assert (code, out, err) == (2, "", f"error: {p}: ill-formed chart (CC12)\n")
 
 
 def test_check_json_lists_violations(capsys, tmp_path):

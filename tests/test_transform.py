@@ -37,18 +37,16 @@ from scforge.transform import (
     RULE_NAMES,
     RULE_NUMBERS,
     RULES,
+    IllFormedInput,
     apply_rule,
-    chain_below,
+    crossed_superstates,
     find_bindings,
     flat_and_simplified,
     final_irrelevant,
     initial_irrelevant,
-    lcs,
     simple_state,
     substates,
-    superstates,
     to_simplified,
-    top_initial,
     transform_fixpoint,
 )
 from scforge.wellformed import check_all
@@ -77,14 +75,14 @@ NESTED = parse(
 def test_substates_superstates():
     a, x = NESTED.state("A"), NESTED.state("X")
     assert substates(a, NESTED) == {x, NESTED.state("Y")}
-    assert superstates(x, NESTED) == {a}
+    assert NESTED.index.ancestors["X"] == ("A",)
     assert substates(x, NESTED) == set()
 
 
 def test_top_initial():
-    assert top_initial(NESTED)
+    assert NESTED.index.top_names["initial"] == {"A"}
     no_init = parse("statechart D for C { state A; }")
-    assert not top_initial(no_init)
+    assert not no_init.index.top_names["initial"]
 
 
 def test_simple_state():
@@ -97,11 +95,10 @@ def test_simple_state():
 def test_lcs():
     sc = NESTED
     x, y, a, b = sc.state("X"), sc.state("Y"), sc.state("A"), sc.state("B")
-    assert lcs(x, y, sc) == a  # siblings meet at their parent
-    assert lcs(a, b, sc) is None  # two top-level states share nothing
-    assert lcs(x, x, sc) == a  # strict superstates only
-    assert chain_below(x, a, sc) == []
-    assert chain_below(x, None, sc) == [a]
+    assert crossed_superstates(x, "Y", sc) == []  # siblings meet at their parent
+    assert crossed_superstates(a, "B", sc) == []  # two top-level states share nothing
+    assert crossed_superstates(x, "X", sc) == []  # strict superstates only
+    assert crossed_superstates(x, "B", sc) == [a]  # X -> B leaves A
 
 
 def test_chart_index_answers_structural_queries():
@@ -118,10 +115,10 @@ def test_chart_index_answers_structural_queries():
     assert [s.name for s in idx.states] == ["A", "B", "X", "Y", "Z"]
     assert idx.parent == {"B": "A", "X": "B", "Y": "A"}
     assert {s.name for s in idx.children[None]} == {"A", "Z"}
-    assert [s.name for s in idx.ancestors["X"]] == ["B", "A"]
+    assert idx.ancestors["X"] == ("B", "A")
     assert {t.call.name for t in idx.outgoing["Y"]} == {"g"}
     assert {t.call.name for t in idx.ingoing["Y"]} == {"f"}
-    assert lcs(sc.state("X"), sc.state("Y"), sc) == sc.state("A")
+    assert crossed_superstates(sc.state("X"), "Y", sc) == [sc.state("B")]
     assert replace(sc, sub=frozenset()).index.parent == {}
 
 
@@ -183,8 +180,7 @@ def test_chart_index_keeps_the_top_level_modifier_names():
     }""")
     assert sc.index.top_names == {"initial": {"A"}, "final": {"F"}}
     assert sc.index.top_names is sc.index.top_names
-    assert transform.top_initial(sc)
-    assert not transform.top_initial(replace(sc, states=sc.states - {sc.state("A")}))
+    assert replace(sc, states=sc.states - {sc.state("A")}).index.top_names["initial"] == set()
 
 
 def test_chart_index_terminates_on_a_substate_cycle():
@@ -192,7 +188,22 @@ def test_chart_index_terminates_on_a_substate_cycle():
         states=frozenset([FullState(name="A"), FullState(name="B")]),
         sub=frozenset([("A", "B"), ("B", "A")]),
     )
-    assert superstates(sc.state("A"), sc) == frozenset()  # unreachable from the top
+    assert sc.index.ancestors == {}  # unreachable from the top
+
+
+@pytest.mark.parametrize("sub, names", [
+    ([("A", "A")], "A"),  # its own parent
+    ([("A", "B"), ("B", "A")], "A, B"),
+])
+def test_fixpoint_rejects_a_substate_cycle_before_rewriting(sub, names):
+    sc = SCFull(
+        states=frozenset([FullState(name="A", modifiers=frozenset(["initial"])), FullState(name="B")]),
+        sub=frozenset(sub),
+    )
+    steps = []
+    with pytest.raises(IllFormedInput, match=f"substate cycle through {names}$"):
+        transform_fixpoint(sc, on_step=lambda _, c: steps.append(c))
+    assert steps == []
 
 
 # -- the index's ancestor predicates against a naive walk --------------------
@@ -794,7 +805,8 @@ def test_derived_index_shares_what_a_step_left_unchanged():
     derived = idx.derive(new, sc.states ^ new.states, frozenset())
     assert derived.parent is idx.parent  # the same tree
     assert derived.ingoing_at_or_above is idx.ingoing_at_or_above
-    assert derived.ancestors["X"] == (new.state("A"),)
+    assert derived.ancestors is idx.ancestors  # chains of names: the values may change
+    assert derived.ancestors["X"] == ("A",)
     for part in INDEX_PARTS:
         assert getattr(derived, part) == getattr(ChartIndex(new.states, new.trans, new.sub), part)
     # other state names: built afresh

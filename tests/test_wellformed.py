@@ -226,6 +226,15 @@ def test_cc12_duplicate_state_names():
     assert "CC12" in codes(check_all(sc, CTX))
 
 
+def test_cc12_state_under_two_parents():
+    # the two declarations of X are equal, so the chart holds one X value
+    sc = parse("statechart D for C { initial state A { initial state X; } "
+               "state B { initial state X; } A -> B : f(); }")
+    assert len(sc.states) == 3 and {("X", "A"), ("X", "B")} <= sc.sub
+    found = [v for v in findings(check_all(sc, CTX)) if v.code == "CC12"]
+    assert found == [Violation("CC12", "state X", "declared under 2 parents: A, B")]
+
+
 def test_cc13_constructor_initial_state_with_ingoing():
     sc = make(
         states=frozenset(
