@@ -3,8 +3,11 @@ the term text format.
 
 `PYTHONPATH=src python tests/test_text_golden.py simp` prints the digests of
 the printed simplified charts as JSON, in the format of
-`fixtures/simp_golden.json`; with the argument `sexpr` it prints the digests
-of the seeded random terms, in the format of `fixtures/sexpr_golden.json`.
+`fixtures/simp_golden.json`; with the argument `simp-json` it prints the
+digests of their JSON form and of their `check_simp` findings, in the format
+of `fixtures/simp_json_golden.json`; with the argument `sexpr` it prints the
+digests of the seeded random terms, in the format of
+`fixtures/sexpr_golden.json`.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from pathlib import Path
 
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
-from scforge.printer import print_simp
+from scforge.printer import print_simp, to_json
 from scforge.transform import to_simplified, transform_fixpoint
 from scforge.vdb import HISTORY_TYPES, And, Basic, Or, Sym, VdbTransition, term_from_sexpr, term_to_sexpr
+from scforge.wellformed import check_simp
 from test_vdb import BUFFER_SC
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SIMP_GOLDEN = FIXTURES / "simp_golden.json"
+SIMP_JSON_GOLDEN = FIXTURES / "simp_json_golden.json"
 SEXPR_GOLDEN = FIXTURES / "sexpr_golden.json"
 
 
@@ -61,6 +66,24 @@ def simp_golden_digests() -> dict[str, str]:
 def test_printed_simplified_charts_match_golden_digests():
     expected = json.loads(SIMP_GOLDEN.read_text())
     actual = simp_golden_digests()
+    assert actual.keys() == expected.keys()
+    differing = [k for k in expected if actual[k] != expected[k]]
+    assert not differing, f"{len(differing)} charts differ, first: {differing[:5]}"
+
+
+def simp_json_golden_digests() -> dict[str, str]:
+    """For every chart of the corpus, its JSON form (`simplify --format
+    json`) and its `check_simp` findings."""
+    out = {}
+    for key, simp in simplified_corpus().items():
+        out[f"json/{key}"] = _digest(to_json(simp))
+        out[f"check/{key}"] = _digest(json.dumps([v.to_json() for v in check_simp(simp)]))
+    return out
+
+
+def test_simplified_chart_json_and_findings_match_golden_digests():
+    expected = json.loads(SIMP_JSON_GOLDEN.read_text())
+    actual = simp_json_golden_digests()
     assert actual.keys() == expected.keys()
     differing = [k for k in expected if actual[k] != expected[k]]
     assert not differing, f"{len(differing)} charts differ, first: {differing[:5]}"
@@ -162,5 +185,6 @@ def test_golden_terms_read_back_to_themselves():
 
 
 if __name__ == "__main__":
-    which = {"simp": simp_golden_digests, "sexpr": sexpr_golden_digests}
+    which = {"simp": simp_golden_digests, "simp-json": simp_json_golden_digests,
+             "sexpr": sexpr_golden_digests}
     print(json.dumps(which[sys.argv[1]](), indent=1))
