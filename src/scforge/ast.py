@@ -6,7 +6,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import ClassVar, Optional, Union
+from typing import Optional
 
 from .actions import Action, Call, Cond
 
@@ -48,21 +48,12 @@ class InternT:
 _CACHES = ("_hash", "_key", "_text")
 
 
-def _pickled_without_caches(cls):
-    """Leave the cached values out of pickled state: string hashes differ
-    between processes, and the rest is recomputed on first use."""
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
-
-    cls.__getstate__ = __getstate__
-    return cls
-
-
 def hash_once(cls):
     """Cache each instance's dataclass-generated hash on first use: chart
     rewrites and term exploration look the same elements up in sets and
     dicts on every step, and the generated hash walks their whole tree each
-    time."""
+    time. Pickled state leaves the cached values out: string hashes differ
+    between processes, and the rest is recomputed on first use."""
     generated = cls.__hash__
 
     def __hash__(self):
@@ -72,8 +63,11 @@ def hash_once(cls):
             object.__setattr__(self, "_hash", generated(self))
             return self._hash
 
-    cls.__hash__ = __hash__
-    return _pickled_without_caches(cls)
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
 @hash_once
@@ -279,10 +273,10 @@ def group_by(items, key, kind=frozenset) -> dict:
     return {k: kind(v) for k, v in groups.items()}
 
 
-def trans_key(t: Union[Trans, SimpTrans]):
-    """One total order on the transitions of either chart kind. Each
-    transition computes its key once, on first use, and keeps it: the
-    rewrite engine sorts the same transitions on every step."""
+def trans_key(t: Trans):
+    """One total order on a chart's transitions. Each transition computes
+    its key once, on first use, and keeps it: the rewrite engine sorts the
+    same transitions on every step."""
     try:
         return t._key
     except AttributeError:
@@ -292,60 +286,21 @@ def trans_key(t: Union[Trans, SimpTrans]):
         return key
 
 
-# ---------------------------------------------------------------------------
-# Simplified statecharts
-
 @dataclass(frozen=True)
-class SimpState:
-    modifiers: frozenset[str]
-    name: str
-    inv: Cond
-    # flat states carry no stereotypes or actions of their own
-    sstereos: ClassVar[frozenset] = frozenset()
-    entry: ClassVar[None] = None
-    exit: ClassVar[None] = None
-    do: ClassVar[None] = None
-    internT: ClassVar[frozenset] = frozenset()
+class SCSimp(SCFull):
+    """A flat chart in the simplified form: its states carry only modifiers
+    and an invariant, its transitions no priority, and every invariant,
+    guard and action is present."""
 
+    @property
+    def transitions(self) -> frozenset[Trans]:
+        return self.trans
 
-@_pickled_without_caches
-@dataclass(frozen=True)
-class SimpTrans:
-    src: str
-    pre: Cond
-    call: Call
-    act: Action
-    trg: str
-    prio: ClassVar[None] = None  # flat transitions carry no priority
-
-
-@dataclass(frozen=True)
-class SCSimp:
-    diagram_name: str
-    class_name: str
-    inv: Cond
-    states: frozenset[SimpState]
-    transitions: frozenset[SimpTrans]
-    stereos: ClassVar[frozenset] = frozenset()  # flat charts carry no stereotypes
-
-    @cached_property
-    def index(self) -> ChartIndex:
-        return ChartIndex(self.states, self.transitions)
-
-    def state(self, name: str) -> SimpState:
-        return self.index.by_name[name]
-
-    def sorted_states(self) -> tuple[SimpState, ...]:
-        return self.index.states
-
-    def sorted_trans(self) -> tuple[SimpTrans, ...]:
-        return self.index.trans
-
-    def initial_states(self) -> list[SimpState]:
+    def initial_states(self) -> list[FullState]:
         return [s for s in self.index.states if "initial" in s.modifiers]
 
 
-def triggers(sc: Union[SCFull, SCSimp]) -> set[str]:
+def triggers(sc: SCFull) -> set[str]:
     """All trigger names: calls on transitions and internal transitions."""
     names = {t.call.name for t in sc.index.trans}
     for s in sc.index.states:

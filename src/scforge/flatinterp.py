@@ -23,7 +23,7 @@ from .actions import (
     holds,
     match_call,
 )
-from .ast import SCSimp, SimpTrans
+from .ast import SCSimp, Trans
 from .parse import parse_message  # noqa: F401 -- re-exported: it reads what format_message writes
 from .printer import print_value
 
@@ -192,7 +192,7 @@ class Chaos:
 
 @dataclass(frozen=True, slots=True)
 class PostconditionViolated:
-    transition: SimpTrans
+    transition: Trans
     next: Configuration
     consumed: Optional[Message] = None
 

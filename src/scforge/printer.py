@@ -7,7 +7,7 @@ round-trips through the parser: ``parse(print_chart(sc)) == sc``.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Optional
 
 from .actions import (
     Action,
@@ -195,7 +195,7 @@ def _children(sc: SCFull, name: Optional[str]) -> list[FullState]:
     return sorted(sc.index.children.get(name, ()), key=lambda s: s.name)
 
 
-def print_chart(sc: Union[SCFull, SCSimp]) -> str:
+def print_chart(sc: SCFull) -> str:
     lines = []
     head = f"statechart {sc.diagram_name} for {sc.class_name}"
     if sc.stereos:

@@ -52,8 +52,6 @@ from .ast import (
     SCFull,
     SCSimp,
     SEQUENTIAL,
-    SimpState,
-    SimpTrans,
     Trans,
     trans_key,
 )
@@ -907,11 +905,12 @@ def to_simplified(sc: SCFull) -> SCSimp:
         class_name=sc.class_name,
         inv=sc.inv if sc.inv is not None else TRUE,
         states=frozenset(
-            SimpState(s.modifiers, s.name, s.inv if s.inv is not None else TRUE)
+            FullState(modifiers=s.modifiers, name=s.name, inv=s.inv if s.inv is not None else TRUE)
             for s in sc.states
         ),
-        transitions=frozenset(
-            SimpTrans(
+        trans=frozenset(
+            Trans(
+                None,
                 t.src,
                 t.pre if t.pre is not None else TRUE,
                 t.call,

@@ -45,7 +45,7 @@ from .actions import (
     exec_stmt,
     reads,
 )
-from .ast import SCFull, SCSimp, hash_once
+from .ast import SCFull, hash_once
 from .printer import print_value
 
 
@@ -480,7 +480,7 @@ def _ground_syms(stmt) -> Optional[tuple]:
     return tuple(out)
 
 
-def encode_guard_free(sc: Union[SCFull, SCSimp], domain: Optional[tuple] = None) -> Term:
+def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     """Translate a guard-free statechart into a statemachine term.
 
     Each hierarchy level becomes an or-term whose children are numbered

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .actions import (
     Assign,
@@ -97,7 +97,7 @@ def _on_cycle(sub: Iterable[tuple[str, str]]) -> set[str]:
     return out
 
 
-def _triggered(sc: Union[SCFull, SCSimp]) -> Iterator[tuple]:
+def _triggered(sc: SCFull) -> Iterator[tuple]:
     """Each transition and internal transition, with the subject its
     violations name."""
     for t in sc.index.trans:
@@ -124,7 +124,7 @@ def _actions(sc: SCFull) -> Iterator[tuple]:
                 yield None, set(), f"state {s.name} {what}", act
 
 
-def _check_shared(sc: Union[SCFull, SCSimp]) -> list[Violation]:
+def _check_shared(sc: SCFull) -> list[Violation]:
     """CC4, CC7 and CC12, which apply to both chart kinds."""
     out: list[Violation] = []
 

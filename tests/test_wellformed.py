@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
-from scforge.ast import FullState, SCFull, SCSimp, SimpState, SimpTrans, Trans
+from scforge.ast import FullState, SCFull, SCSimp, Trans
 from scforge.actions import TRUE, Action, Assign, Call, ELit, EVar, PVar, Send, SKIP
 from scforge.parse import parse
 from scforge.wellformed import SignatureContext, Violation, check_all, check_simp
@@ -290,29 +290,30 @@ def flat(states, transitions):
         class_name="C",
         inv=TRUE,
         states=frozenset(states),
-        transitions=frozenset(transitions),
+        trans=frozenset(transitions),
     )
 
 
 def test_check_simp_dangling_target():
     sc = flat(
-        [SimpState(frozenset(["initial"]), "A", TRUE)],
-        [SimpTrans("A", TRUE, Call("f"), Action(SKIP, None), "Ghost")],
+        [FullState(modifiers=frozenset(["initial"]), name="A", inv=TRUE)],
+        [Trans(None, "A", TRUE, Call("f"), Action(SKIP, None), "Ghost")],
     )
     assert [v.code for v in check_simp(sc)] == ["CC4"]
 
 
 def test_check_simp_duplicate_params():
     sc = flat(
-        [SimpState(frozenset(["initial"]), "A", TRUE)],
-        [SimpTrans("A", TRUE, Call("f", (PVar("a"), PVar("a"))), Action(SKIP, None), "A")],
+        [FullState(modifiers=frozenset(["initial"]), name="A", inv=TRUE)],
+        [Trans(None, "A", TRUE, Call("f", (PVar("a"), PVar("a"))), Action(SKIP, None), "A")],
     )
     assert [v.code for v in check_simp(sc)] == ["CC7"]
 
 
 def test_check_simp_duplicate_names():
     sc = flat(
-        [SimpState(frozenset(["initial"]), "A", TRUE), SimpState(frozenset(), "A", TRUE)],
+        [FullState(modifiers=frozenset(["initial"]), name="A", inv=TRUE),
+         FullState(name="A", inv=TRUE)],
         [],
     )
     assert [v.code for v in check_simp(sc)] == ["CC12"]
