@@ -18,7 +18,7 @@ from typing import Optional
 from . import conform as conform_mod
 from . import flatinterp, vdb
 from .actions import ActionError, UnboundVariable
-from .parse import LexError, ReservedIdentifier, StatechartSyntaxError, parse
+from .parse import DuplicateState, LexError, ReservedIdentifier, StatechartSyntaxError, parse
 from .printer import print_chart, print_simp, to_dot, to_json
 from .transform import (
     IllFormedInput,
@@ -44,7 +44,7 @@ class BoundError(Exception):
     pass
 
 
-SYNTAX_ERRORS = (LexError, StatechartSyntaxError, ReservedIdentifier)
+SYNTAX_ERRORS = (LexError, StatechartSyntaxError, ReservedIdentifier, DuplicateState)
 
 
 def _read(path: str) -> str:
@@ -463,6 +463,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (UsageError, IllFormedInput) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except BoundError as e:
         print(f"bound exceeded: {e}", file=sys.stderr)

@@ -83,6 +83,15 @@ class ReservedIdentifier(Exception):
         self.line, self.col, self.name = line, col, name
 
 
+class DuplicateState(Exception):
+    """A state declared exactly as an earlier one, which the chart value,
+    a set of states, cannot tell apart from it."""
+
+    def __init__(self, line: int, col: int, name: str):
+        super().__init__(f"{line}:{col}: state {name} declared twice")
+        self.line, self.col, self.name = line, col, name
+
+
 KEYWORDS = {
     "statechart",
     "for",
@@ -146,9 +155,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(kind, word, line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", int(text[start:i]), line, col))
             col += i - start
@@ -174,6 +183,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.allow_reserved = allow_reserved
+        self.parents: dict[FullState, set] = {}  # each declared state's parents
 
     # -- token plumbing ----------------------------------------------------
 
@@ -304,6 +314,7 @@ class Parser:
         while self.peek().value in ("initial", "final"):
             modifiers.add(self.next().value)
         self.expect("kw", "state")
+        name_tok = self.peek()
         name = self.ident(declaring=True)
         if parent is not None:
             sub.append((name, parent))
@@ -329,18 +340,22 @@ class Parser:
                 else:
                     self.parse_item(name, states, trans, sub, [])
             self.expect("}")
-        states.append(
-            FullState(
-                sstereos=frozenset(stereo_vals),
-                modifiers=frozenset(modifiers),
-                name=name,
-                inv=inv,
-                entry=actions.get("entry"),
-                exit=actions.get("exit"),
-                do=actions.get("do"),
-                internT=frozenset(internT),
-            )
+        state = FullState(
+            sstereos=frozenset(stereo_vals),
+            modifiers=frozenset(modifiers),
+            name=name,
+            inv=inv,
+            entry=actions.get("entry"),
+            exit=actions.get("exit"),
+            do=actions.get("do"),
+            internT=frozenset(internT),
         )
+        # An identical declaration is kept apart only by a second parent.
+        parents = self.parents.setdefault(state, set())
+        if parents and (parent is None or None in parents or parent in parents):
+            raise DuplicateState(name_tok.line, name_tok.col, name)
+        parents.add(parent)
+        states.append(state)
 
     def parse_transition(self, stereo_vals, prio, trans) -> None:
         if stereo_vals:

@@ -107,6 +107,57 @@ def test_parse_syntax_error_is_usage(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_digits_that_are_not_decimal_are_lex_errors(capsys, tmp_path, buffer_file):
+    p = tmp_path / "sup.sc"
+    p.write_text("statechart S for C { initial state S; S -> S : f(²); }")
+    code, out, err = run_cli(capsys, "parse", str(p))
+    assert (code, out, err) == (2, "", f"error: {p}: 1:50: unexpected character '²'\n")
+    code, out, err = run_cli(capsys, "run", buffer_file, "--events", "f(¹)")
+    assert (code, out, err) == (2, "", "error: bad event 'f(¹)': 1:3: unexpected character '¹'\n")
+    # decimal digits of other scripts are ints, as before
+    code, out, _ = run_cli(capsys, "run", buffer_file, "--events", "put(٣), get()")
+    assert code == 0 and "emitted send(3)" in out
+
+
+@pytest.mark.parametrize("chart, message", [
+    ("statechart D for C { initial state A; initial state A; A -> A : f(); }",
+     "1:53: state A declared twice"),
+    ("statechart D for C { initial state X; state A { initial state X; } X -> A : f(); }",
+     "1:63: state X declared twice"),
+], ids=["one-parent", "top-level-and-nested"])
+def test_identical_state_declarations_are_usage(capsys, tmp_path, chart, message):
+    p = tmp_path / "dup.sc"
+    p.write_text(chart)
+    for command in ("parse", "check", "simplify"):
+        assert run_cli(capsys, command, str(p)) == (2, "", f"error: {p}: {message}\n")
+
+
+DEEP = 3000  # levels of nesting, well past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("kind", ["negations", "parentheses", "event", "term", "vars"])
+def test_deeply_nested_input_is_usage(capsys, tmp_path, buffer_file, kind):
+    chart, other = tmp_path / "deep.sc", tmp_path / "deep.other"
+    if kind == "negations":
+        chart.write_text("statechart S for C { initial state S; S -> S : ["
+                         + "!" * DEEP + "true] f(); }")
+        argv = ["check", str(chart)]
+    elif kind == "parentheses":
+        chart.write_text("statechart S for C { initial state S; S -> S : ["
+                         + "(" * DEEP + "1" + ")" * DEEP + " == 1] f(); }")
+        argv = ["check", str(chart)]
+    elif kind == "event":
+        argv = ["run", buffer_file, "--events", "put(" + "[" * DEEP + "]" * DEEP + ")"]
+    elif kind == "term":
+        other.write_text("(" * DEEP + ")" * DEEP)
+        argv = ["vdb-run", str(other), "--events", "f()"]
+    else:
+        frag = _fragment_with(lambda f: f["nodes"][0]["objects"]["o"]["vars"].update(v="deep"))
+        other.write_text(json.dumps(frag).replace('"deep"', "[" * DEEP + "]" * DEEP))
+        argv = ["conform", buffer_file, str(other), str(FIXTURES / "buffer_projection.json")]
+    assert run_cli(capsys, *argv) == (2, "", "error: input nested too deeply\n")
+
+
 def test_missing_file_is_usage(capsys):
     code, _, err = run_cli(capsys, "parse", "/nonexistent/x.sc")
     assert code == 2
