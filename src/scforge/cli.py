@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .transform import (
     NonTermination,
     NotSimplifiable,
     flat_and_simplified,
+    read_strategy,
     to_simplified,
     transform_fixpoint,
 )
@@ -47,19 +49,29 @@ class BoundError(Exception):
 SYNTAX_ERRORS = (LexError, StatechartSyntaxError, ReservedIdentifier, DuplicateState)
 
 
+@contextmanager
+def _input(where: str, *errors):
+    """Turn the listed errors raised in the block into usage errors that
+    name `where`, the input they came from."""
+    try:
+        yield
+    except errors as e:
+        raise UsageError(f"{where}: {e}") from None
+
+
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: {e}")
 
 
 def _parse_chart(path: str, text: Optional[str] = None):
     """The chart in `path`, whose `text` the caller may have read already."""
-    try:
+    with _input(path, *SYNTAX_ERRORS):
         return parse(_read(path) if text is None else text)
-    except SYNTAX_ERRORS as e:
-        raise UsageError(f"{path}: {e}")
 
 
 def _events(spec: str):
@@ -74,10 +86,8 @@ def _events(spec: str):
     ]
     events = []
     for p in filter(None, parts):
-        try:
+        with _input(f"bad event {p!r}", *SYNTAX_ERRORS):
             events.append(flatinterp.parse_message(p))
-        except SYNTAX_ERRORS as e:
-            raise UsageError(f"bad event {p!r}: {e}")
     return events
 
 
@@ -103,26 +113,16 @@ def _checked(sc, path: str):
     return sc
 
 
-def _action_error(e: ActionError) -> UsageError:
-    """An action that cannot be evaluated on the given input."""
-    return UsageError(f"unbound variable {e}" if isinstance(e, UnboundVariable) else str(e))
-
-
 def _flatten(args):
     """Parse and check `args.chart`, then flatten it."""
     sc = _checked(_parse_chart(args.chart), args.chart)
-    try:
-        return transform_fixpoint(sc, strategy=args.strategy, max_steps=args.max_steps)
-    except NonTermination as e:
-        raise BoundError(str(e))
+    return transform_fixpoint(sc, strategy=args.strategy, max_steps=args.max_steps)
 
 
 def _simplified(args):
     flat, _ = _flatten(args)
-    try:
+    with _input("chart does not flatten", NotSimplifiable):
         return to_simplified(flat)
-    except NotSimplifiable as e:
-        raise UsageError(f"chart does not flatten: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +143,8 @@ def cmd_check(args) -> int:
     sc = _parse_chart(args.chart)
     ctx = None
     if args.ctx:
-        try:
+        with _input(args.ctx, ValueError, KeyError):
             ctx = SignatureContext.from_json(_read(args.ctx))
-        except (ValueError, KeyError) as e:
-            raise UsageError(f"{args.ctx}: {e}")
     violations = check_all(sc, ctx)
     findings = [v for v in violations if not v.skipped]
     if args.format == "json":
@@ -190,25 +188,18 @@ def cmd_simplify(args) -> int:
 
 def cmd_run(args) -> int:
     simp = _simplified(args)
-    try:
-        scheduler = flatinterp.scheduler_from_spec(args.scheduler)
-    except ValueError as e:
-        raise UsageError(str(e))
+    scheduler = flatinterp.scheduler_from_spec(args.scheduler)
     events = _events(args.events)
-    inits = [args.init] if args.init else [s.name for s in simp.initial_states()]
+    initial = [s.name for s in simp.initial_states()]
+    if args.init and args.init not in initial:
+        raise UsageError(f"{args.init} is not an initial state")
+    inits = [args.init] if args.init else initial
     if not inits:
         raise UsageError("chart has no initial state")
     ok = True
     out = {}
     for init in inits:
-        try:
-            result = flatinterp.run(
-                simp, init, events, scheduler, args.match, args.max_steps
-            )
-        except flatinterp.BadInitialState:
-            raise UsageError(f"{init} is not an initial state")
-        except ActionError as e:
-            raise _action_error(e)
+        result = flatinterp.run(simp, init, events, scheduler, args.match, args.max_steps)
         if result.quiescent and result.final.pending():
             raise BoundError(
                 f"run from {init} consumed {len(result.steps)} of {len(events)} events"
@@ -241,16 +232,10 @@ def _load_term(path: str, domain):
     text = _read(path)
     if text.lstrip().startswith("statechart"):
         sc = _checked(_parse_chart(path, text), path)
-        try:
+        with _input(path, vdb.NotGuardFree, vdb.UnboundedValueDomain):
             return vdb.encode_guard_free(sc, domain=domain)
-        except (vdb.NotGuardFree, vdb.UnboundedValueDomain) as e:
-            raise UsageError(f"{path}: {e}")
-        except ActionError as e:
-            raise _action_error(e)
-    try:
+    with _input(path, ValueError):
         return vdb.term_from_sexpr(text)
-    except ValueError as e:
-        raise UsageError(f"{path}: {e}")
 
 
 # The environment variables that set `vdb.run_bounded`'s bounds, by keyword.
@@ -264,9 +249,12 @@ def _env_bounds() -> dict:
         text = os.environ.get(variable)
         if text is None:
             continue
-        if not text.strip().isdecimal() or int(text) < 1:
+        try:
+            bounds[key] = int(text) if text.strip().isdecimal() else 0
+        except ValueError:  # more digits than the interpreter converts
+            bounds[key] = 0
+        if bounds[key] < 1:
             raise UsageError(f"{variable} must be a positive integer, not {text!r}")
-        bounds[key] = int(text)
     return bounds
 
 
@@ -274,18 +262,11 @@ def cmd_vdb_run(args) -> int:
     bounds = _env_bounds()
     domain = None
     if args.domain:
-        try:
+        with _input(f"bad domain {args.domain!r}", ValueError):
             domain = tuple(int(x) for x in args.domain.split(","))
-        except ValueError:
-            raise UsageError(f"bad domain {args.domain!r}: expected integers")
     term = _load_term(args.input, domain)
-    queue = tuple(
-        vdb.Sym(m.name, tuple(m.args)) for m in _events(args.events)
-    )
-    try:
-        runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps, **bounds)
-    except vdb.StateSpaceBound as e:
-        raise BoundError(f"{e}; {e.variable} raises the bound")
+    queue = tuple(vdb.Sym(m.name, tuple(m.args)) for m in _events(args.events))
+    runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps, **bounds)
     if args.format == "json":
         print(vdb.runs_to_json(runs))
     else:
@@ -300,22 +281,12 @@ def cmd_vdb_run(args) -> int:
 
 def cmd_conform(args) -> int:
     simp = _simplified(args)
-    try:
+    with _input(args.fragment, ValueError, KeyError):
         frag = conform_mod.SystemFragment.from_json(_read(args.fragment))
-    except (ValueError, KeyError) as e:
-        raise UsageError(f"{args.fragment}: {e}")
-    try:
+    with _input(args.projection, ValueError):
         proj = conform_mod.load_projection(_read(args.projection))
-    except ValueError as e:
-        raise UsageError(f"{args.projection}: {e}")
-    try:
-        report = conform_mod.check_system_conformance(
-            simp, frag, proj, bound=args.bound
-        )
-    except conform_mod.IncompleteProjection as e:
-        raise UsageError(f"{args.projection}: {e}")
-    except ActionError as e:
-        raise _action_error(e)
+    with _input(args.projection, conform_mod.IncompleteProjection):
+        report = conform_mod.check_system_conformance(simp, frag, proj, bound=args.bound)
     if args.format == "json":
         print(conform_mod.report_to_json(report))
     else:
@@ -351,7 +322,20 @@ def _at_least(flag: str, value: int, minimum: int) -> int:
 def _int_at_least(flag: str, minimum: int):
     """argparse type: an integer of at least `minimum`; a smaller one is a
     usage error."""
-    return lambda text: _at_least(flag, int(text), minimum)
+    def check(text):
+        return _at_least(flag, int(text), minimum)
+    check.__name__ = "int"  # the type an argparse error names
+    return check
+
+
+def _spec(name: str, read):
+    """argparse type: a spec that the library's reader `read` accepts, kept
+    as written; argparse reports `read`'s ValueError as an invalid `name`."""
+    def check(text):
+        read(text)
+        return text
+    check.__name__ = name
+    return check
 
 
 def _add_format(p, choices=("text", "json")):
@@ -360,7 +344,7 @@ def _add_format(p, choices=("text", "json")):
 
 
 def _add_transform_flags(p, max_steps_help="rewrite step bound (default 10000)"):
-    p.add_argument("--strategy", default="paper",
+    p.add_argument("--strategy", type=_spec("strategy", read_strategy), default="paper",
                    help="rule strategy: paper | random:<seed> (default paper)")
     p.add_argument("--max-steps", type=_int_at_least("--max-steps", 0), default=10000,
                    help=max_steps_help)
@@ -410,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True,
                    help="comma-separated messages, or @file")
     p.add_argument("--init", help="start state (default: every initial state)")
-    p.add_argument("--scheduler", default="lex",
+    p.add_argument("--scheduler", type=_spec("scheduler", flatinterp.scheduler_from_spec),
+                   default="lex",
                    help="choice scheduler: lex | rand:<seed> (default lex)")
     p.add_argument("--match", choices=("fifo", "anywhere"), default="fifo",
                    help="buffer matching discipline (default fifo)")
@@ -455,20 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one command; every error it ends in is one line on stderr."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    except (UsageError, IllFormedInput) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (UsageError, IllFormedInput, ActionError) as e:
+        # an ActionError is an action that cannot be evaluated on the input
+        unbound = "unbound variable " if isinstance(e, UnboundVariable) else ""
+        print(f"error: {unbound}{e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except BoundError as e:
-        print(f"bound exceeded: {e}", file=sys.stderr)
+    except (BoundError, NonTermination, vdb.StateSpaceBound) as e:
+        hint = (f"; {VDB_BOUNDS[e.argument]} raises the bound"
+                if isinstance(e, vdb.StateSpaceBound) else "")
+        print(f"bound exceeded: {e}{hint}", file=sys.stderr)
         return EXIT_BOUND
     except BrokenPipeError:
         # the reader closed stdout early: end quietly, and point stdout at

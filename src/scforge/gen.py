@@ -153,13 +153,13 @@ def gen_chart(seed: int, max_states: int = 8, max_depth: int = 3) -> SCFull:
     )
 
 
-def gen_guard_free(seed: int, max_states: int = 6, n_triggers: int = 3) -> SCFull:
+def gen_guard_free(seed: int, max_states: int = 6) -> SCFull:
     """A random guard-free chart: no data, no guards, no entry/exit/do,
     sibling-only transitions, fixed <<prio:inner, completion:ignore>>."""
     rng = random.Random(seed)
     n = rng.randint(2, max_states)
     names, parent = _tree(rng, n, max_depth=2)
-    triggers = TRIGGERS[: rng.randint(1, n_triggers)]
+    triggers = TRIGGERS[: rng.randint(1, len(TRIGGERS))]
 
     mods = {nm: set() for nm in names}
     for group in group_by(names, parent.get, list).values():

@@ -159,7 +159,12 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(Token("int", int(text[start:i]), line, col))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # more digits than the interpreter converts
+                raise LexError(line, col,
+                               f"integer literal of {i - start} digits is too long") from None
+            tokens.append(Token("int", value, line, col))
             col += i - start
             continue
         two = text[i : i + 2]

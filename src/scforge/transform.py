@@ -820,6 +820,16 @@ def _advance(old: SCFull, new: SCFull) -> tuple[Optional[set[str]], set[str]]:
     return dirty, wide
 
 
+def read_strategy(strategy: str) -> Optional[random.Random]:
+    """The shuffler of a "random:<seed>" strategy, or None for "paper"; any
+    other strategy is a ValueError."""
+    if strategy.startswith("random:"):
+        return random.Random(int(strategy.split(":", 1)[1]))
+    if strategy != "paper":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return None
+
+
 def transform_fixpoint(
     sc: SCFull,
     strategy: str = "paper",
@@ -838,11 +848,7 @@ def transform_fixpoint(
     could have changed them (`_advance`), which lists the same bindings, in
     the same order, as a scan of every state.
     """
-    rng: Optional[random.Random] = None
-    if strategy.startswith("random:"):
-        rng = random.Random(int(strategy.split(":", 1)[1]))
-    elif strategy != "paper":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    rng = read_strategy(strategy)
     # a name with a parent but no chain of superstates is on a substate
     # cycle, below one, or below an undeclared parent
     if sc.index.parent.keys() - sc.index.ancestors.keys() and (cycle := _on_cycle(sc.sub)):

@@ -19,7 +19,8 @@ becomes the family `NonEmpty(v)`). The chart must keep these rules:
   chart's transitions carry no event data and only send ground values;
 - transitions join sibling states only;
 - entry and exit actions are ground send sequences;
-- every level has an initial state.
+- every level has an initial state;
+- no state has the chart's name, which the top or-term takes.
 
 A chart that breaks a rule raises `NotGuardFree`, and one whose data needs a
 domain that is missing or too small raises `UnboundedValueDomain`;
@@ -54,12 +55,12 @@ class UnknownTargetName(Exception):
 
 
 class StateSpaceBound(Exception):
-    """Exploration went past a bound; `variable` names the environment
-    variable through which `scforge vdb-run` sets the bound."""
+    """Exploration went past a bound; `argument` names the `run_bounded`
+    argument that set it, `max_nodes` or `max_runs`."""
 
-    def __init__(self, message: str, variable: str):
+    def __init__(self, message: str, argument: str):
         super().__init__(message)
-        self.variable = variable
+        self.argument = argument
 
 
 class NotGuardFree(Exception):
@@ -365,12 +366,12 @@ def consume_input(node: KripkeNode, sel=fifo_sel, join=fifo_join,
 def run_bounded(
     start: KripkeNode,
     max_steps: int,
-    sel=fifo_sel,
-    join=fifo_join,
     max_nodes: int = 10000,
     max_runs: int = 100000,
 ) -> frozenset:
-    """All maximal step sequences of length <= max_steps from start.
+    """All maximal step sequences of length <= max_steps from start; each
+    step consumes the queue's head and appends its outputs at the tail
+    (`fifo_sel`, `fifo_join`).
 
     Raises `StateSpaceBound` when more than `max_nodes` distinct nodes are
     reachable within max_steps, and otherwise when there are more than
@@ -386,14 +387,13 @@ def run_bounded(
         depth += 1
         deeper = []
         for node in level:
-            succs[node] = nxt = consume_input(node, sel, join, memo)
+            succs[node] = nxt = consume_input(node, memo=memo)
             for n in nxt:
                 if n not in nodes_seen:
                     nodes_seen.add(n)
                     deeper.append(n)
             if len(nodes_seen) > max_nodes:
-                raise StateSpaceBound(f"more than {max_nodes} distinct nodes",
-                                      "SCFORGE_MAX_NODES")
+                raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
         level = deeper
 
     # paths on the stack are pairwise distinct, so no run is found twice
@@ -405,7 +405,7 @@ def run_bounded(
         if not nxt:
             runs.append(path)
             if len(runs) > max_runs:
-                raise StateSpaceBound(f"more than {max_runs} runs", "SCFORGE_MAX_RUNS")
+                raise StateSpaceBound(f"more than {max_runs} runs", "max_runs")
             continue
         stack.extend(path + (node,) for node in nxt)
     return frozenset(runs)
@@ -501,6 +501,8 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         for seq, what in zip(actions[s.name], ("entry", "exit")):
             if seq is None:
                 problems.append(f"state {s.name} {what} is not a ground send sequence")
+    if sc.diagram_name in index.by_name:
+        problems.append(f"state {sc.diagram_name} has the chart's name")
     if problems:
         raise NotGuardFree(problems)
 

@@ -379,11 +379,12 @@ def test_run_bad_init_is_usage(capsys, buffer_file):
 
 
 def test_run_bad_scheduler_is_usage(capsys, buffer_file):
-    code, _, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "run", buffer_file, "--events", "get()",
         "--scheduler", "mystery",
     )
-    assert code == 2
+    assert (code, out, err) == (
+        2, "", "error: scforge run: argument --scheduler: invalid scheduler value: 'mystery'\n")
 
 
 # -- vdb-run -----------------------------------------------------------------
@@ -763,6 +764,10 @@ def test_out_of_range_numbers_are_one_line_usage_errors(capsys, buffer_file, arg
     (["run", "{chart}", "--events", "get()", "--match", "nope"],
      "scforge run: argument --match: invalid choice: 'nope' (choose from "),
     ([], "scforge: the following arguments are required: command"),
+    (["run", "{chart}", "--events", "get()", "--max-steps", "abc"],
+     "scforge run: argument --max-steps: invalid int value: 'abc'"),
+    (["conform", "{chart}", "f.json", "p.json", "--bound", "1.5"],
+     "scforge conform: argument --bound: invalid int value: '1.5'"),
 ])
 def test_argument_errors_are_one_line_usage_errors(capsys, buffer_file, argv, message):
     code, out, err = run_cli(capsys, *(a.format(chart=buffer_file) for a in argv))
@@ -787,3 +792,75 @@ def test_smallest_numbers_are_accepted(capsys, buffer_file):
                            str(FIXTURES / "fig_ok_fragment.json"),
                            str(FIXTURES / "buffer_projection.json"), "--bound", "0")
     assert code == 1 and "not realized within 0 steps" in out
+
+
+# -- specs checked when parsed, long literals, names, encodings -------------
+
+FLATTENING = {
+    "transform": [],
+    "simplify": [],
+    "run": ["--events", "get()"],
+    "conform": [str(FIXTURES / "fig_ok_fragment.json"), str(FIXTURES / "buffer_projection.json")],
+}
+
+
+@pytest.mark.parametrize("spec", ["bogus", "random:abc"])
+@pytest.mark.parametrize("command", list(FLATTENING))
+def test_bad_strategy_is_one_line_usage_error(capsys, buffer_file, command, spec):
+    argv = [command, buffer_file, *FLATTENING[command], "--strategy", spec]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: scforge {command}: argument --strategy: invalid strategy value: {spec!r}\n")
+
+
+LONG = "9" * 5000  # past the 4300 digits int() converts by default
+
+
+def test_integer_literal_past_the_digit_limit_is_usage(capsys, tmp_path, buffer_file,
+                                                       monkeypatch):
+    p = tmp_path / "long.sc"
+    p.write_text(f"statechart S for C {{ initial state S; S -> S : f({LONG}); }}")
+    assert run_cli(capsys, "parse", str(p)) == (
+        2, "", f"error: {p}: 1:50: integer literal of 5000 digits is too long\n")
+    assert run_cli(capsys, "run", buffer_file, "--events", f"put({LONG})") == (
+        2, "", f"error: bad event 'put({LONG})': 1:5: integer literal of 5000 digits is too long\n")
+    monkeypatch.setenv("SCFORGE_MAX_NODES", LONG)
+    assert run_cli(capsys, "vdb-run", buffer_file, "--events", "get()", "--domain", "0") == (
+        2, "", f"error: SCFORGE_MAX_NODES must be a positive integer, not {LONG!r}\n")
+
+
+@pytest.mark.parametrize("chart", [
+    "statechart A for C { initial state A; A -> A : f(); }",
+    "statechart A for C { initial state B { initial state A; } B -> B : f(); }",
+], ids=["flat", "nested"])
+def test_vdb_run_state_named_as_the_chart_is_usage(capsys, tmp_path, chart):
+    p = tmp_path / "same.sc"
+    p.write_text(chart)
+    assert run_cli(capsys, "vdb-run", str(p), "--events", "f()") == (
+        2, "", f"error: {p}: state A has the chart's name\n")
+
+
+@pytest.mark.parametrize("kind", ["chart", "events", "term", "fragment", "projection", "ctx"])
+def test_input_that_is_not_utf8_is_usage(capsys, tmp_path, buffer_file, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"put(1)\xff\n")
+    argv = {
+        "chart": ["parse", str(bad)],
+        "events": ["run", buffer_file, "--events", f"@{bad}"],
+        "term": ["vdb-run", str(bad), "--events", "f()"],
+        "fragment": ["conform", buffer_file, str(bad), str(FIXTURES / "buffer_projection.json")],
+        "projection": ["conform", buffer_file, str(FIXTURES / "fig_ok_fragment.json"), str(bad)],
+        "ctx": ["check", buffer_file, "--ctx", str(bad)],
+    }[kind]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+        " in position 6: invalid start byte\n")
+
+
+def test_vdb_run_bad_domain_names_the_value(capsys, buffer_file):
+    assert run_cli(capsys, "vdb-run", buffer_file, "--events", "get()", "--domain", "1,x") == (
+        2, "", "error: bad domain '1,x': invalid literal for int() with base 10: 'x'\n")
+
+
+def test_run_from_a_state_the_chart_lacks_is_usage(capsys, buffer_file):
+    assert run_cli(capsys, "run", buffer_file, "--events", "get()", "--init", "Nope") == (
+        2, "", "error: Nope is not an initial state\n")

@@ -37,6 +37,7 @@ from scforge.parse import (
     ReservedIdentifier,
     StatechartSyntaxError,
     parse,
+    tokenize,
 )
 from scforge.printer import print_chart, to_dot, to_json
 
@@ -172,6 +173,15 @@ def test_syntax_error_reports_position():
 def test_lex_error():
     with pytest.raises(LexError):
         parse("statechart D for C { state A; @ }")
+
+
+def test_integer_literal_past_the_digit_limit_is_a_lex_error():
+    # int() converts at most 4300 digits under the interpreter's default limit
+    digits = "9" * 5000
+    with pytest.raises(LexError) as exc:
+        parse(f"statechart D for C {{ initial state A; A -> A : f({digits}); }}")
+    assert str(exc.value) == "1:50: integer literal of 5000 digits is too long"
+    assert tokenize("9" * 4000)[0].value == int("9" * 4000)
 
 
 def test_transition_requires_body():

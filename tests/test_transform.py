@@ -726,6 +726,14 @@ def test_fixpoint_random_strategy_also_flattens():
         assert out.sub == frozenset()
 
 
+def test_read_strategy():
+    assert transform.read_strategy("paper") is None
+    assert transform.read_strategy("random:7").random() == random.Random(7).random()
+    for spec in ("bogus", "random:abc", "random:", "Paper"):
+        with pytest.raises(ValueError):
+            transform.read_strategy(spec)
+
+
 # -- the incremental engine against a reference that re-lists everything -----
 
 def naive_fixpoint(sc, strategy):

@@ -386,7 +386,7 @@ def test_run_bounded_run_cap():
     with pytest.raises(StateSpaceBound) as bound:
         run_bounded(start, max_steps=100, max_runs=15)
     assert str(bound.value) == "more than 15 runs"
-    assert bound.value.variable == "SCFORGE_MAX_RUNS"
+    assert bound.value.argument == "max_runs"
 
 
 def test_run_bounded_reads_no_bound_from_the_environment(monkeypatch):
@@ -401,7 +401,7 @@ def test_run_bounded_node_cap_is_reported_before_the_run_cap():
     with pytest.raises(StateSpaceBound) as bound:
         run_bounded(start, max_steps=100, max_nodes=10, max_runs=1)
     assert str(bound.value) == "more than 10 distinct nodes"
-    assert bound.value.variable == "SCFORGE_MAX_NODES"
+    assert bound.value.argument == "max_nodes"
 
 
 # -- encoding ---------------------------------------------------------------
@@ -448,6 +448,17 @@ def test_encode_rejects_guards():
     with pytest.raises(NotGuardFree) as e:
         encode_guard_free(sc)
     assert any("guard" in msg for msg in e.value.offending)
+
+
+@pytest.mark.parametrize("text", [
+    "statechart A for C { initial state A; A -> A : f(); }",
+    "statechart A for C { initial state B { initial state A; } B -> B : f(); }",
+], ids=["flat", "nested"])
+def test_encode_rejects_a_state_named_as_the_chart(text):
+    # the top or-term takes the chart's name, so the state could not keep its own
+    with pytest.raises(NotGuardFree) as e:
+        encode_guard_free(parse(text))
+    assert e.value.offending == ["state A has the chart's name"]
 
 
 def test_encode_rejects_multiple_data_variables():
