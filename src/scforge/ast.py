@@ -117,15 +117,6 @@ class SCFull:
     def replace_state(self, old: FullState, new: FullState) -> "SCFull":
         return replace(self, states=(self.states - {old}) | {new})
 
-    def parent_name(self, name: str) -> Optional[str]:
-        return self.index.parent.get(name)
-
-    def sorted_states(self) -> tuple[FullState, ...]:
-        return self.index.states
-
-    def sorted_trans(self) -> tuple[Trans, ...]:
-        return self.index.trans
-
 
 class ChartIndex:
     """Structural lookups over one chart value, full or simplified, built on

@@ -13,8 +13,7 @@ fragment runs (index conditions on consumption and emission).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Optional
 
@@ -43,62 +42,46 @@ def _freeze_value(v):
 
 @dataclass(frozen=True)
 class ObjectState:
-    vars: tuple  # sorted (name, value) pairs
-    threads: tuple  # sorted (threadId, stack of Message, bottom first) pairs
-    buffer: tuple  # Messages
-
-    @classmethod
-    def make(cls, vars=None, threads=None, buffer=()):
-        return cls(
-            tuple(sorted((vars or {}).items())),
-            tuple(sorted((threads or {}).items())),
-            tuple(buffer),
-        )
-
-    def vars_dict(self) -> dict:
-        return dict(self.vars)
+    vars: dict = field(default_factory=dict)  # name -> value
+    threads: dict = field(default_factory=dict)  # threadId -> stack of Message, bottom first
+    buffer: tuple = ()  # Messages
 
     def stack_tops(self):
-        return [stack[-1] for _, stack in self.threads if stack]
+        return [stack[-1] for stack in self.threads.values() if stack]
 
 
 @dataclass(frozen=True)
 class OGSNode:
     id: str
-    objects: tuple  # sorted (oid, ObjectState) pairs
-
-    @classmethod
-    def make(cls, id, objects):
-        return cls(id, tuple(sorted(objects.items())))
-
-    def object(self, oid: str) -> ObjectState:
-        for o, st in self.objects:
-            if o == oid:
-                return st
-        raise UnknownObject(oid)
+    objects: dict  # oid -> ObjectState
 
 
 @dataclass(frozen=True)
 class SystemFragment:
-    nodes: tuple  # sorted (id, OGSNode) pairs
-    edges: tuple  # (from, to, Messages) triples
+    """Built by `make`, which indexes the nodes by id, in id order, and the
+    (from, to, Messages) edges by source."""
+
+    nodes: dict  # id -> OGSNode
+    successors: dict  # id -> (to, Messages) pairs, in edge order
     init: frozenset
     main: str
 
     @classmethod
     def make(cls, nodes, edges, init, main):
-        by_id = {n.id: n for n in nodes}
-        for frm, to, _ in edges:
+        by_id = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
+        successors = {id: [] for id in by_id}
+        for frm, to, m in edges:
             for end in (frm, to):
                 if end not in by_id:
                     raise ValueError(f"edge endpoint {end!r} is not a node")
+            successors[frm].append((to, m))
         for i in init:
             if i not in by_id:
                 raise ValueError(f"initial id {i!r} is not a node")
         for n in nodes:
-            if main not in dict(n.objects):
+            if main not in n.objects:
                 raise ValueError(f"node {n.id!r} has no main object {main!r}")
-        return cls(tuple(sorted(by_id.items())), tuple(edges), frozenset(init), main)
+        return cls(by_id, successors, frozenset(init), main)
 
     @classmethod
     def from_json(cls, text: str) -> "SystemFragment":
@@ -122,7 +105,7 @@ class SystemFragment:
             objects = {}
             for oid, body in nd.get("objects", {}).items():
                 where = f"node {nd['id']!r}, object {oid!r}"
-                objects[oid] = ObjectState.make(
+                objects[oid] = ObjectState(
                     vars={k: _freeze_value(v) for k, v in body.get("vars", {}).items()},
                     threads={
                         tid: _messages(stack, f"{where}, thread {tid!r}")
@@ -130,33 +113,13 @@ class SystemFragment:
                     },
                     buffer=_messages(body.get("buffer", []), f"{where}, buffer"),
                 )
-            nodes.append(OGSNode.make(nd["id"], objects))
+            nodes.append(OGSNode(nd["id"], objects))
         edges = tuple(
             (e["from"], e["to"],
              _messages(e.get("M", []), f"edge {e['from']!r} -> {e['to']!r}, M"))
             for e in data.get("edges", [])
         )
         return cls.make(nodes, edges, data.get("init", []), data["main"])
-
-    @cached_property
-    def _by_id(self) -> dict:
-        return dict(self.nodes)
-
-    @cached_property
-    def _successors(self) -> dict:
-        out: dict = {}
-        for frm, to, m in self.edges:
-            out.setdefault(frm, []).append((to, m))
-        return out
-
-    def node(self, id: str) -> OGSNode:
-        return self._by_id[id]
-
-    def node_ids(self):
-        return list(self._by_id)
-
-    def successors(self, id: str):
-        return self._successors.get(id, [])
 
 
 def _messages(texts, where: str) -> tuple:
@@ -185,7 +148,7 @@ def reachable_n(frag: SystemFragment, frm: str, n: int) -> frozenset:
     seen = {frm}
     for _ in range(n):
         frontier = {
-            to for i in frontier for to, _ in frag.successors(i) if to not in seen
+            to for i in frontier for to, _ in frag.successors[i] if to not in seen
         }
         if not frontier:
             break
@@ -195,7 +158,9 @@ def reachable_n(frag: SystemFragment, frm: str, n: int) -> frozenset:
 
 def proc_check(node: OGSNode, oid: str, m: Message) -> bool:
     """True iff m is on top of some thread stack of the object."""
-    return any(top == m for top in node.object(oid).stack_tops())
+    if oid not in node.objects:
+        raise UnknownObject(oid)
+    return any(top == m for top in node.objects[oid].stack_tops())
 
 
 # -- chart-level conformance (five numbered conditions) ---------------------
@@ -220,33 +185,32 @@ def check_system_conformance(
     missing = sorted(states.keys() - proj.keys())
     if missing:
         raise IncompleteProjection(f"no projection for {', '.join(missing)}")
-    known = set(frag.node_ids())
     for name, ids in proj.items():
         # term-level names S(value) project the data states of a chart state S
         if name not in states and not (name.endswith(")") and name.partition("(")[0] in states):
             raise IncompleteProjection(f"{name} is neither a chart state nor S(value) "
                                        "for a chart state S")
-        stray = ids - known
+        stray = ids - frag.nodes.keys()
         if stray:
             raise IncompleteProjection(
                 f"{name} projects to unknown nodes {sorted(stray)}"
             )
     if bound is None:
         bound = len(frag.nodes)
+    mains = {nid: node.objects[frag.main] for nid, node in frag.nodes.items()}
 
     report = []
 
     # 1: chart invariant on the union of all projections
     witnesses = []
     for nid in sorted(set().union(*proj.values()) if proj else set()):
-        store = frag.node(nid).object(frag.main).vars_dict()
-        if not holds(sc.inv, store, {}, unbound=True):
+        if not holds(sc.inv, mains[nid].vars, {}, unbound=True):
             witnesses.append(f"chart invariant fails at {nid}")
     report.append({"condition": 1, "pass": not witnesses, "witnesses": witnesses})
 
     # 2: initial states project into initial fragment nodes
     witnesses = []
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         if "initial" in s.modifiers:
             for nid in sorted(proj[s.name] - frag.init):
                 witnesses.append(f"{nid} in projection of initial {s.name} but not initial")
@@ -254,18 +218,17 @@ def check_system_conformance(
 
     # 3: state invariants on their projections
     witnesses = []
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         for nid in sorted(proj[s.name]):
-            store = frag.node(nid).object(frag.main).vars_dict()
-            if not holds(s.inv, store, {}, unbound=True):
+            if not holds(s.inv, mains[nid].vars, {}, unbound=True):
                 witnesses.append(f"invariant of {s.name} fails at {nid}")
     report.append({"condition": 3, "pass": not witnesses, "witnesses": witnesses})
 
     # 4: run-to-completion — at most one trigger message in processing
     trig = triggers(sc)
     witnesses = []
-    for nid in frag.node_ids():
-        distinct = {m for m in frag.node(nid).object(frag.main).stack_tops() if m.name in trig}
+    for nid, obj in mains.items():
+        distinct = {m for m in obj.stack_tops() if m.name in trig}
         if len(distinct) > 1:
             names = ", ".join(sorted(format_message(m) for m in distinct))
             witnesses.append(f"{nid} processes {names} simultaneously")
@@ -273,15 +236,13 @@ def check_system_conformance(
 
     # 5: enabled transitions are realized by microstep chains
     witnesses = []
-    for t in sc.sorted_trans():
+    for t in sc.index.trans:
         for nid in sorted(proj[t.src]):
-            node = frag.node(nid)
-            store = node.object(frag.main).vars_dict()
-            for m in node.object(frag.main).buffer:
+            for m in mains[nid].buffer:
                 v = match_call(t.call, m)
-                if v is None or not holds(t.pre, store, v, unbound=False):
+                if v is None or not holds(t.pre, mains[nid].vars, v, unbound=False):
                     continue
-                if not _transition_realized(sc, frag, proj, t, nid, m, v, bound):
+                if not _transition_realized(frag, mains, proj, t, nid, m, v, bound):
                     witnesses.append(
                         f"transition {t.src}->{t.trg} on {format_message(m)} "
                         f"enabled at {nid} but not realized within {bound} steps"
@@ -294,12 +255,13 @@ def conformance_passed(report: list) -> bool:
     return all(entry["pass"] for entry in report)
 
 
-def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
+def _transition_realized(frag, mains, proj, t, start, m, v, bound) -> bool:
     """Breadth-first search, to depth `bound`, of the product of the fragment
     and the statement's emissions (M. Vardi, P. Wolper, LICS 1986). A product
     state (node, k, shown) has matched the first k emissions in order, and
-    records whether some node so far shows the store effect."""
-    store = frag.node(start).object(frag.main).vars_dict()
+    records whether some node so far shows the store effect. `mains` maps
+    each node id to its main object."""
+    store = mains[start].vars
     new_store, emitted = exec_stmt(t.act.stmt, store, v)
     delta = {
         k: val for k, val in new_store.items()
@@ -308,14 +270,13 @@ def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
     sent_names = {e.name for e in emitted}
 
     def shows(nid):
-        vars2 = frag.node(nid).object(frag.main).vars_dict()
-        return all(vars2.get(k) == val for k, val in delta.items())
+        return all(mains[nid].vars.get(k) == val for k, val in delta.items())
 
     def accepting(nid, k, shown):
-        end_obj = frag.node(nid).object(frag.main)
+        end_obj = mains[nid]
         # the trigger message must have been consumed
         return (k == len(emitted) and shown and nid in proj[t.trg] and m not in end_obj.buffer
-                and (t.act.post is None or holds(t.act.post, end_obj.vars_dict(), v, unbound=True)))
+                and (t.act.post is None or holds(t.act.post, end_obj.vars, v, unbound=True)))
 
     frontier = {(start, 0, shows(start))}
     seen = set(frontier)
@@ -327,7 +288,7 @@ def _transition_realized(sc, frag, proj, t, start, m, v, bound) -> bool:
         # exactly the statement's emissions (over its message names) occur
         frontier = {
             (to, k + len(out), shown or shows(to))
-            for nid, k, shown in frontier for to, mlabel in frag.successors(nid)
+            for nid, k, shown in frontier for to, mlabel in frag.successors[nid]
             for out in [tuple(o for o in mlabel if o.name in sent_names)]
             if emitted[k:k + len(out)] == out
         } - seen
@@ -355,12 +316,12 @@ def fragment_run(frag: SystemFragment, ids: Iterable[str]) -> list:
     """A run as (node, M) pairs along the given node ids; M is the label of
     the edge taken into each node (empty for the first)."""
     ids = list(ids)
-    out = [(frag.node(ids[0]), ())]
+    out = [(frag.nodes[ids[0]], ())]
     for a, b in zip(ids, ids[1:]):
-        labels = [m for to, m in frag.successors(a) if to == b]
+        labels = [m for to, m in frag.successors[a] if to == b]
         if not labels:
             raise ValueError(f"no edge {a!r} -> {b!r}")
-        out.append((frag.node(b), labels[0]))
+        out.append((frag.nodes[b], labels[0]))
     return out
 
 
@@ -389,7 +350,7 @@ def check_run_satisfaction(
         return False
 
     def has_input(i):
-        return e_msg in run[i][0].object(main).buffer
+        return e_msg in run[i][0].objects[main].buffer
 
     consumed = [
         r for r in range(k)

@@ -205,7 +205,7 @@ def print_chart(sc: SCFull) -> str:
         lines.append(f"    [{print_cond(sc.inv)}];")
     for s in _children(sc, None):
         lines.extend(_print_state(sc, s, "    "))
-    for t in sc.sorted_trans():
+    for t in sc.index.trans:
         lines.append("    " + _print_trans(t))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -240,9 +240,9 @@ def chart_to_dict(sc: SCFull) -> dict:
                 "internal": sorted(
                     _trans_body(it.pre, it.call, it.act) for it in s.internT
                 ),
-                "parent": sc.parent_name(s.name),
+                "parent": sc.index.parent.get(s.name),
             }
-            for s in sc.sorted_states()
+            for s in sc.index.states
         ],
         "transitions": [
             {
@@ -253,7 +253,7 @@ def chart_to_dict(sc: SCFull) -> dict:
                 "trigger": print_call(t.call),
                 "action": _opt(print_action, t.act),
             }
-            for t in sc.sorted_trans()
+            for t in sc.index.trans
         ],
     }
 
@@ -270,7 +270,7 @@ def simp_to_dict(sc: SCSimp) -> dict:
                 "modifiers": sorted(s.modifiers),
                 "invariant": print_cond(s.inv),
             }
-            for s in sc.sorted_states()
+            for s in sc.index.states
         ],
         "transitions": [
             {
@@ -280,7 +280,7 @@ def simp_to_dict(sc: SCSimp) -> dict:
                 "trigger": print_call(t.call),
                 "action": print_action(t.act),
             }
-            for t in sc.sorted_trans()
+            for t in sc.index.trans
         ],
     }
 
@@ -323,7 +323,7 @@ def to_dot(sc: SCFull) -> str:
 
     for s in _children(sc, None):
         emit(s, "    ")
-    for t in sc.sorted_trans():
+    for t in sc.index.trans:
         label = print_call(t.call)
         if t.pre is not None:
             label = f"[{print_cond(t.pre)}] " + label

@@ -542,7 +542,7 @@ def _find_completion(stereo: Optional[str], sc: SCFull):  # rules 24, 25, 26
     if stereo == COMPLETION_IGNORE:
         yield ()
     elif stereo == COMPLETION_ERROR:
-        errs = [s for s in sc.sorted_states() if "error" in s.sstereos]
+        errs = [s for s in sc.index.states if "error" in s.sstereos]
         if errs:
             yield (("err", errs[0].name),)
         else:
@@ -552,7 +552,7 @@ def _find_completion(stereo: Optional[str], sc: SCFull):  # rules 24, 25, 26
                 name += "$"
             yield (("err", name),)
     else:
-        excs = [s for s in sc.sorted_states() if "exception" in s.sstereos]
+        excs = [s for s in sc.index.states if "exception" in s.sstereos]
         if excs and any(t.call.exception for t in sc.trans):
             yield (("exc", excs[0].name),)
 
@@ -573,12 +573,12 @@ def _apply_completion(stereo: Optional[str], sc: SCFull, b: Binding) -> SCFull:
 
     # one representative call per trigger name, over the relevant trigger kind
     all_calls: dict[str, Call] = {}
-    for t in sc.sorted_trans():
+    for t in sc.index.trans:
         if t.call.exception == exception and t.call.name not in all_calls:
             all_calls[t.call.name] = call_expr_of(t.call)
 
     added: set[Trans] = set()
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         trg = target or s.name
         groups = call_groups(s, sc)
         for name in sorted(set(all_calls) - set(groups)):
@@ -625,7 +625,7 @@ def _outer_key(name: str, sc: SCFull) -> tuple:
 
 
 def _find_at(at, outer_first: bool, sc: SCFull) -> Iterator[tuple]:
-    states = sc.sorted_states()
+    states = sc.index.states
     if outer_first:
         states = sorted(states, key=lambda s: _outer_key(s.name, sc))
     for s in states:
@@ -746,7 +746,7 @@ class _Matches:
             return self.found
         at, at_state = self.rule.at, self.at_state
         if self.dirty is None:
-            self.at_state = at_state = {s.name: found for s in sc.sorted_states()
+            self.at_state = at_state = {s.name: found for s in sc.index.states
                                         if (found := at(s, sc))}
             self.found, self.dirty = None, set()
         else:
@@ -794,13 +794,11 @@ def _advance(old: SCFull, new: SCFull) -> tuple[Optional[set[str]], set[str]]:
     of a changed transition, and where a state or its parent entered or left
     an `*_at_or_above` set; and at every state when the substate relation or
     the state names changed."""
-    if new.sub is not old.sub and new.sub != old.sub:
-        return None, set()  # new's index is built when first read
     dstates = old.states ^ new.states if new.states is not old.states else frozenset()
     dtrans = old.trans ^ new.trans if new.trans is not old.trans else frozenset()
     before = old.index
     after = vars(new)["index"] = before.derive(new, dstates, dtrans)
-    if after.parent is not before.parent:  # built afresh: the state names changed
+    if after.parent is not before.parent:  # built afresh: `sub` or the state names changed
         return None, set()
     wide = set()
     if new.stereos != old.stereos:
@@ -891,7 +889,7 @@ def to_simplified(sc: SCFull) -> SCSimp:
     residual = []
     if sc.sub:
         residual.append("substate relation")
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         if s.do is not None:
             residual.append(f"do action on {s.name}")
         if s.entry is not None:

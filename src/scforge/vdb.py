@@ -46,7 +46,7 @@ from .actions import (
     exec_stmt,
     reads,
 )
-from .ast import SCFull, hash_once
+from .ast import SCFull, group_by, hash_once
 from .printer import print_value
 
 
@@ -209,9 +209,8 @@ def _action_seqs(t: Term, exiting: bool) -> frozenset:
     elif isinstance(t, Or):
         inner = _action_seqs(t.subterms[t.active - 1], exiting)
     else:
-        inner = (tuple(x for part in parts for x in part)
-                 for perm in itertools.permutations(t.subterms)
-                 for parts in itertools.product(*(_action_seqs(s, exiting) for s in perm)))
+        kids = [_action_seqs(s, exiting) for s in t.subterms]
+        inner = {seq for parts in itertools.product(*kids) for seq in _interleavings(parts)}
     return frozenset(b + own if exiting else own + b for b in inner)
 
 
@@ -272,6 +271,14 @@ def next_state(ht: str, nt: Iterable[str], s: Term) -> Term:
     return out
 
 
+def _interleavings(parts) -> Iterable[tuple]:
+    """The concatenations of the sequences `parts` in every order. Only the
+    non-empty ones are permuted, as the empty ones add nothing, so children
+    that stay silent cost no time."""
+    for perm in itertools.permutations([p for p in parts if p]):
+        yield tuple(x for part in perm for x in part)
+
+
 # -- auxiliary step judgments -----------------------------------------------
 
 def aux_step(t: Term, e: Sym) -> frozenset:
@@ -283,11 +290,8 @@ def aux_step(t: Term, e: Sym) -> frozenset:
         out = set()
         for combo in itertools.product(*child_steps):
             f = 1 if any(fj for _, fj, _ in combo) else 0
-            subs = tuple(tj for _, _, tj in combo)
-            term = replace(t, subterms=subs)
-            for perm in itertools.permutations(range(len(combo))):
-                alpha = tuple(x for k in perm for x in combo[k][0])
-                out.add((alpha, f, term))
+            term = replace(t, subterms=tuple(tj for _, _, tj in combo))
+            out.update((alpha, f, term) for alpha in _interleavings(a for a, _, _ in combo))
         return frozenset(out)
 
     # or-term
@@ -486,8 +490,9 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     Each hierarchy level becomes an or-term whose children are numbered
     initial states first (active index 1 = an initial state); a flat chart is
     the one-level case. The carrying states of a flat chart's data variable
-    are expanded over the finite `domain` (state S holding d becomes S(d)).
-    The rules a chart must keep are listed in the module docstring.
+    are expanded over the finite `domain` (state S holding d becomes S(d)),
+    each value once, in order of first occurrence. The rules a chart must
+    keep are listed in the module docstring.
     """
     index = sc.index
     hier = bool(index.parent)
@@ -541,6 +546,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         raise NotGuardFree(problems)
 
     var = next(iter(data_vars), None)
+    domain = tuple(dict.fromkeys(domain or ()))
     if (var is not None or any(t.call.args for t in index.trans)) and not domain:
         raise UnboundedValueDomain("chart carries data; supply a finite value domain")
     # a state carries the variable when an ingoing transition assigns it or
@@ -548,6 +554,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     carriers = ({t.trg for t, names in assigns.items() if var in names}
                 | {t.src for t, names in uses.items() if var in names})
     counter = itertools.count(1)
+    level_trans = group_by(index.trans, lambda t: index.parent.get(t.src), tuple)
 
     def child(s, d) -> Term:
         en, ex = actions[s.name]
@@ -566,9 +573,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         slots = [(s, d) for s in kids for d in (domain if s.name in carriers else (None,))]
         pos = {(s.name, d): k + 1 for k, (s, d) in enumerate(slots)}
         transitions = set()
-        for t in index.trans:
-            if index.parent.get(t.src) != parent:
-                continue
+        for t in level_trans.get(parent, ()):
             param = t.call.args[0].name if t.call.args else None
             for d in (domain if t.src in carriers else (None,)):
                 for i in (domain if param is not None else (None,)):

@@ -102,7 +102,7 @@ def _triggered(sc: SCFull) -> Iterator[tuple]:
     violations name."""
     for t in sc.index.trans:
         yield t, f"transition {t.src}->{t.trg}"
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         for it in s.internT:
             yield it, f"state {s.name}"
 
@@ -118,7 +118,7 @@ def _actions(sc: SCFull) -> Iterator[tuple]:
     entry, do and exit action of a state."""
     for x, subject in _triggered(sc):
         yield x.pre, set(_call_vars(x.call)), subject, x.act
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         for act, what in ((s.entry, "entry"), (s.do, "do"), (s.exit, "exit")):
             if act is not None:
                 yield None, set(), f"state {s.name} {what}", act
@@ -198,7 +198,7 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
     if len(completion) > 1:
         out.append(Violation("CC3", chart, "At most one completion stereotype"))
     if completion and completion != {COMPLETION_ERROR}:
-        for s in sc.sorted_states():
+        for s in sc.index.states:
             if "error" in s.sstereos:
                 out.append(
                     Violation(
@@ -234,7 +234,7 @@ def check_all(sc: SCFull, ctx: Optional[SignatureContext] = None) -> list[Violat
 
     # CC13/CC14: constructor and finalize call life-cycle restrictions.
     ingoing, outgoing = sc.index.ingoing, sc.index.outgoing
-    for s in sc.sorted_states():
+    for s in sc.index.states:
         if "initial" in s.modifiers and any(
             t.call.name == sc.class_name for t in outgoing.get(s.name, ())
         ):
@@ -280,7 +280,7 @@ def _check_with_ctx(sc: SCFull, ctx: SignatureContext) -> list[Violation]:
     attrs = set(ctx.attributes)
 
     # CC8: invariants refer only to declared attributes.
-    for inv, subject in [(sc.inv, chart)] + [(s.inv, f"state {s.name}") for s in sc.sorted_states()]:
+    for inv, subject in [(sc.inv, chart)] + [(s.inv, f"state {s.name}") for s in sc.index.states]:
         for v in sorted(reads(inv) - attrs):
             out.append(Violation("CC8", subject, f"invariant refers to undeclared {v}"))
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,24 @@ def test_vdb_run_json(capsys, buffer_file):
     )
     assert code == 0
     json.loads(out)
+
+
+def test_vdb_run_uses_a_repeated_domain_value_once(capsys, buffer_file):
+    argv = ["vdb-run", buffer_file, "--events", "put(1), get()"]
+    once = run_cli(capsys, *argv, "--domain=-1,1")
+    assert once[0] == 0
+    assert run_cli(capsys, *argv, "--domain=-1,1,1") == once
+    assert run_cli(capsys, *argv, "--domain=1,-1,1,-1") == run_cli(capsys, *argv, "--domain=1,-1")
+
+
+def test_vdb_run_silent_and_term_children_are_not_permuted(capsys, tmp_path):
+    p = tmp_path / "and.sexpr"
+    p.write_text("(and A (" + " ".join(f"(basic B{i} () ())" for i in range(12)) + ") () ())")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "vdb-run", str(p), "--events", "f()")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith("| (empty)")
 
 
 def test_vdb_run_data_chart_without_domain_is_usage(capsys, buffer_file):

@@ -89,11 +89,11 @@ def test_reachable_is_monotone_and_stabilizes():
 def test_proc_check():
     get = parse_message("get()")
     put = parse_message("put(1)")
-    empty = OGSNode.make("n", {"o": ObjectState.make()})
+    empty = OGSNode("n", {"o": ObjectState()})
     assert not proc_check(empty, "o", get)
-    one = OGSNode.make("n", {"o": ObjectState.make(threads={"t": (get,)})})
+    one = OGSNode("n", {"o": ObjectState(threads={"t": (get,)})})
     assert proc_check(one, "o", get)
-    two = OGSNode.make("n", {"o": ObjectState.make(threads={"t": (put, get)})})
+    two = OGSNode("n", {"o": ObjectState(threads={"t": (put, get)})})
     assert proc_check(two, "o", get)  # get is on top
     assert not proc_check(two, "o", put)  # put is buried, not processed
     with pytest.raises(UnknownObject):
@@ -122,7 +122,7 @@ def test_double_send_fragment_fails_condition_five_only():
 def test_two_processed_triggers_fail_condition_four():
     get, put = parse_message("get()"), parse_message("put(1)")
     bad = SystemFragment.make(
-        nodes=[OGSNode.make("n1", {"o": ObjectState.make(threads={"a": (get,), "b": (put,)})})],
+        nodes=[OGSNode("n1", {"o": ObjectState(threads={"a": (get,), "b": (put,)})})],
         edges=[],
         init=["n1"],
         main="o",
@@ -287,8 +287,8 @@ def test_refinement_single_delta_edge():
     get = parse_message("get()")
     frag = SystemFragment.make(
         nodes=[
-            OGSNode.make("a", {"o": ObjectState.make(buffer=[get])}),
-            OGSNode.make("b", {"o": ObjectState.make()}),
+            OGSNode("a", {"o": ObjectState(buffer=[get])}),
+            OGSNode("b", {"o": ObjectState()}),
         ],
         edges=[("a", "b", ())],
         init=["a"],
@@ -304,15 +304,15 @@ def test_refinement_single_delta_edge():
 def test_fragment_json_round_trip_essentials():
     assert OK_FRAG.main == "o"
     assert OK_FRAG.init == {"s6"}
-    s1 = OK_FRAG.node("s1")
-    assert s1.object("o").buffer == (Message("get", ()),)
-    assert OK_FRAG.successors("s3") == [("s4", (Message("send", (3,)),))]
+    s1 = OK_FRAG.nodes["s1"]
+    assert s1.objects["o"].buffer == (Message("get", ()),)
+    assert OK_FRAG.successors["s3"] == [("s4", (Message("send", (3,)),))]
 
 
 def test_fragment_rejects_dangling_edges():
     with pytest.raises(ValueError):
         SystemFragment.make(
-            nodes=[OGSNode.make("a", {"o": ObjectState.make()})],
+            nodes=[OGSNode("a", {"o": ObjectState()})],
             edges=[("a", "ghost", ())],
             init=["a"],
             main="o",
@@ -323,8 +323,8 @@ def test_fragment_rejects_a_node_without_the_main_object():
     with pytest.raises(ValueError, match="main object"):
         SystemFragment.make(
             nodes=[
-                OGSNode.make("a", {"o": ObjectState.make()}),
-                OGSNode.make("b", {"other": ObjectState.make()}),
+                OGSNode("a", {"o": ObjectState()}),
+                OGSNode("b", {"other": ObjectState()}),
             ],
             edges=[("a", "b", ())],
             init=["a"],

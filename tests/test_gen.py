@@ -36,9 +36,9 @@ def test_size_and_depth_bounds():
         sc = gen_chart(seed, max_states=8, max_depth=3)
         assert len(sc.states) <= 8
         for s in sc.states:
-            depth, cur = 0, sc.parent_name(s.name)
+            depth, cur = 0, sc.index.parent.get(s.name)
             while cur is not None:
-                depth, cur = depth + 1, sc.parent_name(cur)
+                depth, cur = depth + 1, sc.index.parent.get(cur)
             assert depth < 3
 
 
@@ -47,7 +47,7 @@ def test_every_sibling_group_has_an_initial_state():
         sc = gen_chart(seed)
         groups: dict = {}
         for s in sc.states:
-            groups.setdefault(sc.parent_name(s.name), []).append(s)
+            groups.setdefault(sc.index.parent.get(s.name), []).append(s)
         for group in groups.values():
             assert sum("initial" in s.modifiers for s in group) == 1
 
@@ -63,7 +63,7 @@ def test_guard_free_charts_have_the_restricted_shape(seed):
     for t in sc.trans:
         assert t.pre is None and t.prio is None
         assert t.call.args == ()
-        assert sc.parent_name(t.src) == sc.parent_name(t.trg)
+        assert sc.index.parent.get(t.src) == sc.index.parent.get(t.trg)
         if t.act is not None:
             assert t.act.post is None
 
@@ -82,6 +82,6 @@ def test_initial_leaf_descends_the_initial_chain():
         s = sc.state(leaf)
         assert "initial" in s.modifiers
         assert not any(
-            "initial" in st.modifiers and sc.parent_name(st.name) == leaf
+            "initial" in st.modifiers and sc.index.parent.get(st.name) == leaf
             for st in sc.states
         )

@@ -139,11 +139,11 @@ def test_simplified_chart_index_keeps_the_old_orders():
     assert simp.state("C").name == "C"
     with pytest.raises(KeyError):
         simp.state("Nowhere")
-    assert [s.name for s in simp.sorted_states()] == ["A", "B", "C"]
+    assert [s.name for s in simp.index.states] == ["A", "B", "C"]
     assert [s.name for s in simp.initial_states()] == ["A", "B"]
     # the order of the former SCSimp key, with its ties broken by the call patterns
     old_key = lambda t: (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act))
-    ordered = simp.sorted_trans()
+    ordered = simp.index.trans
     assert [old_key(t) for t in ordered] == sorted(old_key(t) for t in simp.transitions)
     assert [print_call(t.call) for t in ordered[:2]] == ["h(1)", "h(2)"]
     assert [t.call.name for t in simp.index.outgoing_in_order["A"]] == ["h", "h", "f"]

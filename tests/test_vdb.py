@@ -6,7 +6,7 @@ import itertools
 import json
 import pickle
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -684,6 +684,34 @@ def test_stutter_soundness(t, e):
     for alpha, f, t2 in out:
         if f == 0:
             assert alpha == () and t2 == t
+
+
+def every_order_seqs(t, exiting):
+    """Entry or exit sequences with the children of an and-term taking turns
+    in every order, silent ones included."""
+    own = t.exit if exiting else t.entry
+    if isinstance(t, Basic):
+        inner = [()]
+    elif isinstance(t, Or):
+        inner = every_order_seqs(t.subterms[t.active - 1], exiting)
+    else:
+        inner = [sum(parts, ()) for perm in itertools.permutations(t.subterms)
+                 for parts in itertools.product(*(every_order_seqs(s, exiting) for s in perm))]
+    return {b + own if exiting else own + b for b in inner}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(terms(depth=1), min_size=1, max_size=4), seqs, syms)
+def test_and_terms_interleave_their_children_in_every_order(kids, own, e):
+    t = uniquify(And("n", tuple(kids), own, own))
+    assert entry_seqs(t) == every_order_seqs(t, exiting=False)
+    assert exit_seqs(t) == every_order_seqs(t, exiting=True)
+    steps = [aux_step(s, e) for s in t.subterms]
+    assert aux_step(t, e) == {
+        (sum((combo[k][0] for k in perm), ()), max(f for _, f, _ in combo),
+         replace(t, subterms=tuple(s for _, _, s in combo)))
+        for combo in itertools.product(*steps) for perm in itertools.permutations(range(len(combo)))
+    }
 
 
 @settings(max_examples=80, deadline=None)
