@@ -26,6 +26,13 @@ def values_equal(a: "Value", b: "Value") -> bool:
     return type(a) is type(b) and a == b
 
 
+def _literal_eq(self, other) -> bool:
+    """Literals are equal when their values are `values_equal`, so a chart's
+    sets keep `f(1)` and `f(true)` apart. The generated hash still fits: it
+    merely lets the two collide."""
+    return type(other) is type(self) and values_equal(self.value, other.value)
+
+
 def is_json_value(x) -> bool:
     """Does decoded JSON `x` denote a value: an int, a boolean, or a list of
     values?"""
@@ -82,6 +89,8 @@ class PVar(Pattern):
 @dataclass(frozen=True)
 class PLit(Pattern):
     value: Value
+
+    __eq__ = _literal_eq
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,8 @@ class EVar(Expr):
 @dataclass(frozen=True)
 class ELit(Expr):
     value: Value
+
+    __eq__ = _literal_eq
 
 
 @dataclass(frozen=True)

@@ -259,30 +259,18 @@ def chart_to_dict(sc: SCFull) -> dict:
 
 
 def simp_to_dict(sc: SCSimp) -> dict:
-    return {
-        "kind": "simplified",
-        "diagram": sc.diagram_name,
-        "class": sc.class_name,
-        "invariant": print_cond(sc.inv),
-        "states": [
-            {
-                "name": s.name,
-                "modifiers": sorted(s.modifiers),
-                "invariant": print_cond(s.inv),
-            }
-            for s in sc.index.states
-        ],
-        "transitions": [
-            {
-                "source": t.src,
-                "target": t.trg,
-                "guard": print_cond(t.pre),
-                "trigger": print_call(t.call),
-                "action": print_action(t.act),
-            }
-            for t in sc.index.trans
-        ],
-    }
+    """The full chart's JSON less the fields a simplified chart cannot carry.
+    The rest coincide, as a simplified chart holds every invariant, guard
+    and action."""
+    data = chart_to_dict(sc)
+    data["kind"] = "simplified"
+    del data["stereotypes"]
+    for s in data["states"]:
+        for key in ("stereotypes", "entry", "do", "exit", "internal", "parent"):
+            del s[key]
+    for t in data["transitions"]:
+        del t["prio"]
+    return data
 
 
 def to_json(sc) -> str:

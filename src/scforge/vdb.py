@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Union
 
@@ -45,6 +46,7 @@ from .actions import (
     action_stmt,
     exec_stmt,
     reads,
+    values_equal,
 )
 from .ast import SCFull, group_by, hash_once
 from .printer import print_value
@@ -91,6 +93,10 @@ class Sym:
 
     name: str
     payload: tuple = ()
+
+    def __eq__(self, other):
+        """Payloads compare as `values_equal`: `o(1)` and `o(true)` differ."""
+        return type(other) is Sym and self.name == other.name and values_equal(self.payload, other.payload)
 
     def __str__(self):
         """The symbol's text, rendered on first use and kept: exploration
@@ -286,7 +292,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
     if isinstance(t, Basic):
         return frozenset([((), 0, t)])  # stutter
     if isinstance(t, And):
-        child_steps = [sorted(aux_step(s, e), key=repr) for s in t.subterms]
+        child_steps = [aux_step(s, e) for s in t.subterms]
         out = set()
         for combo in itertools.product(*child_steps):
             f = 1 if any(fj for _, fj, _ in combo) else 0
@@ -305,7 +311,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
         out.add((alpha, 1, replace(t, subterms=subs)))
     if not inner_fired:
         # own transitions fire only when the active child cannot
-        for tr in sorted(t.transitions, key=lambda tr: tr.tname):
+        for tr in t.transitions:
             if tr.i != t.active or tr.e != e:
                 continue
             if not tr.ns <= conf_of(active):
@@ -330,41 +336,23 @@ class KripkeNode:
     queue: tuple  # of Sym
 
 
-def fifo_sel(queue: tuple):
-    """Remove the head message; undefined on an empty queue."""
-    if queue:
-        yield queue[0], queue[1:]
-
-
-def fifo_join(alpha: tuple, queue: tuple) -> tuple:
-    """Append the outputs, element-wise in order, at the tail."""
-    return queue + tuple(alpha)
-
-
-def drop_join(alphabet: Iterable[str]):
-    """A join that silently discards outputs outside the event alphabet."""
-    allowed = frozenset(alphabet)
-
-    def join(alpha: tuple, queue: tuple) -> tuple:
-        return queue + tuple(a for a in alpha if a.name in allowed)
-
-    return join
-
-
-def consume_input(node: KripkeNode, sel=fifo_sel, join=fifo_join,
-                  memo: Optional[dict] = None) -> frozenset:
-    """All successor nodes: pick an event via sel, take any auxiliary step,
-    merge the outputs back into the queue via join. A `memo` dict shared
-    between calls lets each (term, event) pair derive its steps once."""
-    memo = {} if memo is None else memo
-    out = set()
-    for e, rest in sel(node.queue):
+def _successors(node: KripkeNode, memo: dict):
+    """The successors of a node, one at a time and possibly repeated: any
+    auxiliary step on the queue's head, with its outputs appended at the
+    tail. `memo` maps each (term, event) pair to its auxiliary steps."""
+    if node.queue:
+        e, rest = node.queue[0], node.queue[1:]
         steps = memo.get((node.term, e))
         if steps is None:
             steps = memo[node.term, e] = aux_step(node.term, e)
         for alpha, _, term in steps:
-            out.add(KripkeNode(term, join(alpha, rest)))
-    return frozenset(out)
+            yield KripkeNode(term, rest + alpha)
+
+
+def consume_input(node: KripkeNode, memo: Optional[dict] = None) -> frozenset:
+    """All successor nodes; a `memo` shared between calls derives the steps
+    of each (term, event) pair once."""
+    return frozenset(_successors(node, {} if memo is None else memo))
 
 
 def run_bounded(
@@ -374,14 +362,14 @@ def run_bounded(
     max_runs: int = 100000,
 ) -> frozenset:
     """All maximal step sequences of length <= max_steps from start; each
-    step consumes the queue's head and appends its outputs at the tail
-    (`fifo_sel`, `fifo_join`).
+    step consumes the queue's head and appends its outputs at the tail.
 
     Raises `StateSpaceBound` when more than `max_nodes` distinct nodes are
-    reachable within max_steps, and otherwise when there are more than
-    `max_runs` runs. Every reachable node's successors are derived first,
-    breadth-first, and the runs are enumerated after, so which bound is
-    reported does not depend on the order of exploration.
+    reachable within max_steps, as soon as one node too many is built, and
+    otherwise when there are more than `max_runs` runs. Every reachable
+    node's successors are derived first, breadth-first, and the runs are
+    enumerated after, so which bound is reported does not depend on the
+    order of exploration.
     """
     memo: dict = {}  # (term, event) -> its auxiliary steps
     succs: dict = {}  # node -> its successors, for the nodes runs may extend
@@ -391,13 +379,14 @@ def run_bounded(
         depth += 1
         deeper = []
         for node in level:
-            succs[node] = nxt = consume_input(node, memo=memo)
-            for n in nxt:
+            succs[node] = nxt = set()
+            for n in _successors(node, memo):
+                nxt.add(n)
                 if n not in nodes_seen:
                     nodes_seen.add(n)
+                    if len(nodes_seen) > max_nodes:
+                        raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
                     deeper.append(n)
-            if len(nodes_seen) > max_nodes:
-                raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
         level = deeper
 
     # paths on the stack are pairwise distinct, so no run is found twice
@@ -416,7 +405,7 @@ def run_bounded(
 
 
 def run_outputs(run: tuple) -> tuple:
-    """The actions each step appended to the queue (FIFO sel/join assumed)."""
+    """The actions each step appended to the queue."""
     out = []
     for a, b in zip(run, run[1:]):
         out.extend(b.queue[len(a.queue) - 1:])
@@ -465,10 +454,6 @@ def _is_trivial(cond) -> bool:
     return cond is None or isinstance(cond, CTrue)
 
 
-def _data_name(state: str, value) -> str:
-    return f"{state}({print_value(value)})"
-
-
 def _ground_syms(stmt) -> Optional[tuple]:
     """A statement as a ground action-symbol sequence, or None if impossible."""
     out = []
@@ -512,7 +497,6 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         raise NotGuardFree(problems)
 
     assigns, uses = {}, {}  # flat charts: per transition, the variables it writes and reads
-    sends = {}  # hierarchical charts: per transition, its ground send symbols
     for t in index.trans:
         where, stmt = f"transition {t.src}->{t.trg}", action_stmt(t.act)
         if not _is_trivial(t.pre):
@@ -527,8 +511,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         if index.parent.get(t.src) != index.parent.get(t.trg):
             problems.append(f"{where} crosses hierarchy levels")
         if hier:
-            sends[t] = _ground_syms(stmt)
-            if sends[t] is None:
+            if _ground_syms(stmt) is None:
                 problems.append(f"{where} action is not a ground send sequence")
             continue
         problems += [f"{where} uses a non send/assign statement"
@@ -560,7 +543,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         en, ex = actions[s.name]
         if s.name in index.children:
             return level(s.name, s.name, en, ex)
-        return Basic(s.name if d is None else _data_name(s.name, d), en, ex)
+        return Basic(s.name if d is None else f"{s.name}({print_value(d)})", en, ex)
 
     def level(parent: Optional[str], name: str, en: tuple = (), ex: tuple = ()) -> Or:
         """The or-term of the states directly below `parent`: its own
@@ -578,11 +561,8 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
             for d in (domain if t.src in carriers else (None,)):
                 for i in (domain if param is not None else (None,)):
                     env = {var: d, param: i}
-                    if t in sends:
-                        store, alpha = {}, sends[t]
-                    else:
-                        store, msgs = exec_stmt(action_stmt(t.act), {}, env)
-                        alpha = tuple(Sym(m.name, m.args) for m in msgs)
+                    store, msgs = exec_stmt(action_stmt(t.act), {}, env)
+                    alpha = tuple(Sym(m.name, m.args) for m in msgs)
                     final = None
                     if t.trg in carriers:
                         final = store.get(var, env.get(var))
@@ -717,33 +697,23 @@ def _read(tree, kinds: tuple):
 _OPEN, _CLOSE = object(), object()
 
 
+# One token after optional whitespace: a parenthesis, a |...| atom whose
+# backslash escapes the next character, a plain atom, a stray | that opens
+# no complete atom, or the end of the text.
+_TOKEN = re.compile(r"\s*(?:([()])|\|((?:[^|\\]|\\.)*)\||([^\s()|]+)|(\|)|\Z)", re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _sexpr_tokens(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield _OPEN if c == "(" else _CLOSE
-            i += 1
-        elif c == "|":
-            j = i + 1
-            buf = []
-            while j < n and text[j] != "|":
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise ValueError("unterminated |...| atom")
-            yield "".join(buf)
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()|":
-                j += 1
-            yield text[i:j]
-            i = j
+    for paren, quoted, plain, stray in (m.groups() for m in _TOKEN.finditer(text)):
+        if stray:
+            raise ValueError("unterminated |...| atom")
+        if paren:
+            yield _OPEN if paren == "(" else _CLOSE
+        elif quoted is not None:
+            yield _ESCAPE.sub(r"\1", quoted)
+        elif plain:
+            yield plain
 
 
 def _read_sexpr(tokens: list, pos: int):

@@ -100,6 +100,27 @@ def test_parse_json_and_dot(capsys, buffer_file):
     assert out.startswith("digraph")
 
 
+@pytest.mark.parametrize("actions", [("f(1) / o(1)", "f(true) / o(1)"),
+                                     ("f() / v = 1", "f() / v = true"),
+                                     ("f() / o(0)", "f() / o(false)")])
+def test_transitions_that_differ_in_a_true_or_one_literal_are_both_kept(capsys, tmp_path, actions):
+    p = tmp_path / "k4.sc"
+    p.write_text("statechart K4 for C { initial state A; state B; "
+                 f"A -> B : {actions[0]}; A -> B : {actions[1]}; }}")
+    code, out, _ = run_cli(capsys, "parse", str(p))
+    assert code == 0
+    assert f"    A -> B : {actions[0]};\n    A -> B : {actions[1]};\n" in out
+
+
+def test_a_true_event_takes_the_transition_on_true(capsys, tmp_path):
+    p = tmp_path / "k4.sc"
+    p.write_text("statechart K4 for C { initial state A; state B; "
+                 "A -> B : f(1) / o(1); A -> B : f(true) / o(1); }")
+    code, out, _ = run_cli(capsys, "run", str(p), "--events", "f(true)")
+    assert code == 0
+    assert "outcome: step in B, emitted o(1)" in out
+
+
 def test_parse_syntax_error_is_usage(capsys, tmp_path):
     p = tmp_path / "bad.sc"
     p.write_text("statechart Broken {")
@@ -548,6 +569,15 @@ def test_vdb_run_rejects_a_term_file_exploration_cannot_run(capsys, tmp_path, te
     code, out, err = run_cli(capsys, "vdb-run", str(p), "--events", "f()")
     assert (code, out) == (2, "")
     assert err == f"error: {p}: {message}\n"
+
+
+def test_vdb_run_keeps_outputs_that_differ_in_true_and_one(capsys, tmp_path):
+    p = tmp_path / "k5.sc"
+    p.write_text("statechart K5 for C { initial state A; state B; "
+                 "A -> B : f() / o(1); A -> B : f() / o(true); }")
+    code, out, _ = run_cli(capsys, "vdb-run", str(p), "--events", "f()")
+    assert code == 0
+    assert out.count("run ") == 2 and "{B, K5} | o(1)\n" in out and "{B, K5} | o(true)\n" in out
 
 
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):

@@ -30,7 +30,6 @@ from scforge.vdb import (
     aux_step,
     conf_of,
     consume_input,
-    drop_join,
     encode_guard_free,
     entry_seqs,
     exit_seqs,
@@ -231,6 +230,15 @@ def test_aux_step_source_restriction():
     assert {f for _, f, _ in aux_step(t2, Sym("f"))} == {1}
 
 
+def test_aux_step_keeps_outputs_that_differ_in_true_and_one():
+    t = Or("n", (Basic("A"), Basic("B")), 1, frozenset(
+        VdbTransition(f"t{k}", 1, frozenset(), Sym("f"), (Sym("o", (v,)),), frozenset(), 2)
+        for k, v in ((1, 1), (2, True))))
+    assert Sym("o", (1,)) != Sym("o", (True,))
+    assert sorted(str(a[0]) for a, _, _ in aux_step(t, Sym("f"))) == ["o(1)", "o(true)"]
+    assert aux_step(t, Sym("f", (True,))) == {((), 0, t)}
+
+
 # -- Kripke steps and runs --------------------------------------------------
 
 def test_consume_input_buffer_run_steps():
@@ -279,12 +287,6 @@ def test_run_bounded_node_cap():
     start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
     with pytest.raises(StateSpaceBound):
         run_bounded(start, max_steps=5, max_nodes=1)
-
-
-def test_drop_join_filters_outputs():
-    start = KripkeNode(buffer_term(), (Sym("get"),))
-    [n1] = consume_input(start, join=drop_join(["put", "get"]))
-    assert n1.queue == ()  # send(-1) is not in the event alphabet
 
 
 def test_run_json_output():
@@ -624,12 +626,36 @@ def test_sexpr_round_trips_names_with_delimiters_and_escapes(name):
 
 
 def test_sexpr_errors():
-    with pytest.raises(ValueError):
-        term_from_sexpr("(basic A ()")  # unbalanced
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected basic/and/or, not \['bogus', 'A', \[\], \[\]\]$"):
         term_from_sexpr("(bogus A () ())")
-    with pytest.raises(ValueError):
-        term_from_sexpr("(basic A () ()) trailing")
+    with pytest.raises(ValueError, match="^basic takes 3 fields, not 2$"):
+        term_from_sexpr("(basic A ())")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("|abc", "unterminated |...| atom"),
+    ("(basic |a\\", "unterminated |...| atom"),
+    ("(basic A ()", "missing closing parenthesis"),
+    (")", "unexpected closing parenthesis"),
+    ("", "unexpected end of input"),
+    (" \n\t\u3000", "unexpected end of input"),
+    ("(basic A () ()) x", "trailing input after term"),
+    ("(basic A\u2003B () ())", "basic takes 3 fields, not 4"),  # the blank ends A
+], ids=["open-quote", "escaped-end", "unclosed", "stray-close", "empty", "blank", "trailing",
+        "blank-ends-atom"])
+def test_sexpr_error_lines(text, message):
+    with pytest.raises(ValueError) as err:
+        term_from_sexpr(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, term", [
+    ("(basic |a\\|b| () ())", Basic("a|b")),
+    ("(basic |a\\\nb| () ())", Basic("a\nb")),
+    ("(basic\u2003A\x0b()\u3000())", Basic("A")),
+], ids=["escaped-bar", "escaped-newline", "unicode-blanks"])
+def test_sexpr_escapes_and_unicode_blanks(text, term):
+    assert term_from_sexpr(text) == term
 
 
 names = st.sampled_from(["a", "b", "c", "d", "e", "f-1", "weird name!"])
