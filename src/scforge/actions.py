@@ -135,6 +135,12 @@ class Message:
     args: tuple[Value, ...] = ()
     exception: bool = False
 
+    def __eq__(self, other):
+        """Arguments compare as `values_equal`, so `f(1)` and `f(true)`
+        differ; the generated hash merely lets the two collide."""
+        return (type(other) is Message and self.name == other.name
+                and self.exception == other.exception and values_equal(self.args, other.args))
+
 
 # ---------------------------------------------------------------------------
 # Expressions (used in assignments, send arguments, comparisons)

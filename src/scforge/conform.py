@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Optional
 
-from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call
+from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call, values_equal
 from .ast import SCSimp, triggers
 from .flatinterp import format_message
 from .parse import LexError, StatechartSyntaxError, parse_message
@@ -265,12 +265,12 @@ def _transition_realized(frag, mains, proj, t, start, m, v, bound) -> bool:
     new_store, emitted = exec_stmt(t.act.stmt, store, v)
     delta = {
         k: val for k, val in new_store.items()
-        if k not in store or store[k] != val
+        if k not in store or not values_equal(store[k], val)
     }
     sent_names = {e.name for e in emitted}
 
     def shows(nid):
-        return all(mains[nid].vars.get(k) == val for k, val in delta.items())
+        return all(values_equal(mains[nid].vars.get(k), val) for k, val in delta.items())
 
     def accepting(nid, k, shown):
         end_obj = mains[nid]

@@ -22,6 +22,7 @@ from .actions import (
     exec_stmt,
     holds,
     match_call,
+    values_equal,
 )
 from .ast import SCSimp, Trans
 from .parse import parse_message  # noqa: F401 -- re-exported: it reads what format_message writes
@@ -153,7 +154,7 @@ class Configuration:
             return True
         if not isinstance(other, Configuration):
             return NotImplemented
-        return (self.current == other.current and self.store == other.store
+        return (self.current == other.current and values_equal(self.store, other.store)
                 and self._emitted.same(other._emitted) and self._same_buffer(other))
 
     def __hash__(self):
@@ -393,7 +394,7 @@ def run_log_lines(result: RunResult) -> list:
         diff = {
             k: _json_value(after[k])
             for k in sorted(after)
-            if k not in before or before[k] != after[k]
+            if k not in before or not values_equal(before[k], after[k])
         }
         out.append(
             {"step": i, "state": conf.current, "consumed": format_message(outcome.consumed),

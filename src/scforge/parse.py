@@ -20,6 +20,7 @@ Transitions may appear at any nesting level; they always belong to the chart.
 
 from __future__ import annotations
 
+import re
 from typing import NoReturn, Optional
 
 from . import actions as act
@@ -92,27 +93,10 @@ class DuplicateState(Exception):
         self.line, self.col, self.name = line, col, name
 
 
-KEYWORDS = {
-    "statechart",
-    "for",
-    "state",
-    "entry",
-    "exit",
-    "do",
-    "initial",
-    "final",
-    "skip",
-    "setTimer",
-    "stopTimer",
-    "check",
-    "throw",
-    "true",
-    "false",
-    "matches",
-}
-
-PUNCT2 = {"<<", ">>", "->", "&&", "||", "<=", "=="}
-PUNCT1 = set("{}()[];,:/&!=<+-")
+KEYWORDS = set(
+    "statechart for state entry exit do initial final skip setTimer stopTimer"
+    " check throw true false matches".split()
+)
 
 NO_LITERAL = object()  # Parser.literal found no literal
 
@@ -127,58 +111,40 @@ class Token:
         return f"Token({self.kind!r}, {self.value!r})"
 
 
+# After blanks: a newline, a comment, an int, a word, two- then
+# one-character punctuation, any other character (an error), or the end.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(//[^\n]*)|(\d+)|([\w$]+)"
+                    r"|(<<|>>|->|&&|\|\||<=|==|[{}()\[\];,:/&!=<+-])|(.)|\Z)")
+_NEWLINE, _COMMENT, _INT, _WORD, _PUNCT = range(1, 6)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch in "_$":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                i += 1
-            word = text[start:i]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
+    line, line_start = 1, 0  # the line's number and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        start = m.start(group) if group else m.end()
+        value, col = text[start:m.end()], start - line_start + 1
+        if group == _WORD and (value[0].isalpha() or value[0] in "_$"):
+            tokens.append(Token("kw" if value in KEYWORDS else "ident", value, line, col))
+        elif group == _PUNCT:
+            tokens.append(Token(value, value, line, col))
+        elif group == _NEWLINE:
+            line, line_start = line + 1, m.end()
+        elif group == _INT:
             try:
-                value = int(text[start:i])
+                tokens.append(Token("int", int(value), line, col))
             except ValueError:  # more digits than the interpreter converts
-                raise LexError(line, col,
-                               f"integer literal of {i - start} digits is too long") from None
-            tokens.append(Token("int", value, line, col))
-            col += i - start
-            continue
-        two = text[i : i + 2]
-        if two in PUNCT2:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in PUNCT1:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(line, col, f"unexpected character {ch!r}")
+                raise LexError(line, col, f"integer literal of {len(value)} digits is too long") from None
+        elif group == _COMMENT:
+            # A comment does not advance the column: the end of the text
+            # after one is reported where the comment starts.
+            line_start += len(value)
+        elif group is None:  # the end of the text
+            break
+        else:  # any other character, or a word that starts with one: `\w`
+            # also takes digits that are not decimal, such as `²`
+            raise LexError(line, col, f"unexpected character {value[0]!r}")
     tokens.append(Token("eof", None, line, col))
     return tokens
 
@@ -188,12 +154,18 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.allow_reserved = allow_reserved
-        self.parents: dict[FullState, set] = {}  # each declared state's parents
+        # what the chart declares, in text order, and each state's parents
+        self.states: list[FullState] = []
+        self.trans: list[Trans] = []
+        self.sub: list[tuple[str, str]] = []
+        self.parents: dict[FullState, set] = {}
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # Never past `eof`: `next` stops there, and `peek(1)` is only called
+        # while the current token is `-`, `+`, `true` or `false`.
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -280,25 +252,23 @@ class Parser:
             self.check_stereotype(values, prio, CHART_STEREOS, "chart")
             stereos = frozenset(values)
         self.expect("{")
-        states: list[FullState] = []
-        trans: list[Trans] = []
-        sub: list[tuple[str, str]] = []
         invs: list[Cond] = []
         while not self.at("}"):
-            self.parse_item(None, states, trans, sub, invs)
+            self.parse_item(None, invs)
         self.expect("}")
-        inv = act.conj_opt(*invs)
         return SCFull(
             stereos=stereos,
             diagram_name=diagram,
             class_name=class_name,
-            inv=inv,
-            states=frozenset(states),
-            trans=frozenset(trans),
-            sub=frozenset(sub),
+            inv=act.conj_opt(*invs),
+            states=frozenset(self.states),
+            trans=frozenset(self.trans),
+            sub=frozenset(self.sub),
         )
 
-    def parse_item(self, parent: Optional[str], states, trans, sub, invs) -> None:
+    def parse_item(self, parent: Optional[str], invs: list) -> None:
+        """A state, a transition, or an invariant of the enclosing scope,
+        which `invs` collects."""
         if self.at("["):
             invs.append(self.parse_bracket_cond())
             self.expect(";")
@@ -309,11 +279,11 @@ class Parser:
         if self.at("<<"):
             stereo_vals, prio = self.parse_stereotype()
         if self.peek().value in ("state", "initial", "final"):
-            self.parse_state(parent, stereo_vals, prio, states, trans, sub)
+            self.parse_state(parent, stereo_vals, prio)
         else:
-            self.parse_transition(stereo_vals, prio, trans)
+            self.parse_transition(stereo_vals, prio)
 
-    def parse_state(self, parent, stereo_vals, prio, states, trans, sub) -> None:
+    def parse_state(self, parent, stereo_vals, prio) -> None:
         self.check_stereotype(stereo_vals, prio, STATE_STEREOS, "state")
         modifiers: set[str] = set()
         while self.peek().value in ("initial", "final"):
@@ -322,17 +292,14 @@ class Parser:
         name_tok = self.peek()
         name = self.ident(declaring=True)
         if parent is not None:
-            sub.append((name, parent))
-        inv: Optional[Cond] = None
+            self.sub.append((name, parent))
+        invs: list[Cond] = []
         actions: dict[str, Action] = {}
         internT: list[InternT] = []
         if not self.accept(";"):
             self.expect("{")
-            invs_local: list[Cond] = []
             while self.at("["):
-                invs_local.append(self.parse_bracket_cond())
-                self.expect(";")
-            inv = act.conj_opt(*invs_local)
+                self.parse_item(name, invs)
             while self.peek().value in ("entry", "do", "exit"):
                 kw = self.next().value
                 actions[kw] = self.parse_action_part()
@@ -343,13 +310,13 @@ class Parser:
                     internT.append(InternT(*self.parse_trans_body()))
                     self.expect(";")
                 else:
-                    self.parse_item(name, states, trans, sub, [])
+                    self.parse_item(name, invs)
             self.expect("}")
         state = FullState(
             sstereos=frozenset(stereo_vals),
             modifiers=frozenset(modifiers),
             name=name,
-            inv=inv,
+            inv=act.conj_opt(*invs),
             entry=actions.get("entry"),
             exit=actions.get("exit"),
             do=actions.get("do"),
@@ -360,9 +327,9 @@ class Parser:
         if parents and (parent is None or None in parents or parent in parents):
             raise DuplicateState(name_tok.line, name_tok.col, name)
         parents.add(parent)
-        states.append(state)
+        self.states.append(state)
 
-    def parse_transition(self, stereo_vals, prio, trans) -> None:
+    def parse_transition(self, stereo_vals, prio) -> None:
         if stereo_vals:
             self.fail("transition stereotype <<prio=n>>")
         src = self.ident()
@@ -372,7 +339,7 @@ class Parser:
             self.fail("': <transition body>'")
         pre, call, action = self.parse_trans_body()
         self.expect(";")
-        trans.append(Trans(prio, src, pre, call, action, trg))
+        self.trans.append(Trans(prio, src, pre, call, action, trg))
 
     def parse_trans_body(self):
         pre = None
@@ -542,34 +509,30 @@ class Parser:
     # -- statements --------------------------------------------------------
 
     def parse_stmt_seq(self) -> Stmt:
-        prims: list = []
-        self.parse_stmt_prim(prims)
+        prims = [self.parse_stmt_prim()]
         while self.accept("&"):
-            self.parse_stmt_prim(prims)
-        return tuple(prims)
+            prims.append(self.parse_stmt_prim())
+        return tuple(p for p in prims if p is not None)
 
-    def parse_stmt_prim(self, prims: list) -> None:
+    def parse_stmt_prim(self):
+        """A primitive statement, or None for `skip`."""
         if self.accept("kw", "skip"):
-            return
+            return None
         if self.accept("kw", "setTimer"):
-            prims.append(SetTimer())
-            return
+            return SetTimer()
         if self.accept("kw", "stopTimer"):
-            prims.append(StopTimer())
-            return
+            return StopTimer()
         if self.accept("kw", "check"):
             self.expect("(")
             c = self.parse_cond()
             self.expect(")")
-            prims.append(Check(c))
-            return
+            return Check(c)
         exception = self.throw()
         name = self.ident(declaring=True)
         if not exception and self.accept("="):
-            prims.append(Assign(name, self.parse_expr()))
-            return
+            return Assign(name, self.parse_expr())
         self.expect("(")
-        prims.append(Send(name, tuple(self.items(self.parse_expr, ")")), exception))
+        return Send(name, tuple(self.items(self.parse_expr, ")")), exception)
 
     # -- message text ------------------------------------------------------
 

@@ -33,7 +33,6 @@ from .actions import (
     action_post,
     action_stmt,
     call_expr_of,
-    conj,
     conj_opt,
     inp_name,
     match_cond_of,
@@ -252,30 +251,25 @@ def _subst_map(call: Call) -> dict[str, Expr]:
     return out
 
 
-def _fire_cond(t: Trans) -> Cond:
-    """pre && match for a transition, under its own input renaming."""
-    return conj(rename(t.pre, _subst_map(t.call)), match_cond_of(t.call))
+def _fire_cond(t: Trans) -> Optional[Cond]:
+    """match && pre for a transition, under its own input renaming. The
+    pattern test comes first: `CAnd` short-circuits, so the guard's
+    arithmetic only sees the values the pattern admits."""
+    return conj_opt(match_cond_of(t.call), rename(t.pre, _subst_map(t.call)))
 
 
 def _neg_precond(ts) -> Optional[Cond]:
-    """&& over ts of !(pre && match), absent for the empty set."""
-    return conj_opt(*(CNot(_fire_cond(t)) for t in sorted(ts, key=trans_key)))
+    """&& over ts of !(match && pre), absent for the empty set."""
+    return conj_opt(*(CNot(_fire_cond(t) or TRUE) for t in sorted(ts, key=trans_key)))
 
 
-def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = None,
-                    trg: Optional[str] = None, drop_prio: bool = False) -> Trans:
-    """Rebuild t with its call's patterns replaced by input variables; the
-    pattern constraints and `extra_pre` join the precondition."""
-    m = _subst_map(t.call)
-    pre = conj_opt(rename(t.pre, m), match_cond_of(t.call), extra_pre)
-    return Trans(
-        None if drop_prio else t.prio,
-        src if src is not None else t.src,
-        pre,
-        call_expr_of(t.call),
-        rename(t.act, m),
-        trg if trg is not None else t.trg,
-    )
+def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = None) -> Trans:
+    """Rebuild t without a priority and with its call's patterns replaced by
+    input variables; the pattern constraints and `extra_pre` join the
+    precondition. Rules 11 and 12 rebuild only transitions without a
+    priority, and rule 14 removes it."""
+    return Trans(None, src if src is not None else t.src, conj_opt(_fire_cond(t), extra_pre),
+                 call_expr_of(t.call), rename(t.act, _subst_map(t.call)), t.trg)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +447,7 @@ def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
     added: set[Trans] = set()
     for t in sorted(ts, key=trans_key):
         higher = {t2 for t2 in ts if prio(t2) > prio(t)}
-        added.add(normalize_trans(t, _neg_precond(higher), drop_prio=True))
+        added.add(normalize_trans(t, _neg_precond(higher)))
     return replace(sc, trans=(sc.trans - ts) | added)
 
 

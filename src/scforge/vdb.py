@@ -349,10 +349,9 @@ def _successors(node: KripkeNode, memo: dict):
             yield KripkeNode(term, rest + alpha)
 
 
-def consume_input(node: KripkeNode, memo: Optional[dict] = None) -> frozenset:
-    """All successor nodes; a `memo` shared between calls derives the steps
-    of each (term, event) pair once."""
-    return frozenset(_successors(node, {} if memo is None else memo))
+def consume_input(node: KripkeNode) -> frozenset:
+    """All successor nodes."""
+    return frozenset(_successors(node, {}))
 
 
 def run_bounded(

@@ -119,6 +119,17 @@ def test_double_send_fragment_fails_condition_five_only():
         assert by_cond[c]["pass"], by_cond[c]
 
 
+def test_a_store_effect_of_true_is_not_shown_by_one():
+    # the fragment's one step sets v from 1 to 2; no node shows v = true
+    chart = to_simplified(parse("statechart T for C { initial state A; state B;"
+                                " A -> B : f() / v = true; }"))
+    frag = fragment("bool_store_fragment.json")
+    proj = load_projection((FIXTURES / "bool_store_projection.json").read_text())
+    by_cond = {e["condition"]: e for e in check_system_conformance(chart, frag, proj)}
+    assert [by_cond[c]["pass"] for c in (1, 2, 3, 4, 5)] == [True, True, True, True, False]
+    assert by_cond[5]["witnesses"] == ["transition A->B on f() enabled at s0 but not realized within 2 steps"]
+
+
 def test_two_processed_triggers_fail_condition_four():
     get, put = parse_message("get()"), parse_message("put(1)")
     bad = SystemFragment.make(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -336,6 +337,14 @@ def test_equal_messages_consumed_at_different_places_leave_equal_buffers():
     assert a == b and hash(a) == hash(b)
 
 
+def test_anywhere_consumes_the_chosen_message_not_one_equal_to_it_in_value():
+    sc = simp("statechart D for C { initial state A; state B;"
+              " A -> B : f(true) / o(1); B -> B : f(1) / o(2); }")
+    result = run(sc, "A", msgs("f(1)", "f(true)"), match="anywhere")
+    assert [format_message(m) for m in result.emissions] == ["o(1)", "o(2)"]
+    assert result.quiescent
+
+
 def _retained_bytes(sc, init, inputs):
     tracemalloc.start()
     try:
@@ -421,6 +430,13 @@ def test_explore_emissions_enumerates_all_choices():
     assert out == expected
 
 
+def test_explore_emissions_keeps_stores_that_differ_in_true_and_one():
+    sc = simp("statechart D for C { initial state A; state B;"
+              " A -> B : f() / v = 1; A -> B : f() / v = true; B -> B : g() / o(v); }")
+    out = explore_emissions(sc, "A", msgs("f()", "g()"))
+    assert sorted(format_message(m) for em, _ in out for m in em) == ["o(1)", "o(true)"]
+
+
 def test_seeded_runs_cover_exactly_the_explored_emissions():
     inputs = msgs("f()", "g()", "f()")
     explored = {em for em, kind in explore_emissions(FORK, "A", inputs)}
@@ -471,6 +487,12 @@ def test_scheduler_from_spec():
 def test_run_log_lines(sc, init, inputs, match, expected):
     result = run(sc, init, msgs(*inputs), match=match)
     assert run_log_lines(result) == expected
+
+
+def test_run_log_shows_a_store_change_from_one_to_true():
+    sc = simp("statechart D for C { initial state A; A -> A : f() / v = 1; A -> A : g() / v = true; }")
+    log = run_log_lines(run(sc, "A", msgs("f()", "g()")))
+    assert [json.dumps(line["storeDiff"]) for line in log] == ['{"v": 1}', '{"v": true}']
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,48 @@ def test_integer_literal_past_the_digit_limit_is_a_lex_error():
     assert tokenize("9" * 4000)[0].value == int("9" * 4000)
 
 
+# The lexer's corner cases: each text's tokens as (kind, value, line, col),
+# the end of the text included, or the text of its LexError.
+LEX_CASES = {
+    # a comment does not advance the column, so `eof` is reported at its start
+    "a  // c": [("ident", "a", 1, 1), ("eof", None, 1, 4)],
+    "a // c\n b": [("ident", "a", 1, 1), ("ident", "b", 2, 2), ("eof", None, 2, 3)],
+    "x\t\r y": [("ident", "x", 1, 1), ("ident", "y", 1, 5), ("eof", None, 1, 6)],
+    # an int ends where its decimal digits do
+    "9abc": [("int", 9, 1, 1), ("ident", "abc", 1, 2), ("eof", None, 1, 5)],
+    "\u0663\u0664": [("int", 34, 1, 1), ("eof", None, 1, 3)],
+    # a non-decimal digit may continue a word but not start one
+    "x\u00b2\u00bd": [("ident", "x\u00b2\u00bd", 1, 1), ("eof", None, 1, 4)],
+    "_$a": [("ident", "_$a", 1, 1), ("eof", None, 1, 4)],
+    "f(\u00b2)": "1:3: unexpected character '\u00b2'",
+    "\u00bd": "1:1: unexpected character '\u00bd'",
+    "9\u00b2": "1:2: unexpected character '\u00b2'",
+    "a\x0bb": "1:2: unexpected character '\\x0b'",
+    "a\u3000b": "1:2: unexpected character '\\u3000'",
+    "a | b": "1:3: unexpected character '|'",
+    "x " + "9" * 4301: "1:3: integer literal of 4301 digits is too long",
+    # two-character punctuation first, then one character
+    "<<=>>->": [("<<", "<<", 1, 1), ("=", "=", 1, 3), (">>", ">>", 1, 4),
+                ("->", "->", 1, 6), ("eof", None, 1, 8)],
+    "<=<&&&": [("<=", "<=", 1, 1), ("<", "<", 1, 3), ("&&", "&&", 1, 4),
+               ("&", "&", 1, 6), ("eof", None, 1, 7)],
+    "state x": [("kw", "state", 1, 1), ("ident", "x", 1, 7), ("eof", None, 1, 8)],
+}
+
+
+@pytest.mark.parametrize("text", list(LEX_CASES), ids=lambda text: repr(text[:16]))
+def test_lexer_corner_cases(text):
+    expected = LEX_CASES[text]
+    if isinstance(expected, str):
+        with pytest.raises(LexError) as exc:
+            tokenize(text)
+        assert str(exc.value) == expected
+    else:
+        tokens = tokenize(text)
+        assert [(t.kind, t.value, t.line, t.col) for t in tokens] == expected
+        assert all(type(t.value) is int for t in tokens if t.kind == "int")
+
+
 def test_transition_requires_body():
     with pytest.raises(StatechartSyntaxError):
         parse("statechart D for C { state A; A -> A; }")
@@ -270,6 +312,17 @@ def test_round_trip_rich_chart():
     assert parse(printed) == sc
     # printing is deterministic and idempotent
     assert print_chart(parse(printed)) == printed
+
+
+@pytest.mark.parametrize("body", [
+    "initial state B; [v == 1];",
+    "entry / a(); [v == 1];",
+    "-> g(); [v == 1];",
+])
+def test_state_invariant_after_nested_items_is_kept(body):
+    sc = parse("statechart D for C { initial state A { [v < 9]; " + body + " } A -> A : f(); }")
+    assert sc.state("A").inv == CAnd(CCmp("<", EVar("v"), ELit(9)), CCmp("==", EVar("v"), ELit(1)))
+    assert parse(print_chart(sc)) == sc
 
 
 def test_round_trip_buffer():
