@@ -356,13 +356,13 @@ def match_call(c: Call, m: Message) -> Optional[Valuation]:
     """The unique binding of c's pattern variables against m, if any."""
     if c.name != m.name or len(c.args) != len(m.args):
         return None
-    binding: Valuation = {}
+    binding: Optional[Valuation] = None
     for p, v in zip(c.args, m.args):
         b = match_pattern(p, v)
         if b is None:
             return None
-        binding = merge(binding, b)
-    return binding
+        binding = b if binding is None else merge(binding, b)
+    return {} if binding is None else binding
 
 
 def inp_name(i: int) -> str:
@@ -419,8 +419,7 @@ def eval_expr(e: Expr, env: Valuation) -> Value:
 
 
 def eval_cond(c: Cond, store: Valuation, v: Valuation) -> bool:
-    env = merge(store, v)
-    return _eval_cond(c, env)
+    return _eval_cond(c, merge(store, v) if v else store)
 
 
 def holds(c: Cond, store: Valuation, v: Valuation, unbound: bool) -> bool:
@@ -450,7 +449,7 @@ def _eval_cond(c: Cond, env: Valuation) -> bool:
         left = eval_expr(c.left, env)
         right = eval_expr(c.right, env)
         if c.op == "==":
-            return left == right
+            return values_equal(left, right)
         try:
             if c.op == "<":
                 return left < right
@@ -464,24 +463,22 @@ def _eval_cond(c: Cond, env: Valuation) -> bool:
     raise TypeError(f"not a condition: {c!r}")
 
 
-def exec_stmt(s: Stmt, store: Valuation, v: Valuation) -> tuple[Valuation, tuple[Message, ...]]:
-    """Left-to-right execution: returns the updated store and sent messages."""
-    env = merge(store, v)
+def exec_stmt(s: Stmt, store, v: Valuation) -> tuple[Valuation, tuple[Message, ...]]:
+    """Left-to-right execution over one scope, `store` (a valuation or its
+    pairs) with its updates so far and v: the updated store and sent messages."""
     out = dict(store)
+    scope = merge(out, v) if v else out
     msgs: list[Message] = []
     for prim in s:
         if isinstance(prim, Assign):
-            val = eval_expr(prim.expr, {**env, **out})
-            out[prim.var] = val
+            out[prim.var] = scope[prim.var] = eval_expr(prim.expr, scope)
         elif isinstance(prim, Send):
-            args = tuple(eval_expr(a, {**env, **out}) for a in prim.args)
+            args = tuple(eval_expr(a, scope) for a in prim.args)
             msgs.append(Message(prim.name, args, prim.exception))
-        elif isinstance(prim, SetTimer):
-            out[TIMER_FLAG] = True
-        elif isinstance(prim, StopTimer):
-            out[TIMER_FLAG] = False
+        elif isinstance(prim, (SetTimer, StopTimer)):
+            out[TIMER_FLAG] = scope[TIMER_FLAG] = isinstance(prim, SetTimer)
         elif isinstance(prim, Check):
-            if not _eval_cond(prim.cond, {**env, **out}):
+            if not _eval_cond(prim.cond, scope):
                 raise ActionConditionViolated(f"intermediate condition failed: {prim.cond!r}")
         else:
             raise TypeError(f"not a statement primitive: {prim!r}")

@@ -125,8 +125,10 @@ class ChartIndex:
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
     (children of None are the top-level states); `outgoing_in_order` maps it
-    to a tuple in `trans_key` order; `ancestors` maps it to the names of its
-    strict superstates, parent first. `ingoing_at_or_above` and
+    to a tuple in `trans_key` order, and `outgoing_by_call` maps a (source,
+    trigger name, arity) triple to such a tuple of the transitions it
+    selects; `ancestors` maps a name to the names of its strict
+    superstates, parent first. `ingoing_at_or_above` and
     `outgoing_at_or_above` are the names of the states that have such a
     transition themselves or on one of their ancestors. `top_names` maps
     each modifier to the names of the top-level states carrying it. On
@@ -198,6 +200,10 @@ class ChartIndex:
     @cached_property
     def outgoing_in_order(self) -> dict[str, tuple]:
         return group_by(self.trans, lambda t: t.src, tuple)
+
+    @cached_property
+    def outgoing_by_call(self) -> dict[tuple[str, str, int], tuple]:
+        return group_by(self.trans, lambda t: (t.src, t.call.name, len(t.call.args)), tuple)
 
     @cached_property
     def top_names(self) -> dict[str, frozenset[str]]:

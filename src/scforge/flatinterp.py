@@ -22,6 +22,7 @@ from .actions import (
     exec_stmt,
     holds,
     match_call,
+    merge,
     values_equal,
 )
 from .ast import SCSimp, Trans
@@ -77,22 +78,23 @@ class _Emitted:
 _NOTHING = _Emitted(None, ())
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Configuration:
     """One object's state, store, pending buffer and emitted messages.
 
     The buffer is the run's input tuple `inputs` from the `head` offset on,
     less the indices in `skipped`: messages past the head consumed out of
     order under "anywhere" matching. The head is always the first unconsumed
-    message. Equality and hashing are by the value of (current, store,
-    buffer, emitted)."""
+    message. `store` holds sorted (name, value) pairs. Equality and hashing
+    are by the value of (current, store, buffer, emitted). A plain slotted
+    class, as a frozen dataclass costs several times as much to build;
+    nothing assigns to a configuration once it is built."""
 
-    current: str
-    store: tuple  # sorted (name, value) pairs
-    inputs: tuple  # the run's input messages
-    head: int = 0
-    skipped: frozenset = frozenset()
-    _emitted: _Emitted = _NOTHING
+    __slots__ = ("current", "store", "inputs", "head", "skipped", "_emitted")
+
+    def __init__(self, current: str, store: tuple, inputs: tuple, head: int = 0,
+                 skipped: frozenset = frozenset(), _emitted: _Emitted = _NOTHING):
+        self.current, self.store, self.inputs = current, store, inputs
+        self.head, self.skipped, self._emitted = head, skipped, _emitted
 
     @classmethod
     def make(cls, current: str, store: Optional[dict] = None,
@@ -169,7 +171,11 @@ class Configuration:
                 f"buffer={self.buffer!r}, emitted={self.emitted!r})")
 
 
-def _freeze(store: dict) -> tuple:
+def _freeze(store: dict, was: tuple = ()) -> tuple:
+    """The store's sorted pairs: `was` itself when the store binds exactly
+    its names, each to the identical object."""
+    if len(store) == len(was) and all(k in store and store[k] is x for k, x in was):
+        return was
     return tuple(sorted(store.items(), key=lambda kv: kv[0]))
 
 
@@ -233,6 +239,9 @@ class RandomScheduler:
         return self.rng.choice(choices)
 
 
+_LEX = LexScheduler()
+
+
 def scheduler_from_spec(spec: str):
     if spec == "lex":
         return LexScheduler()
@@ -249,40 +258,38 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
     "fifo": only the head message is eligible. "anywhere": any buffered
     message may be selected.
     """
-    store = conf.store_dict()
     if match == "fifo":
         candidates = conf.inputs[conf.head:conf.head + 1]
     elif match == "anywhere":
         candidates = conf.buffer
     else:
         raise ValueError(f"unknown match mode {match!r}")
-    outgoing = sc.index.outgoing_in_order.get(conf.current, ())
+    store = conf.store_dict()
+    by_call = sc.index.outgoing_by_call
     out = []
     for m in candidates:
-        for t in outgoing:
+        for t in by_call.get((conf.current, m.name, len(m.args)), ()):
             v = match_call(t.call, m)
-            if v is None:
-                continue
-            if holds(t.pre, store, v, unbound=False):
+            if v is not None and holds(t.pre, store, v, unbound=False):
                 out.append((t, m, v))
     return out
 
 
 def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
     t, m, v = choice
-    store = conf.store_dict()
-    i = conf._index(m)
+    # Only an out-of-order pick under "anywhere" searches the buffer.
+    i = conf.head if m is conf.inputs[conf.head] else conf._index(m)
     try:
-        new_store, msgs = exec_stmt(t.act.stmt, store, v)
+        new_store, msgs = exec_stmt(t.act.stmt, conf.store, v)
     except ActionConditionViolated:
         return PostconditionViolated(t, conf._after(i, t.trg, conf.store), m)
-    nxt = conf._after(i, t.trg, _freeze(new_store), msgs)
-    if t.act.post is not None and not holds(t.act.post, new_store, v, unbound=True):
+    nxt = conf._after(i, t.trg, _freeze(new_store, conf.store), msgs)
+    env = merge(new_store, v) if v else new_store  # one scope for the three checks
+    if t.act.post is not None and not holds(t.act.post, env, {}, unbound=True):
         return PostconditionViolated(t, nxt, m)
-    if not holds(sc.inv, new_store, v, unbound=True):
+    if not holds(sc.inv, env, {}, unbound=True):
         return InvariantViolated("<chart>", nxt, m)
-    target = sc.state(t.trg)
-    if not holds(target.inv, new_store, v, unbound=True):
+    if not holds(sc.state(t.trg).inv, env, {}, unbound=True):
         return InvariantViolated(t.trg, nxt, m)
     return Step(nxt, m)
 
@@ -309,7 +316,7 @@ def step(conf: Configuration, sc: SCSimp, scheduler=None, match: str = "fifo") -
     forced = _forced_or_enabled(conf, sc, match)
     if not isinstance(forced, list):
         return forced
-    return fire(conf, (scheduler or LexScheduler()).choose(forced), sc)
+    return fire(conf, (scheduler or _LEX).choose(forced), sc)
 
 
 @dataclass
@@ -390,7 +397,8 @@ def run_log_lines(result: RunResult) -> list:
         # A step that emits nothing keeps its predecessor's chain node.
         node = conf._emitted
         emitted = [format_message(m) for m in node.msgs] if node is not prev._emitted else []
-        before, after = dict(prev.store), dict(conf.store)
+        same = conf.store is prev.store  # a step that rebinds nothing keeps its store tuple
+        before, after = ({}, {}) if same else (dict(prev.store), dict(conf.store))
         diff = {
             k: _json_value(after[k])
             for k in sorted(after)

@@ -277,6 +277,15 @@ def test_eval_cond_merges_store_and_valuation():
         eval_cond(c, {"x": 5}, {"x": 6})
 
 
+def test_equality_in_a_condition_is_type_strict():
+    eq = lambda a, b: eval_cond(CCmp("==", EVar("v"), ELit(b)), {"v": a}, {})
+    assert eq(1, 1) is True and eq((True, (2,)), (True, (2,))) is True
+    assert eq(True, 1) is False and eq(0, False) is False and eq((1,), (True,)) is False
+    # the orderings keep Python's: a bool compares as its int
+    assert eval_cond(CCmp("<", EVar("v"), ELit(2)), {"v": True}, {}) is True
+    assert eval_cond(CCmp("<=", EVar("v"), ELit(0)), {"v": False}, {}) is True
+
+
 def test_conj():
     assert conj() == CTrue()
     assert conj(CVar("a")) == CVar("a")
@@ -297,6 +306,19 @@ def test_exec_reads_updated_store():
     store, msgs = exec_stmt(stmt, {}, {})
     assert store == {"x": 2}
     assert msgs == ()
+
+
+def test_exec_reads_one_scope_and_leaves_its_inputs_alone():
+    stmt = (Assign("i", ELit(5)), Send("out", (EVar("i"), EVar("x"))), SetTimer(),
+            Check(CVar(TIMER_FLAG)))
+    store, v = {"x": 0}, {"i": 1}
+    out, msgs = exec_stmt(stmt, store, v)
+    assert out == {"x": 0, "i": 5, TIMER_FLAG: True}
+    assert msgs == (Message("out", (5, 0)),)
+    assert (store, v) == ({"x": 0}, {"i": 1})
+    assert exec_stmt(stmt, tuple(store.items()), v) == (out, msgs)  # the store's pairs do too
+    with pytest.raises(ConflictingValuation):
+        exec_stmt(stmt, {"i": 2}, v)
 
 
 def test_exec_timer_primitives():

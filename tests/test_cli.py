@@ -392,6 +392,28 @@ def test_run_completion_guard_tests_the_pattern_before_the_arithmetic(capsys, tm
     assert out.endswith("outcome: step in B, emitted o(2)\n")
 
 
+def test_run_guard_equality_tells_true_from_one(capsys, tmp_path):
+    path = tmp_path / "t.sc"
+    path.write_text("statechart T for C { initial state A; state B; state C;"
+                    " A -> B : f() / v = true; B -> C : [v == 1] g() / o(); }")
+    code, out, err = run_cli(capsys, "run", str(path), "--events", "f(), g()")
+    assert (code, err) == (1, "")
+    assert out.endswith("outcome: chaos in B, emitted (nothing)\n")
+
+
+@pytest.mark.parametrize("chart, events, message", [
+    ("A -> A : f(x) / v = x; A -> B : [v == 2] g(v) / o(v);", "f(1), g(2)",
+     "v bound to both 1 and 2"),
+    ("A -> B : f(x) / x = 2;", "f(1)", "x bound to both 2 and 1"),
+])
+def test_run_event_binding_that_clashes_with_the_store_is_usage(capsys, tmp_path, chart,
+                                                                events, message):
+    path = tmp_path / "k.sc"
+    path.write_text(f"statechart K for C {{ initial state A; state B; {chart} }}")
+    code, out, err = run_cli(capsys, "run", str(path), "--events", events)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_vdb_run_ill_typed_statement_is_usage(capsys, tmp_path):
     chart = tmp_path / "typed.sc"
     chart.write_text("statechart V for C { initial state A; state B; A -> B : f(x) / o(x + [1]); }")

@@ -495,6 +495,14 @@ def test_run_log_shows_a_store_change_from_one_to_true():
     assert [json.dumps(line["storeDiff"]) for line in log] == ['{"v": 1}', '{"v": true}']
 
 
+def test_a_step_that_rebinds_nothing_keeps_its_store():
+    sc = simp("statechart D for C { initial state A; A -> A : f(x) / v = x; }")
+    result = run(sc, "A", msgs("f(1)", "f(1)", "f(true)"))
+    first, second, third = (o.next.store for o in result.steps)
+    assert second is first and third == (("v", True),)
+    assert [line["storeDiff"] for line in run_log_lines(result)] == [{"v": 1}, {}, {"v": True}]
+
+
 @pytest.mark.parametrize(
     "text",
     ["put(3)", "get()", "f(-1, true, [1, 2, [false]])", "throw oops(0)"],
