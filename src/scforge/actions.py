@@ -236,11 +236,6 @@ class CMatch(Cond):
 TRUE = CTrue()
 
 
-def conj(*conds: Cond) -> Cond:
-    """Right-folded conjunction; the empty conjunction is true."""
-    return conj_opt(*conds) or TRUE
-
-
 def conj_opt(*conds: Optional[Cond]) -> Optional[Cond]:
     """Conjunction over optional conditions; all-absent stays absent."""
     cs = [c for c in conds if c is not None]

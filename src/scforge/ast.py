@@ -124,12 +124,11 @@ class ChartIndex:
     when first read, unless `derive` patched it from a parent chart's.
 
     `children`, `ingoing` and `outgoing` map a state name to a frozenset
-    (children of None are the top-level states); `outgoing_in_order` maps it
-    to a tuple in `trans_key` order, and `outgoing_by_call` maps a (source,
-    trigger name, arity) triple to such a tuple of the transitions it
-    selects; `ancestors` maps a name to the names of its strict
-    superstates, parent first. `ingoing_at_or_above` and
-    `outgoing_at_or_above` are the names of the states that have such a
+    (children of None are the top-level states), and `outgoing_by_call`
+    maps a (source, trigger name, arity) triple to a tuple, in `trans_key`
+    order, of the transitions it selects; `ancestors` maps a name to the
+    names of its strict superstates, parent first. `ingoing_at_or_above`
+    and `outgoing_at_or_above` are the names of the states that have such a
     transition themselves or on one of their ancestors. `top_names` maps
     each modifier to the names of the top-level states carrying it. On
     charts that break CC1 or CC12 the answers are deterministic but partial:
@@ -196,10 +195,6 @@ class ChartIndex:
     @cached_property
     def outgoing(self) -> dict[str, frozenset]:
         return group_by(self._trans, lambda t: t.src)
-
-    @cached_property
-    def outgoing_in_order(self) -> dict[str, tuple]:
-        return group_by(self.trans, lambda t: t.src, tuple)
 
     @cached_property
     def outgoing_by_call(self) -> dict[tuple[str, str, int], tuple]:

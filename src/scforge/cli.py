@@ -19,7 +19,8 @@ from typing import Optional
 from . import conform as conform_mod
 from . import flatinterp, vdb
 from .actions import ActionError, UnboundVariable
-from .parse import DuplicateState, LexError, ReservedIdentifier, StatechartSyntaxError, parse
+from .parse import (DuplicateState, LexError, ReservedIdentifier, StatechartSyntaxError, parse,
+                    parse_messages)
 from .printer import print_chart, print_simp, to_dot, to_json
 from .transform import (
     IllFormedInput,
@@ -75,34 +76,15 @@ def _parse_chart(path: str, text: Optional[str] = None):
 
 
 def _events(spec: str):
-    """Messages from a comma/newline-separated string, or from a file
-    when the argument starts with `@`."""
+    """Messages from a string, or from a file when the argument starts with
+    `@`: each line but a `#` line is a comma-separated list of messages."""
     text = _read(spec[1:]) if spec.startswith("@") else spec
-    parts = [
-        p.strip()
-        for line in text.splitlines() or [text]
-        if not line.lstrip().startswith("#")
-        for p in _split_top_level(line)
-    ]
     events = []
-    for p in filter(None, parts):
-        with _input(f"bad event {p!r}", *SYNTAX_ERRORS):
-            events.append(flatinterp.parse_message(p))
+    for line in map(str.strip, text.splitlines()):
+        if not line.startswith("#"):
+            with _input(f"bad event {line!r}", *SYNTAX_ERRORS):
+                events.extend(parse_messages(line))
     return events
-
-
-def _split_top_level(line: str) -> list:
-    """Split at the commas outside parentheses and brackets."""
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(line):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(line[start:i])
-            start = i + 1
-    return parts + [line[start:]]
 
 
 def _checked(sc, path: str):

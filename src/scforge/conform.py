@@ -68,7 +68,11 @@ class SystemFragment:
 
     @classmethod
     def make(cls, nodes, edges, init, main):
-        by_id = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
+        by_id = {}
+        for n in sorted(nodes, key=lambda n: n.id):
+            if n.id in by_id:
+                raise ValueError(f"duplicate node id {n.id!r}")
+            by_id[n.id] = n
         successors = {id: [] for id in by_id}
         for frm, to, m in edges:
             for end in (frm, to):

@@ -294,29 +294,30 @@ def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
     return Step(nxt, m)
 
 
-def _forced_or_enabled(conf: Configuration, sc: SCSimp, match: str):
-    """The outcome the head message forces, or else the enabled choices.
+def successors(conf: Configuration, sc: SCSimp, match: str = "fifo", choose=None) -> list:
+    """The outcomes of one step from `conf`, whose buffer must be non-empty:
+    the outcome the head message forces, or else one per enabled choice, in
+    `enabled` order, or only the one `choose` picks from them.
 
-    The buffer must be non-empty. A timeout whose timer was never set (or
-    was stopped) evaporates; a head that enables nothing is chaos.
+    A timeout whose timer was never set (or was stopped) evaporates; a head
+    that enables nothing is chaos.
     """
     head = conf.inputs[conf.head]
     if head.name == TIMEOUT and not dict(conf.store).get(TIMER_FLAG, False):
-        return Step(conf._after(conf.head, conf.current, conf.store), head)
+        return [Step(conf._after(conf.head, conf.current, conf.store), head)]
     choices = enabled(conf, sc, match)
     if not choices:
         dropped = conf._after(conf.head, conf.current, conf.store)
-        return Chaos(f"no enabled transition for {head.name} in {conf.current}", dropped, head)
-    return choices
+        return [Chaos(f"no enabled transition for {head.name} in {conf.current}", dropped, head)]
+    if choose is not None:
+        choices = [choose(choices)]
+    return [fire(conf, c, sc) for c in choices]
 
 
 def step(conf: Configuration, sc: SCSimp, scheduler=None, match: str = "fifo") -> Outcome:
     if not conf.pending():
         return Step(conf)  # quiescent
-    forced = _forced_or_enabled(conf, sc, match)
-    if not isinstance(forced, list):
-        return forced
-    return fire(conf, (scheduler or _LEX).choose(forced), sc)
+    return successors(conf, sc, match, (scheduler or _LEX).choose)[0]
 
 
 @dataclass
@@ -373,15 +374,6 @@ def run(
     return RunResult(start, steps, outcome)
 
 
-def run_all_initials(sc: SCSimp, inputs, scheduler=None, match: str = "fifo",
-                     max_steps: int = 10000) -> dict:
-    """Run from every initial state; keys sorted by state name."""
-    return {
-        s.name: run(sc, s.name, inputs, scheduler, match, max_steps)
-        for s in sc.initial_states()
-    }
-
-
 def _json_value(v):
     if isinstance(v, tuple):
         return [_json_value(x) for x in v]
@@ -433,9 +425,7 @@ def explore_emissions(
         if not conf.pending() or depth >= max_steps:
             out.add((conf.emitted, "quiescent"))
             continue
-        forced = _forced_or_enabled(conf, sc, match)
-        outcomes = [fire(conf, c, sc) for c in forced] if isinstance(forced, list) else [forced]
-        for res in outcomes:
+        for res in successors(conf, sc, match):
             if isinstance(res, Step):
                 stack.append((res.next, depth + 1))
             else:

@@ -545,6 +545,13 @@ class Parser:
             return tuple(self.items(self.parse_value, "]"))
         self.fail("value")
 
+    def message(self) -> Message:
+        """`throw? name(value, ...)`: one message of event text."""
+        exception = self.throw()
+        name = self.ident()
+        self.expect("(")
+        return Message(name, tuple(self.items(self.parse_value, ")")), exception)
+
 
 def parse(text: str, allow_reserved: bool = False) -> SCFull:
     """Parse statechart text. Strict mode rejects the reserved names `inp<k>`,
@@ -559,9 +566,20 @@ def parse(text: str, allow_reserved: bool = False) -> SCFull:
 def parse_message(text: str) -> Message:
     """Parse `name(arg, ...)` with integer, boolean, and [list] arguments."""
     p = Parser(text, allow_reserved=True)
-    exception = p.throw()
-    name = p.ident()
-    p.expect("(")
-    args = tuple(p.items(p.parse_value, ")"))
+    m = p.message()
     p.expect("eof")
-    return Message(name, args, exception)
+    return m
+
+
+def parse_messages(line: str) -> list[Message]:
+    """Parse `message? ("," message?)*` with one parser: an empty item
+    between commas, or after the last, is skipped."""
+    p = Parser(line, allow_reserved=True)
+    out = []
+    while True:
+        if not (p.at(",") or p.at("eof")):
+            out.append(p.message())
+        if not p.accept(","):
+            break
+    p.expect("eof")
+    return out

@@ -349,11 +349,6 @@ def _successors(node: KripkeNode, memo: dict):
             yield KripkeNode(term, rest + alpha)
 
 
-def consume_input(node: KripkeNode) -> frozenset:
-    """All successor nodes."""
-    return frozenset(_successors(node, {}))
-
-
 def run_bounded(
     start: KripkeNode,
     max_steps: int,

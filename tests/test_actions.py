@@ -40,7 +40,7 @@ from scforge.actions import (
     TIMER_FLAG,
     UnboundVariable,
     call_expr_of,
-    conj,
+    conj_opt,
     eval_cond,
     eval_expr,
     exec_stmt,
@@ -286,10 +286,10 @@ def test_equality_in_a_condition_is_type_strict():
     assert eval_cond(CCmp("<=", EVar("v"), ELit(0)), {"v": False}, {}) is True
 
 
-def test_conj():
-    assert conj() == CTrue()
-    assert conj(CVar("a")) == CVar("a")
-    assert conj(CVar("a"), CVar("b")) == CAnd(CVar("a"), CVar("b"))
+def test_conj_opt():
+    assert conj_opt() is None and conj_opt(None, None) is None
+    assert conj_opt(CVar("a"), None) == CVar("a")
+    assert conj_opt(CVar("a"), None, CVar("b"), CVar("c")) == CAnd(CVar("a"), CAnd(CVar("b"), CVar("c")))
 
 
 # -- execution --------------------------------------------------------------

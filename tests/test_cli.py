@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from scforge.cli import main
+from scforge.actions import Message
+from scforge.cli import _events, main
+from scforge.flatinterp import format_message, parse_message
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -341,6 +344,69 @@ def test_run_bound_counts_only_unconsumed_events(capsys, buffer_file):
     assert "consumed 1 of 2 events" in err
 
 
+def _split_top_level(line: str) -> list:
+    """The bracket-counting splitter that event lines were once cut with:
+    split at the commas outside parentheses and brackets."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(line):
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(line[start:i])
+            start = i + 1
+    return parts + [line[start:]]
+
+
+def _split_events(text: str) -> list:
+    """Event text read by splitting each line, then parsing each part."""
+    parts = [p.strip() for line in text.splitlines() if not line.lstrip().startswith("#")
+             for p in _split_top_level(line)]
+    return [parse_message(p) for p in parts if p]
+
+
+def _random_value(rng, depth=0):
+    kind = rng.random()
+    if kind < 0.5 or depth == 2:
+        return rng.randint(-12, 12)
+    if kind < 0.7:
+        return rng.random() < 0.5
+    return tuple(_random_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+
+
+def _random_event_line(rng) -> str:
+    items = [format_message(Message(rng.choice(["f", "get", "put", "timeout", "inp1"]),
+                                    tuple(_random_value(rng) for _ in range(rng.randint(0, 3))),
+                                    rng.random() < 0.2))
+             for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.3:
+        items.insert(rng.randint(0, len(items)), rng.choice(["", " "]))  # an empty item
+    line = "".join(item + rng.choice([",", ", ", " , "]) for item in items[:-1]) + (
+        items[-1] if items else "")
+    if rng.random() < 0.2:
+        line += rng.choice([",", ", "])  # a trailing comma
+    return rng.choice(["", " ", "\t"]) + line + rng.choice(["", " "])
+
+
+def test_event_lines_read_as_the_splitter_read_them():
+    rng = random.Random(7)
+    for _ in range(400):
+        text = "\n".join(_random_event_line(rng) for _ in range(rng.randint(1, 3)))
+        assert _events(text) == _split_events(text), text
+
+
+def test_event_line_reading(capsys, buffer_file, tmp_path):
+    code, out, err = run_cli(capsys, "run", buffer_file, "--events", "get(), put(x)")
+    assert (code, out, err) == (2, "", "error: bad event 'get(), put(x)': 1:12: expected value\n")
+    # a comment runs to the end of its line, commas and all
+    assert _events("put(1) // note, get()") == [Message("put", (1,))]
+    ev = tmp_path / "events.txt"
+    ev.write_text("# put(9)\nput(1), , get(),\n  # get()\n\nthrow f([-1, true])\n")
+    assert _events(f"@{ev}") == [Message("put", (1,)), Message("get", ()),
+                                 Message("f", ((-1, True),), True)]
+
+
 @pytest.mark.parametrize("command", [["run"], ["vdb-run", "--domain=-1,3"]])
 def test_malformed_event_is_usage(capsys, buffer_file, command):
     code, out, err = run_cli(
@@ -419,6 +485,16 @@ def test_vdb_run_ill_typed_statement_is_usage(capsys, tmp_path):
     chart.write_text("statechart V for C { initial state A; state B; A -> B : f(x) / o(x + [1]); }")
     code, out, err = run_cli(capsys, "vdb-run", str(chart), "--events", "f(1)", "--domain=1,2")
     assert (code, out, err) == (2, "", "error: cannot apply + to 1 and (1,)\n")
+
+
+def test_run_starts_from_every_initial_state(capsys, tmp_path):
+    chart = tmp_path / "two.sc"
+    chart.write_text("statechart D for C { initial state A; initial state B;"
+                     " A -> A : f() / send(1); B -> B : f() / send(2); }")
+    code, out, _ = run_cli(capsys, "run", str(chart), "--events", "f()", "--format", "json")
+    assert code == 0
+    assert {init: r["emitted"] for init, r in json.loads(out).items()} == {
+        "A": ["send(1)"], "B": ["send(2)"]}
 
 
 def test_run_bad_init_is_usage(capsys, buffer_file):
@@ -686,6 +762,17 @@ def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_
     )
     assert code == 2
     assert "no main object 'ghost'" in err
+
+
+def test_conform_fragment_with_a_duplicate_node_id_is_usage(capsys, buffer_file, tmp_path):
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    frag["nodes"].append({**frag["nodes"][1], "objects": {"o": {"vars": {"v": 4}}}})
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(frag))
+    code, out, err = run_cli(
+        capsys, "conform", buffer_file, str(path), str(FIXTURES / "buffer_projection.json"),
+    )
+    assert (code, out, err) == (2, "", f"error: {path}: duplicate node id 's2'\n")
 
 
 @pytest.mark.parametrize("edit, where", [

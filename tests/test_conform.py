@@ -330,6 +330,13 @@ def test_fragment_rejects_dangling_edges():
         )
 
 
+def test_fragment_rejects_a_duplicate_node_id():
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    frag["nodes"].append({**frag["nodes"][1], "objects": {"o": {"vars": {"v": 4}}}})
+    with pytest.raises(ValueError, match=r"^duplicate node id 's2'$"):
+        SystemFragment.from_json(json.dumps(frag))
+
+
 def test_fragment_rejects_a_node_without_the_main_object():
     with pytest.raises(ValueError, match="main object"):
         SystemFragment.make(

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scforge.actions import Message
+from scforge.actions import Message, UnboundVariable
 from scforge.flatinterp import (
     BadInitialState,
     Chaos,
@@ -27,10 +27,10 @@ from scforge.flatinterp import (
     format_message,
     parse_message,
     run,
-    run_all_initials,
     run_log_lines,
     scheduler_from_spec,
     step,
+    successors,
 )
 from scforge.parse import KEYWORDS, parse
 from scforge.transform import to_simplified, transform_fixpoint
@@ -246,6 +246,25 @@ def test_step_on_completed_chart_never_chaos():
         assert result.quiescent, inputs
 
 
+def test_step_fires_only_the_choice_it_picks():
+    sc = simp("statechart D for C { initial state A; state B; state C;"
+              " A -> B : f() / o(1); A -> C : f() / o(u); }")
+    conf = Configuration.make("A", buffer=msgs("f()"))
+    with pytest.raises(UnboundVariable):
+        successors(conf, sc)  # fires the choice into C too
+    out = step(conf, sc, LexScheduler())
+    assert isinstance(out, Step) and out.next.current == "B"
+    assert out.next.emitted == msgs("o(1)")
+
+
+def test_successors_give_one_outcome_per_choice_in_enabled_order():
+    conf = Configuration.make("A", buffer=msgs("f()"))
+    outs = successors(conf, FORK)
+    assert [o.next.current for o in outs] == [t.trg for t, _, _ in enabled(conf, FORK)] == ["B", "Z"]
+    assert [o.next.emitted for o in outs] == [msgs("send(1)"), msgs("send(2)")]
+    assert all(isinstance(o, Step) and o.consumed == Message("f", ()) for o in outs)
+
+
 # -- run --------------------------------------------------------------------
 
 def test_run_buffer_put_get():
@@ -283,22 +302,6 @@ def test_run_is_deterministic_under_lex_scheduler():
     a = run(BUFFER, "Empty", inputs, LexScheduler())
     b = run(BUFFER, "Empty", inputs, LexScheduler())
     assert a.trajectory == b.trajectory and a.emissions == b.emissions
-
-
-def test_run_all_initials():
-    sc = simp(
-        """
-        statechart D for C {
-            initial state A;
-            initial state B;
-            A -> A : f() / send(1);
-            B -> B : f() / send(2);
-        }
-        """
-    )
-    results = run_all_initials(sc, msgs("f()"))
-    assert [m.args[0] for m in results["A"].emissions] == [1]
-    assert [m.args[0] for m in results["B"].emissions] == [2]
 
 
 # -- configurations share their run's input and emitted prefix -------------

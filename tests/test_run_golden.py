@@ -160,7 +160,7 @@ def _walk_stream(rng, sc, init, length):
     takes. Guards are ignored, so a run may still leave the walk."""
     out, state = [], init
     for _ in range(length):
-        outgoing = sc.index.outgoing_in_order.get(state, ())
+        outgoing = tuple(t for t in sc.index.trans if t.src == state)
         if not outgoing or rng.random() < 0.05:
             out.append(Message("stray", ()))
             continue
