@@ -348,8 +348,8 @@ def match_pattern(p: Pattern, value: Value) -> Optional[Valuation]:
 
 
 def match_call(c: Call, m: Message) -> Optional[Valuation]:
-    """The unique binding of c's pattern variables against m, if any."""
-    if c.name != m.name or len(c.args) != len(m.args):
+    """The unique binding of c's pattern variables against m, if any; their throw flags agree."""
+    if c.name != m.name or c.exception != m.exception or len(c.args) != len(m.args):
         return None
     binding: Optional[Valuation] = None
     for p, v in zip(c.args, m.args):

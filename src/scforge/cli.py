@@ -247,7 +247,10 @@ def cmd_vdb_run(args) -> int:
         with _input(f"bad domain {args.domain!r}", ValueError):
             domain = tuple(int(x) for x in args.domain.split(","))
     term = _load_term(args.input, domain)
-    queue = tuple(vdb.Sym(m.name, tuple(m.args)) for m in _events(args.events))
+    events = _events(args.events)
+    if throws := [m for m in events if m.exception]:
+        raise UsageError(f"no exception events in vdb-run: {flatinterp.format_message(throws[0])}")
+    queue = tuple(vdb.Sym(m.name, tuple(m.args)) for m in events)
     runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps, **bounds)
     if args.format == "json":
         print(vdb.runs_to_json(runs))

@@ -102,51 +102,13 @@ def chart_hash(sc: SCFull) -> str:
     return hashlib.sha256(print_chart(sc).encode()).hexdigest()[:16]
 
 
-class _Digest:
-    """`chart_hash` of one chart, computed on first read; the chart is let go
-    once it is. It is kept as a copy without the chart's index, which would
-    otherwise stay alive with it."""
-
-    __slots__ = ("_chart", "_value")
-
-    def __init__(self, chart: SCFull):
-        self._chart, self._value = replace(chart), None
-
-    @property
-    def value(self) -> str:
-        if self._value is None:
-            self._value, self._chart = chart_hash(self._chart), None
-        return self._value
-
-    def __eq__(self, other):
-        return self.value == other.value if isinstance(other, _Digest) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class TraceEntry:
-    """One rewrite step. The digests of the charts before and after it are
-    computed on first read, once per chart: consecutive entries share one."""
+    """One rewrite step: the rule applied and the binding it was applied at."""
 
     rule: int
     name: str
     binding: str
-    before: _Digest
-    after: _Digest
-
-    @property
-    def before_hash(self) -> str:
-        return self.before.value
-
-    @property
-    def after_hash(self) -> str:
-        return self.after.value
-
-    def __repr__(self) -> str:
-        return (f"TraceEntry(rule={self.rule!r}, name={self.name!r}, binding={self.binding!r}, "
-                f"before_hash={self.before_hash!r}, after_hash={self.after_hash!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +649,6 @@ RULES = (
 _RULE_BY_NUMBER = {r.number: r for r in RULES}
 ENGINE_STEP_NAMES = {r.number: r.name for r in RULES}
 RULE_NAMES = {r.number: r.name for r in RULES[:-1]}
-RULE_NUMBERS = {name: num for num, name in RULE_NAMES.items()}
 
 
 def _rule(number: int) -> Rule:
@@ -849,7 +810,6 @@ def transform_fixpoint(
     trace: list[TraceEntry] = []
     matches = {rule.number: _Matches(rule) for rule in RULES if rule.at}
     done_exception = False
-    digest = _Digest(sc)
     while True:
         candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, matches, done_exception)
         if rng is not None:
@@ -863,12 +823,11 @@ def transform_fixpoint(
                 continue
             if len(trace) >= max_steps:
                 raise NonTermination(f"no fixpoint within {max_steps} steps")
-            new_digest = _Digest(new)
-            trace.append(TraceEntry(rule.number, rule.name, b.describe(), digest, new_digest))
+            trace.append(TraceEntry(rule.number, rule.name, b.describe()))
             dirty, wide = _advance(sc, new)
             for m in matches.values():
                 m.mark(dirty, wide)
-            sc, digest = new, new_digest
+            sc = new
             if on_step is not None:
                 on_step(len(trace), sc)
             break

@@ -13,6 +13,7 @@ variable are expanded over a finite value domain (state `NonEmpty` holding v
 becomes the family `NonEmpty(v)`). The chart must keep these rules:
 
 - guard-free: no guards, postconditions, do actions or internal transitions;
+- no `throw` triggers or sends: the term semantics has no exception events;
 - one data variable at most, and only on flat charts: a flat chart's
   transitions match a single variable event pattern, send and assign, and
   read only the data variable and the event parameter; a hierarchical
@@ -481,10 +482,13 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
             problems.append(f"state {s.name} has a do action")
         if s.internT:
             problems.append(f"state {s.name} has internal transitions")
-        actions[s.name] = _ground_syms(action_stmt(s.entry)), _ground_syms(action_stmt(s.exit))
-        for seq, what in zip(actions[s.name], ("entry", "exit")):
+        stmts = action_stmt(s.entry), action_stmt(s.exit)
+        actions[s.name] = tuple(map(_ground_syms, stmts))
+        for seq, stmt, what in zip(actions[s.name], stmts, ("entry", "exit")):
             if seq is None:
                 problems.append(f"state {s.name} {what} is not a ground send sequence")
+            if any(isinstance(p, Send) and p.exception for p in stmt):
+                problems.append(f"state {s.name} {what} sends an exception")
     if sc.diagram_name in index.by_name:
         problems.append(f"state {sc.diagram_name} has the chart's name")
     if problems:
@@ -497,6 +501,10 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
             problems.append(f"{where} has a guard")
         if not _is_trivial(action_post(t.act)):
             problems.append(f"{where} has a postcondition")
+        if t.call.exception:
+            problems.append(f"{where} has a throw trigger")
+        if any(isinstance(p, Send) and p.exception for p in stmt):
+            problems.append(f"{where} sends an exception")
         params = {a.name for a in t.call.args if isinstance(a, PVar)}
         if hier and t.call.args:
             problems.append(f"{where} carries event data in a hierarchical chart")
@@ -681,10 +689,7 @@ def _read(tree, kinds: tuple):
     cls = _KINDS[items[0]]
     if len(items) != 1 + len(fields(cls)):
         raise ValueError(f"{items[0]} takes {len(fields(cls))} fields, not {len(items) - 1}")
-    out = cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
-    if isinstance(out, Or):
-        _check_or(out)
-    return out
+    return cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
 
 
 # Parenthesis tokens; a quoted atom `|(|` is the string "(", not one of them.
@@ -733,4 +738,6 @@ def term_from_sexpr(text: str) -> Term:
     tree, pos = _read_sexpr(tokens, 0)
     if pos != len(tokens):
         raise ValueError("trailing input after term")
-    return _read(tree, ("basic", "and", "or"))
+    term = _read(tree, ("basic", "and", "or"))
+    validate_term(term)
+    return term

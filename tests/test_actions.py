@@ -197,6 +197,10 @@ def test_match_call():
     assert match_call(c, Message("f", (2, 7))) is None
     assert match_call(c, Message("g", (1, 7))) is None
     assert match_call(c, Message("f", (1,))) is None
+    assert match_call(c, Message("f", (1, 7), exception=True)) is None
+    throw = Call("f", c.args, exception=True)
+    assert match_call(throw, Message("f", (1, 7))) is None
+    assert match_call(throw, Message("f", (1, 7), exception=True)) == {"x": 7}
 
 
 def test_merge_conflict():

@@ -298,6 +298,27 @@ def test_run_unhandled_trigger_exits_one(capsys, buffer_file):
     assert "chaos" in out
 
 
+BOOM_SC = """
+statechart Boom for C {
+    initial state A;
+    <<exception>> state X;
+    A -> X : throw boom();
+}
+"""
+
+
+@pytest.mark.parametrize("chart, events, code, outcome", [
+    (BUFFER_SC, "throw put(1), get()", 1, "outcome: chaos in Empty, emitted (nothing)"),
+    (BOOM_SC, "boom()", 1, "outcome: chaos in A, emitted (nothing)"),
+    (BOOM_SC, "throw boom()", 0, "outcome: step in X, emitted (nothing)"),
+], ids=["throw-put", "plain-boom", "throw-boom"])
+def test_run_matches_the_throw_flag(capsys, tmp_path, chart, events, code, outcome):
+    p = tmp_path / "chart.sc"
+    p.write_text(chart)
+    got, out, _ = run_cli(capsys, "run", str(p), "--events", events)
+    assert got == code and out.endswith(f"  {outcome}\n")
+
+
 def test_run_events_from_file(capsys, buffer_file, tmp_path):
     ev = tmp_path / "events.txt"
     ev.write_text("put(3)\n# a comment\nget()\n")
@@ -666,6 +687,11 @@ def test_vdb_run_rejects_a_bound_that_is_no_positive_integer(capsys, tmp_path, m
     ("(basic A () () ())", "basic takes 3 fields, not 4"),
     ("(or A (basic B () ()) 1 () () ())", "expected a list, not 'basic'"),
     ("()", "expected basic/and/or, not []"),
+    ("(or Root ((basic A () ()) (basic A () ())) 1 ((trans t1 1 () (f) ((o)) () 2 none)) () ())",
+     "duplicate state name 'A'"),
+    ("(or R ((or A ((basic B () ())) 1 ((trans t 1 () (f) () () 1 none)) () ()) (basic C () ()))"
+     " 1 ((trans t 1 () (g) () () 2 none)) () ())", "duplicate transition name 't'"),
+    ("(and A () () ())", "'A' has no subterms"),
 ])
 def test_vdb_run_rejects_a_term_file_exploration_cannot_run(capsys, tmp_path, text, message):
     p = tmp_path / "term.sexpr"
@@ -682,6 +708,13 @@ def test_vdb_run_keeps_outputs_that_differ_in_true_and_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "vdb-run", str(p), "--events", "f()")
     assert code == 0
     assert out.count("run ") == 2 and "{B, K5} | o(1)\n" in out and "{B, K5} | o(true)\n" in out
+
+
+def test_vdb_run_refuses_an_exception_event(capsys, buffer_file):
+    code, out, err = run_cli(capsys, "vdb-run", buffer_file, "--events", "throw put(1)",
+                             "--domain=-1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: no exception events in vdb-run: throw put(1)\n"
 
 
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):

@@ -95,6 +95,24 @@ def test_enabled_fifo_only_sees_the_head():
     assert [m.name for _, m, _ in anywhere] == ["put"]
 
 
+def test_enabled_and_explored_emissions_match_the_throw_flag():
+    sc = simp(
+        """
+        statechart T for C {
+            initial state A;
+            state P;
+            state X;
+            A -> P : f() / o(1);
+            A -> X : throw f() / o(2);
+        }
+        """
+    )
+    for text, target, out in (("f()", "P", 1), ("throw f()", "X", 2)):
+        [(t, _, _)] = enabled(Configuration.make("A", buffer=msgs(text)), sc)
+        assert t.trg == target
+        assert explore_emissions(sc, "A", msgs(text)) == {((Message("o", (out,)),), "quiescent")}
+
+
 def test_enabled_rejects_unknown_match_mode():
     with pytest.raises(ValueError):
         enabled(Configuration.make("Empty"), BUFFER, match="fancy")

@@ -22,7 +22,7 @@ from scforge.ast import SEQUENTIAL
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_chart
-from scforge.transform import to_simplified, transform_fixpoint
+from scforge.transform import chart_hash, to_simplified, transform_fixpoint
 from scforge.vdb import NotGuardFree, UnboundedValueDomain, encode_guard_free, term_to_sexpr
 from test_acceptance import EXTRA_CHARTS, corpus
 from test_vdb import BUFFER_SC
@@ -31,20 +31,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "flatten_golden.json"
 ENCODE_GOLDEN = Path(__file__).resolve().parent / "fixtures" / "encode_golden.json"
 
-# Flattens gen_chart seeds 0-59 at 6 and 10 states and prints each flat chart
-# followed by its trace.
+# Flattens gen_chart seeds 0-59 at 6 and 10 states and prints each flat chart,
+# the input's digest, and each trace entry with the digest of the chart after it.
 FLATTEN_SCRIPT = """
 from scforge.gen import gen_chart
 from scforge.printer import print_chart
-from scforge.transform import transform_fixpoint
+from scforge.transform import chart_hash, transform_fixpoint
 
 for states in (6, 10):
     for seed in range(60):
-        flat, trace = transform_fixpoint(gen_chart(seed, max_states=states))
+        sc = gen_chart(seed, max_states=states)
+        digests = [chart_hash(sc)]
+        flat, trace = transform_fixpoint(sc, on_step=lambda _, c: digests.append(chart_hash(c)))
         print(f"== seed {seed} states {states}")
         print(print_chart(flat))
-        for e in trace:
-            print(e)
+        print(digests[0])
+        for e, digest in zip(trace, digests[1:]):
+            print(e, digest)
 """
 
 
@@ -119,10 +122,14 @@ def test_transitions_tied_but_for_their_patterns_print_identically_across_proces
 
 
 def flatten_digest(sc, strategy: str) -> str:
-    """sha256 of the printed flat chart followed by its trace entries."""
-    flat, trace = transform_fixpoint(sc, strategy=strategy)
+    """sha256 of the printed flat chart followed by its trace entries, each
+    with the digests of the charts before and after its step."""
+    digests = [chart_hash(sc)]
+    flat, trace = transform_fixpoint(
+        sc, strategy=strategy, on_step=lambda _, c: digests.append(chart_hash(c)))
     lines = [print_chart(flat)] + [
-        f"{e.rule}\t{e.name}\t{e.binding}\t{e.before_hash}\t{e.after_hash}" for e in trace
+        f"{e.rule}\t{e.name}\t{e.binding}\t{before}\t{after}"
+        for e, before, after in zip(trace, digests, digests[1:])
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -19,6 +19,7 @@ from scforge.actions import (
     TRUE,
     reads,
 )
+import gc
 import pickle
 import random
 from dataclasses import fields, replace
@@ -35,10 +36,10 @@ from scforge.transform import (
     NotSimplifiable,
     ENGINE_STEP_NAMES,
     RULE_NAMES,
-    RULE_NUMBERS,
     RULES,
     IllFormedInput,
     apply_rule,
+    chart_hash,
     crossed_superstates,
     find_bindings,
     flat_and_simplified,
@@ -50,6 +51,9 @@ from scforge.transform import (
     transform_fixpoint,
 )
 from scforge.wellformed import check_all
+
+
+RULE_NUMBERS = {name: num for num, name in RULE_NAMES.items()}
 
 
 def rule(name: str) -> int:
@@ -675,38 +679,34 @@ def test_fixpoint_result_has_no_residual_constructs():
 
 def test_fixpoint_trace_is_replayable():
     sc = NESTED
-    out, trace = transform_fixpoint(sc)
+    charts = []
+    out, trace = transform_fixpoint(sc, on_step=lambda _, c: charts.append(c))
     assert trace, "expected at least one step"
-    from scforge.transform import chart_hash
+    assert len(charts) == len(trace) and charts[-1] == out
+    for e, after in zip(trace, charts):
+        [b] = [b for b in find_bindings(e.rule, sc) if b.describe() == e.binding]
+        sc = apply_rule(e.rule, sc, b)
+        assert chart_hash(sc) == chart_hash(after)
 
-    assert trace[0].before_hash == chart_hash(sc)
-    assert trace[-1].after_hash == chart_hash(out)
-    for prev, nxt in zip(trace, trace[1:]):
-        assert prev.after_hash == nxt.before_hash
 
-
-def test_fixpoint_computes_trace_digests_only_on_demand(monkeypatch):
+def test_fixpoint_never_prints_a_chart(monkeypatch):
     printed = []
+    monkeypatch.setattr(transform, "print_chart", printed.append)
+    traces = [transform_fixpoint(gen_chart(seed, max_states=10))[1] for seed in range(4)]
+    assert all(traces) and printed == []
 
-    def counting_print_chart(sc):
-        printed.append(id(sc))
-        return print_chart(sc)
 
-    monkeypatch.setattr(transform, "print_chart", counting_print_chart)
-    runs = []
-    for seed in range(4):
-        sc = gen_chart(seed, max_states=10)
-        charts = [sc]
-        _, trace = transform_fixpoint(sc, on_step=lambda _, c: charts.append(c))
-        assert trace
-        runs.append((charts, trace))
-    assert printed == []
-    digests = [[(e.before_hash, e.after_hash) for e in trace] for _, trace in runs]
-    assert len(printed) == len(set(printed))  # each chart printed at most once
-    monkeypatch.undo()
-    for (charts, _), pairs in zip(runs, digests):
-        hashes = [transform.chart_hash(c) for c in charts]
-        assert pairs == list(zip(hashes, hashes[1:]))
+def test_trace_holds_no_chart():
+    _, trace = transform_fixpoint(chain_chart(25))
+    seen, todo = set(), [trace]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, SCFull)
+        todo.extend(gc.get_referents(obj))
+    assert len(trace) > 25
 
 
 def test_fixpoint_random_strategy_also_flattens():
@@ -754,7 +754,7 @@ def naive_fixpoint(sc, strategy):
             new = r.apply(sc, b)
             done_exception = done_exception or r.number == 26
             if new != sc:
-                trace.append((r.number, b.describe(), transform.chart_hash(new)))
+                trace.append((r.number, b.describe(), chart_hash(new)))
                 sc = new
                 break
         else:
@@ -788,8 +788,10 @@ STRATEGIES = ("paper", "random:1", "random:2", "random:3")
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_incremental_engine_matches_the_naive_reference(strategy):
     for sc in ORACLE_CHARTS:
-        flat, trace = transform_fixpoint(sc, strategy=strategy)
-        assert (flat, [(e.rule, e.binding, e.after_hash) for e in trace]) == \
+        digests = []
+        flat, trace = transform_fixpoint(
+            sc, strategy=strategy, on_step=lambda _, c: digests.append(chart_hash(c)))
+        assert (flat, [(e.rule, e.binding, d) for e, d in zip(trace, digests)]) == \
             naive_fixpoint(sc, strategy), sc.diagram_name
 
 

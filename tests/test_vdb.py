@@ -464,6 +464,20 @@ def test_encode_rejects_a_state_named_as_the_chart(text):
     assert e.value.offending == ["state A has the chart's name"]
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("<<exception>> state X; A -> X : throw f();", "transition A->X has a throw trigger"),
+    ("A -> A : f() / throw o();", "transition A->A sends an exception"),
+    ("state B { entry / throw o(); } A -> B : f();", "state B entry sends an exception"),
+    ("state B { initial state In { exit / throw o(); } } A -> B : f();",
+     "state In exit sends an exception"),
+], ids=["trigger", "send", "entry", "nested-exit"])
+def test_encode_rejects_exception_events(text, problem):
+    # the term semantics has no exception events, so the flag cannot be kept
+    with pytest.raises(NotGuardFree) as e:
+        encode_guard_free(parse(f"statechart D for C {{ initial state A; {text} }}"))
+    assert e.value.offending == [problem]
+
+
 def test_encode_rejects_multiple_data_variables():
     sc = parse(
         """
@@ -642,8 +656,13 @@ def test_sexpr_errors():
     (" \n\t\u3000", "unexpected end of input"),
     ("(basic A () ()) x", "trailing input after term"),
     ("(basic A\u2003B () ())", "basic takes 3 fields, not 4"),  # the blank ends A
+    ("(or Root ((basic A () ()) (basic A () ())) 1 ((trans t1 1 () (f) ((o)) () 2 none)) () ())",
+     "duplicate state name 'A'"),
+    ("(and Root ((basic Root () ())) () ())", "duplicate state name 'Root'"),
+    ("(or R ((or A ((basic B () ())) 1 ((trans t 1 () (f) () () 1 none)) () ()) (basic C () ()))"
+     " 1 ((trans t 1 () (g) () () 2 none)) () ())", "duplicate transition name 't'"),
 ], ids=["open-quote", "escaped-end", "unclosed", "stray-close", "empty", "blank", "trailing",
-        "blank-ends-atom"])
+        "blank-ends-atom", "sibling-states", "parent-and-child", "transitions"])
 def test_sexpr_error_lines(text, message):
     with pytest.raises(ValueError) as err:
         term_from_sexpr(text)
@@ -692,6 +711,8 @@ def terms(draw, depth=2):
 
 
 def uniquify(term, counter=None):
+    """term with pairwise distinct state and transition names, as
+    `validate_term` requires."""
     counter = counter if counter is not None else itertools.count()
     fresh = f"{term.name}#{next(counter)}"
     if isinstance(term, Basic):
@@ -699,7 +720,8 @@ def uniquify(term, counter=None):
     subs = tuple(uniquify(s, counter) for s in term.subterms)
     if isinstance(term, And):
         return And(fresh, subs, term.entry, term.exit)
-    return Or(fresh, subs, term.active, term.transitions, term.entry, term.exit)
+    trans = frozenset(replace(tr, tname=f"{fresh}.{tr.tname}") for tr in term.transitions)
+    return Or(fresh, subs, term.active, trans, term.entry, term.exit)
 
 
 @settings(max_examples=80, deadline=None)
