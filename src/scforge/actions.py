@@ -33,10 +33,28 @@ def _literal_eq(self, other) -> bool:
     return type(other) is type(self) and values_equal(self.value, other.value)
 
 
+def print_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return "[" + ", ".join(print_value(x) for x in v) + "]"
+    return str(v)
+
+
 def is_json_value(x) -> bool:
     """Does decoded JSON `x` denote a value: an int, a boolean, or a list of
     values?"""
     return isinstance(x, int) or fits(x, [is_json_value])
+
+
+def value_to_json(v):
+    """A value as JSON data: each tuple becomes a list."""
+    return [value_to_json(x) for x in v] if isinstance(v, tuple) else v
+
+
+def value_from_json(x):
+    """The value that decoded JSON `x` denotes: each list becomes a tuple."""
+    return tuple(value_from_json(y) for y in x) if isinstance(x, list) else x
 
 
 def fits(data, shape) -> bool:
@@ -52,6 +70,33 @@ def fits(data, shape) -> bool:
             for k, v in data.items()
         )
     return isinstance(data, shape) if isinstance(shape, (type, tuple)) else shape(data)
+
+
+# Values that elements compute once and keep: their hash, for transitions
+# their sort key (`ast.trans_key`), and for messages their text.
+_CACHES = ("_hash", "_key", "_text")
+
+
+def hash_once(cls):
+    """Cache each instance's dataclass-generated hash on first use: chart
+    rewrites and term exploration look the same elements up in sets and
+    dicts on every step, and the generated hash walks their whole tree each
+    time. Pickled state leaves the cached values out: string hashes differ
+    between processes, and the rest is recomputed on first use."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", generated(self))
+            return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
 def is_reserved(name: str) -> bool:
@@ -129,8 +174,12 @@ class Call:
     exception: bool = False
 
 
+@hash_once
 @dataclass(frozen=True)
 class Message:
+    """An event or output of both semantics: a name with concrete argument
+    values, and whether it is thrown."""
+
     name: str
     args: tuple[Value, ...] = ()
     exception: bool = False
@@ -140,6 +189,18 @@ class Message:
         differ; the generated hash merely lets the two collide."""
         return (type(other) is Message and self.name == other.name
                 and self.exception == other.exception and values_equal(self.args, other.args))
+
+    def __str__(self):
+        """The message's text, `throw? name(v, …)`, rendered on first use and
+        kept: term exploration shares each message among many runs, and
+        callers render every run."""
+        try:
+            return self._text
+        except AttributeError:
+            throw = "throw " if self.exception else ""
+            text = f"{throw}{self.name}(" + ", ".join(map(print_value, self.args)) + ")"
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 # ---------------------------------------------------------------------------

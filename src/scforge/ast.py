@@ -8,7 +8,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
-from .actions import Action, Call, Cond
+from .actions import Action, Call, Cond, hash_once
 
 # Chart-level stereotypes.
 PRIO_INNER = "prio:inner"
@@ -41,33 +41,6 @@ class InternT:
     pre: Optional[Cond]
     call: Call
     act: Optional[Action]
-
-
-# Values that elements compute once and keep: their hash, for transitions
-# their sort key (`trans_key`), and for term symbols their text.
-_CACHES = ("_hash", "_key", "_text")
-
-
-def hash_once(cls):
-    """Cache each instance's dataclass-generated hash on first use: chart
-    rewrites and term exploration look the same elements up in sets and
-    dicts on every step, and the generated hash walks their whole tree each
-    time. Pickled state leaves the cached values out: string hashes differ
-    between processes, and the rest is recomputed on first use."""
-    generated = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", generated(self))
-            return self._hash
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
-
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
 
 
 @hash_once

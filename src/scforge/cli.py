@@ -191,7 +191,7 @@ def cmd_run(args) -> int:
         out[init] = {
             "outcome": kind,
             "state": result.final.current,
-            "emitted": [flatinterp.format_message(m) for m in result.emissions],
+            "emitted": [str(m) for m in result.emissions],
             "log": flatinterp.run_log_lines(result),
         }
     if args.format == "json":
@@ -249,9 +249,8 @@ def cmd_vdb_run(args) -> int:
     term = _load_term(args.input, domain)
     events = _events(args.events)
     if throws := [m for m in events if m.exception]:
-        raise UsageError(f"no exception events in vdb-run: {flatinterp.format_message(throws[0])}")
-    queue = tuple(vdb.Sym(m.name, tuple(m.args)) for m in events)
-    runs = vdb.run_bounded(vdb.KripkeNode(term, queue), args.max_steps, **bounds)
+        raise UsageError(f"no exception events in vdb-run: {throws[0]}")
+    runs = vdb.run_bounded(vdb.KripkeNode(term, tuple(events)), args.max_steps, **bounds)
     if args.format == "json":
         print(vdb.runs_to_json(runs))
     else:
@@ -259,7 +258,7 @@ def cmd_vdb_run(args) -> int:
             print(f"run {i + 1}:")
             for node in r:
                 conf = ", ".join(sorted(vdb.conf_of(node.term)))
-                q = ", ".join(str(s) for s in node.queue) or "(empty)"
+                q = ", ".join(map(str, node.queue)) or "(empty)"
                 print(f"  {{{conf}}} | {q}")
     return EXIT_OK
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Optional
 
-from .actions import Message, exec_stmt, fits, holds, is_json_value, match_call, values_equal
+from .actions import (Message, exec_stmt, fits, holds, is_json_value, match_call,
+                      value_from_json, values_equal)
 from .ast import SCSimp, triggers
-from .flatinterp import format_message
 from .parse import LexError, StatechartSyntaxError, parse_message
-from .vdb import Basic, Or, Sym, Term
+from .vdb import Basic, Or, Term
 
 
 class UnknownObject(Exception):
@@ -33,12 +33,6 @@ class IncompleteProjection(Exception):
 
 
 # -- fragment data model ----------------------------------------------------
-
-def _freeze_value(v):
-    if isinstance(v, list):
-        return tuple(_freeze_value(x) for x in v)
-    return v
-
 
 @dataclass(frozen=True)
 class ObjectState:
@@ -110,7 +104,7 @@ class SystemFragment:
             for oid, body in nd.get("objects", {}).items():
                 where = f"node {nd['id']!r}, object {oid!r}"
                 objects[oid] = ObjectState(
-                    vars={k: _freeze_value(v) for k, v in body.get("vars", {}).items()},
+                    vars={k: value_from_json(v) for k, v in body.get("vars", {}).items()},
                     threads={
                         tid: _messages(stack, f"{where}, thread {tid!r}")
                         for tid, stack in body.get("threads", {}).items()
@@ -234,7 +228,7 @@ def check_system_conformance(
     for nid, obj in mains.items():
         distinct = {m for m in obj.stack_tops() if m.name in trig}
         if len(distinct) > 1:
-            names = ", ".join(sorted(format_message(m) for m in distinct))
+            names = ", ".join(sorted(map(str, distinct)))
             witnesses.append(f"{nid} processes {names} simultaneously")
     report.append({"condition": 4, "pass": not witnesses, "witnesses": witnesses})
 
@@ -248,7 +242,7 @@ def check_system_conformance(
                     continue
                 if not _transition_realized(frag, mains, proj, t, nid, m, v, bound):
                     witnesses.append(
-                        f"transition {t.src}->{t.trg} on {format_message(m)} "
+                        f"transition {t.src}->{t.trg} on {m} "
                         f"enabled at {nid} but not realized within {bound} steps"
                     )
     report.append({"condition": 5, "pass": not witnesses, "witnesses": witnesses})
@@ -332,7 +326,7 @@ def fragment_run(frag: SystemFragment, ids: Iterable[str]) -> list:
 def check_run_satisfaction(
     s1: Term,
     s2: Term,
-    e: Sym,
+    e: Message,
     alpha: tuple,
     run: list,
     proj: dict,
@@ -343,18 +337,17 @@ def check_run_satisfaction(
     Requires a smallest index k with run[k] in the projection of s2, a unique
     index r where the input event e is present and then consumed, and - when
     alpha is non-empty - a unique emission index s (r <= s <= k) whose output
-    label carries exactly alpha.
+    label carries exactly alpha, `throw` flags included.
     """
     if not run:
         return False
-    e_msg = Message(e.name, tuple(e.payload))
     p2 = proj_of_term(s2, proj)
     k = next((i for i, (node, _) in enumerate(run) if node.id in p2), None)
     if k is None:
         return False
 
     def has_input(i):
-        return e_msg in run[i][0].objects[main].buffer
+        return e in run[i][0].objects[main].buffer
 
     consumed = [
         r for r in range(k)
@@ -375,9 +368,7 @@ def check_run_satisfaction(
         s = emitting[0]
         if not (r <= s <= k):
             return False
-        observed = tuple(
-            Sym(out.name, out.args) for out in run[s][1] if out.name in alpha_names
-        )
+        observed = tuple(out for out in run[s][1] if out.name in alpha_names)
         if observed != tuple(alpha):
             return False
     return True

@@ -23,11 +23,11 @@ from .actions import (
     holds,
     match_call,
     merge,
+    value_to_json,
     values_equal,
 )
 from .ast import SCSimp, Trans
 from .parse import parse_message  # noqa: F401 -- re-exported: it reads what format_message writes
-from .printer import print_value
 
 
 class BadInitialState(Exception):
@@ -374,12 +374,6 @@ def run(
     return RunResult(start, steps, outcome)
 
 
-def _json_value(v):
-    if isinstance(v, tuple):
-        return [_json_value(x) for x in v]
-    return v
-
-
 def run_log_lines(result: RunResult) -> list:
     """One JSON-ready dict per step: {step, state, consumed, emitted, storeDiff}."""
     out = []
@@ -388,16 +382,14 @@ def run_log_lines(result: RunResult) -> list:
         conf = outcome.next
         # A step that emits nothing keeps its predecessor's chain node.
         node = conf._emitted
-        emitted = [format_message(m) for m in node.msgs] if node is not prev._emitted else []
-        same = conf.store is prev.store  # a step that rebinds nothing keeps its store tuple
-        before, after = ({}, {}) if same else (dict(prev.store), dict(conf.store))
-        diff = {
-            k: _json_value(after[k])
-            for k in sorted(after)
-            if k not in before or not values_equal(before[k], after[k])
-        }
+        emitted = [str(m) for m in node.msgs] if node is not prev._emitted else []
+        diff = {}
+        if conf.store is not prev.store:  # a step that rebinds nothing keeps its store tuple
+            before = dict(prev.store)
+            diff = {k: value_to_json(v) for k, v in conf.store  # pairs in key order
+                    if k not in before or not values_equal(before[k], v)}
         out.append(
-            {"step": i, "state": conf.current, "consumed": format_message(outcome.consumed),
+            {"step": i, "state": conf.current, "consumed": str(outcome.consumed),
              "emitted": emitted, "storeDiff": diff}
         )
         prev = conf
@@ -433,8 +425,5 @@ def explore_emissions(
     return out
 
 
-# -- message text format ----------------------------------------------------
-
-def format_message(m: Message) -> str:
-    throw = "throw " if m.exception else ""
-    return f"{throw}{m.name}(" + ", ".join(print_value(a) for a in m.args) + ")"
+# The message text, `str(m)`, under the name the benchmark and tests call.
+format_message = Message.__str__

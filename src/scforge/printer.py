@@ -39,19 +39,12 @@ from .actions import (
     SetTimer,
     StopTimer,
     Stmt,
+    print_value,
 )
 from .ast import FullState, SCFull, SCSimp, Trans
 
 
 # -- values, patterns, expressions, conditions ------------------------------
-
-def print_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return "[" + ", ".join(print_value(x) for x in v) + "]"
-    return str(v)
-
 
 def print_pattern(p: Pattern) -> str:
     if isinstance(p, PVar):

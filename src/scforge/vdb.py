@@ -41,16 +41,18 @@ from .actions import (
     Assign,
     CTrue,
     ELit,
+    Message,
     PVar,
     Send,
     action_post,
     action_stmt,
     exec_stmt,
+    hash_once,
+    print_value,
     reads,
     values_equal,
 )
-from .ast import SCFull, group_by, hash_once
-from .printer import print_value
+from .ast import SCFull, group_by
 
 
 class UnknownTargetName(Exception):
@@ -84,31 +86,11 @@ NONE, DEEP, SHALLOW = "none", "deep", "shallow"
 HISTORY_TYPES = (NONE, DEEP, SHALLOW)
 
 
-# Terms, symbols and Kripke nodes hash once: exploration looks the same
-# values up in sets and dicts on every step.
+Sym = Message  # the name the benchmark's workloads build term messages by
 
-@hash_once
-@dataclass(frozen=True)
-class Sym:
-    """An event or action symbol: a name with concrete payload values."""
 
-    name: str
-    payload: tuple = ()
-
-    def __eq__(self, other):
-        """Payloads compare as `values_equal`: `o(1)` and `o(true)` differ."""
-        return type(other) is Sym and self.name == other.name and values_equal(self.payload, other.payload)
-
-    def __str__(self):
-        """The symbol's text, rendered on first use and kept: exploration
-        shares each symbol among many runs, and callers render every run."""
-        try:
-            return self._text
-        except AttributeError:
-            text = f"{self.name}(" + ", ".join(print_value(p) for p in self.payload) + ")"
-            object.__setattr__(self, "_text", text)
-            return text
-
+# Terms and Kripke nodes hash once, as messages do: exploration looks the
+# same values up in sets and dicts on every step.
 
 @hash_once
 @dataclass(frozen=True)
@@ -116,7 +98,7 @@ class VdbTransition:
     tname: str
     i: int  # source child index, 1-based
     ns: frozenset  # source restriction
-    e: Sym  # trigger
+    e: Message  # trigger
     alpha: tuple  # output actions, in order
     nt: frozenset  # target determinator
     j: int  # target child index, 1-based
@@ -288,7 +270,7 @@ def _interleavings(parts) -> Iterable[tuple]:
 
 # -- auxiliary step judgments -----------------------------------------------
 
-def aux_step(t: Term, e: Sym) -> frozenset:
+def aux_step(t: Term, e: Message) -> frozenset:
     """All derivable judgments t --e/alpha-->_f t' as (alpha, f, t') triples."""
     if isinstance(t, Basic):
         return frozenset([((), 0, t)])  # stutter
@@ -334,7 +316,7 @@ def aux_step(t: Term, e: Sym) -> frozenset:
 @dataclass(frozen=True)
 class KripkeNode:
     term: Term
-    queue: tuple  # of Sym
+    queue: tuple  # of Message
 
 
 def _successors(node: KripkeNode, memo: dict):
@@ -450,18 +432,10 @@ def _is_trivial(cond) -> bool:
 
 
 def _ground_syms(stmt) -> Optional[tuple]:
-    """A statement as a ground action-symbol sequence, or None if impossible."""
-    out = []
-    for prim in stmt:
-        if not isinstance(prim, Send):
-            return None
-        args = []
-        for a in prim.args:
-            if not isinstance(a, ELit):
-                return None
-            args.append(a.value)
-        out.append(Sym(prim.name, tuple(args)))
-    return tuple(out)
+    """The messages of a statement that only sends literals, or None."""
+    if all(isinstance(p, Send) and all(isinstance(a, ELit) for a in p.args) for p in stmt):
+        return exec_stmt(stmt, {}, {})[1]
+    return None
 
 
 def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
@@ -476,7 +450,7 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     """
     index = sc.index
     hier = bool(index.parent)
-    problems, actions = [], {}  # actions: state name -> its entry and exit symbols
+    problems, actions = [], {}  # actions: state name -> its entry and exit messages
     for s in index.states:
         if s.do is not None:
             problems.append(f"state {s.name} has a do action")
@@ -563,22 +537,23 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
             for d in (domain if t.src in carriers else (None,)):
                 for i in (domain if param is not None else (None,)):
                     env = {var: d, param: i}
-                    store, msgs = exec_stmt(action_stmt(t.act), {}, env)
-                    alpha = tuple(Sym(m.name, m.args) for m in msgs)
+                    store, alpha = exec_stmt(action_stmt(t.act), {}, env)
                     final = None
                     if t.trg in carriers:
-                        final = store.get(var, env.get(var))
-                        if final is None:
+                        value = store.get(var, env.get(var))
+                        if value is None:
                             raise NotGuardFree([f"transition {t.src}->{t.trg}: value of {var}"
                                                 " in target undetermined"])
-                        if final not in domain:
+                        # the domain value the target holds: `true` is not `1`
+                        final = next((x for x in domain if values_equal(x, value)), None)
+                        if final is None:
                             raise UnboundedValueDomain(
-                                f"value {final!r} escapes the supplied domain")
+                                f"value {value!r} escapes the supplied domain")
                     transitions.add(VdbTransition(
                         tname=f"t{next(counter)}",
                         i=pos[(t.src, d)],
                         ns=frozenset(),
-                        e=Sym(t.call.name, () if param is None else (i,)),
+                        e=Message(t.call.name, () if param is None else (i,)),
                         alpha=alpha,
                         nt=frozenset(),
                         j=pos[(t.trg, final)],
@@ -643,15 +618,15 @@ def _read_value(tree):
     return _read_int(tree)
 
 
-def _write_sym(s: Sym) -> str:
-    return _paren([_atom(s.name)] + [_value_sexpr(p) for p in s.payload])
+def _write_sym(m: Message) -> str:
+    return _paren([_atom(m.name)] + [_value_sexpr(v) for v in m.args])
 
 
-def _read_sym(tree) -> Sym:
+def _read_sym(tree) -> Message:
     items = _read_list(tree)
     if not items:
         raise ValueError("expected a symbol, not ()")
-    return Sym(_read_atom(items[0]), tuple(map(_read_value, items[1:])))
+    return Message(_read_atom(items[0]), tuple(map(_read_value, items[1:])))
 
 
 _KINDS = {"basic": Basic, "and": And, "or": Or, "trans": VdbTransition}

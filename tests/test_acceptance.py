@@ -42,7 +42,7 @@ from scforge.transform import (
     to_simplified,
     transform_fixpoint,
 )
-from scforge.vdb import Basic, KripkeNode, Or, Sym, conf_of, encode_guard_free, run_bounded, run_outputs
+from scforge.vdb import Basic, KripkeNode, Or, conf_of, encode_guard_free, run_bounded, run_outputs
 from scforge.wellformed import check_all
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,12 +83,12 @@ def violations(sc):
 def test_criterion_1_buffer_term_two_step_run():
     t0 = time.time()
     term = encode_guard_free(parse(BUFFER_SC), domain=(-1, 3))
-    start = KripkeNode(term, (Sym("put", (3,)), Sym("get")))
+    start = KripkeNode(term, (Message("put", (3,)), Message("get")))
     runs = run_bounded(start, max_steps=2)
     expected = [
-        ({"Buffer", "Empty"}, (Sym("put", (3,)), Sym("get"))),
-        ({"Buffer", "NonEmpty(3)"}, (Sym("get"),)),
-        ({"Buffer", "Empty"}, (Sym("send", (3,)),)),
+        ({"Buffer", "Empty"}, (Message("put", (3,)), Message("get"))),
+        ({"Buffer", "NonEmpty(3)"}, (Message("get"),)),
+        ({"Buffer", "Empty"}, (Message("send", (3,)),)),
     ]
     ok = any(
         [(set(conf_of(n.term)), n.queue) for n in r] == expected for r in runs
@@ -128,7 +128,7 @@ def test_criterion_3_conformance_fixtures():
     macro_src = Or("Buffer", children, 2, frozenset())
     macro_trg = Or("Buffer", children, 1, frozenset())
     run_ok = check_run_satisfaction(
-        macro_src, macro_trg, Sym("get"), (Sym("send", (3,)),),
+        macro_src, macro_trg, Message("get"), (Message("send", (3,)),),
         fragment_run(ok_frag, ["s1", "s2", "s3", "s4", "s5", "s6"]), proj, "o",
     )
     report = check_system_conformance(sc, bad_frag, proj)
@@ -297,12 +297,12 @@ def test_criterion_6_guard_free_semantics_preserved():
         triggers = sorted({t.call.name for t in sc.trans})
         for n in range(1, 5):
             for names in itertools.product(triggers, repeat=n):
-                syms = tuple(Sym(name) for name in names)
+                syms = tuple(Message(name) for name in names)
                 runs = run_bounded(KripkeNode(term, syms), max_steps=20)
                 vdb_out = {run_outputs(r) for r in runs}
                 msgs = tuple(Message(name, ()) for name in names)
                 flat_out = {
-                    tuple(Sym(m.name, m.args) for m in em)
+                    tuple(Message(m.name, m.args) for m in em)
                     for em, kind in flatinterp.explore_emissions(machine, init, msgs)
                     if kind == "quiescent"
                 }

@@ -28,7 +28,7 @@ from scforge.conform import (
 from scforge.flatinterp import parse_message
 from scforge.parse import parse
 from scforge.transform import to_simplified
-from scforge.vdb import Basic, Or, Sym
+from scforge.vdb import Basic, Or
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -244,7 +244,7 @@ def test_valid_run_satisfies_the_macrostep():
     run = fragment_run(OK_FRAG, RUN_IDS)
     assert check_run_satisfaction(
         buffer_term("NonEmpty(3)"), buffer_term("Empty"),
-        Sym("get"), (Sym("send", (3,)),), run, PROJ, "o",
+        Message("get"), (Message("send", (3,)),), run, PROJ, "o",
     )
 
 
@@ -252,7 +252,7 @@ def test_run_never_reaching_target_projection_fails():
     run = fragment_run(OK_FRAG, RUN_IDS[:4])  # stops before s6
     assert not check_run_satisfaction(
         buffer_term("NonEmpty(3)"), buffer_term("Empty"),
-        Sym("get"), (Sym("send", (3,)),), run, PROJ, "o",
+        Message("get"), (Message("send", (3,)),), run, PROJ, "o",
     )
 
 
@@ -260,7 +260,7 @@ def test_double_emission_fails_uniqueness_of_s():
     run = fragment_run(BAD_FRAG, RUN_IDS)
     assert not check_run_satisfaction(
         buffer_term("NonEmpty(3)"), buffer_term("Empty"),
-        Sym("get"), (Sym("send", (3,)),), run, PROJ, "o",
+        Message("get"), (Message("send", (3,)),), run, PROJ, "o",
     )
 
 
@@ -269,8 +269,22 @@ def test_unconsumed_input_fails():
     run = fragment_run(OK_FRAG, ["s6"])
     assert not check_run_satisfaction(
         buffer_term("Empty"), buffer_term("Empty"),
-        Sym("get"), (), run, PROJ, "o",
+        Message("get"), (), run, PROJ, "o",
     )
+
+
+def test_a_thrown_output_does_not_satisfy_a_plain_one():
+    """The emitting step outputs `throw send(3)`: that is not the
+    macrostep's `send(3)`, only its own thrown twin."""
+    data = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    for edge in data["edges"]:
+        edge["M"] = ["throw " + m for m in edge["M"]]
+    thrown = fragment_run(SystemFragment.from_json(json.dumps(data)), RUN_IDS)
+    steps = buffer_term("NonEmpty(3)"), buffer_term("Empty"), Message("get")
+    send, throw_send = Message("send", (3,)), Message("send", (3,), True)
+    assert check_run_satisfaction(*steps, (send,), fragment_run(OK_FRAG, RUN_IDS), PROJ, "o")
+    assert not check_run_satisfaction(*steps, (send,), thrown, PROJ, "o")
+    assert check_run_satisfaction(*steps, (throw_send,), thrown, PROJ, "o")
 
 
 def test_proj_of_term_follows_active_subterm():

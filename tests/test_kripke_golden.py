@@ -12,13 +12,13 @@ import json
 import random
 from pathlib import Path
 
+from scforge.actions import Message
 from scforge.gen import gen_guard_free
 from scforge.parse import parse
 from scforge.vdb import (
     KripkeNode,
     NotGuardFree,
     StateSpaceBound,
-    Sym,
     UnboundedValueDomain,
     encode_guard_free,
     run_bounded,
@@ -86,19 +86,19 @@ def kripke_golden_digests() -> dict[str, str]:
             continue
         triggers = sorted({t.call.name for t in sc.trans})
         for k in range(2):
-            word = [Sym(rng.choice(triggers)) for _ in range(rng.randint(1, 10))]
+            word = [Message(rng.choice(triggers)) for _ in range(rng.randint(1, 10))]
             out[f"gen/{seed}/{k}:{len(word)}"] = runs_digest(term, word)
     branch = encode_guard_free(parse(branch_chart()))
     for f_count in range(4, 10):
-        word = [Sym("f")] * f_count + [Sym("g")] * 2
+        word = [Message("f")] * f_count + [Message("g")] * 2
         rng.shuffle(word)
         out[f"branch/{f_count}"] = runs_digest(branch, word)
     buffer = encode_guard_free(parse(BUFFER_SC), domain=BUFFER_DOMAIN)
     for length in (0, 1, 3, 6, 12, 25):
-        word = [Sym("put", (rng.choice(BUFFER_DOMAIN),)) if rng.random() < 0.5
-                else Sym("get") for _ in range(length)]
+        word = [Message("put", (rng.choice(BUFFER_DOMAIN),)) if rng.random() < 0.5
+                else Message("get") for _ in range(length)]
         out[f"buffer/{length}"] = runs_digest(buffer, word)
-    word = [Sym("f")] * 10
+    word = [Message("f")] * 10
     for max_nodes in (1, 100, 500):
         out[f"bound/{max_nodes}"] = runs_digest(branch, word, max_nodes)
     return out

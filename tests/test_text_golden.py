@@ -20,11 +20,12 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
+from scforge.actions import Message
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_simp, to_json
 from scforge.transform import to_simplified, transform_fixpoint
-from scforge.vdb import HISTORY_TYPES, And, Basic, Or, Sym, VdbTransition, term_from_sexpr, term_to_sexpr
+from scforge.vdb import HISTORY_TYPES, And, Basic, Or, VdbTransition, term_from_sexpr, term_to_sexpr
 from scforge.wellformed import check_simp
 from test_vdb import BUFFER_SC
 
@@ -112,8 +113,8 @@ def _value(rng: random.Random, depth: int = 1):
     return tuple(_value(rng, depth - 1) for _ in range(rng.randint(0, 2)))
 
 
-def _sym(rng: random.Random) -> Sym:
-    return Sym(rng.choice(NAMES), tuple(_value(rng) for _ in range(rng.randint(0, 2))))
+def _sym(rng: random.Random) -> Message:
+    return Message(rng.choice(NAMES), tuple(_value(rng) for _ in range(rng.randint(0, 2))))
 
 
 def _seq(rng: random.Random) -> tuple:

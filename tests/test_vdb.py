@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scforge import vdb
+from scforge.actions import Message
 from scforge.flatinterp import explore_emissions, parse_message
-from scforge.parse import parse
+from scforge.parse import parse, parse_messages
 from scforge.transform import to_simplified, transform_fixpoint
 from scforge.vdb import (
     And,
@@ -22,7 +23,6 @@ from scforge.vdb import (
     NotGuardFree,
     Or,
     StateSpaceBound,
-    Sym,
     Term,
     UnboundedValueDomain,
     UnknownTargetName,
@@ -58,17 +58,17 @@ def buffer_term(active="Empty", domain=DOMAIN):
     index = {c.name: k + 1 for k, c in enumerate(children)}
     trans = set()
     n = itertools.count(1)
-    trans.add(VdbTransition(f"t{next(n)}", 1, frozenset(), Sym("get"),
-                            (Sym("send", (-1,)),), frozenset(), 1))
+    trans.add(VdbTransition(f"t{next(n)}", 1, frozenset(), Message("get"),
+                            (Message("send", (-1,)),), frozenset(), 1))
     for i in domain:
-        trans.add(VdbTransition(f"t{next(n)}", 1, frozenset(), Sym("put", (i,)),
+        trans.add(VdbTransition(f"t{next(n)}", 1, frozenset(), Message("put", (i,)),
                                 (), frozenset(), index[data("NonEmpty", i)]))
     for v in domain:
         src = index[data("NonEmpty", v)]
-        trans.add(VdbTransition(f"t{next(n)}", src, frozenset(), Sym("get"),
-                                (Sym("send", (v,)),), frozenset(), 1))
+        trans.add(VdbTransition(f"t{next(n)}", src, frozenset(), Message("get"),
+                                (Message("send", (v,)),), frozenset(), 1))
         for i in domain:
-            trans.add(VdbTransition(f"t{next(n)}", src, frozenset(), Sym("put", (i,)),
+            trans.add(VdbTransition(f"t{next(n)}", src, frozenset(), Message("put", (i,)),
                                     (), frozenset(), index[data("NonEmpty", i)]))
     return Or("Buffer", tuple(children), index[active], frozenset(trans))
 
@@ -91,20 +91,20 @@ def test_conf_of_and_term():
 
 def test_entry_seqs_basic():
     assert entry_seqs(Basic("A")) == {()}
-    assert entry_seqs(Basic("A", entry=(Sym("p"),))) == {(Sym("p"),)}
+    assert entry_seqs(Basic("A", entry=(Message("p"),))) == {(Message("p"),)}
 
 
 def test_entry_seqs_and_permutes_children():
-    t = And("n", (Basic("a", entry=(Sym("p"),)), Basic("b", entry=(Sym("q"),))))
-    assert entry_seqs(t) == {(Sym("p"), Sym("q")), (Sym("q"), Sym("p"))}
+    t = And("n", (Basic("a", entry=(Message("p"),)), Basic("b", entry=(Message("q"),))))
+    assert entry_seqs(t) == {(Message("p"), Message("q")), (Message("q"), Message("p"))}
 
 
 def test_exit_seqs_children_before_self():
-    t = Or("n", (Basic("a", exit=(Sym("p"),)),), 1, frozenset(), exit=(Sym("x"),))
-    assert exit_seqs(t) == {(Sym("p"), Sym("x"))}
-    t2 = And("n", (Basic("a", exit=(Sym("p"),)), Basic("b", exit=(Sym("q"),))),
-             exit=(Sym("x"),))
-    assert exit_seqs(t2) == {(Sym("p"), Sym("q"), Sym("x")), (Sym("q"), Sym("p"), Sym("x"))}
+    t = Or("n", (Basic("a", exit=(Message("p"),)),), 1, frozenset(), exit=(Message("x"),))
+    assert exit_seqs(t) == {(Message("p"), Message("x"))}
+    t2 = And("n", (Basic("a", exit=(Message("p"),)), Basic("b", exit=(Message("q"),))),
+             exit=(Message("x"),))
+    assert exit_seqs(t2) == {(Message("p"), Message("q"), Message("x")), (Message("q"), Message("p"), Message("x"))}
 
 
 def test_buffer_term_entry_seqs_trivial():
@@ -154,22 +154,22 @@ def test_next_state_unknown_target():
 
 def test_aux_step_basic_stutters():
     b = Basic("Empty")
-    assert aux_step(b, Sym("anything")) == {((), 0, b)}
+    assert aux_step(b, Message("anything")) == {((), 0, b)}
 
 
 def test_aux_step_buffer_put():
-    out = aux_step(buffer_term(), Sym("put", (3,)))
+    out = aux_step(buffer_term(), Message("put", (3,)))
     assert out == {((), 1, buffer_term(active=data("NonEmpty", 3)))}
 
 
 def test_aux_step_buffer_get_after_put():
-    out = aux_step(buffer_term(active=data("NonEmpty", 3)), Sym("get"))
-    assert out == {((Sym("send", (3,)),), 1, buffer_term(active="Empty"))}
+    out = aux_step(buffer_term(active=data("NonEmpty", 3)), Message("get"))
+    assert out == {((Message("send", (3,)),), 1, buffer_term(active="Empty"))}
 
 
 def test_aux_step_unmatched_event_stutters():
     t = buffer_term()
-    assert aux_step(t, Sym("zap")) == {((), 0, t)}
+    assert aux_step(t, Message("zap")) == {((), 0, t)}
 
 
 def test_aux_step_inner_priority():
@@ -177,42 +177,42 @@ def test_aux_step_inner_priority():
         "A",
         (Basic("X"), Basic("Y")),
         1,
-        frozenset([VdbTransition("ti", 1, frozenset(), Sym("f"), (Sym("in_"),), frozenset(), 2)]),
+        frozenset([VdbTransition("ti", 1, frozenset(), Message("f"), (Message("in_"),), frozenset(), 2)]),
     )
     outer = Or(
         "Root",
         (inner, Basic("B")),
         1,
-        frozenset([VdbTransition("to", 1, frozenset(), Sym("f"), (Sym("out_"),), frozenset(), 2)]),
+        frozenset([VdbTransition("to", 1, frozenset(), Message("f"), (Message("out_"),), frozenset(), 2)]),
     )
-    out = aux_step(outer, Sym("f"))
+    out = aux_step(outer, Message("f"))
     assert all(f == 1 for _, f, _ in out)
     # only the inner transition fires; the outer one is pre-empted
-    assert {a for a, _, _ in out} == {(Sym("in_"),)}
+    assert {a for a, _, _ in out} == {(Message("in_"),)}
     # once X cannot react, the outer transition takes over
     inner2 = Or("A", (Basic("X"), Basic("Y")), 2, inner.transitions)
     outer2 = Or("Root", (inner2, Basic("B")), 1, outer.transitions)
-    out2 = aux_step(outer2, Sym("f"))
-    assert {a for a, _, _ in out2} == {(Sym("out_"),)}
+    out2 = aux_step(outer2, Message("f"))
+    assert {a for a, _, _ in out2} == {(Message("out_"),)}
 
 
 def test_aux_step_or1_wraps_exit_and_entry_actions():
-    src = Basic("S", exit=(Sym("xs"),))
-    trg = Basic("T", entry=(Sym("et"),))
+    src = Basic("S", exit=(Message("xs"),))
+    trg = Basic("T", entry=(Message("et"),))
     t = Or("n", (src, trg), 1,
-           frozenset([VdbTransition("t1", 1, frozenset(), Sym("f"), (Sym("a"),), frozenset(), 2)]))
-    out = aux_step(t, Sym("f"))
-    assert {a for a, _, _ in out} == {(Sym("xs"), Sym("a"), Sym("et"))}
+           frozenset([VdbTransition("t1", 1, frozenset(), Message("f"), (Message("a"),), frozenset(), 2)]))
+    out = aux_step(t, Message("f"))
+    assert {a for a, _, _ in out} == {(Message("xs"), Message("a"), Message("et"))}
 
 
 def test_aux_step_and_ors_flags_and_permutes_outputs():
     fires = Or("L", (Basic("x"), Basic("y")), 1,
-               frozenset([VdbTransition("t1", 1, frozenset(), Sym("f"), (Sym("a"),), frozenset(), 2)]))
+               frozenset([VdbTransition("t1", 1, frozenset(), Message("f"), (Message("a"),), frozenset(), 2)]))
     t = And("n", (fires, Basic("z")))
-    out = aux_step(t, Sym("f"))
+    out = aux_step(t, Message("f"))
     assert {f for _, f, _ in out} == {1}
     # the stuttering sibling contributes an empty block in every order
-    assert {a for a, _, _ in out} == {(Sym("a"),)}
+    assert {a for a, _, _ in out} == {(Message("a"),)}
 
 
 def test_aux_step_source_restriction():
@@ -221,32 +221,32 @@ def test_aux_step_source_restriction():
         "n",
         (inner, Basic("B")),
         1,
-        frozenset([VdbTransition("t1", 1, frozenset(["Y"]), Sym("f"), (), frozenset(), 2)]),
+        frozenset([VdbTransition("t1", 1, frozenset(["Y"]), Message("f"), (), frozenset(), 2)]),
     )
     # X is active, not Y: the source restriction blocks the transition
-    assert aux_step(t, Sym("f")) == {((), 0, t)}
+    assert aux_step(t, Message("f")) == {((), 0, t)}
     t2 = Or("n", (Or("A", inner.subterms, 2, frozenset()), Basic("B")), 1, t.transitions)
-    assert {f for _, f, _ in aux_step(t2, Sym("f"))} == {1}
+    assert {f for _, f, _ in aux_step(t2, Message("f"))} == {1}
 
 
 def test_aux_step_keeps_outputs_that_differ_in_true_and_one():
     t = Or("n", (Basic("A"), Basic("B")), 1, frozenset(
-        VdbTransition(f"t{k}", 1, frozenset(), Sym("f"), (Sym("o", (v,)),), frozenset(), 2)
+        VdbTransition(f"t{k}", 1, frozenset(), Message("f"), (Message("o", (v,)),), frozenset(), 2)
         for k, v in ((1, 1), (2, True))))
-    assert Sym("o", (1,)) != Sym("o", (True,))
-    assert sorted(str(a[0]) for a, _, _ in aux_step(t, Sym("f"))) == ["o(1)", "o(true)"]
-    assert aux_step(t, Sym("f", (True,))) == {((), 0, t)}
+    assert Message("o", (1,)) != Message("o", (True,))
+    assert sorted(str(a[0]) for a, _, _ in aux_step(t, Message("f"))) == ["o(1)", "o(true)"]
+    assert aux_step(t, Message("f", (True,))) == {((), 0, t)}
 
 
 # -- Kripke steps and runs --------------------------------------------------
 
 def test_consume_input_buffer_run_steps():
     # one step consumes the queue's head; outputs go to the tail
-    n0 = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
+    n0 = KripkeNode(buffer_term(), (Message("put", (3,)), Message("get")))
     [(_, n1)] = run_bounded(n0, max_steps=1)
-    assert n1 == KripkeNode(buffer_term(active=data("NonEmpty", 3)), (Sym("get"),))
+    assert n1 == KripkeNode(buffer_term(active=data("NonEmpty", 3)), (Message("get"),))
     [(_, n2)] = run_bounded(n1, max_steps=1)
-    assert n2 == KripkeNode(buffer_term(active="Empty"), (Sym("send", (3,)),))
+    assert n2 == KripkeNode(buffer_term(active="Empty"), (Message("send", (3,)),))
 
 
 def test_consume_input_empty_queue():
@@ -255,24 +255,24 @@ def test_consume_input_empty_queue():
 
 
 def test_run_bounded_reproduces_the_buffer_run():
-    start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
+    start = KripkeNode(buffer_term(), (Message("put", (3,)), Message("get")))
     [run] = run_bounded(start, max_steps=2)
     assert [conf_of(n.term) for n in run] == [
         {"Buffer", "Empty"},
         {"Buffer", data("NonEmpty", 3)},
         {"Buffer", "Empty"},
     ]
-    assert run[-1].queue == (Sym("send", (3,)),)
-    assert run_outputs(run) == (Sym("send", (3,)),)
+    assert run[-1].queue == (Message("send", (3,)),)
+    assert run_outputs(run) == (Message("send", (3,)),)
 
 
 def test_run_bounded_zero_steps():
-    start = KripkeNode(buffer_term(), (Sym("get"),))
+    start = KripkeNode(buffer_term(), (Message("get"),))
     assert run_bounded(start, max_steps=0) == {(start,)}
 
 
 def test_run_bounded_stutter_chain_shrinks_queue():
-    start = KripkeNode(buffer_term(), (Sym("zap"), Sym("zap"), Sym("zap")))
+    start = KripkeNode(buffer_term(), (Message("zap"), Message("zap"), Message("zap")))
     [run] = run_bounded(start, max_steps=10)
     assert [len(n.queue) for n in run] == [3, 2, 1, 0]
     assert all(n.term == buffer_term() for n in run)
@@ -280,18 +280,18 @@ def test_run_bounded_stutter_chain_shrinks_queue():
 
 
 def test_run_bounded_ends_with_the_queue_under_a_large_step_bound():
-    start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
+    start = KripkeNode(buffer_term(), (Message("put", (3,)), Message("get")))
     assert run_bounded(start, max_steps=10**12) == run_bounded(start, max_steps=3)
 
 
 def test_run_bounded_node_cap():
-    start = KripkeNode(buffer_term(), (Sym("put", (3,)), Sym("get")))
+    start = KripkeNode(buffer_term(), (Message("put", (3,)), Message("get")))
     with pytest.raises(StateSpaceBound):
         run_bounded(start, max_steps=5, max_nodes=1)
 
 
 def test_run_json_output():
-    start = KripkeNode(buffer_term(), (Sym("put", (3,)),))
+    start = KripkeNode(buffer_term(), (Message("put", (3,)),))
     runs = run_bounded(start, max_steps=1)
     data_out = json.loads(runs_to_json(runs))
     assert data_out == [[
@@ -322,14 +322,14 @@ statechart Branch for C <<prio:inner, completion:ignore>> {
 def branch_start(word="ffgff") -> KripkeNode:
     """Two f() transitions with different outputs leave each state, so a
     word with L f() symbols has 2**L runs."""
-    return KripkeNode(encode_guard_free(parse(BRANCH_SC)), tuple(Sym(c) for c in word))
+    return KripkeNode(encode_guard_free(parse(BRANCH_SC)), tuple(Message(c) for c in word))
 
 
 def test_terms_symbols_and_nodes_hash_once_to_the_generated_value():
-    inner = Or("In", (Basic("a", (Sym("en"),)), Basic("b")), 2, frozenset())
-    both = And("Both", (inner, Basic("c")), (), (Sym("ex", (1,)),))
-    [run] = run_bounded(KripkeNode(buffer_term(), (Sym("put", (3,)),)), max_steps=1)
-    values = [Sym("m", (1, (2, True))), *buffer_term().transitions, inner, both,
+    inner = Or("In", (Basic("a", (Message("en"),)), Basic("b")), 2, frozenset())
+    both = And("Both", (inner, Basic("c")), (), (Message("ex", (1,)),))
+    [run] = run_bounded(KripkeNode(buffer_term(), (Message("put", (3,)),)), max_steps=1)
+    values = [Message("m", (1, (2, True))), *buffer_term().transitions, inner, both,
               Or("Top", (both, Basic("d")), 1, frozenset()), *run]
     for x in values:
         generated = hash(tuple(getattr(x, f.name) for f in fields(x)))
@@ -343,12 +343,12 @@ def test_terms_symbols_and_nodes_hash_once_to_the_generated_value():
 
 
 def test_symbol_text_is_rendered_once():
-    nested = Sym("m", (1, (2, (3, True)), (), False))
-    for sym, text in [(Sym("get"), "get()"), (Sym("put", (-1,)), "put(-1)"),
+    nested = Message("m", (1, (2, (3, True)), (), False))
+    for sym, text in [(Message("get"), "get()"), (Message("put", (-1,)), "put(-1)"),
                       (nested, "m(1, [2, [3, true]], [], false)")]:
         assert str(sym) == text
         assert str(sym) is str(sym)
-        assert str(Sym(sym.name, sym.payload)) == text  # a fresh rendering
+        assert str(Message(sym.name, sym.args)) == text  # a fresh rendering
         copy = pickle.loads(pickle.dumps(sym))
         assert "_text" not in vars(copy) and str(copy) == text
 
@@ -512,6 +512,16 @@ def test_encode_value_escaping_domain():
         encode_guard_free(sc, domain=(0, 1))
 
 
+def test_encode_tells_a_true_value_from_the_domain_value_one():
+    """`v = true` holds no value of the domain (1,), so the encoding cannot
+    put `N(1)` in its place and later send `o(1)` where the chart sends
+    `o(true)`."""
+    sc = parse("statechart B for C { initial state E; state N; "
+               "E -> N : f() / v = true; N -> E : g() / o(v); }")
+    with pytest.raises(UnboundedValueDomain, match="^value True escapes the supplied domain$"):
+        encode_guard_free(sc, domain=(1,))
+
+
 @pytest.mark.parametrize("action, domain, name", [
     ("f() / send(v)", None, "v"),
     ("f(x) / send(w)", (0, 1), "w"),
@@ -576,10 +586,10 @@ def test_encode_entry_exit_to_action_seqs():
     )
     term = encode_guard_free(sc)
     [a, b] = term.subterms
-    assert a == Basic("A", (), (Sym("bye"),))
-    assert b == Basic("B", (Sym("hi", (1,)),), ())
-    out = aux_step(term, Sym("f"))
-    assert {alpha for alpha, _, _ in out} == {(Sym("bye"), Sym("hi", (1,)))}
+    assert a == Basic("A", (), (Message("bye"),))
+    assert b == Basic("B", (Message("hi", (1,)),), ())
+    out = aux_step(term, Message("f"))
+    assert {alpha for alpha, _, _ in out} == {(Message("bye"), Message("hi", (1,)))}
 
 
 def test_validate_term_rejects_duplicates():
@@ -609,16 +619,29 @@ def test_hierarchical_chart_agrees_with_flattened_interpretation():
     flat, _ = transform_fixpoint(parse(text))
     machine = to_simplified(flat)
     for inputs in itertools.product(["f()", "g()"], repeat=3):
-        syms = tuple(Sym(i[:-2]) for i in inputs)
+        syms = tuple(Message(i[:-2]) for i in inputs)
         runs = run_bounded(KripkeNode(term, syms), max_steps=10)
         vdb_emissions = {run_outputs(r) for r in runs}
         msgs = tuple(parse_message(i) for i in inputs)
         flat_emissions = {
-            tuple(Sym(m.name, m.args) for m in em)
+            tuple(Message(m.name, m.args) for m in em)
             for em, kind in explore_emissions(machine, "In1", msgs)
             if kind == "quiescent"
         }
         assert vdb_emissions == flat_emissions, inputs
+
+
+def test_term_and_flat_outputs_compare_as_values():
+    """Both semantics emit `Message` values, so their output sets compare
+    as they are."""
+    sc = parse(BUFFER_SC)
+    msgs = parse_messages("put(1), get(), get()")
+    runs = run_bounded(KripkeNode(encode_guard_free(sc, domain=(-1, 1)), tuple(msgs)), 10)
+    flat, _ = transform_fixpoint(sc)
+    explored = explore_emissions(to_simplified(flat), "Empty", msgs)
+    quiescent = {em for em, kind in explored if kind == "quiescent"}
+    assert {run_outputs(r) for r in runs} == quiescent == {
+        (Message("send", (1,)), Message("send", (-1,)))}
 
 
 # -- s-expression format ----------------------------------------------------
@@ -636,7 +659,7 @@ def test_sexpr_quotes_nonplain_names():
 
 @pytest.mark.parametrize("name", ["(", ")", "\\", "a\\b", "|", "a|b", "\\|", "( )", ""])
 def test_sexpr_round_trips_names_with_delimiters_and_escapes(name):
-    t = Basic(name, (Sym(name, (1,)),), ())
+    t = Basic(name, (Message(name, (1,)),), ())
     assert term_from_sexpr(term_to_sexpr(t)) == t
 
 
@@ -679,7 +702,7 @@ def test_sexpr_escapes_and_unicode_blanks(text, term):
 
 
 names = st.sampled_from(["a", "b", "c", "d", "e", "f-1", "weird name!"])
-syms = st.builds(Sym, names, st.tuples(st.integers(-3, 3)) | st.just(()))
+syms = st.builds(Message, names, st.tuples(st.integers(-3, 3)) | st.just(()))
 seqs = st.lists(syms, max_size=2).map(tuple)
 
 
