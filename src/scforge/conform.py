@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Iterable, Optional
 
 from .actions import (Message, exec_stmt, fits, holds, is_json_value, match_call,
@@ -140,18 +139,18 @@ def load_projection(text: str) -> dict:
 
 # -- basic queries ----------------------------------------------------------
 
-def reachable_n(frag: SystemFragment, frm: str, n: int) -> frozenset:
-    """Ids reachable from frm in at most n edges."""
-    frontier = {frm}
-    seen = {frm}
-    for _ in range(n):
-        frontier = {
-            to for i in frontier for to, _ in frag.successors[i] if to not in seen
-        }
-        if not frontier:
-            break
-        seen |= frontier
-    return frozenset(seen)
+def _levels(start, step, bound: int):
+    """Breadth-first search from `start` to depth `bound`: the states first
+    reached at each depth, one set per depth, each state once. Stops early
+    when a depth adds nothing; `step` gives a state's successors."""
+    level, seen = {start}, {start}
+    yield level
+    for _ in range(bound):
+        level = {nxt for state in level for nxt in step(state)} - seen
+        if not level:
+            return
+        seen |= level
+        yield level
 
 
 def proc_check(node: OGSNode, oid: str, m: Message) -> bool:
@@ -276,21 +275,16 @@ def _transition_realized(frag, mains, proj, t, start, m, v, bound) -> bool:
         return (k == len(emitted) and shown and nid in proj[t.trg] and m not in end_obj.buffer
                 and (t.act.post is None or holds(t.act.post, end_obj.vars, v, unbound=True)))
 
-    frontier = {(start, 0, shows(start))}
-    seen = set(frontier)
-    for depth in count():
-        if any(accepting(*state) for state in frontier):
-            return True
-        if depth >= bound or not frontier:
-            return False
-        # exactly the statement's emissions (over its message names) occur
-        frontier = {
-            (to, k + len(out), shown or shows(to))
-            for nid, k, shown in frontier for to, mlabel in frag.successors[nid]
-            for out in [tuple(o for o in mlabel if o.name in sent_names)]
-            if emitted[k:k + len(out)] == out
-        } - seen
-        seen |= frontier
+    def step(state):
+        nid, k, shown = state
+        for to, mlabel in frag.successors[nid]:
+            # exactly the statement's emissions (over its message names) occur
+            out = tuple(o for o in mlabel if o.name in sent_names)
+            if emitted[k:k + len(out)] == out:
+                yield to, k + len(out), shown or shows(to)
+
+    levels = _levels((start, 0, shows(start)), step, bound)
+    return any(accepting(*state) for level in levels for state in level)
 
 
 def report_to_json(report: list) -> str:
@@ -334,44 +328,33 @@ def check_run_satisfaction(
 ) -> bool:
     """Does the microstep run implement the macrostep s1 --e/alpha--> s2?
 
-    Requires a smallest index k with run[k] in the projection of s2, a unique
-    index r where the input event e is present and then consumed, and - when
-    alpha is non-empty - a unique emission index s (r <= s <= k) whose output
-    label carries exactly alpha, `throw` flags included.
+    Requires the run to start in the projection of s1, a smallest index k
+    with run[k] in the projection of s2, a unique index r where the input
+    event e is present and then consumed, and - when alpha is non-empty - a
+    unique emission index s (r <= s <= k) whose output label carries exactly
+    alpha, `throw` flags included.
     """
-    if not run:
-        return False
     p2 = proj_of_term(s2, proj)
     k = next((i for i, (node, _) in enumerate(run) if node.id in p2), None)
-    if k is None:
+    if k is None or run[0][0].id not in proj_of_term(s1, proj):
         return False
-
-    def has_input(i):
-        return e in run[i][0].objects[main].buffer
-
-    consumed = [
-        r for r in range(k)
-        if has_input(r) and r + 1 < len(run) and not has_input(r + 1)
-    ]
+    present = [e in node.objects[main].buffer for node, _ in run[:k + 1]]
+    consumed = [r for r in range(k) if present[r] and not present[r + 1]]
     if len(consumed) != 1:
         return False
     r = consumed[0]
 
-    if alpha:
-        alpha_names = {a.name for a in alpha}
-        emitting = [
-            i for i in range(1, k + 1)
-            if any(out.name in alpha_names for out in run[i][1])
-        ]
-        if len(emitting) != 1:
-            return False
-        s = emitting[0]
-        if not (r <= s <= k):
-            return False
-        observed = tuple(out for out in run[s][1] if out.name in alpha_names)
-        if observed != tuple(alpha):
-            return False
-    return True
+    if not alpha:
+        return True
+    alpha_names = {a.name for a in alpha}
+    emitting = [
+        i for i in range(1, k + 1)
+        if any(out.name in alpha_names for out in run[i][1])
+    ]
+    if len(emitting) != 1 or emitting[0] < r:
+        return False
+    observed = tuple(out for out in run[emitting[0]][1] if out.name in alpha_names)
+    return observed == tuple(alpha)
 
 
 def check_macro_micro_refinement(
@@ -388,6 +371,7 @@ def check_macro_micro_refinement(
     for idx, (s1, s2) in enumerate(kripke_edges):
         p1, p2 = proj_of_term(s1, proj), proj_of_term(s2, proj)
         for st in sorted(p1):
-            if not (reachable_n(frag, st, bound) & p2):
+            levels = _levels(st, lambda nid: (to for to, _ in frag.successors[nid]), bound)
+            if all(p2.isdisjoint(level) for level in levels):
                 failures.append({"edge": idx, "from": st})
     return {"pass": not failures, "failures": failures}

@@ -445,8 +445,8 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     initial states first (active index 1 = an initial state); a flat chart is
     the one-level case. The carrying states of a flat chart's data variable
     are expanded over the finite `domain` (state S holding d becomes S(d)),
-    each value once, in order of first occurrence. The rules a chart must
-    keep are listed in the module docstring.
+    each value once (`true` and `1` are two), in order of first occurrence.
+    The rules a chart must keep are listed in the module docstring.
     """
     index = sc.index
     hier = bool(index.parent)
@@ -505,7 +505,8 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         raise NotGuardFree(problems)
 
     var = next(iter(data_vars), None)
-    domain = tuple(dict.fromkeys(domain or ()))
+    domain = tuple(domain or ())  # each value once, type-strictly: `true` is not `1`
+    domain = tuple(x for n, x in enumerate(domain) if not any(values_equal(x, y) for y in domain[:n]))
     if (var is not None or any(t.call.args for t in index.trans)) and not domain:
         raise UnboundedValueDomain("chart carries data; supply a finite value domain")
     # a state carries the variable when an ingoing transition assigns it or
@@ -515,11 +516,13 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
     counter = itertools.count(1)
     level_trans = group_by(index.trans, lambda t: index.parent.get(t.src), tuple)
 
+    positions = range(len(domain))  # a carrying state's slots, one per domain value
+
     def child(s, d) -> Term:
         en, ex = actions[s.name]
         if s.name in index.children:
             return level(s.name, s.name, en, ex)
-        return Basic(s.name if d is None else f"{s.name}({print_value(d)})", en, ex)
+        return Basic(s.name if d is None else f"{s.name}({print_value(domain[d])})", en, ex)
 
     def level(parent: Optional[str], name: str, en: tuple = (), ex: tuple = ()) -> Or:
         """The or-term of the states directly below `parent`: its own
@@ -529,14 +532,14 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
         if not kids or "initial" not in kids[0].modifiers:
             raise NotGuardFree([f"{name} has no initial (sub)state" if hier
                                 else "chart has no initial state"])
-        slots = [(s, d) for s in kids for d in (domain if s.name in carriers else (None,))]
+        slots = [(s, d) for s in kids for d in (positions if s.name in carriers else (None,))]
         pos = {(s.name, d): k + 1 for k, (s, d) in enumerate(slots)}
         transitions = set()
         for t in level_trans.get(parent, ()):
             param = t.call.args[0].name if t.call.args else None
-            for d in (domain if t.src in carriers else (None,)):
+            for d in (positions if t.src in carriers else (None,)):
                 for i in (domain if param is not None else (None,)):
-                    env = {var: d, param: i}
+                    env = {var: None if d is None else domain[d], param: i}
                     store, alpha = exec_stmt(action_stmt(t.act), {}, env)
                     final = None
                     if t.trg in carriers:
@@ -544,8 +547,8 @@ def encode_guard_free(sc: SCFull, domain: Optional[tuple] = None) -> Term:
                         if value is None:
                             raise NotGuardFree([f"transition {t.src}->{t.trg}: value of {var}"
                                                 " in target undetermined"])
-                        # the domain value the target holds: `true` is not `1`
-                        final = next((x for x in domain if values_equal(x, value)), None)
+                        # the position of the domain value the target holds
+                        final = next((n for n in positions if values_equal(domain[n], value)), None)
                         if final is None:
                             raise UnboundedValueDomain(
                                 f"value {value!r} escapes the supplied domain")
@@ -619,6 +622,8 @@ def _read_value(tree):
 
 
 def _write_sym(m: Message) -> str:
+    if m.exception:
+        raise ValueError(f"the term text has no exception messages: {m}")
     return _paren([_atom(m.name)] + [_value_sexpr(v) for v in m.args])
 
 

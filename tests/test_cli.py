@@ -269,6 +269,21 @@ def test_simplify_emits_flat_chart(capsys, hier_file):
     assert json.loads(out)["diagram"] == "Nested"
 
 
+
+def test_simplify_reports_a_chart_that_does_not_flatten(capsys, tmp_path):
+    """An entry action on an initial substate is left in the flat chart, so
+    it has no simplified form: exit 1 and one `not simplifiable` line."""
+    p = tmp_path / "entry.sc"
+    p.write_text(
+        "statechart InitEntry for C <<completion:ignore>> { initial state Off; "
+        "state On { initial state Idle { entry / idle(); } state Busy; Idle -> Busy : job(); } "
+        "Off -> On : power(); }"
+    )
+    code, out, err = run_cli(capsys, "simplify", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("not simplifiable: ") and err.count("\n") == 1, err
+
 # -- run ---------------------------------------------------------------------
 
 def test_run_buffer_put_get(capsys, buffer_file):

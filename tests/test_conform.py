@@ -22,13 +22,12 @@ from scforge.conform import (
     load_projection,
     proc_check,
     proj_of_term,
-    reachable_n,
     report_to_json,
 )
 from scforge.flatinterp import parse_message
 from scforge.parse import parse
 from scforge.transform import to_simplified
-from scforge.vdb import Basic, Or
+from scforge.vdb import And, Basic, Or
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -65,25 +64,27 @@ def buffer_term(active):
     return Or("Buffer", children, idx[active], frozenset())
 
 
-# -- reachability and processing --------------------------------------------
+# -- bounded reachability and processing --------------------------------------------
 
-def test_reachable_zero_steps():
-    assert reachable_n(OK_FRAG, "s1", 0) == {"s1"}
-
-
-def test_reachable_linear_chain():
-    assert reachable_n(OK_FRAG, "s1", 2) == {"s1", "s2", "s3"}
-
-
-def test_reachable_whole_fragment():
-    assert reachable_n(OK_FRAG, "s1", 5) == {"s1", "s2", "s3", "s4", "s5", "s6"}
-
-
-def test_reachable_is_monotone_and_stabilizes():
-    sets = [reachable_n(OK_FRAG, "s1", n) for n in range(8)]
-    for a, b in zip(sets, sets[1:]):
+def test_refinement_bound_limits_the_microstep_chain():
+    """An edge from s1 to one node passes when a chain of at most `bound`
+    edges reaches that node: bound 0 reaches only s1, bound 2 s1-s3, and
+    bound 5 or more all six nodes of the linear chain."""
+    ids = sorted(OK_FRAG.nodes)
+    proj = {nid: frozenset([nid]) for nid in ids}
+    edges = [(Basic("s1"), Basic(nid)) for nid in ids]
+    reached = []
+    for bound in range(8):
+        out = check_macro_micro_refinement(edges, OK_FRAG, proj, bound)
+        assert all(f["from"] == "s1" for f in out["failures"])
+        failed = {ids[f["edge"]] for f in out["failures"]}
+        reached.append(set(ids) - failed)
+        assert out["pass"] == (reached[-1] == set(ids))
+    assert reached[0] == {"s1"}
+    assert reached[2] == {"s1", "s2", "s3"}
+    assert reached[5:] == [set(ids)] * 3
+    for a, b in zip(reached, reached[1:]):
         assert a <= b
-    assert sets[len(OK_FRAG.nodes)] == sets[-1]
 
 
 def test_proc_check():
@@ -273,6 +274,29 @@ def test_unconsumed_input_fails():
     )
 
 
+def test_run_starting_outside_the_source_projection_fails():
+    """The run starts at s1, which projects NonEmpty(3), not Empty (s6); so
+    it does not implement the macrostep Empty --get()/send(3)--> Empty."""
+    run = fragment_run(OK_FRAG, RUN_IDS)
+    steps = Message("get"), (Message("send", (3,)),), run, PROJ, "o"
+    assert check_run_satisfaction(buffer_term("NonEmpty(3)"), buffer_term("Empty"), *steps)
+    assert not check_run_satisfaction(buffer_term("Empty"), buffer_term("Empty"), *steps)
+
+
+def test_emission_before_the_consumption_fails():
+    """get() stays buffered until s3 -> s4, so it is consumed at r = 2; an
+    emission on s1 -> s2 (s = 1) comes before it, one on s3 -> s4 does not."""
+    data = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    for node in data["nodes"][1:3]:
+        node["objects"]["o"]["buffer"] = ["get()"]
+    late = fragment_run(SystemFragment.from_json(json.dumps(data)), RUN_IDS)
+    data["edges"][0]["M"], data["edges"][2]["M"] = ["send(3)"], []
+    early = fragment_run(SystemFragment.from_json(json.dumps(data)), RUN_IDS)
+    steps = buffer_term("NonEmpty(3)"), buffer_term("Empty"), Message("get")
+    assert check_run_satisfaction(*steps, (Message("send", (3,)),), late, PROJ, "o")
+    assert not check_run_satisfaction(*steps, (Message("send", (3,)),), early, PROJ, "o")
+
+
 def test_a_thrown_output_does_not_satisfy_a_plain_one():
     """The emitting step outputs `throw send(3)`: that is not the
     macrostep's `send(3)`, only its own thrown twin."""
@@ -291,6 +315,12 @@ def test_proj_of_term_follows_active_subterm():
     assert proj_of_term(buffer_term("NonEmpty(3)"), PROJ) == {"s1"}
     assert proj_of_term(buffer_term("Empty"), PROJ) == {"s6"}
     assert proj_of_term(Basic("Unknown"), PROJ) == frozenset()
+
+
+def test_proj_of_term_intersects_the_children_of_an_and_term():
+    both = And("P", (Basic("NonEmpty"), buffer_term("NonEmpty(3)")))
+    assert proj_of_term(both, PROJ) == {"s1"}
+    assert proj_of_term(And("Q", (Basic("NonEmpty"), Basic("Empty"))), PROJ) == frozenset()
 
 
 # -- macro/micro refinement -------------------------------------------------

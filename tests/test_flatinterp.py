@@ -292,6 +292,20 @@ def test_run_buffer_put_get():
     assert result.quiescent
 
 
+@pytest.mark.parametrize("event, outcome, current, emissions", [
+    ("f(3)", Step, "B", (Message("o", (3,)),)),
+    ("f(-2)", Step, "B", (Message("o", (-2,)),)),
+    ("f(1)", Chaos, "A", ()),
+])
+def test_run_evaluates_an_or_guard(event, outcome, current, emissions):
+    chart = simp("statechart G for C { initial state A; state B; "
+                 "A -> B : [x < 0 || 2 < x] f(x) / o(x); }")
+    result = run(chart, "A", msgs(event))
+    assert type(result.outcome) is outcome
+    assert result.final.current == current
+    assert result.emissions == emissions
+
+
 def test_run_empty_inputs():
     result = run(BUFFER, "Empty", ())
     assert result.emissions == ()

@@ -139,6 +139,17 @@ def test_parse_condition_operators():
     )
 
 
+@pytest.mark.parametrize("guard, left", [
+    ("(x + 1) == 2", EBin("+", EVar("x"), ELit(1))),
+    ("(x) == 1", EVar("x")),
+], ids=["sum", "variable"])
+def test_parse_parenthesised_expression_compared_in_a_guard(guard, left):
+    """`(` opens a condition first; one that ends before `==` is read again
+    as an expression."""
+    [t] = parse(f"statechart D for C {{ initial state A; A -> A : [{guard}] f(x); }}").trans
+    assert t.pre == CCmp("==", left, ELit(int(guard[-1])))
+
+
 def test_parse_patterns_and_lists():
     sc = parse(
         """
@@ -340,6 +351,33 @@ def test_json_and_dot_outputs():
     dot = to_dot(sc)
     assert "digraph" in dot
     assert '"Empty" -> "NonEmpty"' in dot
+
+
+def test_dot_draws_nested_states_as_clusters_and_marks_final_states():
+    sc = parse(
+        """
+        statechart Nested for C {
+            initial state Top {
+                initial state In;
+                state Deep;
+                In -> Deep : f();
+            }
+            final state Done;
+            Deep -> Done : g();
+        }
+        """
+    )
+    dot = to_dot(sc).splitlines()
+    top = dot.index('    subgraph "cluster_Top" {')
+    assert dot[top + 1:top + 6] == [
+        '        label="● Top";',
+        '        "Top" [shape=point, style=invis];',
+        '        "Deep" [label="Deep", shape=box, style=rounded];',
+        '        "In" [label="● In", shape=box, style=rounded];',
+        "    }",
+    ]
+    assert '    "Done" [label="Done ◉", shape=box, style=rounded];' in dot
+    assert '    "Deep" -> "Done" [label="g()"];' in dot
 
 
 # -- property round-trip on generated fragments -----------------------------

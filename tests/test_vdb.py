@@ -478,6 +478,18 @@ def test_encode_rejects_exception_events(text, problem):
     assert e.value.offending == [problem]
 
 
+@pytest.mark.parametrize("body, problem", [
+    ("state B { do / d(); }", "state B has a do action"),
+    ("state B { -> g() / o(); }", "state B has internal transitions"),
+    ("state B { entry / v = 1; }", "state B entry is not a ground send sequence"),
+    ("state B { exit / o(v); }", "state B exit is not a ground send sequence"),
+], ids=["do", "internal", "entry-assign", "exit-reads"])
+def test_encode_rejects_state_actions_the_term_cannot_keep(body, problem):
+    with pytest.raises(NotGuardFree) as e:
+        encode_guard_free(parse(f"statechart D for C {{ initial state A; {body} A -> B : f(); }}"))
+    assert e.value.offending == [problem]
+
+
 def test_encode_rejects_multiple_data_variables():
     sc = parse(
         """
@@ -520,6 +532,20 @@ def test_encode_tells_a_true_value_from_the_domain_value_one():
                "E -> N : f() / v = true; N -> E : g() / o(v); }")
     with pytest.raises(UnboundedValueDomain, match="^value True escapes the supplied domain$"):
         encode_guard_free(sc, domain=(1,))
+
+
+@pytest.mark.parametrize("domain", [(1, True), (True, 1), (1, True, 1, True)])
+def test_encode_keeps_true_and_one_apart_in_the_domain(domain):
+    """`true` and `1` are two domain values, each held once in its own
+    state: `v = true` goes to `N(true)`, whose `g()` sends `o(true)`."""
+    sc = parse("statechart B for C { initial state E; state N; "
+               "E -> N : f() / v = true; N -> E : g() / o(v); }")
+    term = encode_guard_free(sc, domain=domain)
+    names = [s.name for s in term.subterms]
+    assert sorted(names) == ["E", "N(1)", "N(true)"]
+    assert names[1:] == (["N(true)", "N(1)"] if domain[0] is True else ["N(1)", "N(true)"])
+    runs = run_bounded(KripkeNode(term, (Message("f"), Message("g"))), 10)
+    assert [run_outputs(r) for r in runs] == [(Message("o", (True,)),)]
 
 
 @pytest.mark.parametrize("action, domain, name", [
@@ -661,6 +687,14 @@ def test_sexpr_quotes_nonplain_names():
 def test_sexpr_round_trips_names_with_delimiters_and_escapes(name):
     t = Basic(name, (Message(name, (1,)),), ())
     assert term_from_sexpr(term_to_sexpr(t)) == t
+
+
+def test_sexpr_refuses_a_thrown_message():
+    """The term semantics has no exception events, so the text does not
+    write `throw o(1)` as the plain `o(1)` it would read back as."""
+    with pytest.raises(ValueError, match=r"^the term text has no exception messages: throw o\(1\)$"):
+        term_to_sexpr(Basic("A", (Message("o", (1,), True),), ()))
+    assert term_to_sexpr(Basic("A", (Message("o", (1,)),), ())) == "(basic A ((o 1)) ())"
 
 
 def test_sexpr_errors():

@@ -119,6 +119,12 @@ def test_cc3_two_priority_stereotypes():
     assert any("priority" in v.message for v in found)
 
 
+def test_cc3_two_completion_stereotypes():
+    sc = make(stereos=frozenset(["completion:ignore", "completion:chaos"]))
+    found = [v for v in findings(check_all(sc, CTX)) if v.code == "CC3"]
+    assert [v.message for v in found] == ["At most one completion stereotype"]
+
+
 def test_cc3_completion_excludes_error_states():
     err = FullState(sstereos=frozenset(["error"]), name="E")
     sc = make(
