@@ -66,25 +66,36 @@ def buffer_term(active):
 
 # -- bounded reachability and processing --------------------------------------------
 
-def test_refinement_bound_limits_the_microstep_chain():
-    """An edge from s1 to one node passes when a chain of at most `bound`
-    edges reaches that node: bound 0 reaches only s1, bound 2 s1-s3, and
-    bound 5 or more all six nodes of the linear chain."""
+def reached_from_s1(bound):
+    """The nodes that an edge from s1 may refine to within `bound` microsteps:
+    one refinement check per node, each projected to itself."""
     ids = sorted(OK_FRAG.nodes)
     proj = {nid: frozenset([nid]) for nid in ids}
     edges = [(Basic("s1"), Basic(nid)) for nid in ids]
-    reached = []
-    for bound in range(8):
-        out = check_macro_micro_refinement(edges, OK_FRAG, proj, bound)
-        assert all(f["from"] == "s1" for f in out["failures"])
-        failed = {ids[f["edge"]] for f in out["failures"]}
-        reached.append(set(ids) - failed)
-        assert out["pass"] == (reached[-1] == set(ids))
-    assert reached[0] == {"s1"}
-    assert reached[2] == {"s1", "s2", "s3"}
-    assert reached[5:] == [set(ids)] * 3
-    for a, b in zip(reached, reached[1:]):
+    out = check_macro_micro_refinement(edges, OK_FRAG, proj, bound)
+    assert all(f["from"] == "s1" for f in out["failures"])
+    reached = set(ids) - {ids[f["edge"]] for f in out["failures"]}
+    assert out["pass"] == (reached == set(ids))
+    return reached
+
+
+def test_reachable_zero_steps():
+    assert reached_from_s1(0) == {"s1"}
+
+
+def test_reachable_linear_chain():
+    assert reached_from_s1(2) == {"s1", "s2", "s3"}
+
+
+def test_reachable_whole_fragment():
+    assert reached_from_s1(5) == {"s1", "s2", "s3", "s4", "s5", "s6"}
+
+
+def test_reachable_is_monotone_and_stabilizes():
+    sets = [reached_from_s1(n) for n in range(8)]
+    for a, b in zip(sets, sets[1:]):
         assert a <= b
+    assert sets[len(OK_FRAG.nodes)] == sets[-1]
 
 
 def test_proc_check():
