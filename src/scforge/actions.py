@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 # Reserved names: generated input parameters, the timer flag, and the
 # timer trigger injected by the do-action elimination.
@@ -57,15 +57,26 @@ def value_from_json(x):
     return tuple(value_from_json(y) for y in x) if isinstance(x, list) else x
 
 
+class Required(NamedTuple):
+    """The shape of a key that an object must have."""
+
+    shape: object
+
+
 def fits(data, shape) -> bool:
     """Does decoded JSON `data` have `shape`? A shape is a type, a tuple of
     types or a predicate; `[s]` is a list of `s`; `{str: s}` an object
-    mapping any key to `s`; any other dict an object whose keys, where
-    present, have the shapes the dict gives them."""
+    mapping any key to `s`; any other dict an object that has each key the
+    dict gives as `Required(s)`, and whose keys, where present, have the
+    shapes the dict gives them."""
+    if isinstance(shape, Required):
+        return fits(data, shape.shape)
     if isinstance(shape, list):
         return isinstance(data, list) and all(fits(x, shape[0]) for x in data)
     if isinstance(shape, dict):
         return isinstance(data, dict) and all(
+            k in data for k, s in shape.items() if isinstance(s, Required)
+        ) and all(
             fits(v, shape[str] if str in shape else shape.get(k, object))
             for k, v in data.items()
         )
@@ -117,6 +128,10 @@ class ConflictingValuation(ActionError):
 
 class ActionConditionViolated(ActionError):
     """An intermediate condition inserted by action sequencing failed."""
+
+    def __init__(self, cond: Cond):
+        super().__init__(f"intermediate condition failed: {cond!r}")
+        self.cond = cond
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +550,7 @@ def exec_stmt(s: Stmt, store, v: Valuation) -> tuple[Valuation, tuple[Message, .
             out[TIMER_FLAG] = scope[TIMER_FLAG] = isinstance(prim, SetTimer)
         elif isinstance(prim, Check):
             if not _eval_cond(prim.cond, scope):
-                raise ActionConditionViolated(f"intermediate condition failed: {prim.cond!r}")
+                raise ActionConditionViolated(prim.cond)
         else:
             raise TypeError(f"not a statement primitive: {prim!r}")
     return out, tuple(msgs)

@@ -125,7 +125,7 @@ def cmd_check(args) -> int:
     sc = _parse_chart(args.chart)
     ctx = None
     if args.ctx:
-        with _input(args.ctx, ValueError, KeyError):
+        with _input(args.ctx, ValueError):
             ctx = SignatureContext.from_json(_read(args.ctx))
     violations = check_all(sc, ctx)
     findings = [v for v in violations if not v.skipped]
@@ -265,7 +265,7 @@ def cmd_vdb_run(args) -> int:
 
 def cmd_conform(args) -> int:
     simp = _simplified(args)
-    with _input(args.fragment, ValueError, KeyError):
+    with _input(args.fragment, ValueError):
         frag = conform_mod.SystemFragment.from_json(_read(args.fragment))
     with _input(args.projection, ValueError):
         proj = conform_mod.load_projection(_read(args.projection))

@@ -16,10 +16,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .actions import (Message, exec_stmt, fits, holds, is_json_value, match_call,
-                      value_from_json, values_equal)
+from .actions import (ActionConditionViolated, Message, Required, exec_stmt, fits, holds,
+                      is_json_value, match_call, value_from_json, values_equal)
 from .ast import SCSimp, triggers
 from .parse import LexError, StatechartSyntaxError, parse_message
+from .printer import print_cond
 from .vdb import Basic, Or, Term
 
 
@@ -84,12 +85,12 @@ class SystemFragment:
     def from_json(cls, text: str) -> "SystemFragment":
         data = json.loads(text)
         shape = {
-            "main": str,
+            "main": Required(str),
             "init": [str],
-            "nodes": [{"id": str, "objects": {str: {
+            "nodes": Required([{"id": Required(str), "objects": {str: {
                 "vars": {str: is_json_value}, "threads": {str: [str]}, "buffer": [str],
-            }}}],
-            "edges": [{"from": str, "to": str, "M": [str]}],
+            }}}]),
+            "edges": [{"from": Required(str), "to": Required(str), "M": [str]}],
         }
         if not fits(data, shape):
             raise ValueError(
@@ -239,11 +240,13 @@ def check_system_conformance(
                 v = match_call(t.call, m)
                 if v is None or not holds(t.pre, mains[nid].vars, v, unbound=False):
                     continue
-                if not _transition_realized(frag, mains, proj, t, nid, m, v, bound):
-                    witnesses.append(
-                        f"transition {t.src}->{t.trg} on {m} "
-                        f"enabled at {nid} but not realized within {bound} steps"
-                    )
+                try:
+                    if _transition_realized(frag, mains, proj, t, nid, m, v, bound):
+                        continue
+                    why = f"but not realized within {bound} steps"
+                except ActionConditionViolated as e:
+                    why = f"fails the intermediate condition {print_cond(e.cond)} of its action"
+                witnesses.append(f"transition {t.src}->{t.trg} on {m} enabled at {nid} {why}")
     report.append({"condition": 5, "pass": not witnesses, "witnesses": witnesses})
     return report
 

@@ -12,7 +12,6 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .actions import (
@@ -130,36 +129,45 @@ def simple_state(s: FullState, sc: SCFull) -> bool:
     return not substates(s, sc) and s.do is None and not s.internT
 
 
-# The states with an ingoing (outgoing) transition on themselves or on a
-# superstate, by name.
-_ENTERED = attrgetter("index.ingoing_at_or_above")
-_LEFT = attrgetter("index.outgoing_at_or_above")
+class _Side(NamedTuple):
+    """How a state is entered (`_IN`) or left (`_OUT`): one side of a mirrored pair of rules."""
+
+    mod: str  # the modifier of the states a chart or superstate starts or ends in
+    action: str  # the action that runs as the state is crossed
+    edges: Callable[[FullState, SCFull], frozenset[Trans]]  # the transitions that cross it
+    end: str  # the end of such a transition at the state
+    far: str  # its other end
+    at_or_above: str  # the `ChartIndex` set of states with such a transition at or above them
 
 
-def _above(at_or_above, s: FullState, sc: SCFull) -> bool:
-    """A strict superstate of s has a transition in the direction of
-    `at_or_above` (`_ENTERED` or `_LEFT`): s's parent is in that set, which
-    holds every state below such a superstate."""
+_IN = _Side("initial", "entry", ingoing_t, "trg", "src", "ingoing_at_or_above")
+_OUT = _Side("final", "exit", outgoing_t, "src", "trg", "outgoing_at_or_above")
+
+
+def _above(side: _Side, s: FullState, sc: SCFull) -> bool:
+    """A strict superstate of s has a transition on `side`: s's parent is in
+    that side's `at_or_above` set, which holds every state below such a
+    superstate."""
     sups = sc.index.ancestors.get(s.name, ())
-    return bool(sups) and sups[0] in at_or_above(sc)
+    return bool(sups) and sups[0] in getattr(sc.index, side.at_or_above)
 
 
-def _irrelevant(mod: str, at_or_above, s: FullState, sc: SCFull) -> bool:
-    """The chart has a top-level `mod` state, and neither s nor any of its
-    superstates is one or has a transition in the direction of `at_or_above`.
-    Of s and its superstates, only the outermost can be top-level."""
-    tops = sc.index.top_names[mod]
+def _irrelevant(side: _Side, s: FullState, sc: SCFull) -> bool:
+    """The chart has a top-level `side.mod` state, and neither s nor any of
+    its superstates is one or has a transition on `side`. Of s and its
+    superstates, only the outermost can be top-level."""
+    tops = sc.index.top_names[side.mod]
     sups = sc.index.ancestors.get(s.name, ())
     return (bool(tops) and (sups[-1] if sups else s.name) not in tops
-            and s.name not in at_or_above(sc))
+            and s.name not in getattr(sc.index, side.at_or_above))
 
 
 def initial_irrelevant(s: FullState, sc: SCFull) -> bool:
-    return _irrelevant("initial", _ENTERED, s, sc)
+    return _irrelevant(_IN, s, sc)
 
 
 def final_irrelevant(s: FullState, sc: SCFull) -> bool:
-    return _irrelevant("final", _LEFT, s, sc)
+    return _irrelevant(_OUT, s, sc)
 
 
 def call_groups(s: FullState, sc: SCFull) -> dict[str, set[Trans]]:
@@ -179,18 +187,18 @@ def crossed_superstates(s: FullState, other: str, sc: SCFull) -> list[FullState]
     return [sc.state(n) for n in ancestors.get(s.name, ()) if n not in shared]
 
 
+def _leftovers(s: FullState) -> list[str]:
+    """The do, entry and exit actions and internal transitions s still has."""
+    return [f"{what} on {s.name}" for what, there in (
+        ("do action", s.do), ("entry action", s.entry), ("exit action", s.exit),
+        ("internal transitions", s.internT or None)) if there is not None]
+
+
 def flat_and_simplified(sc: SCFull) -> bool:
     for s in sc.states:
-        if s.do is not None or s.entry is not None or s.exit is not None:
+        if _leftovers(s) or _mod_irrelevant(_IN, s, sc) or _mod_irrelevant(_OUT, s, sc):
             return False
-        if s.internT:
-            return False
-        if substates(s, sc):
-            if ingoing_t(s, sc) or outgoing_t(s, sc) or s.inv is not None:
-                return False
-        if "initial" in s.modifiers and initial_irrelevant(s, sc):
-            return False
-        if "final" in s.modifiers and final_irrelevant(s, sc):
+        if substates(s, sc) and (ingoing_t(s, sc) or outgoing_t(s, sc) or s.inv is not None):
             return False
     return True
 
@@ -240,8 +248,8 @@ def normalize_trans(t: Trans, extra_pre: Optional[Cond], src: Optional[str] = No
 # chart are those of every state in turn. The other rules have a find
 # function over the whole chart. Either lists the bindings in the order the
 # paper strategy tries them; an apply function rewrites the chart for one
-# binding. Paired rules share a function that takes the modifier, stereotype
-# or action they differ in.
+# binding. Mirrored rules share a function that takes the side of a state
+# they work on, `_IN` or `_OUT`; other paired rules take their stereotype.
 
 def _intern_key(it: InternT):
     return (it.call.name, len(it.call.args), repr(it.pre), repr(it.act))
@@ -296,61 +304,59 @@ def _internal_to_inner_state(sc: SCFull, b: Binding) -> SCFull:  # rule 3
     )
 
 
-def _find_add_top(mod: str, sc: SCFull):  # rules 4, 8
+def _find_add_top(side: _Side, sc: SCFull):  # rules 4, 8
     tops = sc.index.children.get(None)
-    if tops and all(mod not in s.modifiers for s in tops):
+    if tops and all(side.mod not in s.modifiers for s in tops):
         yield ()
 
 
-def _add_top(mod: str, sc: SCFull, b: Binding) -> SCFull:
-    tops = sc.index.children.get(None, frozenset())
-    marked = {replace(s, modifiers=s.modifiers | {mod}) for s in tops}
-    return replace(sc, states=(sc.states - tops) | marked)
+def _add_mod(side: _Side, states: frozenset[FullState], sc: SCFull) -> SCFull:
+    marked = {replace(s, modifiers=s.modifiers | {side.mod}) for s in states}
+    return replace(sc, states=(sc.states - states) | marked)
 
 
-def _needs_sub_mod(mod: str, edges, s: FullState, sc: SCFull) -> bool:  # rules 5, 9
+def _add_top(side: _Side, sc: SCFull, b: Binding) -> SCFull:
+    return _add_mod(side, sc.index.children.get(None, frozenset()), sc)
+
+
+def _needs_sub_mod(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 5, 9
     subs = substates(s, sc)
-    return (
-        bool(subs)
-        and all(mod not in st.modifiers for st in subs)
-        and bool(mod in s.modifiers or edges(s, sc))
-    )
+    return (bool(subs) and all(side.mod not in st.modifiers for st in subs)
+            and bool(side.mod in s.modifiers or side.edges(s, sc)))
 
 
-def _add_sub_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
-    subs = substates(sc.state(b["s"]), sc)
-    marked = {replace(st, modifiers=st.modifiers | {mod}) for st in subs}
-    return replace(sc, states=(sc.states - subs) | marked)
+def _add_sub_mod(side: _Side, sc: SCFull, b: Binding) -> SCFull:
+    return _add_mod(side, substates(sc.state(b["s"]), sc), sc)
 
 
-def _to_sub_at(mod: str, edges, wanted, s: FullState, sc: SCFull) -> list:  # rules 6, 10, 13
+def _mod_subs(side: _Side, s: FullState, sc: SCFull) -> list[FullState]:  # by name
+    return sorted((st for st in substates(s, sc) if side.mod in st.modifiers),
+                  key=lambda st: st.name)
+
+
+def _to_sub_at(side: _Side, wanted, s: FullState, sc: SCFull) -> list:  # rules 6, 10, 13
     """Each wanted transition entering (6) or leaving (10, 13) s, if s has a
-    `mod` substate."""
-    if not any(mod in st.modifiers for st in substates(s, sc)):
+    `side.mod` substate."""
+    if not any(side.mod in st.modifiers for st in substates(s, sc)):
         return []
-    return [(("s", s.name), ("t", t)) for t in sorted(edges(s, sc), key=trans_key) if wanted(t, sc)]
+    return [(("s", s.name), ("t", t))
+            for t in sorted(side.edges(s, sc), key=trans_key) if wanted(t, sc)]
 
 
-def _move_to_sub(mod: str, end: str, sc: SCFull, b: Binding) -> SCFull:
-    """Replace t by copies whose `end` ("trg" or "src") is each `mod`
-    substate of s."""
+def _move_to_sub(side: _Side, sc: SCFull, b: Binding) -> SCFull:
+    """Replace t by copies whose end at s is each `side.mod` substate of s."""
     s, t = sc.state(b["s"]), b["t"]
-    moved = {replace(t, **{end: st.name}) for st in substates(s, sc) if mod in st.modifiers}
+    moved = {replace(t, **{side.end: st.name}) for st in _mod_subs(side, s, sc)}
     return replace(sc, trans=(sc.trans - {t}) | moved)
 
 
-def _mod_irrelevant(mod: str, irrelevant, s: FullState, sc: SCFull) -> bool:  # rules 7, 15
-    return mod in s.modifiers and irrelevant(s, sc)
+def _mod_irrelevant(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 7, 15
+    return side.mod in s.modifiers and _irrelevant(side, s, sc)
 
 
-def _delete_mod(mod: str, sc: SCFull, b: Binding) -> SCFull:
+def _delete_mod(side: _Side, sc: SCFull, b: Binding) -> SCFull:
     s = sc.state(b["s"])
-    return sc.replace_state(s, replace(s, modifiers=s.modifiers - {mod}))
-
-
-def _final_subs(s: FullState, sc: SCFull) -> list[FullState]:
-    return sorted((st for st in substates(s, sc) if "final" in st.modifiers),
-                  key=lambda st: st.name)
+    return sc.replace_state(s, replace(s, modifiers=s.modifiers - {side.mod}))
 
 
 def _prio_groups_at(stereo: str, s: FullState, sc: SCFull) -> list:  # rules 11, 12
@@ -369,7 +375,7 @@ def _inner_calls(st: FullState, ts, sc: SCFull) -> set[Trans]:
 def _prio_inner(sc: SCFull, b: Binding) -> SCFull:  # rule 11
     s, ts = sc.state(b["s"]), b["ts"]
     added: set[Trans] = set()
-    for st in _final_subs(s, sc):
+    for st in _mod_subs(_OUT, s, sc):
         pre_i = _neg_precond(_inner_calls(st, ts, sc))
         for t in sorted(ts, key=trans_key):
             added.add(normalize_trans(t, pre_i, src=st.name))
@@ -381,7 +387,7 @@ def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
     pre_outer = _neg_precond(ts)
     added: set[Trans] = set()
     removed: set[Trans] = set(ts)
-    for st in _final_subs(s, sc):
+    for st in _mod_subs(_OUT, s, sc):
         c_trans = _inner_calls(st, ts, sc)
         removed |= c_trans
         # the outer transitions move down unchanged
@@ -394,7 +400,7 @@ def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
 
 
 def _elim_prio_at(s: FullState, sc: SCFull) -> list:  # rule 14
-    if not simple_state(s, sc) or _above(_LEFT, s, sc):
+    if not simple_state(s, sc) or _above(_OUT, s, sc):
         return []
     return [(("s", s.name), ("ts", frozenset(ts)))
             for _, ts in sorted(call_groups(s, sc).items()) if any(t.prio is not None for t in ts)]
@@ -413,60 +419,51 @@ def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
     return replace(sc, trans=(sc.trans - ts) | added)
 
 
-# action attribute -> (the superstates whose transitions would run it, the
-# transitions it moves onto, the end of such a transition away from s)
-_MOVES = {
-    "exit": (_LEFT, outgoing_t, attrgetter("trg")),
-    "entry": (_ENTERED, ingoing_t, attrgetter("src")),
-}
-
-
-def _action_movable(attr: str, seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17, 19, 20
+def _action_movable(side: _Side, seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17, 19, 20
     # final states may move their exit action: it only runs when the state is
     # left through a transition, which is exactly where the action moves to
     # (termination runs it in neither version)
     return (
         (SEQUENTIAL in sc.stereos) == seq
-        and getattr(s, attr) is not None
-        and (attr == "exit" or "initial" not in s.modifiers)
+        and getattr(s, side.action) is not None
+        and (side is _OUT or "initial" not in s.modifiers)
         and simple_state(s, sc)
-        and not _above(_MOVES[attr][0], s, sc)
+        and not _above(side, s, sc)
     )
 
 
-def _move_action(attr: str, seq: bool, sc: SCFull, b: Binding) -> SCFull:
-    """Move the `attr` actions of s and of the superstates a transition
-    leaves (exit) or enters (entry) onto each such transition of s."""
+def _move_action(side: _Side, seq: bool, sc: SCFull, b: Binding) -> SCFull:
+    """Move the `side.action` actions of s and of the superstates a
+    transition leaves (exit) or enters (entry) onto each such transition of s."""
     s = sc.state(b["s"])
-    _, transitions_of, far_end = _MOVES[attr]
-    ts = transitions_of(s, sc)
+    ts = side.edges(s, sc)
     moved = set()
     for t in sorted(ts, key=trans_key):
-        chain = [s, *crossed_superstates(s, far_end(t), sc)]
-        own = [getattr(st, attr) for st in chain if getattr(st, attr) is not None]
+        chain = [s, *crossed_superstates(s, getattr(t, side.far), sc)]
+        own = [a for st in chain if (a := getattr(st, side.action)) is not None]
         # states are left innermost first, before t's action, and entered
         # outermost first, after it
-        acts = own + [t.act or Action()] if attr == "exit" else [t.act or Action()] + own[::-1]
+        acts = own + [t.act or Action()] if side is _OUT else [t.act or Action()] + own[::-1]
         if not seq:
             act = Action(tuple(x for a in acts for x in a.stmt), conj_opt(*(a.post for a in acts)))
         else:
             act = seq_actions_all(acts)
-            if attr == "entry":  # rule 20 also keeps t's postcondition; rule 17 does not
+            if side is _IN:  # rule 20 also keeps t's postcondition; rule 17 does not
                 act = Action(act.stmt, conj_opt(action_post(t.act), act.post))
         moved.add(replace(t, act=act))
-    return replace(sc.replace_state(s, replace(s, **{attr: None})),
+    return replace(sc.replace_state(s, replace(s, **{side.action: None})),
                    trans=(sc.trans - ts) | moved)
 
 
-def _action_removable(attr: str, at_or_above, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
-    """s has an `attr` action, and no transition of s or of a superstate in
-    the direction of `at_or_above` would run it."""
-    return getattr(s, attr) is not None and s.name not in at_or_above(sc)
+def _action_removable(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 18, 21
+    """s has a `side.action` action, and no transition of s or of a
+    superstate on `side` would run it."""
+    return getattr(s, side.action) is not None and s.name not in getattr(sc.index, side.at_or_above)
 
 
-def _remove_action(attr: str, sc: SCFull, b: Binding) -> SCFull:
+def _remove_action(side: _Side, sc: SCFull, b: Binding) -> SCFull:
     s = sc.state(b["s"])
-    return sc.replace_state(s, replace(s, **{attr: None}))
+    return sc.replace_state(s, replace(s, **{side.action: None}))
 
 
 def _inv_movable(s: FullState, sc: SCFull) -> bool:  # rule 22
@@ -600,41 +597,39 @@ RULES = (
     _state_rule(1, "elimDo", _when(lambda s, sc: s.do is not None), _elim_do),
     _state_rule(2, "elimInternalT1", partial(_internal_at, True), _internal_to_substates),
     _state_rule(3, "elimInternalT2", partial(_internal_at, False), _internal_to_inner_state),
-    Rule(4, "addInitTop", partial(_find_add_top, "initial"), partial(_add_top, "initial")),
-    _state_rule(5, "addInitSub", _when(partial(_needs_sub_mod, "initial", ingoing_t)),
-                partial(_add_sub_mod, "initial")),
-    _state_rule(6, "forwardToSub", partial(_to_sub_at, "initial", ingoing_t, lambda t, sc: True),
-                partial(_move_to_sub, "initial", "trg")),
-    _state_rule(7, "deleteInitSub", _when(partial(_mod_irrelevant, "initial", initial_irrelevant)),
-                partial(_delete_mod, "initial"), outer_first=True, reads=_TOP_NAMES),
-    Rule(8, "addFinalTop", partial(_find_add_top, "final"), partial(_add_top, "final")),
-    _state_rule(9, "addFinalSub", _when(partial(_needs_sub_mod, "final", outgoing_t)),
-                partial(_add_sub_mod, "final")),
+    Rule(4, "addInitTop", partial(_find_add_top, _IN), partial(_add_top, _IN)),
+    _state_rule(5, "addInitSub", _when(partial(_needs_sub_mod, _IN)), partial(_add_sub_mod, _IN)),
+    _state_rule(6, "forwardToSub", partial(_to_sub_at, _IN, lambda t, sc: True),
+                partial(_move_to_sub, _IN)),
+    _state_rule(7, "deleteInitSub", _when(partial(_mod_irrelevant, _IN)),
+                partial(_delete_mod, _IN), outer_first=True, reads=_TOP_NAMES),
+    Rule(8, "addFinalTop", partial(_find_add_top, _OUT), partial(_add_top, _OUT)),
+    _state_rule(9, "addFinalSub", _when(partial(_needs_sub_mod, _OUT)), partial(_add_sub_mod, _OUT)),
     _state_rule(10, "backwardToSub",
-                partial(_to_sub_at, "final", outgoing_t, lambda t, sc: not sc.stereos & PRIO_STEREOS),
-                partial(_move_to_sub, "final", "src"), reads=_STEREOS),
+                partial(_to_sub_at, _OUT, lambda t, sc: not sc.stereos & PRIO_STEREOS),
+                partial(_move_to_sub, _OUT), reads=_STEREOS),
     _state_rule(11, "backwardToSubPrioInner", partial(_prio_groups_at, PRIO_INNER), _prio_inner,
                 reads=_STEREOS),
     _state_rule(12, "backwardToSubPrioOuter", partial(_prio_groups_at, PRIO_OUTER), _prio_outer,
                 reads=_STEREOS),
     _state_rule(13, "backwardToSubPrio",
-                partial(_to_sub_at, "final", outgoing_t, lambda t, sc: t.prio is not None),
-                partial(_move_to_sub, "final", "src")),
+                partial(_to_sub_at, _OUT, lambda t, sc: t.prio is not None),
+                partial(_move_to_sub, _OUT)),
     _state_rule(14, "elimPrio", _elim_prio_at, _elim_prio),
-    _state_rule(15, "deleteFinalSub", _when(partial(_mod_irrelevant, "final", final_irrelevant)),
-                partial(_delete_mod, "final"), outer_first=True, reads=_TOP_NAMES),
-    _state_rule(16, "moveExitActions", _when(partial(_action_movable, "exit", False)),
-                partial(_move_action, "exit", False), reads=_STEREOS),
-    _state_rule(17, "moveExitActionsSeq", _when(partial(_action_movable, "exit", True)),
-                partial(_move_action, "exit", True), reads=_STEREOS),
-    _state_rule(18, "removeExitAction", _when(partial(_action_removable, "exit", _LEFT)),
-                partial(_remove_action, "exit")),
-    _state_rule(19, "moveEntryActions", _when(partial(_action_movable, "entry", False)),
-                partial(_move_action, "entry", False), reads=_STEREOS),
-    _state_rule(20, "moveEntryActionsSeq", _when(partial(_action_movable, "entry", True)),
-                partial(_move_action, "entry", True), reads=_STEREOS),
-    _state_rule(21, "removeEntryAction", _when(partial(_action_removable, "entry", _ENTERED)),
-                partial(_remove_action, "entry")),
+    _state_rule(15, "deleteFinalSub", _when(partial(_mod_irrelevant, _OUT)),
+                partial(_delete_mod, _OUT), outer_first=True, reads=_TOP_NAMES),
+    _state_rule(16, "moveExitActions", _when(partial(_action_movable, _OUT, False)),
+                partial(_move_action, _OUT, False), reads=_STEREOS),
+    _state_rule(17, "moveExitActionsSeq", _when(partial(_action_movable, _OUT, True)),
+                partial(_move_action, _OUT, True), reads=_STEREOS),
+    _state_rule(18, "removeExitAction", _when(partial(_action_removable, _OUT)),
+                partial(_remove_action, _OUT)),
+    _state_rule(19, "moveEntryActions", _when(partial(_action_movable, _IN, False)),
+                partial(_move_action, _IN, False), reads=_STEREOS),
+    _state_rule(20, "moveEntryActionsSeq", _when(partial(_action_movable, _IN, True)),
+                partial(_move_action, _IN, True), reads=_STEREOS),
+    _state_rule(21, "removeEntryAction", _when(partial(_action_removable, _IN)),
+                partial(_remove_action, _IN)),
     _state_rule(22, "moveInvariant", _when(_inv_movable), _move_invariant),
     Rule(23, "removeHierarchy", _find_remove_hierarchy, _remove_hierarchy),
     Rule(24, "completionIgnore", partial(_find_completion, COMPLETION_IGNORE),
@@ -764,8 +759,8 @@ def _advance(old: SCFull, new: SCFull) -> tuple[Optional[set[str]], set[str]]:
     dirty.update([after.parent[n] for n in dirty if n in after.parent])
     for t in dtrans:
         dirty.update((t.src, t.trg))
-    for part in ("ingoing_at_or_above", "outgoing_at_or_above"):
-        was, now = getattr(before, part), getattr(after, part)
+    for side in (_IN, _OUT):
+        was, now = getattr(before, side.at_or_above), getattr(after, side.at_or_above)
         if now is not was:
             for n in was ^ now:
                 dirty.add(n)
@@ -843,14 +838,7 @@ def to_simplified(sc: SCFull) -> SCSimp:
     if sc.sub:
         residual.append("substate relation")
     for s in sc.index.states:
-        if s.do is not None:
-            residual.append(f"do action on {s.name}")
-        if s.entry is not None:
-            residual.append(f"entry action on {s.name}")
-        if s.exit is not None:
-            residual.append(f"exit action on {s.name}")
-        if s.internT:
-            residual.append(f"internal transitions on {s.name}")
+        residual.extend(_leftovers(s))
     if sc.stereos:
         residual.append("stereotypes " + ", ".join(sorted(sc.stereos)))
     if not flat_and_simplified(sc):

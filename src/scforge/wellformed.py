@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional
 from .actions import (
     Assign,
     Call,
+    Required,
     Send,
     action_post,
     action_stmt,
@@ -58,7 +59,8 @@ class SignatureContext:
     @classmethod
     def from_json(cls, text: str) -> "SignatureContext":
         data = json.loads(text)
-        shape = {"class": str, "methods": [{"name": str, "arity": (int, str)}], "attributes": [str]}
+        shape = {"class": Required(str), "attributes": [str],
+                 "methods": [{"name": Required(str), "arity": Required((int, str))}]}
         if not fits(data, shape):
             raise ValueError(
                 "not a class signature: expected {class, methods: [{name, arity}], attributes: [names]}"

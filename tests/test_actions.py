@@ -334,8 +334,9 @@ def test_exec_timer_primitives():
 
 def test_exec_check_failure():
     stmt = (Assign("x", ELit(1)), Check(CCmp("==", EVar("x"), ELit(2))))
-    with pytest.raises(ActionConditionViolated):
+    with pytest.raises(ActionConditionViolated) as e:
         exec_stmt(stmt, {}, {})
+    assert e.value.cond == CCmp("==", EVar("x"), ELit(2))
 
 
 def test_seq_actions_checks_intermediate_condition():

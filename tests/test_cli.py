@@ -812,6 +812,37 @@ def test_conform_fragment_without_main_object_is_usage(capsys, buffer_file, tmp_
     assert "no main object 'ghost'" in err
 
 
+def test_conform_failed_intermediate_condition_fails_condition_five(capsys, tmp_path):
+    chart = tmp_path / "seq.sc"
+    chart.write_text("statechart S for C <<action conditions:sequential>> {"
+                     " initial state A { exit / v = 1 [v == 2]; } state B; A -> B : f(); }")
+    frag, proj = tmp_path / "frag.json", tmp_path / "proj.json"
+    frag.write_text(json.dumps({"main": "o", "init": ["n1"], "nodes": [
+        {"id": "n1", "objects": {"o": {"vars": {"v": 0}, "buffer": ["f()"]}}},
+        {"id": "n2", "objects": {"o": {"vars": {"v": 1}}}},
+    ], "edges": [{"from": "n1", "to": "n2", "M": []}]}))
+    proj.write_text(json.dumps({"A": ["n1"], "B": ["n2"]}))
+    code, out, err = run_cli(capsys, "conform", str(chart), str(frag), str(proj))
+    assert (code, err) == (1, "")
+    assert out.endswith("condition 5: FAIL\n  witness: transition A->B on f() enabled at n1 fails"
+                        " the intermediate condition v == 2 of its action\n")
+
+
+@pytest.mark.parametrize("command, bad, expected", [
+    ("conform", {"init": [], "nodes": [], "edges": []}, "not a fragment: expected"),
+    ("check", {"methods": []}, "not a class signature: expected"),
+], ids=["fragment-main", "signature-class"])
+def test_json_input_without_a_required_key_names_its_shape(capsys, buffer_file, tmp_path,
+                                                           command, bad, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    argv = (["conform", buffer_file, str(path), str(FIXTURES / "buffer_projection.json")]
+            if command == "conform" else ["check", buffer_file, "--ctx", str(path)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {expected} ") and err.count("\n") == 1
+
+
 def test_conform_fragment_with_a_duplicate_node_id_is_usage(capsys, buffer_file, tmp_path):
     frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
     frag["nodes"].append({**frag["nodes"][1], "objects": {"o": {"vars": {"v": 4}}}})

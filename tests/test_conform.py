@@ -26,7 +26,7 @@ from scforge.conform import (
 )
 from scforge.flatinterp import parse_message
 from scforge.parse import parse
-from scforge.transform import to_simplified
+from scforge.transform import to_simplified, transform_fixpoint
 from scforge.vdb import And, Basic, Or
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -140,6 +140,22 @@ def test_a_store_effect_of_true_is_not_shown_by_one():
     by_cond = {e["condition"]: e for e in check_system_conformance(chart, frag, proj)}
     assert [by_cond[c]["pass"] for c in (1, 2, 3, 4, 5)] == [True, True, True, True, False]
     assert by_cond[5]["witnesses"] == ["transition A->B on f() enabled at s0 but not realized within 2 steps"]
+
+
+def test_a_failed_intermediate_condition_is_a_condition_five_witness():
+    chart = to_simplified(transform_fixpoint(parse(
+        "statechart S for C <<action conditions:sequential>> {"
+        " initial state A { exit / v = 1 [v == 2]; } state B; A -> B : f(); }"))[0])
+    frag = SystemFragment.make(
+        nodes=[OGSNode("n1", {"o": ObjectState(vars={"v": 0}, buffer=(parse_message("f()"),))}),
+               OGSNode("n2", {"o": ObjectState(vars={"v": 1})})],
+        edges=[("n1", "n2", ())], init=["n1"], main="o",
+    )
+    report = check_system_conformance(chart, frag, {"A": frozenset(["n1"]), "B": frozenset(["n2"])})
+    assert [e["pass"] for e in report] == [True, True, True, True, False]
+    assert report[4]["witnesses"] == [
+        "transition A->B on f() enabled at n1 fails the intermediate condition v == 2 of its action"
+    ]
 
 
 def test_two_processed_triggers_fail_condition_four():
@@ -373,6 +389,26 @@ def test_fragment_json_round_trip_essentials():
     s1 = OK_FRAG.nodes["s1"]
     assert s1.objects["o"].buffer == (Message("get", ()),)
     assert OK_FRAG.successors["s3"] == [("s4", (Message("send", (3,)),))]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f.pop("main"),
+    lambda f: f.pop("nodes"),
+    lambda f: f["nodes"][0].pop("id"),
+    lambda f: f["edges"][0].pop("from"),
+    lambda f: f["edges"][0].pop("to"),
+], ids=["main", "nodes", "node-id", "edge-from", "edge-to"])
+def test_fragment_without_a_required_key_is_not_a_fragment(edit):
+    frag = json.loads((FIXTURES / "fig_ok_fragment.json").read_text())
+    edit(frag)
+    with pytest.raises(ValueError, match=r"^not a fragment: expected \{main, "):
+        SystemFragment.from_json(json.dumps(frag))
+
+
+def test_fragment_keys_past_main_nodes_and_ids_are_optional():
+    frag = SystemFragment.from_json('{"main": "o", "nodes": [{"id": "a", "objects": {"o": {}}}]}')
+    assert (frag.init, frag.successors) == (frozenset(), {"a": []})
+    assert frag.nodes["a"].objects["o"] == ObjectState()
 
 
 def test_fragment_rejects_dangling_edges():

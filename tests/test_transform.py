@@ -30,7 +30,7 @@ from scforge.flatinterp import explore_emissions, parse_message, run
 from scforge.ast import ChartIndex, FullState, InternT, SCFull, Trans, trans_key
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
-from scforge.printer import print_call, print_chart
+from scforge.printer import print_call, print_chart, print_cond, print_stmt
 from scforge.transform import (
     BindingStale,
     NotSimplifiable,
@@ -266,14 +266,14 @@ def assert_predicates_match_naive_walk(sc):
     for s in sc.states:
         assert initial_irrelevant(s, sc) == naive_irrelevant("initial", "trg", s, sc), s.name
         assert final_irrelevant(s, sc) == naive_irrelevant("final", "src", s, sc), s.name
-        assert transform._action_removable("entry", transform._ENTERED, s, sc) == \
+        assert transform._action_removable(transform._IN, s, sc) == \
             naive_removable("entry", "trg", s, sc), s.name
-        assert transform._action_removable("exit", transform._LEFT, s, sc) == \
+        assert transform._action_removable(transform._OUT, s, sc) == \
             naive_removable("exit", "src", s, sc), s.name
         sups = naive_superstates(s, sc)
-        assert transform._above(transform._ENTERED, s, sc) == \
+        assert transform._above(transform._IN, s, sc) == \
             any(naive_has_edge("trg", x, sc) for x in sups), s.name
-        assert transform._above(transform._LEFT, s, sc) == \
+        assert transform._above(transform._OUT, s, sc) == \
             any(naive_has_edge("src", x, sc) for x in sups), s.name
 
 
@@ -439,6 +439,38 @@ def test_rule6_forwarding_duplicates_per_initial_substate():
     targets = {t.trg for t in out.trans if t.src == "Q"}
     assert targets == {"S1", "S2"}
     assert not any(t.trg == "A" for t in out.trans)
+
+
+EXIT_MOVER_BODY = ("initial state P { exit / p() [p == 1]; initial state S { exit / s() [s == 1]; } }"
+                   " state Q; S -> Q : f() / t() [t == 1];")
+ENTRY_MOVER_BODY = ("initial state Q; state P { entry / p() [p == 1]; initial state I;"
+                    " state S { entry / s() [s == 1]; } } Q -> S : f() / t() [t == 1];")
+
+
+@pytest.mark.parametrize("number, body, seq, stmt, post", [
+    (16, EXIT_MOVER_BODY, False, "s() & p() & t()", "s == 1 && (p == 1 && t == 1)"),
+    (17, EXIT_MOVER_BODY, True, "s() & check(s == 1) & p() & check(p == 1) & t()", "t == 1"),
+    (19, ENTRY_MOVER_BODY, False, "t() & p() & s()", "t == 1 && (p == 1 && s == 1)"),
+    # no postcondition: whether rule 20 keeps t's where rule 17 does not is
+    # still open (ROADMAP item 1)
+    (20, ENTRY_MOVER_BODY, True, "t() & check(t == 1) & p() & check(p == 1) & s()", None),
+])
+def test_action_movers_run_the_superstate_chain_in_order(number, body, seq, stmt, post):
+    """S's own action and its superstate P's move onto S's one transition:
+    states are left innermost first, before the transition's action, and
+    entered outermost first, after it."""
+    stereo = "<<action conditions:sequential>> " if seq else ""
+    sc = parse(f"statechart M for C {stereo}{{ {body} }}")
+    [b] = find_bindings(number, sc)
+    assert b.describe() == "s=S"
+    out = apply_rule(number, sc, b)
+    [t] = out.trans
+    assert print_stmt(t.act.stmt) == stmt
+    if post is not None:
+        assert print_cond(t.act.post) == post
+    attr = "exit" if number < 19 else "entry"
+    assert getattr(out.state("S"), attr) is None
+    assert getattr(out.state("P"), attr) == getattr(sc.state("P"), attr)
 
 
 def test_rule23_removes_superstates():

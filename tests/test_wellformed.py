@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, strategies as st
 
 from scforge.ast import FullState, SCFull, SCSimp, Trans
@@ -36,6 +37,22 @@ CTX = SignatureContext(
     methods=frozenset([("f", 0), ("g", 1), ("out", 1), ("finalize", 0)]),
     attributes=frozenset(["v", "w"]),
 )
+
+
+@pytest.mark.parametrize("data", [
+    {"methods": [{"name": "f", "arity": 0}]},
+    {"class": "C", "methods": [{"arity": 0}]},
+    {"class": "C", "methods": [{"name": "f"}]},
+], ids=["class", "method-name", "method-arity"])
+def test_signature_without_a_required_key_is_not_a_class_signature(data):
+    with pytest.raises(ValueError, match=r"^not a class signature: expected \{class, "):
+        SignatureContext.from_json(json.dumps(data))
+
+
+def test_signature_methods_and_attributes_are_optional():
+    assert SignatureContext.from_json('{"class": "C"}') == SignatureContext("C")
+    ctx = SignatureContext.from_json('{"class": "C", "methods": [{"name": "f", "arity": "2"}]}')
+    assert ctx.methods == {("f", 2)}
 
 
 def test_clean_chart_has_no_findings():
