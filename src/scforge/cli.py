@@ -9,6 +9,7 @@ given events, among them), 3 an internal exploration bound was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,12 +255,15 @@ def cmd_vdb_run(args) -> int:
     if args.format == "json":
         print(vdb.runs_to_json(runs))
     else:
+        @functools.cache
+        def line(node: vdb.KripkeNode) -> str:  # rendered once per distinct node
+            conf = ", ".join(sorted(vdb.conf_of(node.term)))
+            q = ", ".join(map(str, node.queue)) or "(empty)"
+            return f"  {{{conf}}} | {q}"
+
         for i, r in enumerate(vdb.sorted_runs(runs, by_length=True)):
             print(f"run {i + 1}:")
-            for node in r:
-                conf = ", ".join(sorted(vdb.conf_of(node.term)))
-                q = ", ".join(map(str, node.queue)) or "(empty)"
-                print(f"  {{{conf}}} | {q}")
+            print("\n".join(map(line, r)))
     return EXIT_OK
 
 

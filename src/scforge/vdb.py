@@ -35,7 +35,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .actions import (
     Assign,
@@ -188,27 +188,29 @@ def conf_of(t: Term) -> frozenset:
     return frozenset([t.name]) | conf_of(t.subterms[t.active - 1])
 
 
-def _action_seqs(t: Term, exiting: bool) -> frozenset:
-    """Entering t runs its entry actions before those of its active
-    children, exiting runs its exit actions after theirs; the children of an
-    and-term take turns in every order."""
+def _action_orders(t: Term, exiting: bool) -> Iterator[tuple]:
+    """The action sequences of entering (exiting) t, one at a time: entering
+    t runs its entry actions before those of its active children, exiting
+    runs its exit actions after theirs; the children of an and-term take
+    turns in every order (`_orders`)."""
     own = t.exit if exiting else t.entry
     if isinstance(t, Basic):
-        inner = [()]
+        inner = ((),)
     elif isinstance(t, Or):
-        inner = _action_seqs(t.subterms[t.active - 1], exiting)
+        inner = _action_orders(t.subterms[t.active - 1], exiting)
     else:
-        kids = [_action_seqs(s, exiting) for s in t.subterms]
-        inner = {seq for parts in itertools.product(*kids) for seq in _interleavings(parts)}
-    return frozenset(b + own if exiting else own + b for b in inner)
+        kids = [functools.partial(_action_orders, s, exiting) for s in t.subterms]
+        inner = (seq for parts in _product(kids) for seq in _orders(parts))
+    for b in inner:
+        yield b + own if exiting else own + b
 
 
 def entry_seqs(t: Term) -> frozenset:
-    return _action_seqs(t, exiting=False)
+    return frozenset(_action_orders(t, exiting=False))
 
 
 def exit_seqs(t: Term) -> frozenset:
-    return _action_seqs(t, exiting=True)
+    return frozenset(_action_orders(t, exiting=True))
 
 
 def _reset(t: Term, keep_top: bool) -> Term:
@@ -260,54 +262,123 @@ def next_state(ht: str, nt: Iterable[str], s: Term) -> Term:
     return out
 
 
-def _interleavings(parts) -> Iterable[tuple]:
-    """The concatenations of the sequences `parts` in every order. Only the
-    non-empty ones are permuted, as the empty ones add nothing, so children
-    that stay silent cost no time."""
-    for perm in itertools.permutations([p for p in parts if p]):
-        yield tuple(x for part in perm for x in part)
+def _orders(parts: list) -> Iterator[tuple]:
+    """The concatenations of the sequences `parts` in every order, one at a
+    time. Only the non-empty ones are permuted, as the empty ones add
+    nothing, and equal ones are ordered once (the distinct permutations of
+    a multiset in lexicographic order: D. Knuth, "The Art of Computer
+    Programming" 4A, 2011, 7.2.1.2, Algorithm L), so silent children and
+    children with equal outputs cost no time."""
+    parts = [p for p in parts if p]
+    kinds = list(dict.fromkeys(parts))
+    rank = {p: k for k, p in enumerate(kinds)}
+    perm = sorted(rank[p] for p in parts)
+    while True:
+        yield tuple(itertools.chain.from_iterable(map(kinds.__getitem__, perm)))
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = perm[:i:-1]
+
+
+def _product(factors: list) -> Iterator[tuple]:
+    """The tuples of `itertools.product(*factors)`, one at a time. Each
+    factor is a set or a function that enumerates one afresh (`_each`), and
+    none is materialised: a factor is enumerated again for each choice to
+    its left. Every factor is non-empty, and none holds None."""
+    its = [_each(f) for f in factors]
+    combo = [next(it) for it in its]
+    while True:
+        yield tuple(combo)
+        k = len(its) - 1
+        while k >= 0:
+            x = next(its[k], None)
+            if x is not None:
+                combo[k] = x
+                break
+            its[k] = _each(factors[k])
+            combo[k] = next(its[k])
+            k -= 1
+        if k < 0:
+            return
+
+
+def _each(steps) -> Iterator:
+    """The items of a set, or of a function that enumerates them afresh."""
+    return steps() if callable(steps) else iter(steps)
 
 
 # -- auxiliary step judgments -----------------------------------------------
 
 def aux_step(t: Term, e: Message) -> frozenset:
     """All derivable judgments t --e/alpha-->_f t' as (alpha, f, t') triples."""
+    return frozenset(_each(_derive(t, e, {})))
+
+
+def _and_free(t: Term) -> bool:
+    return isinstance(t, Basic) or isinstance(t, Or) and all(map(_and_free, t.subterms))
+
+
+def _steps(t: Term, e: Message, memo: dict):
+    """memo[t, e], derived on first use: t's steps on e. A term without
+    and-terms keeps their set; any other keeps what `_derive` returns, which
+    enumerates them afresh from its children's kept steps, so no and-term's
+    output orders are ever held."""
+    steps = memo.get((t, e))
+    if steps is None:
+        steps = memo[t, e] = aux_step(t, e) if _and_free(t) else _derive(t, e, memo)
+    return steps
+
+
+def _derive(t: Term, e: Message, memo: dict):
+    """t's steps on e, `aux_step`'s triples: the stutter's set, or a function
+    that enumerates them one at a time, possibly repeated, from its
+    children's steps (`_steps`). All steps of a term on one message share
+    their flag: a term stutters only when it cannot fire."""
     if isinstance(t, Basic):
         return frozenset([((), 0, t)])  # stutter
     if isinstance(t, And):
-        child_steps = [aux_step(s, e) for s in t.subterms]
-        out = set()
-        for combo in itertools.product(*child_steps):
-            f = 1 if any(fj for _, fj, _ in combo) else 0
-            term = replace(t, subterms=tuple(tj for _, _, tj in combo))
-            out.update((alpha, f, term) for alpha in _interleavings(a for a, _, _ in combo))
-        return frozenset(out)
+        kids = [_steps(s, e, memo) for s in t.subterms]
+
+        def and_steps():
+            for combo in _product(kids):
+                f = 1 if any(fj for _, fj, _ in combo) else 0
+                term = replace(t, subterms=tuple(tj for _, _, tj in combo))
+                for alpha in _orders([a for a, _, _ in combo]):
+                    yield alpha, f, term
+        return and_steps
 
     # or-term
-    active = t.subterms[t.active - 1]
-    inner = aux_step(active, e)
-    inner_fired = [(a, f, s) for a, f, s in inner if f == 1]
-    out = set()
-    # inner transitions take priority and propagate
-    for alpha, _, s_new in inner_fired:
-        subs = t.subterms[:t.active - 1] + (s_new,) + t.subterms[t.active:]
-        out.add((alpha, 1, replace(t, subterms=subs)))
-    if not inner_fired:
-        # own transitions fire only when the active child cannot
-        for tr in t.transitions:
-            if tr.i != t.active or tr.e != e:
-                continue
-            if not tr.ns <= conf_of(active):
-                continue
+    k, active = t.active, t.subterms[t.active - 1]
+    inner = _steps(active, e, memo)
+    if next(_each(inner))[1]:
+        # inner transitions take priority and propagate
+        def inner_steps():
+            for alpha, _, s_new in _each(inner):
+                yield alpha, 1, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:])
+        return inner_steps
+    # own transitions fire only when the active child cannot
+    fired = []
+    for tr in t.transitions:
+        if tr.i == k and tr.e == e and tr.ns <= conf_of(active):
             target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
             subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
-            term = replace(t, subterms=subs, active=tr.j)
-            for e1 in exit_seqs(active):
-                for e2 in entry_seqs(target):
-                    out.add((e1 + tr.alpha + e2, 1, term))
-    if not any(f == 1 for _, f, _ in out):
-        out.add(((), 0, t))  # stutter
-    return frozenset(out)
+            fired.append((tr.alpha, target, replace(t, subterms=subs, active=tr.j)))
+    if not fired:
+        return frozenset([((), 0, t)])  # stutter
+
+    def own_steps():
+        for alpha, target, term in fired:
+            for e1 in _action_orders(active, exiting=True):
+                for e2 in _action_orders(target, exiting=False):
+                    yield e1 + alpha + e2, 1, term
+    return own_steps
 
 
 # -- Kripke steps -----------------------------------------------------------
@@ -318,18 +389,10 @@ class KripkeNode:
     term: Term
     queue: tuple  # of Message
 
-
-def _successors(node: KripkeNode, memo: dict):
-    """The successors of a node, one at a time and possibly repeated: any
-    auxiliary step on the queue's head, with its outputs appended at the
-    tail. `memo` maps each (term, event) pair to its auxiliary steps."""
-    if node.queue:
-        e, rest = node.queue[0], node.queue[1:]
-        steps = memo.get((node.term, e))
-        if steps is None:
-            steps = memo[node.term, e] = aux_step(node.term, e)
-        for alpha, _, term in steps:
-            yield KripkeNode(term, rest + alpha)
+    def __post_init__(self):
+        """Take the hash at construction, as the frozen fields are set:
+        exploration hashes every node it builds."""
+        object.__setattr__(self, "_hash", hash((self.term, self.queue)))
 
 
 def run_bounded(
@@ -347,38 +410,59 @@ def run_bounded(
     node's successors are derived first, breadth-first, and the runs are
     enumerated after, so which bound is reported does not depend on the
     order of exploration.
+
+    Each node is built and hashed once, and each (term, message) step is
+    derived once per exploration (`_steps`). The successors of a term with
+    and-terms are enumerated one at a time, the output orders of its
+    and-terms' children included, so the node bound stops a step with n!
+    orders after O(`max_nodes`) work. The runs are enumerated depth first
+    along one path, and a run's tuple is built only when the path is
+    maximal.
     """
-    memo: dict = {}  # (term, event) -> its auxiliary steps
+    memo: dict = {}  # (term, message) -> its steps, see `_steps`
     succs: dict = {}  # node -> its successors, for the nodes runs may extend
-    nodes_seen = {start}
+    seen = {start: start}  # each distinct node, mapped to the one object kept
     level, depth = [start], 0
     while level and depth < max_steps:
         depth += 1
         deeper = []
         for node in level:
             succs[node] = nxt = set()
-            for n in _successors(node, memo):
+            queue = node.queue
+            if not queue:
+                continue
+            rest = queue[1:]
+            for alpha, _, t in _each(_steps(node.term, queue[0], memo)):
+                n = KripkeNode(t, rest + alpha)
+                size = len(seen)
+                n = seen.setdefault(n, n)
                 nxt.add(n)
-                if n not in nodes_seen:
-                    nodes_seen.add(n)
-                    if len(nodes_seen) > max_nodes:
+                if len(seen) > size:
+                    if size >= max_nodes:
                         raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
                     deeper.append(n)
         level = deeper
 
-    # paths on the stack are pairwise distinct, so no run is found twice
-    runs = []
-    stack = [(start,)]
-    while stack:
-        path = stack.pop()
-        nxt = succs[path[-1]] if len(path) <= max_steps else ()
-        if not nxt:
-            runs.append(path)
+    # one path, and below each of its nodes the successors not yet walked
+    runs, path, below, node = [], [], [], start
+    while True:
+        path.append(node)
+        nxt = succs[node] if len(path) <= max_steps else ()
+        if nxt:
+            below.append(iter(nxt))
+        else:
+            runs.append(tuple(path))
             if len(runs) > max_runs:
                 raise StateSpaceBound(f"more than {max_runs} runs", "max_runs")
-            continue
-        stack.extend(path + (node,) for node in nxt)
-    return frozenset(runs)
+            path.pop()
+        while below:
+            node = next(below[-1], None)
+            if node is not None:
+                break
+            below.pop()
+            path.pop()
+        else:
+            return frozenset(runs)
 
 
 def run_outputs(run: tuple) -> tuple:
@@ -396,11 +480,30 @@ def node_to_json(node: KripkeNode) -> dict:
     }
 
 
+def _node_reprs():
+    """A function that returns `repr(node)`, built from the reprs of the
+    node's term and messages. Nodes share their terms and messages, so each
+    distinct one's repr is rendered once, as is each node's."""
+    reprs: dict = {}  # id of a term or message -> its repr; the caller keeps each alive
+
+    def piece(x) -> str:  # keyed by identity: equal messages need not compare
+        text = reprs.get(id(x))
+        if text is None:
+            text = reprs[id(x)] = repr(x)
+        return text
+
+    @functools.cache
+    def node_repr(node: KripkeNode) -> str:
+        q = node.queue
+        return (f"KripkeNode(term={piece(node.term)}, queue=("
+                + ", ".join(map(piece, q)) + ("," if len(q) == 1 else "") + "))")
+    return node_repr
+
+
 def sorted_runs(runs: Iterable[tuple], by_length: bool = False) -> list:
     """The runs in the order of their repr (after their length, with
-    `by_length`). Runs share their nodes, so each node's repr is computed
-    once."""
-    node_repr = functools.cache(repr)
+    `by_length`), built from each distinct node's repr (`_node_reprs`)."""
+    node_repr = _node_reprs()
 
     def text(run: tuple) -> str:  # repr(run)
         return "(" + ", ".join(map(node_repr, run)) + ("," if len(run) == 1 else "") + ")"

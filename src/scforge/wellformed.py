@@ -80,22 +80,49 @@ def _sort(violations: list[Violation]) -> list[Violation]:
 
 
 def _on_cycle(sub: Iterable[tuple[str, str]]) -> set[str]:
-    """The names that are a (transitive) substate of themselves: walking up
-    every parent of every `sub` pair leads back to them."""
+    """The names that are a (transitive) substate of themselves: those on a
+    cycle of the child-to-parent relation. A chart that CC12 rejects gives a
+    name several parents, so the relation is a graph, not a forest; one pass
+    finds its strongly connected components (R. Tarjan, "Depth-first search
+    and linear graph algorithms", SIAM J. Comput. 1(2), 1972), and a name is
+    on a cycle when its component has another name or it is its own parent."""
     parents: dict[str, set[str]] = {}
     for child, parent in sub:
         parents.setdefault(child, set()).add(parent)
-    out = set()
-    for start in parents:
-        seen: set[str] = set()
-        todo = list(parents[start])
-        while todo and start not in seen:
-            n = todo.pop()
-            if n not in seen:
-                seen.add(n)
-                todo.extend(parents.get(n, ()))
-        if start in seen:
-            out.add(start)
+    number: dict[str, int] = {}  # name -> its order of discovery
+    low: dict[str, int] = {}  # name -> the least number it reaches on the stack
+    stack, on_stack, out = [], set(), set()
+    walk: list = []  # the depth-first path, each name with the parents left to visit
+
+    def visit(name: str) -> None:
+        number[name] = low[name] = len(number)
+        stack.append(name)
+        on_stack.add(name)
+        walk.append((name, iter(parents.get(name, ()))))
+
+    for root in parents:
+        if root not in number:
+            visit(root)
+        while walk:
+            name, todo = walk[-1]
+            for p in todo:
+                if p not in number:
+                    visit(p)
+                    break
+                if p in on_stack:
+                    low[name] = min(low[name], number[p])
+            else:
+                walk.pop()
+                if walk:
+                    above = walk[-1][0]
+                    low[above] = min(low[above], low[name])
+                if low[name] == number[name]:
+                    component = set()
+                    while name not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    if len(component) > 1 or name in parents.get(name, ()):
+                        out |= component
     return out
 
 

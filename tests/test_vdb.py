@@ -383,6 +383,39 @@ def test_sorted_runs_orders_by_repr():
         assert vdb.sorted_runs(runs, by_length=True) == sorted(runs, key=lambda r: (len(r), repr(r)))
 
 
+def test_node_text_is_the_node_repr():
+    listy = Message("m", ((1, (2, True)), (), -3))
+    inner = Or("In", (Basic("a", (listy,)), Basic("b")), 2, frozenset(
+        [VdbTransition("t1", 2, frozenset(["b"]), Message("f"), (listy, Message("g")), frozenset(), 1)]))
+    both = And("Both", (inner, Basic("c", (), (Message("x", (True,)),))), (listy,), ())
+    node_repr = vdb._node_reprs()
+    for term in (Basic("solo"), inner, both, Or("Top", (both, Basic("d")), 1, frozenset())):
+        for queue in ((), (listy,), (Message("f"), listy, Message("m", ((1, (2, True)), (), -3)))):
+            node = KripkeNode(term, queue)
+            assert node_repr(node) == repr(node)
+            assert node_repr(node) is node_repr(KripkeNode(term, queue))  # built once
+
+
+def or_senders(n: int) -> And:
+    """An and-term of n or-children, child i sending o(i) on f: one f() step
+    has n! output orders."""
+    return And("A", tuple(
+        Or(f"L{i}", (Basic(f"A{i}"), Basic(f"B{i}")), 1, frozenset(
+            [VdbTransition(f"t{i}", 1, frozenset(), Message("f"), (Message("o", (i,)),), frozenset(), 2)]))
+        for i in range(n)))
+
+
+def test_and_term_orders_stop_at_the_node_bound():
+    # 12! orders: the bound must stop the enumeration, not follow it
+    with pytest.raises(StateSpaceBound) as bound:
+        run_bounded(KripkeNode(or_senders(12), (Message("f"),)), 100, max_nodes=1000)
+    assert str(bound.value) == "more than 1000 distinct nodes"
+    assert bound.value.argument == "max_nodes"
+    [(_, one)] = run_bounded(KripkeNode(or_senders(1), (Message("f"),)), 1)
+    assert one.queue == (Message("o", (0,)),)
+    assert len(run_bounded(KripkeNode(or_senders(4), (Message("f"),)), 1)) == 24
+
+
 def test_run_bounded_run_cap():
     start = branch_start("ffgff")
     assert len(run_bounded(start, max_steps=100, max_runs=16)) == 16
@@ -834,3 +867,124 @@ def test_forced_names_become_active(t):
     for target in sorted(conf_of(t)):
         out = next_state("none", frozenset([target]), t)
         assert target in conf_of(out)
+
+
+# -- the eager exploration, kept as a reference ------------------------------
+
+def naive_aux_step(t, e):
+    """The auxiliary steps derived eagerly: every combination of the
+    children's steps and every order of all children of an and-term."""
+    if isinstance(t, Basic):
+        return {((), 0, t)}
+    if isinstance(t, And):
+        out = set()
+        for combo in itertools.product(*(naive_aux_step(s, e) for s in t.subterms)):
+            f = max(f for _, f, _ in combo)
+            term = replace(t, subterms=tuple(s for _, _, s in combo))
+            out.update((sum((combo[k][0] for k in perm), ()), f, term)
+                       for perm in itertools.permutations(range(len(combo))))
+        return out
+    active = t.subterms[t.active - 1]
+    out = {(a, 1, replace(t, subterms=t.subterms[:t.active - 1] + (s,) + t.subterms[t.active:]))
+           for a, f, s in naive_aux_step(active, e) if f == 1}
+    if not out:
+        for tr in t.transitions:
+            if tr.i == t.active and tr.e == e and tr.ns <= conf_of(active):
+                target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
+                term = replace(t, subterms=t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:],
+                               active=tr.j)
+                out |= {(e1 + tr.alpha + e2, 1, term) for e1 in every_order_seqs(active, True)
+                        for e2 in every_order_seqs(target, False)}
+    return out or {((), 0, t)}
+
+
+def naive_run_bounded(start, max_steps, max_nodes=10000, max_runs=100000):
+    """`run_bounded` as it was before exploration went lazy: each node's
+    successors derived eagerly, breadth first, then every run prefix copied
+    onto a stack."""
+    memo, succs, nodes_seen = {}, {}, {start}
+    level, depth = [start], 0
+    while level and depth < max_steps:
+        depth += 1
+        deeper = []
+        for node in level:
+            succs[node] = nxt = set()
+            if not node.queue:
+                continue
+            e, rest = node.queue[0], node.queue[1:]
+            if (node.term, e) not in memo:
+                memo[node.term, e] = naive_aux_step(node.term, e)
+            for alpha, _, term in memo[node.term, e]:
+                n = KripkeNode(term, rest + alpha)
+                nxt.add(n)
+                if n not in nodes_seen:
+                    nodes_seen.add(n)
+                    if len(nodes_seen) > max_nodes:
+                        raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
+                    deeper.append(n)
+        level = deeper
+    runs, stack = [], [(start,)]
+    while stack:
+        path = stack.pop()
+        nxt = succs[path[-1]] if len(path) <= max_steps else ()
+        if not nxt:
+            runs.append(path)
+            if len(runs) > max_runs:
+                raise StateSpaceBound(f"more than {max_runs} runs", "max_runs")
+            continue
+        stack.extend(path + (node,) for node in nxt)
+    return frozenset(runs)
+
+
+# few messages, so that outputs trigger transitions and children's outputs repeat
+FEW = (Message("f"), Message("g"), Message("o", (1,)), Message("o", (True,)))
+few_syms = st.sampled_from(FEW)
+few_seqs = st.lists(few_syms, max_size=2).map(tuple)
+words = st.lists(st.sampled_from(FEW[:1] * 3 + FEW), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def emitting_terms(draw, depth=2, kinds=("and", "or", "basic")):
+    """Terms over `few_syms` whose transitions mostly leave the active child;
+    and-terms have up to five children."""
+    kind = draw(st.sampled_from(kinds if depth else ["basic"]))
+    if kind == "basic":
+        return Basic("s", draw(few_seqs), draw(few_seqs))
+    subs = tuple(draw(emitting_terms(depth - 1))
+                 for _ in range(draw(st.integers(1, 5 if kind == "and" else 3))))
+    if kind == "and":
+        return And("n", subs, draw(few_seqs), draw(few_seqs))
+    k = len(subs)
+    active = draw(st.integers(1, k))
+    trans = frozenset(
+        VdbTransition(f"t{idx}", draw(st.sampled_from([active, *range(1, k + 1)])), frozenset(),
+                      draw(st.sampled_from(FEW[:1] * 3 + FEW)), draw(few_seqs), frozenset(),
+                      draw(st.integers(1, k)),
+                      draw(st.sampled_from(["none", "deep", "shallow"])))
+        for idx in range(draw(st.integers(1, 3))))
+    return Or("n", subs, active, trans, draw(few_seqs), draw(few_seqs))
+
+
+# an and-term of up to five children that mostly send on a step
+and_of_senders = st.builds(
+    And, st.just("n"),
+    st.lists(emitting_terms(depth=1, kinds=("or",)) | emitting_terms(depth=1), min_size=2, max_size=5)
+    .map(tuple), few_seqs, few_seqs)
+
+
+def outcome(explore, *args):
+    try:
+        return explore(*args)
+    except StateSpaceBound as bound:
+        return str(bound), bound.argument
+
+
+@settings(max_examples=200, deadline=None)
+@given(and_of_senders | emitting_terms(), words, st.integers(0, 3), st.integers(1, 80),
+       st.integers(1, 20))
+def test_run_bounded_matches_the_eager_exploration(t, word, max_steps, max_nodes, max_runs):
+    t = uniquify(t)
+    for e in set(word):
+        assert aux_step(t, e) == naive_aux_step(t, e)
+    args = KripkeNode(t, word), max_steps, max_nodes, max_runs
+    assert outcome(run_bounded, *args) == outcome(naive_run_bounded, *args)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from scforge.ast import FullState, SCFull, SCSimp, Trans
 from scforge.actions import TRUE, Action, Assign, Call, ELit, EVar, PVar, Send, SKIP
 from scforge.parse import parse
-from scforge.wellformed import SignatureContext, Violation, check_all, check_simp
+from scforge.wellformed import SignatureContext, Violation, _on_cycle, check_all, check_simp
 
 
 def findings(violations):
@@ -112,6 +112,54 @@ def test_cc1_cycle_through_a_second_parent():
     sc = make(states=sts, sub=frozenset([("B", "A"), ("B", "C"), ("C", "B")]))
     cyclic = {v.subject for v in check_all(sc) if v.code == "CC1"}
     assert cyclic == {"state B", "state C"}
+
+
+def walk_cycle_names(sub):
+    """The names that are a (transitive) substate of themselves, found by
+    walking every name's whole ancestor chain: O(names × depth), the
+    reference for the one-pass `_on_cycle`."""
+    parents = {}
+    for child, parent in sub:
+        parents.setdefault(child, set()).add(parent)
+    out = set()
+    for start in parents:
+        seen = set()
+        todo = list(parents[start])
+        while todo and start not in seen:
+            n = todo.pop()
+            if n not in seen:
+                seen.add(n)
+                todo.extend(parents.get(n, ()))
+        if start in seen:
+            out.add(start)
+    return out
+
+
+@st.composite
+def parent_relations(draw):
+    """Random pairs over a few names, so that names get several parents and
+    self-loops occur, plus cycles with a tail of substates hanging off them."""
+    names = [f"S{k}" for k in range(draw(st.integers(1, 12)))]
+    name = st.sampled_from(names)
+    sub = draw(st.lists(st.tuples(name, name), max_size=20))
+    for _ in range(draw(st.integers(0, 2))):
+        ring = draw(st.lists(name, min_size=1, max_size=5, unique=True))
+        sub += list(zip(ring, ring[1:] + ring[:1]))
+        tail = draw(st.lists(name, max_size=4))
+        sub += list(zip(tail, [ring[0]] + tail))
+    return draw(st.permutations(sub))
+
+
+@given(parent_relations())
+def test_cc1_one_pass_matches_the_ancestor_walk(sub):
+    assert _on_cycle(sub) == walk_cycle_names(sub)
+
+
+def test_cc1_long_chains_need_no_recursion():
+    chain = [(f"S{k + 1}", f"S{k}") for k in range(5000)]
+    assert _on_cycle(chain) == set()
+    assert _on_cycle(chain + [("S0", "S5000")]) == {f"S{k}" for k in range(5001)}
+    assert _on_cycle(chain + [("S2500", "S4000")]) == {f"S{k}" for k in range(2500, 4001)}
 
 
 def test_cc1_dangling_sub():
