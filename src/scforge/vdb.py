@@ -163,8 +163,9 @@ def validate_term(t: Term) -> None:
 
 
 def _check_or(t: Or) -> None:
-    """Indices in range, known history types, and target-determinator names
-    inside their target: what exploration needs to run the or-term."""
+    """Indices in range, known history types, source-restriction names inside
+    their source and target-determinator names inside their target: what
+    exploration needs to run the or-term."""
     if not 1 <= t.active <= len(t.subterms):
         raise ValueError(f"{t.name!r}: active index {t.active} out of range")
     for tr in sorted(t.transitions, key=lambda tr: tr.tname):
@@ -173,6 +174,9 @@ def _check_or(t: Or) -> None:
                 raise ValueError(f"{tr.tname!r}: index {idx} out of range")
         if tr.ht not in HISTORY_TYPES:
             raise ValueError(f"{tr.tname!r}: bad history type {tr.ht!r}")
+        for name in sorted(tr.ns):
+            if _force_active(t.subterms[tr.i - 1], name) is None:
+                raise ValueError(f"{tr.tname!r}: source restriction {name!r} is not in its source")
         for name in sorted(tr.nt):
             if _force_active(t.subterms[tr.j - 1], name) is None:
                 raise ValueError(f"{tr.tname!r}: target determinator {name!r} is not in its target")
@@ -288,11 +292,11 @@ def _orders(parts: list) -> Iterator[tuple]:
 
 
 def _product(factors: list) -> Iterator[tuple]:
-    """The tuples of `itertools.product(*factors)`, one at a time. Each
-    factor is a set or a function that enumerates one afresh (`_each`), and
+    """The tuples of `itertools.product(*(f() for f in factors))`, one at a
+    time. Each factor is a function that enumerates its items afresh, and
     none is materialised: a factor is enumerated again for each choice to
-    its left. Every factor is non-empty, and none holds None."""
-    its = [_each(f) for f in factors]
+    its left. Every factor yields at least one item, and none yields None."""
+    its = [f() for f in factors]
     combo = [next(it) for it in its]
     while True:
         yield tuple(combo)
@@ -302,23 +306,18 @@ def _product(factors: list) -> Iterator[tuple]:
             if x is not None:
                 combo[k] = x
                 break
-            its[k] = _each(factors[k])
+            its[k] = factors[k]()
             combo[k] = next(its[k])
             k -= 1
         if k < 0:
             return
 
 
-def _each(steps) -> Iterator:
-    """The items of a set, or of a function that enumerates them afresh."""
-    return steps() if callable(steps) else iter(steps)
-
-
 # -- auxiliary step judgments -----------------------------------------------
 
 def aux_step(t: Term, e: Message) -> frozenset:
     """All derivable judgments t --e/alpha-->_f t' as (alpha, f, t') triples."""
-    return frozenset(_each(_derive(t, e, {})))
+    return frozenset(_derive(t, e, {}))
 
 
 def _and_free(t: Term) -> bool:
@@ -326,59 +325,50 @@ def _and_free(t: Term) -> bool:
 
 
 def _steps(t: Term, e: Message, memo: dict):
-    """memo[t, e], derived on first use: t's steps on e. A term without
-    and-terms keeps their set; any other keeps what `_derive` returns, which
-    enumerates them afresh from its children's kept steps, so no and-term's
-    output orders are ever held."""
+    """memo[t, e], made on first use: a function that enumerates t's steps on
+    e afresh. For a term without and-terms it iterates their set, derived
+    once (deriving it again costs exploration twice the time or more); for
+    any other it runs `_derive`, so no and-term's output orders are held."""
     steps = memo.get((t, e))
     if steps is None:
-        steps = memo[t, e] = aux_step(t, e) if _and_free(t) else _derive(t, e, memo)
+        steps = memo[t, e] = (frozenset(_derive(t, e, memo)).__iter__ if _and_free(t)
+                              else functools.partial(_derive, t, e, memo))
     return steps
 
 
-def _derive(t: Term, e: Message, memo: dict):
-    """t's steps on e, `aux_step`'s triples: the stutter's set, or a function
-    that enumerates them one at a time, possibly repeated, from its
-    children's steps (`_steps`). All steps of a term on one message share
-    their flag: a term stutters only when it cannot fire."""
-    if isinstance(t, Basic):
-        return frozenset([((), 0, t)])  # stutter
+def _derive(t: Term, e: Message, memo: dict) -> Iterator[tuple]:
+    """t's steps on e, `aux_step`'s triples, one at a time and possibly
+    repeated: an and-term's combinations of its children's steps (`_steps`)
+    in every output order; an or-term's inner steps, or else its own; and
+    otherwise the stutter, so all steps on e share their flag."""
     if isinstance(t, And):
         kids = [_steps(s, e, memo) for s in t.subterms]
-
-        def and_steps():
-            for combo in _product(kids):
-                f = 1 if any(fj for _, fj, _ in combo) else 0
-                term = replace(t, subterms=tuple(tj for _, _, tj in combo))
-                for alpha in _orders([a for a, _, _ in combo]):
-                    yield alpha, f, term
-        return and_steps
-
-    # or-term
-    k, active = t.active, t.subterms[t.active - 1]
-    inner = _steps(active, e, memo)
-    if next(_each(inner))[1]:
-        # inner transitions take priority and propagate
-        def inner_steps():
-            for alpha, _, s_new in _each(inner):
+        for combo in _product(kids):
+            f = 1 if any(fj for _, fj, _ in combo) else 0
+            term = replace(t, subterms=tuple(tj for _, _, tj in combo))
+            for alpha in _orders([a for a, _, _ in combo]):
+                yield alpha, f, term
+        return
+    if isinstance(t, Or):
+        k, active = t.active, t.subterms[t.active - 1]
+        inner = _steps(active, e, memo)
+        if next(inner())[1]:
+            # inner transitions take priority and propagate
+            for alpha, _, s_new in inner():
                 yield alpha, 1, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:])
-        return inner_steps
-    # own transitions fire only when the active child cannot
-    fired = []
-    for tr in t.transitions:
-        if tr.i == k and tr.e == e and tr.ns <= conf_of(active):
+            return
+        # own transitions fire only when the active child cannot
+        fired = [tr for tr in t.transitions if tr.i == k and tr.e == e and tr.ns <= conf_of(active)]
+        for tr in fired:
             target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
             subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
-            fired.append((tr.alpha, target, replace(t, subterms=subs, active=tr.j)))
-    if not fired:
-        return frozenset([((), 0, t)])  # stutter
-
-    def own_steps():
-        for alpha, target, term in fired:
+            term = replace(t, subterms=subs, active=tr.j)
             for e1 in _action_orders(active, exiting=True):
                 for e2 in _action_orders(target, exiting=False):
-                    yield e1 + alpha + e2, 1, term
-    return own_steps
+                    yield e1 + tr.alpha + e2, 1, term
+        if fired:
+            return
+    yield (), 0, t  # stutter
 
 
 # -- Kripke steps -----------------------------------------------------------
@@ -411,10 +401,11 @@ def run_bounded(
     enumerated after, so which bound is reported does not depend on the
     order of exploration.
 
-    Each node is built and hashed once, and each (term, message) step is
-    derived once per exploration (`_steps`). The successors of a term with
-    and-terms are enumerated one at a time, the output orders of its
-    and-terms' children included, so the node bound stops a step with n!
+    Each node is built and hashed once, and each (term, message) pair at
+    every level has one entry in the exploration's memo (`_steps`): a term
+    without and-terms has its steps derived once, and any other term has
+    them enumerated one at a time from its children's entries, the output
+    orders of its and-terms included, so the node bound stops a step with n!
     orders after O(`max_nodes`) work. The runs are enumerated depth first
     along one path, and a run's tuple is built only when the path is
     maximal.
@@ -432,7 +423,7 @@ def run_bounded(
             if not queue:
                 continue
             rest = queue[1:]
-            for alpha, _, t in _each(_steps(node.term, queue[0], memo)):
+            for alpha, _, t in _steps(node.term, queue[0], memo)():
                 n = KripkeNode(t, rest + alpha)
                 size = len(seen)
                 n = seen.setdefault(n, n)

@@ -183,6 +183,32 @@ def test_deeply_nested_input_is_usage(capsys, tmp_path, buffer_file, kind):
     assert run_cli(capsys, *argv) == (2, "", "error: input nested too deeply\n")
 
 
+def chain(kind: str, levels: int) -> str:
+    """A term file of `levels` or- or and-terms, each the one child of the
+    next, around a basic state."""
+    text = "(basic X () ())"
+    for i in range(levels):
+        text = f"(or L{i} ({text}) 1 () () ())" if kind == "or" else f"(and L{i} ({text}) () ())"
+    return text
+
+
+@pytest.mark.parametrize("kind", ["or", "and"])
+@pytest.mark.parametrize("levels, code, err", [
+    (200, 0, ""),
+    (2000, 2, "error: input nested too deeply\n"),
+])
+def test_vdb_run_explores_a_deep_term_within_the_recursion_limit(capsys, tmp_path, kind, levels,
+                                                                 code, err):
+    """Reading, exploring and printing a term spend a few frames per term
+    level: a 200-level chain runs, and one past the recursion limit is
+    refused in one line."""
+    p = tmp_path / "chain.sexpr"
+    p.write_text(chain(kind, levels))
+    got, out, got_err = run_cli(capsys, "vdb-run", str(p), "--events", "f(), f()")
+    assert (got, got_err) == (code, err)
+    assert bool(out) == (code == 0)
+
+
 def test_missing_file_is_usage(capsys):
     code, _, err = run_cli(capsys, "parse", "/nonexistent/x.sc")
     assert code == 2
@@ -707,6 +733,8 @@ def test_vdb_run_rejects_a_bound_that_is_no_positive_integer(capsys, tmp_path, m
     ("(or R ((or A ((basic B () ())) 1 ((trans t 1 () (f) () () 1 none)) () ()) (basic C () ()))"
      " 1 ((trans t 1 () (g) () () 2 none)) () ())", "duplicate transition name 't'"),
     ("(and A () () ())", "'A' has no subterms"),
+    ("(or Root ((basic A () ()) (basic B () ())) 1 ((trans t1 1 (Zed) (f) ((o)) () 2 none)) () ())",
+     "'t1': source restriction 'Zed' is not in its source"),
 ])
 def test_vdb_run_rejects_a_term_file_exploration_cannot_run(capsys, tmp_path, text, message):
     p = tmp_path / "term.sexpr"

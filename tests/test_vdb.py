@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scforge import vdb
 from scforge.actions import Message
 from scforge.flatinterp import explore_emissions, parse_message
+from scforge.gen import gen_guard_free
 from scforge.parse import parse, parse_messages
 from scforge.transform import to_simplified, transform_fixpoint
 from scforge.vdb import (
@@ -354,26 +355,30 @@ def test_symbol_text_is_rendered_once():
 
 
 def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
-    real, depth, calls = vdb.aux_step, [0], Counter()
+    """The steps of every (term, message) pair of an and-free term are
+    derived once per exploration, those of the nodes' terms' children
+    included: they share the exploration's memo."""
+    real, calls = vdb._derive, Counter()
 
-    def counting(t, e):
-        if not depth[0]:  # count calls from outside aux_step only
-            calls[t, e] += 1
-        depth[0] += 1
-        try:
-            return real(t, e)
-        finally:
-            depth[0] -= 1
+    def counting(t, e, memo):
+        calls[t, e] += 1
+        return real(t, e, memo)
 
-    monkeypatch.setattr(vdb, "aux_step", counting)
-    start = branch_start("ffgfff")
-    runs = run_bounded(start, max_steps=100)
-    assert len(runs) == 2 ** 5
-    nodes = {n for r in runs for n in r}
-    assert len(calls) < len(nodes) and set(calls.values()) == {1}
-    # the derivations are kept for one exploration only
-    assert run_bounded(start, max_steps=100) == runs
-    assert set(calls.values()) == {2}
+    monkeypatch.setattr(vdb, "_derive", counting)
+    # S0 has substates S1 and S3, and S2 is active while S0 holds either: the
+    # pairs of S2 are reached from two top terms
+    substate = encode_guard_free(gen_guard_free(173))
+    for start, n_runs in [(branch_start("ffgfff"), 2 ** 5),
+                          (KripkeNode(substate, tuple(map(Message, "fhfhff"))), 8)]:
+        calls.clear()
+        runs = run_bounded(start, max_steps=100)
+        assert len(runs) == n_runs
+        nodes = {n for r in runs for n in r}
+        assert len(calls) < len(nodes) and set(calls.values()) == {1}
+        assert {t for t, _ in calls} - {n.term for n in nodes}  # children's pairs
+        # the derivations are kept for one exploration only
+        assert run_bounded(start, max_steps=100) == runs
+        assert set(calls.values()) == {2}
 
 
 def test_sorted_runs_orders_by_repr():
@@ -751,8 +756,13 @@ def test_sexpr_errors():
     ("(and Root ((basic Root () ())) () ())", "duplicate state name 'Root'"),
     ("(or R ((or A ((basic B () ())) 1 ((trans t 1 () (f) () () 1 none)) () ()) (basic C () ()))"
      " 1 ((trans t 1 () (g) () () 2 none)) () ())", "duplicate transition name 't'"),
+    ("(or Root ((basic A () ()) (basic B () ())) 1 ((trans t1 1 (Zed) (f) ((o)) () 2 none)) () ())",
+     "'t1': source restriction 'Zed' is not in its source"),
+    ("(or Root ((basic A () ()) (basic B () ())) 1 ((trans t1 1 (B) (f) ((o)) () 2 none)) () ())",
+     "'t1': source restriction 'B' is not in its source"),
 ], ids=["open-quote", "escaped-end", "unclosed", "stray-close", "empty", "blank", "trailing",
-        "blank-ends-atom", "sibling-states", "parent-and-child", "transitions"])
+        "blank-ends-atom", "sibling-states", "parent-and-child", "transitions",
+        "restriction-unknown", "restriction-in-a-sibling"])
 def test_sexpr_error_lines(text, message):
     with pytest.raises(ValueError) as err:
         term_from_sexpr(text)
