@@ -174,12 +174,11 @@ def _check_or(t: Or) -> None:
                 raise ValueError(f"{tr.tname!r}: index {idx} out of range")
         if tr.ht not in HISTORY_TYPES:
             raise ValueError(f"{tr.tname!r}: bad history type {tr.ht!r}")
-        for name in sorted(tr.ns):
-            if _force_active(t.subterms[tr.i - 1], name) is None:
-                raise ValueError(f"{tr.tname!r}: source restriction {name!r} is not in its source")
-        for name in sorted(tr.nt):
-            if _force_active(t.subterms[tr.j - 1], name) is None:
-                raise ValueError(f"{tr.tname!r}: target determinator {name!r} is not in its target")
+        for names, idx, what, end in ((tr.ns, tr.i, "source restriction", "source"),
+                                      (tr.nt, tr.j, "target determinator", "target")):
+            for name in sorted(names):
+                if _force_active(t.subterms[idx - 1], name) is None:
+                    raise ValueError(f"{tr.tname!r}: {what} {name!r} is not in its {end}")
 
 
 # -- configuration, entry/exit, next ----------------------------------------
@@ -317,7 +316,7 @@ def _product(factors: list) -> Iterator[tuple]:
 
 def aux_step(t: Term, e: Message) -> frozenset:
     """All derivable judgments t --e/alpha-->_f t' as (alpha, f, t') triples."""
-    return frozenset(_derive(t, e, {}))
+    return frozenset(_steps(t, e, {})())
 
 
 def _and_free(t: Term) -> bool:
@@ -326,21 +325,36 @@ def _and_free(t: Term) -> bool:
 
 def _steps(t: Term, e: Message, memo: dict):
     """memo[t, e], made on first use: a function that enumerates t's steps on
-    e afresh. For a term without and-terms it iterates their set, derived
-    once (deriving it again costs exploration twice the time or more); for
-    any other it runs `_derive`, so no and-term's output orders are held."""
+    e afresh (`_derive`, given the own transitions that fire, found once).
+    For a term without and-terms it iterates their set, derived once
+    (deriving it again costs exploration twice the time or more); for any
+    other it runs `_derive`, so no and-term's output orders are held."""
     steps = memo.get((t, e))
     if steps is None:
-        steps = memo[t, e] = (frozenset(_derive(t, e, memo)).__iter__ if _and_free(t)
-                              else functools.partial(_derive, t, e, memo))
+        steps = functools.partial(_derive, t, e, memo, tuple(_fired(t, e, memo)))
+        steps = memo[t, e] = frozenset(steps()).__iter__ if _and_free(t) else steps
     return steps
 
 
-def _derive(t: Term, e: Message, memo: dict) -> Iterator[tuple]:
+def _fired(t: Term, e: Message, memo: dict) -> Iterator[tuple]:
+    """The (alpha, t') of t's own transitions that fire on e: an or-term's
+    enabled transitions, unless its active child fires, as inner
+    transitions take priority."""
+    if isinstance(t, Or) and not next(_steps(t.subterms[t.active - 1], e, memo)())[1]:
+        conf = conf_of(t.subterms[t.active - 1])
+        for tr in t.transitions:
+            if tr.i == t.active and tr.e == e and tr.ns <= conf:
+                target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
+                subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
+                yield tr.alpha, replace(t, subterms=subs, active=tr.j)
+
+
+def _derive(t: Term, e: Message, memo: dict, fired: tuple) -> Iterator[tuple]:
     """t's steps on e, `aux_step`'s triples, one at a time and possibly
-    repeated: an and-term's combinations of its children's steps (`_steps`)
-    in every output order; an or-term's inner steps, or else its own; and
-    otherwise the stutter, so all steps on e share their flag."""
+    repeated, given the own transitions that fire (`_fired`): an and-term's
+    combinations of its children's steps (`_steps`) in every output order;
+    an or-term's own steps, or else its active child's; and otherwise the
+    stutter. All steps on e share their flag."""
     if isinstance(t, And):
         kids = [_steps(s, e, memo) for s in t.subterms]
         for combo in _product(kids):
@@ -348,27 +362,17 @@ def _derive(t: Term, e: Message, memo: dict) -> Iterator[tuple]:
             term = replace(t, subterms=tuple(tj for _, _, tj in combo))
             for alpha in _orders([a for a, _, _ in combo]):
                 yield alpha, f, term
-        return
-    if isinstance(t, Or):
-        k, active = t.active, t.subterms[t.active - 1]
-        inner = _steps(active, e, memo)
-        if next(inner())[1]:
-            # inner transitions take priority and propagate
-            for alpha, _, s_new in inner():
-                yield alpha, 1, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:])
-            return
-        # own transitions fire only when the active child cannot
-        fired = [tr for tr in t.transitions if tr.i == k and tr.e == e and tr.ns <= conf_of(active)]
-        for tr in fired:
-            target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
-            subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
-            term = replace(t, subterms=subs, active=tr.j)
-            for e1 in _action_orders(active, exiting=True):
-                for e2 in _action_orders(target, exiting=False):
-                    yield e1 + tr.alpha + e2, 1, term
-        if fired:
-            return
-    yield (), 0, t  # stutter
+    elif fired:
+        for alpha, term in fired:  # exit the active child, enter the target
+            for e1 in _action_orders(t.subterms[t.active - 1], exiting=True):
+                for e2 in _action_orders(term.subterms[term.active - 1], exiting=False):
+                    yield e1 + alpha + e2, 1, term
+    elif isinstance(t, Or):  # the active child's steps; its stutter is t's
+        k = t.active
+        for alpha, f, s_new in _steps(t.subterms[k - 1], e, memo)():
+            yield alpha, f, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:]) if f else t
+    else:
+        yield (), 0, t  # stutter
 
 
 # -- Kripke steps -----------------------------------------------------------

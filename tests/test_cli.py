@@ -183,27 +183,34 @@ def test_deeply_nested_input_is_usage(capsys, tmp_path, buffer_file, kind):
     assert run_cli(capsys, *argv) == (2, "", "error: input nested too deeply\n")
 
 
-def chain(kind: str, levels: int) -> str:
+# an and-term whose one or-child fires on f
+FIRING_AND = "(and P ((or Q ((basic A () ()) (basic B () ())) 1 ((trans t 1 () (f) () () 2 none)) () ())) () ())"
+
+
+def chain(kind: str, levels: int, core: str = "(basic X () ())") -> str:
     """A term file of `levels` or- or and-terms, each the one child of the
-    next, around a basic state."""
-    text = "(basic X () ())"
+    next, around `core`."""
+    text = core
     for i in range(levels):
         text = f"(or L{i} ({text}) 1 () () ())" if kind == "or" else f"(and L{i} ({text}) () ())"
     return text
 
 
-@pytest.mark.parametrize("kind", ["or", "and"])
+@pytest.mark.parametrize("kind, core", [("or", "(basic X () ())"), ("and", "(basic X () ())"),
+                                        ("or", FIRING_AND)], ids=["or", "and", "or-firing-and"])
 @pytest.mark.parametrize("levels, code, err", [
     (200, 0, ""),
     (2000, 2, "error: input nested too deeply\n"),
 ])
-def test_vdb_run_explores_a_deep_term_within_the_recursion_limit(capsys, tmp_path, kind, levels,
-                                                                 code, err):
+def test_vdb_run_explores_a_deep_term_within_the_recursion_limit(capsys, tmp_path, kind, core,
+                                                                 levels, code, err):
     """Reading, exploring and printing a term spend a few frames per term
     level: a 200-level chain runs, and one past the recursion limit is
-    refused in one line."""
+    refused in one line. Each or-level looks once whether its active child
+    fires, so an or-chain around a firing and-term takes its step at once,
+    where looking twice a level takes 2^levels steps."""
     p = tmp_path / "chain.sexpr"
-    p.write_text(chain(kind, levels))
+    p.write_text(chain(kind, levels, core))
     got, out, got_err = run_cli(capsys, "vdb-run", str(p), "--events", "f(), f()")
     assert (got, got_err) == (code, err)
     assert bool(out) == (code == 0)

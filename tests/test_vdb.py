@@ -360,9 +360,9 @@ def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
     included: they share the exploration's memo."""
     real, calls = vdb._derive, Counter()
 
-    def counting(t, e, memo):
+    def counting(t, e, memo, fired):
         calls[t, e] += 1
-        return real(t, e, memo)
+        return real(t, e, memo, fired)
 
     monkeypatch.setattr(vdb, "_derive", counting)
     # S0 has substates S1 and S3, and S2 is active while S0 holds either: the
