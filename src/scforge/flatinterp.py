@@ -36,7 +36,10 @@ class BadInitialState(Exception):
 
 # Configurations derived from one start share its input tuple and the prefix
 # of their emitted messages, so a step costs O(1) in the run length, in time
-# and in retained memory. `buffer` and `emitted` are built when read.
+# and in retained memory. `buffer` and `emitted` are built when read. The
+# emission search (`explore_emissions`) keeps its configurations without
+# emissions, level by level, each beside the set of emitted prefixes that
+# reach it: `_Emitted` chains, which compare and hash by their messages.
 
 _MASK = (1 << 61) - 1
 
@@ -70,9 +73,12 @@ class _Emitted:
             node = node.prev
         return tuple(m for chunk in reversed(chunks) for m in chunk)
 
-    def same(self, other: _Emitted) -> bool:
+    def __eq__(self, other):
         return self is other or (self.length == other.length and self.hash == other.hash
                                  and self.to_tuple() == other.to_tuple())
+
+    def __hash__(self):
+        return self.hash
 
 
 _NOTHING = _Emitted(None, ())
@@ -157,7 +163,7 @@ class Configuration:
         if not isinstance(other, Configuration):
             return NotImplemented
         return (self.current == other.current and values_equal(self.store, other.store)
-                and self._emitted.same(other._emitted) and self._same_buffer(other))
+                and self._emitted == other._emitted and self._same_buffer(other))
 
     def __hash__(self):
         # The buffer is hashed by its length and its head: O(1), and equal
@@ -404,24 +410,37 @@ def explore_emissions(
     max_steps: int = 10000,
 ) -> set:
     """All (emissions, outcome-kind) pairs reachable over every scheduler
-    choice, by exhaustive branching."""
+    choice, by exhaustive branching.
+
+    The search runs level by level, one level per consumed input message.
+    Emitted messages leave the object and never re-enter its buffer, so what
+    a configuration can still do depends on its state, store and buffer
+    alone. Each level therefore maps an emission-free configuration to the
+    set of distinct emitted prefixes that reach it, and `successors` runs
+    once per configuration, not once per prefix."""
     out: set = set()
-    stack = [(_start(sc, init, inputs), 0)]
-    seen = set()
-    while stack:
-        conf, depth = stack.pop()
-        before = len(seen)
-        seen.add((conf, depth))  # one hash per configuration
-        if len(seen) == before:
-            continue
-        if not conf.pending() or depth >= max_steps:
-            out.add((conf.emitted, "quiescent"))
-            continue
-        for res in successors(conf, sc, match):
-            if isinstance(res, Step):
-                stack.append((res.next, depth + 1))
-            else:
-                out.add((res.next.emitted, type(res).__name__.lower()))
+    level = {_start(sc, init, inputs): {_NOTHING}}
+    for _ in range(max_steps):
+        if not level:
+            break
+        after: dict = {}
+        for conf, prefixes in level.items():
+            if not conf.pending():
+                out.update((p.to_tuple(), "quiescent") for p in prefixes)
+                continue
+            for res in successors(conf, sc, match):
+                nxt = res.next
+                msgs = nxt._emitted.msgs  # the step's own: conf emitted nothing
+                if not isinstance(res, Step):
+                    kind = type(res).__name__.lower()
+                    out.update((p.then(msgs).to_tuple(), kind) for p in prefixes)
+                    continue
+                if msgs:
+                    nxt = Configuration(nxt.current, nxt.store, nxt.inputs, nxt.head, nxt.skipped)
+                after.setdefault(nxt, set()).update(p.then(msgs) for p in prefixes)
+        level = after
+    for prefixes in level.values():  # cut at max_steps
+        out.update((p.to_tuple(), "quiescent") for p in prefixes)
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -10,7 +11,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scforge.actions import Message, UnboundVariable
+from scforge import flatinterp
+from scforge.actions import ActionError, Message, UnboundVariable
 from scforge.flatinterp import (
     BadInitialState,
     Chaos,
@@ -32,6 +34,7 @@ from scforge.flatinterp import (
     step,
     successors,
 )
+from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import KEYWORDS, parse
 from scforge.transform import to_simplified, transform_fixpoint
 
@@ -477,6 +480,129 @@ def test_seeded_runs_cover_exactly_the_explored_emissions():
     explored = {em for em, kind in explore_emissions(FORK, "A", inputs)}
     seeded = {run(FORK, "A", inputs, RandomScheduler(seed)).emissions for seed in range(64)}
     assert seeded == explored
+
+
+def naive_explore_emissions(sc, init, inputs, match="fifo", max_steps=10000):
+    """`explore_emissions` as it was before it ran level by level: a depth-first
+    search over configurations together with their emitted messages, which
+    steps a configuration once per distinct emitted prefix that reaches it."""
+    out = set()
+    stack = [(Configuration.make(init, {}, tuple(inputs)), 0)]
+    seen = set()
+    while stack:
+        conf, depth = stack.pop()
+        if (conf, depth) in seen:
+            continue
+        seen.add((conf, depth))
+        if not conf.pending() or depth >= max_steps:
+            out.add((conf.emitted, "quiescent"))
+            continue
+        for res in successors(conf, sc, match):
+            if isinstance(res, Step):
+                stack.append((res.next, depth + 1))
+            else:
+                out.add((res.next.emitted, type(res).__name__.lower()))
+    return out
+
+
+def explored_or_error(explore, *args):
+    # Which of several failing configurations a search meets first depends
+    # on its order, so only the failure itself is compared.
+    try:
+        return explore(*args)
+    except ActionError:
+        return "action error"
+
+
+@functools.lru_cache(maxsize=None)
+def flat_generated(generator, seed, strategy):
+    chart = {"gen_chart": lambda: gen_chart(seed, max_states=6),
+             "gen_guard_free": lambda: gen_guard_free(seed)}[generator]()
+    return to_simplified(transform_fixpoint(chart, strategy)[0])
+
+
+@st.composite
+def generated_explorations(draw, generator):
+    """A flattened chart of `generator`, one of its initial states and a word
+    of 0-5 of its own triggers with small arguments."""
+    seed = draw(st.integers(0, 149))
+    sc = flat_generated(generator, seed, draw(st.sampled_from(["paper", f"random:{seed}"])))
+    init = draw(st.sampled_from(sorted(s.name for s in sc.initial_states())))
+    triggers = sorted({(t.call.name, len(t.call.args)) for t in sc.trans})
+    symbol = st.sampled_from(triggers).flatmap(
+        lambda call: st.tuples(*[st.integers(0, 2)] * call[1]).map(
+            lambda args: Message(call[0], args)))
+    return sc, init, tuple(draw(symbol) for _ in range(draw(st.sampled_from(range(6)))))
+
+
+@pytest.mark.parametrize("generator", ["gen_chart", "gen_guard_free"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), match=st.sampled_from(["fifo", "anywhere"]),
+       max_steps=st.sampled_from([10000, 0, 1, 2, 3]))
+def test_explore_emissions_matches_the_depth_first_search(generator, data, match, max_steps):
+    args = (*data.draw(generated_explorations(generator)), match, max_steps)
+    assert (explored_or_error(explore_emissions, *args)
+            == explored_or_error(naive_explore_emissions, *args))
+
+
+# Every outcome kind: a postcondition and both invariants fail on some
+# choice, a g() in A is chaos, and a timeout with no timer set evaporates.
+OUTCOMES = simp(
+    """
+    statechart K for C {
+        [0 <= v];
+        initial state A;
+        state B { [v < 5]; }
+        state T;
+        A -> B : f(x) / v = x & send(x);
+        A -> A : f(x) / v = x & send(x) [v < 3];
+        B -> A : g(x) / v = v - x & send(v);
+        A -> T : arm() / setTimer;
+        T -> A : timeout() / send(0);
+        T -> A : disarm() / stopTimer;
+    }
+    """
+)
+OUTCOME_WORDS = [msgs("f(1)", "g(1)", "f(2)"), msgs("f(4)", "g(5)"), msgs("f(6)", "f(1)"),
+                 msgs("timeout()", "arm()", "timeout()", "arm()", "disarm()", "timeout()")]
+
+
+@pytest.mark.parametrize("match", ["fifo", "anywhere"])
+@pytest.mark.parametrize("max_steps", [0, 1, 2, 3, 10000])
+def test_explore_emissions_matches_the_depth_first_search_on_every_outcome(match, max_steps):
+    kinds = set()
+    for word in OUTCOME_WORDS:
+        explored = explore_emissions(OUTCOMES, "A", word, match, max_steps)
+        assert explored == naive_explore_emissions(OUTCOMES, "A", word, match, max_steps)
+        kinds |= {kind for _, kind in explored}
+    if max_steps >= 2:
+        assert kinds == {"quiescent", "chaos", "postconditionviolated", "invariantviolated"}
+    if max_steps == 10000 and match == "fifo":
+        assert explore_emissions(OUTCOMES, "A", OUTCOME_WORDS[-1]) == {
+            ((Message("send", (0,)),), "quiescent")}
+
+
+# perfbench's branch chart: two f() transitions with different outputs per
+# state, so L f() symbols have 2**L emission sequences.
+BRANCH = simp(
+    "statechart Branch for C { initial state B0; state B1; state B2; state B3; "
+    + " ".join(f"B{i} -> B{(i + 1) % 4} : f() / out1(1); B{i} -> B{(i + 2) % 4} : f() / out2(2);"
+               for i in range(4))
+    + " }"
+)
+
+
+def test_explore_emissions_steps_each_configuration_once(monkeypatch):
+    calls = []
+
+    def counted(conf, *rest):
+        calls.append(conf)
+        return successors(conf, *rest)
+
+    monkeypatch.setattr(flatinterp, "successors", counted)
+    explored = explore_emissions(BRANCH, "B0", msgs(*["f()"] * 12))
+    assert len(explored) == 2 ** 12
+    assert len(calls) <= 4 * 12
 
 
 def test_scheduler_from_spec():
