@@ -419,13 +419,11 @@ def explore_emissions(
     set of distinct emitted prefixes that reach it, and `successors` runs
     once per configuration, not once per prefix."""
     out: set = set()
-    level = {_start(sc, init, inputs): {_NOTHING}}
-    for _ in range(max_steps):
-        if not level:
-            break
+    level, depth = {_start(sc, init, inputs): {_NOTHING}}, 0
+    while level:
         after: dict = {}
         for conf, prefixes in level.items():
-            if not conf.pending():
+            if not conf.pending() or depth >= max_steps:
                 out.update((p.to_tuple(), "quiescent") for p in prefixes)
                 continue
             for res in successors(conf, sc, match):
@@ -438,9 +436,7 @@ def explore_emissions(
                 if msgs:
                     nxt = Configuration(nxt.current, nxt.store, nxt.inputs, nxt.head, nxt.skipped)
                 after.setdefault(nxt, set()).update(p.then(msgs) for p in prefixes)
-        level = after
-    for prefixes in level.values():  # cut at max_steps
-        out.update((p.to_tuple(), "quiescent") for p in prefixes)
+        level, depth = after, depth + 1
     return out
 
 
