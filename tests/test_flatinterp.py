@@ -514,11 +514,13 @@ def explored_or_error(explore, *args):
         return "action error"
 
 
+GENERATORS = {"gen_chart": lambda seed: gen_chart(seed, max_states=6),
+              "gen_guard_free": gen_guard_free}
+
+
 @functools.lru_cache(maxsize=None)
 def flat_generated(generator, seed, strategy):
-    chart = {"gen_chart": lambda: gen_chart(seed, max_states=6),
-             "gen_guard_free": lambda: gen_guard_free(seed)}[generator]()
-    return to_simplified(transform_fixpoint(chart, strategy)[0])
+    return to_simplified(transform_fixpoint(GENERATORS[generator](seed), strategy)[0])
 
 
 @st.composite
@@ -535,7 +537,7 @@ def generated_explorations(draw, generator):
     return sc, init, tuple(draw(symbol) for _ in range(draw(st.sampled_from(range(6)))))
 
 
-@pytest.mark.parametrize("generator", ["gen_chart", "gen_guard_free"])
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), match=st.sampled_from(["fifo", "anywhere"]),
        max_steps=st.sampled_from([10000, 0, 1, 2, 3]))
