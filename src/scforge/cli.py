@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import conform as conform_mod
 from . import flatinterp, vdb
-from .actions import ActionError, UnboundVariable
+from .actions import ActionError, UnboundVariable, values_equal
 from .parse import (DuplicateState, LexError, ReservedIdentifier, StatechartSyntaxError, parse,
                     parse_messages)
 from .printer import print_chart, print_simp, to_dot, to_json
@@ -212,13 +212,14 @@ def cmd_run(args) -> int:
 
 
 def _load_term(path: str, domain):
+    """The term in `path`, and the chart it encodes if `path` holds a chart."""
     text = _read(path)
     if text.lstrip().startswith("statechart"):
         sc = _checked(_parse_chart(path, text), path)
         with _input(path, vdb.NotGuardFree, vdb.UnboundedValueDomain):
-            return vdb.encode_guard_free(sc, domain=domain)
+            return vdb.encode_guard_free(sc, domain=domain), sc
     with _input(path, ValueError):
-        return vdb.term_from_sexpr(text)
+        return vdb.term_from_sexpr(text), None
 
 
 # The environment variables that set `vdb.run_bounded`'s bounds, by keyword.
@@ -247,10 +248,17 @@ def cmd_vdb_run(args) -> int:
     if args.domain:
         with _input(f"bad domain {args.domain!r}", ValueError):
             domain = tuple(int(x) for x in args.domain.split(","))
-    term = _load_term(args.input, domain)
+    term, sc = _load_term(args.input, domain)
     events = _events(args.events)
     if throws := [m for m in events if m.exception]:
         raise UsageError(f"no exception events in vdb-run: {throws[0]}")
+    # The encoded term has a trigger for each domain value only: an event
+    # with another value would enable nothing where the chart fires.
+    calls = {(t.call.name, len(t.call.args)) for t in sc.index.trans} if sc else ()
+    for m in events:
+        if (m.name, len(m.args)) in calls and not all(
+                any(values_equal(a, d) for d in domain) for a in m.args):
+            raise UsageError(f"event {m} carries a value outside the domain {args.domain}")
     runs = vdb.run_bounded(vdb.KripkeNode(term, tuple(events)), args.max_steps, **bounds)
     if args.format == "json":
         print(vdb.runs_to_json(runs))

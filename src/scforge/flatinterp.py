@@ -34,12 +34,12 @@ class BadInitialState(Exception):
     pass
 
 
-# Configurations derived from one start share its input tuple and the prefix
-# of their emitted messages, so a step costs O(1) in the run length, in time
-# and in retained memory. `buffer` and `emitted` are built when read. The
-# emission search (`explore_emissions`) keeps its configurations without
-# emissions, level by level, each beside the set of emitted prefixes that
-# reach it: `_Emitted` chains, which compare and hash by their messages.
+# Configurations derived from one start share its input tuple, so a step
+# costs O(1) in the run length, in time and in retained memory; `buffer` is
+# built when read. What a step emits labels its outcome, not the
+# configuration it reaches. The emission search (`explore_emissions`) keeps
+# its configurations level by level, each beside the set of emitted prefixes
+# that reach it: `_Emitted` chains, which compare and hash by their messages.
 
 _MASK = (1 << 61) - 1
 
@@ -85,28 +85,26 @@ _NOTHING = _Emitted(None, ())
 
 
 class Configuration:
-    """One object's state, store, pending buffer and emitted messages.
+    """One object's state, store and pending buffer.
 
     The buffer is the run's input tuple `inputs` from the `head` offset on,
     less the indices in `skipped`: messages past the head consumed out of
     order under "anywhere" matching. The head is always the first unconsumed
     message. `store` holds sorted (name, value) pairs. Equality and hashing
-    are by the value of (current, store, buffer, emitted). A plain slotted
+    are by the value of (current, store, buffer). A plain slotted
     class, as a frozen dataclass costs several times as much to build;
     nothing assigns to a configuration once it is built."""
 
-    __slots__ = ("current", "store", "inputs", "head", "skipped", "_emitted")
+    __slots__ = ("current", "store", "inputs", "head", "skipped")
 
     def __init__(self, current: str, store: tuple, inputs: tuple, head: int = 0,
-                 skipped: frozenset = frozenset(), _emitted: _Emitted = _NOTHING):
+                 skipped: frozenset = frozenset()):
         self.current, self.store, self.inputs = current, store, inputs
-        self.head, self.skipped, self._emitted = head, skipped, _emitted
+        self.head, self.skipped = head, skipped
 
     @classmethod
-    def make(cls, current: str, store: Optional[dict] = None,
-             buffer: Iterable[Message] = (), emitted: Iterable[Message] = ()):
-        return cls(current, _freeze(store or {}), tuple(buffer),
-                   _emitted=_NOTHING.then(tuple(emitted)))
+    def make(cls, current: str, store: Optional[dict] = None, buffer: Iterable[Message] = ()):
+        return cls(current, _freeze(store or {}), tuple(buffer))
 
     @property
     def buffer(self) -> tuple:
@@ -116,17 +114,9 @@ class Configuration:
         return tuple(m for i, m in enumerate(self.inputs[self.head:], self.head)
                      if i not in self.skipped)
 
-    @property
-    def emitted(self) -> tuple:
-        """The messages emitted so far, in order."""
-        return self._emitted.to_tuple()
-
     def pending(self) -> bool:
         """Whether a message waits in the buffer."""
         return self.head < len(self.inputs)
-
-    def store_dict(self) -> dict:
-        return dict(self.store)
 
     def _index(self, m: Message) -> int:
         """The input index of the first pending message equal to m."""
@@ -135,9 +125,8 @@ class Configuration:
                 return i
         raise ValueError(f"{m!r} is not in the buffer")
 
-    def _after(self, i: int, current: str, store: tuple, msgs: tuple = ()) -> Configuration:
-        """The configuration in `current` with `store` once input i is
-        consumed and `msgs` emitted."""
+    def _after(self, i: int, current: str, store: tuple) -> Configuration:
+        """The configuration in `current` with `store` once input i is consumed."""
         head, skipped = self.head, self.skipped
         if i == head:
             head += 1
@@ -146,7 +135,7 @@ class Configuration:
                 head += 1
         else:
             skipped = skipped | {i}
-        return Configuration(current, store, self.inputs, head, skipped, self._emitted.then(msgs))
+        return Configuration(current, store, self.inputs, head, skipped)
 
     def _size(self) -> int:
         return len(self.inputs) - self.head - len(self.skipped)
@@ -163,18 +152,17 @@ class Configuration:
         if not isinstance(other, Configuration):
             return NotImplemented
         return (self.current == other.current and values_equal(self.store, other.store)
-                and self._emitted == other._emitted and self._same_buffer(other))
+                and self._same_buffer(other))
 
     def __hash__(self):
         # The buffer is hashed by its length and its head: O(1), and equal
         # for equal buffers whatever inputs and offsets they come from.
         first = self.inputs[self.head] if self.pending() else None
-        return hash((self.current, self.store, self._size(), first,
-                     self._emitted.length, self._emitted.hash))
+        return hash((self.current, self.store, self._size(), first))
 
     def __repr__(self):
         return (f"Configuration(current={self.current!r}, store={self.store!r}, "
-                f"buffer={self.buffer!r}, emitted={self.emitted!r})")
+                f"buffer={self.buffer!r})")
 
 
 def _freeze(store: dict, was: tuple = ()) -> tuple:
@@ -187,13 +175,14 @@ def _freeze(store: dict, was: tuple = ()) -> tuple:
 
 # -- outcomes ---------------------------------------------------------------
 #
-# Every outcome records the message its step consumed; only the quiescent
-# `Step` of an empty buffer consumed none.
+# Every outcome records the message its step consumed, and the messages it
+# emitted; only the quiescent `Step` of an empty buffer consumed none.
 
 @dataclass(frozen=True, slots=True)
 class Step:
     next: Configuration
     consumed: Optional[Message] = None
+    emitted: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +190,7 @@ class Chaos:
     reason: str
     next: Configuration  # with the offending message dropped
     consumed: Optional[Message] = None
+    emitted: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +198,7 @@ class PostconditionViolated:
     transition: Trans
     next: Configuration
     consumed: Optional[Message] = None
+    emitted: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,6 +206,7 @@ class InvariantViolated:
     state: str
     next: Configuration
     consumed: Optional[Message] = None
+    emitted: tuple = ()
 
 
 Outcome = Union[Step, Chaos, PostconditionViolated, InvariantViolated]
@@ -270,7 +262,7 @@ def enabled(conf: Configuration, sc: SCSimp, match: str = "fifo"):
         candidates = conf.buffer
     else:
         raise ValueError(f"unknown match mode {match!r}")
-    store = conf.store_dict()
+    store = dict(conf.store)
     by_call = sc.index.outgoing_by_call
     out = []
     for m in candidates:
@@ -289,15 +281,15 @@ def fire(conf: Configuration, choice, sc: SCSimp) -> Outcome:
         new_store, msgs = exec_stmt(t.act.stmt, conf.store, v)
     except ActionConditionViolated:
         return PostconditionViolated(t, conf._after(i, t.trg, conf.store), m)
-    nxt = conf._after(i, t.trg, _freeze(new_store, conf.store), msgs)
+    nxt = conf._after(i, t.trg, _freeze(new_store, conf.store))
     env = merge(new_store, v) if v else new_store  # one scope for the three checks
     if t.act.post is not None and not holds(t.act.post, env, {}, unbound=True):
-        return PostconditionViolated(t, nxt, m)
+        return PostconditionViolated(t, nxt, m, msgs)
     if not holds(sc.inv, env, {}, unbound=True):
-        return InvariantViolated("<chart>", nxt, m)
+        return InvariantViolated("<chart>", nxt, m, msgs)
     if not holds(sc.state(t.trg).inv, env, {}, unbound=True):
-        return InvariantViolated(t.trg, nxt, m)
-    return Step(nxt, m)
+        return InvariantViolated(t.trg, nxt, m, msgs)
+    return Step(nxt, m, msgs)
 
 
 def successors(conf: Configuration, sc: SCSimp, match: str = "fifo", choose=None) -> list:
@@ -340,7 +332,7 @@ class RunResult:
     @property
     def emissions(self) -> tuple:
         """All emitted Messages in order."""
-        return self.final.emitted
+        return tuple(m for o in self.steps for m in o.emitted)
 
     @property
     def quiescent(self) -> bool:
@@ -386,9 +378,6 @@ def run_log_lines(result: RunResult) -> list:
     prev = result.start
     for i, outcome in enumerate(result.steps, start=1):
         conf = outcome.next
-        # A step that emits nothing keeps its predecessor's chain node.
-        node = conf._emitted
-        emitted = [str(m) for m in node.msgs] if node is not prev._emitted else []
         diff = {}
         if conf.store is not prev.store:  # a step that rebinds nothing keeps its store tuple
             before = dict(prev.store)
@@ -396,7 +385,7 @@ def run_log_lines(result: RunResult) -> list:
                     if k not in before or not values_equal(before[k], v)}
         out.append(
             {"step": i, "state": conf.current, "consumed": str(outcome.consumed),
-             "emitted": emitted, "storeDiff": diff}
+             "emitted": [str(m) for m in outcome.emitted], "storeDiff": diff}
         )
         prev = conf
     return out
@@ -415,9 +404,10 @@ def explore_emissions(
     The search runs level by level, one level per consumed input message.
     Emitted messages leave the object and never re-enter its buffer, so what
     a configuration can still do depends on its state, store and buffer
-    alone. Each level therefore maps an emission-free configuration to the
-    set of distinct emitted prefixes that reach it, and `successors` runs
-    once per configuration, not once per prefix."""
+    alone. Each level therefore maps a configuration to the set of distinct
+    emitted prefixes that reach it, each extended by the `emitted` label of
+    the step it takes, and `successors` runs once per configuration, not
+    once per prefix."""
     out: set = set()
     level, depth = {_start(sc, init, inputs): {_NOTHING}}, 0
     while level:
@@ -427,15 +417,11 @@ def explore_emissions(
                 out.update((p.to_tuple(), "quiescent") for p in prefixes)
                 continue
             for res in successors(conf, sc, match):
-                nxt = res.next
-                msgs = nxt._emitted.msgs  # the step's own: conf emitted nothing
                 if not isinstance(res, Step):
                     kind = type(res).__name__.lower()
-                    out.update((p.then(msgs).to_tuple(), kind) for p in prefixes)
+                    out.update((p.then(res.emitted).to_tuple(), kind) for p in prefixes)
                     continue
-                if msgs:
-                    nxt = Configuration(nxt.current, nxt.store, nxt.inputs, nxt.head, nxt.skipped)
-                after.setdefault(nxt, set()).update(p.then(msgs) for p in prefixes)
+                after.setdefault(res.next, set()).update(p.then(res.emitted) for p in prefixes)
         level, depth = after, depth + 1
     return out
 

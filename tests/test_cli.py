@@ -767,6 +767,14 @@ def test_vdb_run_refuses_an_exception_event(capsys, buffer_file):
     assert err == "error: no exception events in vdb-run: throw put(1)\n"
 
 
+@pytest.mark.parametrize("events, bad", [("put(5), get()", "put(5)"),
+                                         ("put(1), put(true)", "put(true)")])
+def test_vdb_run_refuses_an_event_value_outside_the_domain(capsys, buffer_file, events, bad):
+    code, out, err = run_cli(capsys, "vdb-run", buffer_file, "--events", events, "--domain=-1,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: event {bad} carries a value outside the domain -1,1\n"
+
+
 def test_vdb_run_accepts_term_sexpr(capsys, tmp_path):
     p = tmp_path / "term.sexpr"
     p.write_text("(basic Idle () ())")

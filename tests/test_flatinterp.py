@@ -131,12 +131,12 @@ def test_fire_put_then_get_reproduces_buffer_run():
     mid = out.next
     assert mid.current == "NonEmpty"
     assert dict(mid.store) == {"v": 3}
-    assert mid.emitted == ()
+    assert out.emitted == ()
     [choice2] = enabled(mid, BUFFER)
     out2 = fire(mid, choice2, BUFFER)
     assert isinstance(out2, Step)
     assert out2.next.current == "Empty"
-    assert out2.next.emitted == (Message("send", (3,)),)
+    assert out2.emitted == (Message("send", (3,)),)
 
 
 def test_fire_false_postcondition():
@@ -168,7 +168,7 @@ def test_fire_failed_intermediate_check_reports_the_transition():
     [choice] = enabled(conf, sc)
     out = fire(conf, choice, sc)
     assert isinstance(out, PostconditionViolated)
-    assert out.next.emitted == ()  # nothing escapes a failed atomic step
+    assert out.emitted == ()  # nothing escapes a failed atomic step
 
 
 def test_fire_chart_invariant_violation():
@@ -275,14 +275,14 @@ def test_step_fires_only_the_choice_it_picks():
         successors(conf, sc)  # fires the choice into C too
     out = step(conf, sc, LexScheduler())
     assert isinstance(out, Step) and out.next.current == "B"
-    assert out.next.emitted == msgs("o(1)")
+    assert out.emitted == msgs("o(1)")
 
 
 def test_successors_give_one_outcome_per_choice_in_enabled_order():
     conf = Configuration.make("A", buffer=msgs("f()"))
     outs = successors(conf, FORK)
     assert [o.next.current for o in outs] == [t.trg for t, _, _ in enabled(conf, FORK)] == ["B", "Z"]
-    assert [o.next.emitted for o in outs] == [msgs("send(1)"), msgs("send(2)")]
+    assert [o.emitted for o in outs] == [msgs("send(1)"), msgs("send(2)")]
     assert all(isinstance(o, Step) and o.consumed == Message("f", ()) for o in outs)
 
 
@@ -339,23 +339,23 @@ def test_run_is_deterministic_under_lex_scheduler():
     assert a.trajectory == b.trajectory and a.emissions == b.emissions
 
 
-# -- configurations share their run's input and emitted prefix -------------
+# -- configurations share their run's input ---------------------------------
 
 def test_configurations_compare_by_value_whatever_their_inputs():
-    f, g, send = Message("f"), Message("g"), Message("send", (1,))
-    derived = Configuration.make("A", buffer=(f, g), emitted=(send,))._after(0, "A", ())
-    fresh = Configuration.make("A", buffer=(g,), emitted=(send,))
+    f, g = Message("f"), Message("g")
+    derived = Configuration.make("A", buffer=(f, g))._after(0, "A", ())
+    fresh = Configuration.make("A", buffer=(g,))
     assert derived.buffer == (g,) and derived.inputs == (f, g)
     assert derived == fresh and hash(derived) == hash(fresh)
-    assert derived != Configuration.make("A", buffer=(f,), emitted=(send,))
-    assert derived != Configuration.make("A", buffer=(g,))
+    assert derived != Configuration.make("A", buffer=(f,))
+    assert derived != Configuration.make("A", {"v": 1}, buffer=(g,))
 
 
 def test_emitted_hash_ignores_how_steps_split_the_messages():
     a, b = Message("a"), Message("b")
-    one_step = Configuration.make("A", emitted=(a, b))
-    two_steps = Configuration.make("A", buffer=(a, a))._after(0, "A", (), (a,))._after(1, "A", (), (b,))
-    assert two_steps.emitted == (a, b)
+    one_step = flatinterp._NOTHING.then((a, b))
+    two_steps = flatinterp._NOTHING.then((a,)).then((b,))
+    assert two_steps.to_tuple() == one_step.to_tuple() == (a, b)
     assert one_step == two_steps and hash(one_step) == hash(two_steps)
 
 
@@ -484,24 +484,24 @@ def test_seeded_runs_cover_exactly_the_explored_emissions():
 
 def naive_explore_emissions(sc, init, inputs, match="fifo", max_steps=10000):
     """`explore_emissions` as it was before it ran level by level: a depth-first
-    search over configurations together with their emitted messages, which
+    search over configurations together with their emitted prefixes, which
     steps a configuration once per distinct emitted prefix that reaches it."""
     out = set()
-    stack = [(Configuration.make(init, {}, tuple(inputs)), 0)]
+    stack = [(Configuration.make(init, {}, tuple(inputs)), (), 0)]
     seen = set()
     while stack:
-        conf, depth = stack.pop()
-        if (conf, depth) in seen:
+        key = conf, emitted, depth = stack.pop()
+        if key in seen:
             continue
-        seen.add((conf, depth))
+        seen.add(key)
         if not conf.pending() or depth >= max_steps:
-            out.add((conf.emitted, "quiescent"))
+            out.add((emitted, "quiescent"))
             continue
         for res in successors(conf, sc, match):
             if isinstance(res, Step):
-                stack.append((res.next, depth + 1))
+                stack.append((res.next, emitted + res.emitted, depth + 1))
             else:
-                out.add((res.next.emitted, type(res).__name__.lower()))
+                out.add((emitted + res.emitted, type(res).__name__.lower()))
     return out
 
 
@@ -737,10 +737,40 @@ def test_every_scheduled_run_is_in_the_exhaustive_exploration(sc, inputs, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(small_machines(), input_seqs)
-def test_emissions_match_trajectory_order(sc, inputs):
+def test_run_log_emissions_concatenate_to_the_run_emissions(sc, inputs):
     result = run(sc, "A", inputs)
-    collected = ()
-    for conf in result.trajectory:
-        assert conf.emitted == result.emissions[: len(conf.emitted)]
-        assert len(conf.emitted) >= len(collected)
-        collected = conf.emitted
+    logged = [m for line in run_log_lines(result) for m in line["emitted"]]
+    assert logged == [format_message(m) for m in result.emissions]
+
+
+# One trigger per outcome kind; each violating step sends before its check fails.
+LABELS = simp(
+    """
+    statechart L for C {
+        [0 <= v];
+        initial state A;
+        state B { [v < 5]; }
+        A -> A : s(x) / send(x) & send(0);
+        A -> A : p() / send(1) [false];
+        A -> A : n() / v = -1 & send(2);
+        A -> B : b() / v = 7 & send(3);
+        A -> A : c() / send(4) & check(false) & send(5);
+    }
+    """
+)
+
+
+@pytest.mark.parametrize("event, kind, emitted", [
+    ("s(7)", Step, ("send(7)", "send(0)")),
+    ("p()", PostconditionViolated, ("send(1)",)),
+    ("n()", InvariantViolated, ("send(2)",)),
+    ("b()", InvariantViolated, ("send(3)",)),
+    ("c()", PostconditionViolated, ()),
+    ("z()", Chaos, ()),
+    ("timeout()", Step, ()),
+    (None, Step, ()),
+])
+def test_each_outcome_kind_carries_what_its_step_emitted(event, kind, emitted):
+    out = step(Configuration.make("A", buffer=msgs(event) if event else ()), LABELS)
+    assert type(out) is kind
+    assert tuple(map(format_message, out.emitted)) == emitted
