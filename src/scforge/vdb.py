@@ -384,8 +384,8 @@ class KripkeNode:
     queue: tuple  # of Message
 
     def __post_init__(self):
-        """Take the hash at construction, as the frozen fields are set:
-        exploration hashes every node it builds."""
+        """Take the hash at construction, as the frozen fields are set: the
+        returned runs are a set, so every node built is hashed."""
         object.__setattr__(self, "_hash", hash((self.term, self.queue)))
 
 
@@ -399,60 +399,78 @@ def run_bounded(
     step consumes the queue's head and appends its outputs at the tail.
 
     Raises `StateSpaceBound` when more than `max_nodes` distinct nodes are
-    reachable within max_steps, as soon as one node too many is built, and
+    reachable within max_steps, as soon as one node too many is found, and
     otherwise when there are more than `max_runs` runs. Every reachable
-    node's successors are derived first, breadth-first, and the runs are
+    node's successors are found first, breadth-first, and the runs are
     enumerated after, so which bound is reported does not depend on the
     order of exploration.
 
-    Each node is built and hashed once, and each (term, message) pair at
-    every level has one entry in the exploration's memo (`_steps`): a term
-    without and-terms has its steps derived once, and any other term has
-    them enumerated one at a time from its children's entries, the output
-    orders of its and-terms included, so the node bound stops a step with n!
-    orders after O(`max_nodes`) work. The runs are enumerated depth first
-    along one path, and a run's tuple is built only when the path is
-    maximal.
+    The search runs over numbers, one per distinct term and message: a node
+    is keyed by its term's number and its queue's, and each (term, head)
+    pair's distinct steps are numbered once, as `_steps` enumerates them, so
+    the node bound stops even a step with n! output orders. The runs are
+    walked over the keys, and a `KripkeNode` is built per distinct key after
+    the search, none when the node bound stops it.
     """
     memo: dict = {}  # (term, message) -> its steps, see `_steps`
-    succs: dict = {}  # node -> its successors, for the nodes runs may extend
-    seen = {start: start}  # each distinct node, mapped to the one object kept
-    level, depth = [start], 0
+    number, value = {}, []  # each distinct term and message -> its index in `value`
+    steps: dict = {}  # (term, head) numbers -> the distinct (alpha, term) numbers of its steps
+
+    def num(x) -> int:
+        n = number.setdefault(x, len(value))
+        if n == len(value):
+            value.append(x)
+        return n
+
+    def numbered(u: int, h: int) -> Iterator[tuple]:  # fills steps[u, h] as `_steps` yields
+        found = steps[u, h] = set()
+        for alpha, _, t in _steps(value[u], value[h], memo)():
+            step = tuple(map(num, alpha)), num(t)
+            if step not in found:
+                found.add(step)
+                yield step
+
+    first = num(start.term), tuple(map(num, start.queue))
+    succs: dict = {}  # key -> its successors, for the keys runs may extend
+    seen = {first: start}  # each distinct key -> its node, built after the search
+    level, depth = [first], 0
     while level and depth < max_steps:
         depth += 1
         deeper = []
-        for node in level:
-            succs[node] = nxt = set()
-            queue = node.queue
+        for key in level:
+            succs[key] = nxt = []  # distinct, as the steps are
+            u, queue = key
             if not queue:
                 continue
-            rest = queue[1:]
-            for alpha, _, t in _steps(node.term, queue[0], memo)():
-                n = KripkeNode(t, rest + alpha)
+            pair, rest = (u, queue[0]), queue[1:]
+            for alpha, t in steps[pair] if pair in steps else numbered(*pair):
+                n = t, rest + alpha
+                nxt.append(n)
                 size = len(seen)
-                n = seen.setdefault(n, n)
-                nxt.add(n)
+                seen.setdefault(n)
                 if len(seen) > size:
                     if size >= max_nodes:
                         raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
                     deeper.append(n)
         level = deeper
+    node = {key: n or KripkeNode(value[key[0]], tuple(map(value.__getitem__, key[1])))
+            for key, n in seen.items()}
 
-    # one path, and below each of its nodes the successors not yet walked
-    runs, path, below, node = [], [], [], start
+    # one path, and below each of its keys the successors not yet walked
+    runs, path, below, key = [], [], [], first
     while True:
-        path.append(node)
-        nxt = succs[node] if len(path) <= max_steps else ()
+        path.append(key)
+        nxt = succs[key] if len(path) <= max_steps else ()
         if nxt:
             below.append(iter(nxt))
         else:
-            runs.append(tuple(path))
+            runs.append(tuple(map(node.__getitem__, path)))
             if len(runs) > max_runs:
                 raise StateSpaceBound(f"more than {max_runs} runs", "max_runs")
             path.pop()
         while below:
-            node = next(below[-1], None)
-            if node is not None:
+            key = next(below[-1], None)
+            if key is not None:
                 break
             below.pop()
             path.pop()
@@ -748,11 +766,11 @@ _FIELDS = {
     "ns": _NAMES, "nt": _NAMES,
     "e": (_write_sym, _read_sym),
     "ht": (str, _read_atom),
-    "subterms": (lambda subs: _paren(map(term_to_sexpr, subs)),
-                 lambda tree: tuple(_read(x, ("basic", "and", "or")) for x in _read_list(tree))),
+    "subterms": (lambda subs: _paren(map(term_to_sexpr, subs)), tuple),
     "transitions": (lambda trans: _paren(map(term_to_sexpr, sorted(trans, key=lambda tr: tr.tname))),
-                    lambda tree: frozenset(_read(x, ("trans",)) for x in _read_list(tree))),
+                    frozenset),
 }
+_NESTED = {"subterms": ("basic", "and", "or"), "transitions": ("trans",)}  # the kinds of their items
 
 
 def term_to_sexpr(t: Union[Term, VdbTransition]) -> str:
@@ -767,7 +785,12 @@ def _read(tree, kinds: tuple):
     cls = _KINDS[items[0]]
     if len(items) != 1 + len(fields(cls)):
         raise ValueError(f"{items[0]} takes {len(fields(cls))} fields, not {len(items) - 1}")
-    return cls(*(_FIELDS[f.name][1](x) for f, x in zip(fields(cls), items[1:])))
+    args = []
+    for f, x in zip(fields(cls), items[1:]):
+        if f.name in _NESTED:  # map adds no frame where a generator would: one frame a term level
+            x = map(_read, _read_list(x), itertools.repeat(_NESTED[f.name]))
+        args.append(_FIELDS[f.name][1](x))
+    return cls(*args)
 
 
 # Parenthesis tokens; a quoted atom `|(|` is the string "(", not one of them.
@@ -816,6 +839,6 @@ def term_from_sexpr(text: str) -> Term:
     tree, pos = _read_sexpr(tokens, 0)
     if pos != len(tokens):
         raise ValueError("trailing input after term")
-    term = _read(tree, ("basic", "and", "or"))
+    term = _read(tree, _NESTED["subterms"])
     validate_term(term)
     return term

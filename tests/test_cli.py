@@ -15,6 +15,7 @@ import pytest
 from scforge.actions import Message
 from scforge.cli import _events, main
 from scforge.flatinterp import format_message, parse_message
+from scforge.vdb import Basic, term_from_sexpr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,6 +215,21 @@ def test_vdb_run_explores_a_deep_term_within_the_recursion_limit(capsys, tmp_pat
     got, out, got_err = run_cli(capsys, "vdb-run", str(p), "--events", "f(), f()")
     assert (got, got_err) == (code, err)
     assert bool(out) == (code == 0)
+
+
+def test_term_reader_spends_one_frame_a_term_level(capsys, tmp_path):
+    """The term reader reads a 300-level or-chain, past the 248 levels it
+    read when it spent four frames a level; its token tree, two frames a
+    level, takes it to about 500. `vdb-run` still refuses the chain in one
+    line: printing the term's repr spends about four frames a level."""
+    term, levels = term_from_sexpr(chain("or", 300)), 0
+    while not isinstance(term, Basic):
+        term, levels = term.subterms[0], levels + 1
+    assert levels == 300
+    p = tmp_path / "chain.sexpr"
+    p.write_text(chain("or", 300))
+    assert run_cli(capsys, "vdb-run", str(p), "--events", "f()") == (
+        2, "", "error: input nested too deeply\n")
 
 
 def test_missing_file_is_usage(capsys):

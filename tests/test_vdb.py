@@ -381,6 +381,28 @@ def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
         assert set(calls.values()) == {2}
 
 
+def test_run_bounded_builds_each_node_once_after_the_search(monkeypatch):
+    """The search runs over numbered terms and messages: a `KripkeNode` is
+    built once per distinct node but the start, which is the caller's, and
+    none when the node bound stops the search."""
+    start, bounded = branch_start("ffgfff"), branch_start("f" * 10)
+    real, built = vdb.KripkeNode.__post_init__, []
+
+    def counting(node):
+        built.append(node)
+        real(node)
+
+    monkeypatch.setattr(vdb.KripkeNode, "__post_init__", counting)
+    runs = run_bounded(start, max_steps=100)
+    nodes = {n for r in runs for n in r}
+    assert len(built) == len(nodes) - 1 and set(built) == nodes - {start}
+    assert all(r[0] is start for r in runs)
+    built.clear()
+    with pytest.raises(StateSpaceBound):
+        run_bounded(bounded, max_steps=100, max_nodes=50)
+    assert built == []
+
+
 def test_sorted_runs_orders_by_repr():
     for word in ("", "f", "ffgff"):
         runs = run_bounded(branch_start(word), max_steps=100)
