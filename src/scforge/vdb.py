@@ -405,12 +405,12 @@ def run_bounded(
     enumerated after, so which bound is reported does not depend on the
     order of exploration.
 
-    The search runs over numbers, one per distinct term and message: a node
-    is keyed by its term's number and its queue's, and each (term, head)
-    pair's distinct steps are numbered once, as `_steps` enumerates them, so
-    the node bound stops even a step with n! output orders. The runs are
-    walked over the keys, and a `KripkeNode` is built per distinct key after
-    the search, none when the node bound stops it.
+    The search runs over numbers, one per distinct term and message: a
+    node's key is a flat tuple, its term's number and then its queue's.
+    Each (term, head) pair's distinct steps are numbered once, as `_steps`
+    enumerates them, so the node bound stops even a step with n! output
+    orders. The runs are walked over the keys, and a `KripkeNode` is built
+    per distinct key after the search, none when the node bound stops it.
     """
     memo: dict = {}  # (term, message) -> its steps, see `_steps`
     number, value = {}, []  # each distinct term and message -> its index in `value`
@@ -430,7 +430,7 @@ def run_bounded(
                 found.add(step)
                 yield step
 
-    first = num(start.term), tuple(map(num, start.queue))
+    first = num(start.term), *map(num, start.queue)
     succs: dict = {}  # key -> its successors, for the keys runs may extend
     seen = {first: start}  # each distinct key -> its node, built after the search
     level, depth = [first], 0
@@ -439,12 +439,11 @@ def run_bounded(
         deeper = []
         for key in level:
             succs[key] = nxt = []  # distinct, as the steps are
-            u, queue = key
-            if not queue:
+            if len(key) == 1:  # an empty queue
                 continue
-            pair, rest = (u, queue[0]), queue[1:]
+            pair, rest = key[:2], key[2:]
             for alpha, t in steps[pair] if pair in steps else numbered(*pair):
-                n = t, rest + alpha
+                n = (t, *rest, *alpha)
                 nxt.append(n)
                 size = len(seen)
                 seen.setdefault(n)
@@ -453,7 +452,7 @@ def run_bounded(
                         raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
                     deeper.append(n)
         level = deeper
-    node = {key: n or KripkeNode(value[key[0]], tuple(map(value.__getitem__, key[1])))
+    node = {key: n or KripkeNode(value[key[0]], tuple(map(value.__getitem__, key[1:])))
             for key, n in seen.items()}
 
     # one path, and below each of its keys the successors not yet walked
