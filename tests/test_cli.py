@@ -218,10 +218,10 @@ def test_vdb_run_explores_a_deep_term_within_the_recursion_limit(capsys, tmp_pat
 
 
 def test_term_reader_spends_one_frame_a_term_level(capsys, tmp_path):
-    """The term reader reads a 300-level or-chain, past the 248 levels it
-    read when it spent four frames a level; its token tree, two frames a
-    level, takes it to about 500. `vdb-run` still refuses the chain in one
-    line: printing the term's repr spends about four frames a level."""
+    """The term reader reads nested lists through `map`, one frame a term
+    level, so a 300-level or-chain reads; its token tree, two frames a
+    level, refuses at about 500 levels. `vdb-run` still refuses the chain
+    in one line: printing the term's repr spends about four frames a level."""
     term, levels = term_from_sexpr(chain("or", 300)), 0
     while not isinstance(term, Basic):
         term, levels = term.subterms[0], levels + 1
