@@ -178,35 +178,56 @@ def _freeze(store: dict, was: tuple = ()) -> tuple:
 # Every outcome records the message its step consumed, and the messages it
 # emitted; only the quiescent `Step` of an empty buffer consumed none.
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    next: Configuration
-    consumed: Optional[Message] = None
-    emitted: tuple = ()
+class _Outcome:
+    """Equality, hash and repr by type and fields, as a frozen dataclass
+    has them; a plain slotted class, as `Configuration` is, since an outcome
+    is built on every step."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Chaos:
-    reason: str
-    next: Configuration  # with the offending message dropped
-    consumed: Optional[Message] = None
-    emitted: tuple = ()
+class Step(_Outcome):
+    __slots__ = _fields = ("next", "consumed", "emitted")
+
+    def __init__(self, next, consumed=None, emitted=()):
+        self.next, self.consumed, self.emitted = next, consumed, emitted
 
 
-@dataclass(frozen=True, slots=True)
-class PostconditionViolated:
-    transition: Trans
-    next: Configuration
-    consumed: Optional[Message] = None
-    emitted: tuple = ()
+class Chaos(_Outcome):
+    __slots__ = _fields = ("reason", "next", "consumed", "emitted")
+
+    def __init__(self, reason, next, consumed=None, emitted=()):
+        # `next` has the offending message dropped
+        self.reason, self.next, self.consumed, self.emitted = reason, next, consumed, emitted
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantViolated:
-    state: str
-    next: Configuration
-    consumed: Optional[Message] = None
-    emitted: tuple = ()
+class PostconditionViolated(_Outcome):
+    __slots__ = _fields = ("transition", "next", "consumed", "emitted")
+
+    def __init__(self, transition, next, consumed=None, emitted=()):
+        self.transition, self.next, self.consumed, self.emitted = transition, next, consumed, emitted
+
+
+class InvariantViolated(_Outcome):
+    __slots__ = _fields = ("state", "next", "consumed", "emitted")
+
+    def __init__(self, state, next, consumed=None, emitted=()):
+        self.state, self.next, self.consumed, self.emitted = state, next, consumed, emitted
 
 
 Outcome = Union[Step, Chaos, PostconditionViolated, InvariantViolated]

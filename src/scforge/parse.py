@@ -552,6 +552,16 @@ class Parser:
         self.expect("(")
         return Message(name, tuple(self.items(self.parse_value, ")")), exception)
 
+    def messages(self) -> list[Message]:
+        """`message? ("," message?)*`: an empty item between commas, or
+        after the last, is skipped."""
+        out = []
+        while True:
+            if not (self.at(",") or self.at("eof")):
+                out.append(self.message())
+            if not self.accept(","):
+                return out
+
 
 def parse(text: str, allow_reserved: bool = False) -> SCFull:
     """Parse statechart text. Strict mode rejects the reserved names `inp<k>`,
@@ -563,23 +573,75 @@ def parse(text: str, allow_reserved: bool = False) -> SCFull:
     return sc
 
 
+# -- flat message text --------------------------------------------------------
+#
+# Most message text is flat: `throw? name(v, ...)` whose arguments are ints,
+# negative ints, `true` or `false`. One pattern reads such a message, or one
+# item of a comma-separated list of them, with no token list and no parser.
+# Any other text goes whole to the grammar, which stays the reference and the
+# one source of error positions: nested lists, comments, letters or digits
+# outside ASCII, a keyword as a name, an int too long for `int()`, and every
+# error. Blanks are the tokenizer's `[ \t\r\n]`, not `\s`, which also takes
+# `\f`, `\v` and Unicode spaces; digits are `[0-9]`, not `\d`.
+
+_B = r"[ \t\r\n]*"
+_VALUE = r"(?:-[ \t\r\n]*)?[0-9]+|true|false"
+# blanks, then optionally a message and blanks, then a comma or the end;
+# groups 1-4: `throw`, the name, the arguments' text and the comma
+_FLAT_ITEM = re.compile(
+    rf"{_B}(?:(?:(throw)[ \t\r\n]+)?([A-Za-z_$][A-Za-z0-9_$]*){_B}\({_B}"
+    rf"((?:{_VALUE}){_B}(?:,{_B}(?:{_VALUE}){_B})*)?\){_B})?(,|\Z)")
+
+
+def _flat_value(text: str):
+    """The value of one argument's text that `_FLAT_ITEM` matched."""
+    text = text.strip(" \t\r\n")
+    if text[0] == "-":
+        return -int(text[1:])
+    return text == "true" if text[0] in "tf" else int(text)  # `true` or `false`
+
+
+def _flat_message(m: re.Match) -> Optional[Message]:
+    """The message of an item `_FLAT_ITEM` matched, or None when the grammar
+    must read it: its name is a keyword or an int is too long."""
+    throw, name, args, _ = m.groups()
+    if name in KEYWORDS:
+        return None
+    try:
+        values = tuple(map(_flat_value, args.split(","))) if args else ()
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    return Message(name, values, throw is not None)
+
+
+def _by_grammar(text: str, rule):
+    """What the grammar rule (`Parser.message` or `Parser.messages`) reads
+    from the whole text."""
+    p = Parser(text, allow_reserved=True)
+    out = rule(p)
+    p.expect("eof")
+    return out
+
+
 def parse_message(text: str) -> Message:
     """Parse `name(arg, ...)` with integer, boolean, and [list] arguments."""
-    p = Parser(text, allow_reserved=True)
-    m = p.message()
-    p.expect("eof")
-    return m
+    m = _FLAT_ITEM.match(text)
+    msg = _flat_message(m) if m is not None and m[2] is not None and not m[4] else None
+    return msg if msg is not None else _by_grammar(text, Parser.message)
 
 
 def parse_messages(line: str) -> list[Message]:
-    """Parse `message? ("," message?)*` with one parser: an empty item
-    between commas, or after the last, is skipped."""
-    p = Parser(line, allow_reserved=True)
-    out = []
-    while True:
-        if not (p.at(",") or p.at("eof")):
-            out.append(p.message())
-        if not p.accept(","):
-            break
-    p.expect("eof")
-    return out
+    """Parse `message? ("," message?)*`: an empty item between commas, or
+    after the last, is skipped. Flat items are matched one by one, each from
+    where the last ended."""
+    out, pos = [], 0
+    while (m := _FLAT_ITEM.match(line, pos)) is not None:
+        if m[2] is not None:  # not an empty item
+            msg = _flat_message(m)
+            if msg is None:
+                break
+            out.append(msg)
+        if not m[4]:  # the end of the line
+            return out
+        pos = m.end()
+    return _by_grammar(line, Parser.messages)

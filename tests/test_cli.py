@@ -12,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from scforge import conform
 from scforge.actions import Message
 from scforge.cli import _events, main
 from scforge.flatinterp import format_message, parse_message
+from scforge.parse import parse
+from scforge.transform import to_simplified, transform_fixpoint
 from scforge.vdb import Basic, term_from_sexpr
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -582,6 +585,15 @@ def test_run_starts_from_every_initial_state(capsys, tmp_path):
         "A": ["send(1)"], "B": ["send(2)"]}
 
 
+def test_run_on_a_chart_without_states_is_usage(capsys, tmp_path):
+    # Flattening marks every top-level state initial when none is (rule 4,
+    # addInitTop), so only a chart without states reaches the run with none.
+    chart = tmp_path / "empty.sc"
+    chart.write_text("statechart S for C { }")
+    code, out, err = run_cli(capsys, "run", str(chart), "--events", "f()")
+    assert (code, out, err) == (2, "", "error: chart has no initial state\n")
+
+
 def test_run_bad_init_is_usage(capsys, buffer_file):
     code, _, err = run_cli(
         capsys, "run", buffer_file, "--events", "get()", "--init", "NonEmpty"
@@ -822,6 +834,21 @@ def test_conform_double_send_fails_condition_five(capsys, buffer_file):
     assert code == 1
     assert "condition 5: FAIL" in out
     assert "witness" in out
+
+
+def test_conform_json_format_prints_the_report(capsys, buffer_file):
+    fragment = FIXTURES / "fig_double_send_fragment.json"
+    projection = FIXTURES / "buffer_projection.json"
+    code, out, _ = run_cli(capsys, "conform", buffer_file, str(fragment), str(projection),
+                           "--format", "json")
+    report = conform.check_system_conformance(
+        to_simplified(transform_fixpoint(parse(BUFFER_SC))[0]),
+        conform.SystemFragment.from_json(fragment.read_text()),
+        conform.load_projection(projection.read_text()))
+    assert code == 1
+    assert out == conform.report_to_json(report) + "\n"
+    assert [(e["condition"], e["pass"]) for e in json.loads(out)] == [
+        (1, True), (2, True), (3, True), (4, True), (5, False)]
 
 
 def test_conform_incomplete_projection_is_usage(capsys, buffer_file, tmp_path):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scforge.actions import (
     Action,
@@ -32,11 +32,16 @@ from scforge.actions import (
     StopTimer,
 )
 from scforge.ast import FullState, InternT, SCFull, Trans
+from scforge.flatinterp import format_message
 from scforge.parse import (
     LexError,
+    Parser,
     ReservedIdentifier,
     StatechartSyntaxError,
+    _by_grammar,
     parse,
+    parse_message,
+    parse_messages,
     tokenize,
 )
 from scforge.printer import print_chart, to_dot, to_json
@@ -384,21 +389,17 @@ def test_dot_draws_nested_states_as_clusters_and_marks_final_states():
 
 names = st.sampled_from(["a", "b", "v", "x9", "_u"])
 
+# Every operand may be any expression, so the printer's parentheses (a cons
+# as a cons head or as either operand of `+`/`-`, a sum as a right operand)
+# are printed and read back.
 exprs = st.deferred(
     lambda: st.one_of(
         names.map(EVar),
         st.integers(-5, 5).map(ELit),
         st.booleans().map(ELit),
-        st.builds(EBin, st.sampled_from(["+", "-"]), arith, arith),
-        st.builds(ECons, arith, exprs),
+        st.builds(EBin, st.sampled_from(["+", "-"]), exprs, exprs),
+        st.builds(ECons, exprs, exprs),
         st.lists(exprs, max_size=2).map(lambda xs: EList(tuple(xs))),
-    )
-)
-arith = st.deferred(
-    lambda: st.one_of(
-        names.map(EVar),
-        st.integers(-5, 5).map(ELit),
-        st.builds(EBin, st.sampled_from(["+", "-"]), arith, arith),
     )
 )
 patterns = st.deferred(
@@ -435,3 +436,138 @@ def test_fragment_round_trip(cond, pat):
         trans=frozenset([Trans(None, "A", cond, Call("f", (pat,)), None, "A")]),
     )
     assert parse(print_chart(sc)) == sc
+
+
+@pytest.mark.parametrize("trigger, send, text", [
+    # a cons as a cons head
+    (PCons(PCons(PVar("a"), PVar("b")), PVar("c")), ECons(ECons(EVar("a"), EVar("b")), EVar("c")),
+     "A -> A : f((a:b):c) / o((a:b):c);"),
+    # a cons as the left operand of `-`, a sum as its right operand
+    (PVar("a"), EBin("-", ECons(EVar("a"), EList(())), EBin("+", ELit(1), EVar("a"))),
+     "A -> A : f(a) / o((a:[]) - (1 + a));"),
+])
+def test_round_trip_prints_the_parentheses_a_tree_needs(trigger, send, text):
+    sc = SCFull(
+        diagram_name="D",
+        class_name="C",
+        states=frozenset([FullState(modifiers=frozenset(["initial"]), name="A")]),
+        trans=frozenset([Trans(None, "A", None, Call("f", (trigger,)),
+                               Action((Send("o", (send,)),)), "A")]),
+    )
+    printed = print_chart(sc)
+    assert text in printed
+    assert parse(printed) == sc
+
+
+# -- message text: the flat reader against the grammar -------------------------
+
+def _read(read, text):
+    """What `read` makes of the text: its messages and their texts, or the
+    type and text of what it raised."""
+    try:
+        out = read(text)
+    except (LexError, StatechartSyntaxError) as e:
+        return type(e), str(e)
+    return out, [format_message(m) for m in (out if isinstance(out, list) else [out])]
+
+
+# What the pattern reads, and, by the part of a message it takes the place
+# of, what it must leave to the grammar: blanks the tokenizer refuses and
+# comments, keywords and other words as names, digits outside ASCII, ints
+# past `int()`'s digit limit, nested lists and other junk.
+_FLAT = dict(
+    blanks=st.lists(st.sampled_from(" \t\r\n"), max_size=2).map("".join),
+    throw=st.sampled_from(["", "throw ", "throw\n"]),
+    name=st.sampled_from(["put", "get", "f", "$x", "_a1", "throwput"]),
+    value=st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                    st.sampled_from(["true", "false", "- 4", "-\n0", "007", "9" * 4300])),
+)
+_ODD = dict(
+    blanks=["\f", "\v", "\u00a0", "\u3000", "//c\n"],
+    throw=["throw\f", "throw"],
+    name=["putä", "x٣", "²f", "throw", "true", "state", "1f"],
+    value=["٣", "1٣", "9" * 4301, "- " + "9" * 4301, "-true", "+1", "truex", "--1", "[]",
+           "[1, [true, -2]]", "[ -3 ,[]]", "[٣]"],
+)
+_ODD_PARTS = [(key, text) for key, texts in _ODD.items() for text in texts]
+
+
+@st.composite
+def _message_texts(draw):
+    """`throw? name(value, ...)` with blanks between the tokens. Its parts
+    are flat, or one of them, or each with a chance of three in ten, is
+    odd."""
+    n = draw(st.integers(0, 3))
+    args = ["value"] + ["blanks", ",", "blanks", "value"] * (n - 1) if n else []
+    keys = ["blanks", "throw", "name", "blanks", "(", "blanks", *args, "blanks", ")", "blanks"]
+    odd = draw(st.sampled_from(["none", "one", "some"]))
+    if odd == "one":
+        key, text = draw(st.sampled_from([p for p in _ODD_PARTS if p[0] in keys]))
+        the_one = draw(st.sampled_from([i for i, k in enumerate(keys) if k == key]))
+
+    def part(i, key):
+        if key in ("(", ",", ")"):
+            return key
+        if odd == "one" and i == the_one:
+            return text
+        if odd == "some" and draw(st.integers(0, 9)) >= 7:
+            return draw(st.sampled_from(_ODD[key]))
+        return draw(_FLAT[key])
+
+    return "".join(part(i, key) for i, key in enumerate(keys))
+
+
+@st.composite
+def _event_texts(draw):
+    """One message, or a comma-separated list of messages and empty items,
+    perhaps with a piece of junk, a comment or a bracket put in somewhere."""
+    item = st.one_of(_message_texts(), _FLAT["blanks"], st.sampled_from(_ODD["blanks"]))
+    text = draw(st.one_of(_message_texts(), st.lists(item, max_size=4).map(",".join)))
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(text)))
+        junk = draw(st.sampled_from(["// note", "//c\n", ",", "(", ")", "[", "]", "-", ";",
+                                     "²", "x", "throw ", "1", "\f", "\n"]))
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+@settings(max_examples=500)
+@given(_event_texts())
+def test_flat_reader_reads_as_the_grammar_does(text):
+    """Text the pattern reads gives what the grammar gives; any other text
+    goes to the grammar, so both raise the same error."""
+    assert _read(parse_message, text) == _read(lambda t: _by_grammar(t, Parser.message), text)
+    assert _read(parse_messages, text) == _read(lambda t: _by_grammar(t, Parser.messages), text)
+
+
+class _ParserBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("read, text, flat", [
+    (parse_message, "put(3)", True),
+    (parse_message, " throw\tput( - 4 ,true,false )\r\n", True),
+    (parse_message, "put(-" + "9" * 4300 + ")", True),
+    (parse_messages, "f(), , g(1),", True),
+    (parse_messages, "", True),
+    (parse_message, "f(), g(1)", False),
+    (parse_messages, "put([1, [true]])", False),
+    (parse_messages, "put(1) // note", False),
+    (parse_messages, "put(٣)", False),
+    (parse_messages, "f(), state(1)", False),
+    (parse_message, "²f(1)", False),
+    (parse_message, "put(" + "9" * 4301 + ")", False),
+    (parse_messages, "put(1)\f", False),
+], ids=lambda x: x.__name__ if callable(x) else repr(x)[:20])
+def test_flat_text_builds_no_parser(monkeypatch, read, text, flat):
+    """Flat message text is read without the grammar; other text needs it."""
+    def no_parser(self, *args, **kwargs):
+        raise _ParserBuilt
+
+    monkeypatch.setattr(Parser, "__init__", no_parser)
+    try:
+        read(text)
+        built = False
+    except _ParserBuilt:
+        built = True
+    assert built is not flat
