@@ -26,7 +26,7 @@ from .actions import (
     value_to_json,
     values_equal,
 )
-from .ast import SCSimp, Trans
+from .ast import SCSimp
 from .parse import parse_message  # noqa: F401 -- re-exported: it reads what format_message writes
 
 
