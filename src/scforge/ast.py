@@ -122,9 +122,10 @@ class ChartIndex:
         this index's `parent` map and patches the other parts where those
         differences fall. It shares `ancestors` too, which reads only the
         names and the substate relation, and the `*_at_or_above` sets unless a
-        state gained its first or lost its last transition in their direction
-        (the sorted transitions are built on first read). Otherwise the index
-        is built afresh."""
+        state gained its first or lost its last transition in their direction;
+        then it patches them below those states (`_patched`). The sorted
+        transitions are built on first read. Otherwise the index is built
+        afresh."""
         added = {s.name: s for s in dstates if s in chart.states}
         removed = {s.name for s in dstates if s not in chart.states}
         if ((chart.sub is not self._sub and chart.sub != self._sub) or removed != added.keys()
@@ -147,10 +148,29 @@ class ChartIndex:
         for edges, end in (("ingoing", _TRG), ("outgoing", _SRC)):
             was = getattr(self, edges)
             now = vars(new)[edges] = _regrouped(was, dtrans, end)
-            if all((end(t) in was) == (end(t) in now) for t in dtrans):
-                at_or_above = edges + "_at_or_above"
-                vars(new)[at_or_above] = getattr(self, at_or_above)
+            flipped = {end(t) for t in dtrans if (end(t) in was) != (end(t) in now)}
+            at_or_above = edges + "_at_or_above"
+            vars(new)[at_or_above] = new._patched(getattr(self, at_or_above), now, flipped)
         return new
+
+    def _patched(self, was: frozenset, names, flipped: set) -> frozenset:
+        """`_at_or_above(names)`, from `was`, the set before the states in
+        `flipped` gained their first or lost their last name in `names`. Each
+        flipped state's subtree, shallowest first, is recomputed top-down,
+        down to where a state's membership did not change."""
+        if not flipped:
+            return was
+        out, ancestors = set(was), self.ancestors
+        for name in sorted(flipped, key=lambda n: len(ancestors.get(n, ()))):
+            todo = [name]
+            while todo:
+                n = todo.pop()
+                above = ancestors.get(n)  # None where the top-down pass does not reach
+                member = n in names or bool(above) and above[0] in out
+                if member != (n in out):
+                    (out.add if member else out.discard)(n)
+                    todo.extend(c.name for c in self.children.get(n, ()))
+        return frozenset(out)
 
     @cached_property
     def trans(self) -> tuple:

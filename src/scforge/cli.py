@@ -78,10 +78,14 @@ def _parse_chart(path: str, text: Optional[str] = None):
 
 def _events(spec: str):
     """Messages from a string, or from a file when the argument starts with
-    `@`: each line but a `#` line is a comma-separated list of messages."""
+    `@`: each line but a `#` line is a comma-separated list of messages.
+    Lines end at a newline only, and each is stripped of the message
+    grammar's blanks (space, tab, carriage return) only, so any other
+    control or separator character is a syntax error, as it is to
+    `parse_messages`."""
     text = _read(spec[1:]) if spec.startswith("@") else spec
     events = []
-    for line in map(str.strip, text.splitlines()):
+    for line in (line.strip(" \t\r") for line in text.split("\n")):
         if not line.startswith("#"):
             with _input(f"bad event {line!r}", *SYNTAX_ERRORS):
                 events.extend(parse_messages(line))
@@ -203,8 +207,8 @@ def cmd_run(args) -> int:
             for line in r["log"]:
                 print(
                     f"  step {line['step']}: {line['state']}"
-                    f"  consumed={line['consumed']} emitted={line['emitted']}"
-                    f" store={line['storeDiff']}"
+                    f"  consumed={line['consumed']} emitted={json.dumps(line['emitted'])}"
+                    f" store={json.dumps(line['storeDiff'])}"
                 )
             print(f"  outcome: {r['outcome']} in {r['state']},"
                   f" emitted {', '.join(r['emitted']) or '(nothing)'}")

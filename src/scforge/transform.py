@@ -676,12 +676,14 @@ def _apply(rule: int, sc: SCFull, b: Binding) -> SCFull:
 class _Matches:
     """The bindings of one state rule on the engine's current chart, kept by
     state name. The states marked since the rule was last consulted are
-    re-tested when it is next consulted; at first, every state is."""
+    re-tested when it is next consulted; at first, every state is. A state's
+    `Binding`s are built when the rule's list is next joined after its
+    matches changed, and kept: a step changes few states' matches."""
 
-    __slots__ = ("rule", "at_state", "dirty", "found")
+    __slots__ = ("rule", "at_state", "bound", "dirty", "found")
 
     def __init__(self, rule: Rule):
-        self.rule, self.at_state = rule, {}
+        self.rule, self.at_state, self.bound = rule, {}, {}
         self.dirty: Optional[set[str]] = None  # None: every state
         self.found: Optional[list[Binding]] = None  # the bindings, once listed
 
@@ -698,7 +700,7 @@ class _Matches:
         if self.dirty is None:
             self.at_state = at_state = {s.name: found for s in sc.index.states
                                         if (found := at(s, sc))}
-            self.found, self.dirty = None, set()
+            self.bound, self.found, self.dirty = {}, None, set()
         else:
             by_name = sc.index.by_name
             for name in self.dirty:
@@ -706,6 +708,7 @@ class _Matches:
                 found = at(s, sc) if s is not None else []
                 if found != at_state.get(name, []):
                     self.found = None
+                    self.bound.pop(name, None)
                     if found:
                         at_state[name] = found
                     else:
@@ -716,7 +719,9 @@ class _Matches:
                 names = sorted(at_state, key=partial(_outer_key, sc=sc))
             else:
                 names = sorted(at_state)
-            self.found = [Binding(self.rule.number, items) for n in names for items in at_state[n]]
+            rule, bound = self.rule.number, self.bound
+            self.found = [b for n in names for b in bound.get(n) or bound.setdefault(
+                n, [Binding(rule, items) for items in at_state[n]])]
         return self.found
 
 

@@ -495,6 +495,44 @@ def test_event_line_reading(capsys, buffer_file, tmp_path):
                                  Message("f", ((-1, True),), True)]
 
 
+@pytest.mark.parametrize("char", ["\f", "\v", "\x85", "\u2028"])
+def test_event_lines_break_at_newline_only(capsys, buffer_file, tmp_path, char):
+    """Other line breaks and blanks are characters the message grammar
+    refuses, inside a line or around it."""
+    for events in (f"put(1){char}get()", f"{char}put(1), get()"):
+        code, out, err = run_cli(capsys, "run", buffer_file, "--events", events)
+        assert (code, out) == (2, "") and err.startswith("error: bad event ")
+        assert err.count("\n") == 1 and f"unexpected character {char!r}" in err, err
+    ev = tmp_path / "events.txt"
+    ev.write_text(f"put(1){char}get()\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", buffer_file, "--events", f"@{ev}")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_crlf_events_file_runs_as_its_lf_spelling(capsys, buffer_file, tmp_path):
+    text = "# put(9)\n  # get()\nput(1), get()\n\t, put(2),\r\nget()\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\r\n", "\n").replace("\n", "\r\n").encode())
+    runs = [run_cli(capsys, "run", buffer_file, "--events", f"@{ev}") for ev in (lf, crlf)]
+    assert runs[0] == runs[1] == run_cli(capsys, "run", buffer_file, "--events",
+                                         "put(1), get(), put(2), get()")
+    assert runs[0][0] == 0 and "emitted send(1), send(2)" in runs[0][1]
+    # an indented `#` line is a comment, whatever blanks indent it
+    assert _events(" \t\r# put(9)\r\nget()") == [Message("get", ())]
+
+
+def test_run_text_log_prints_json_values(capsys, buffer_file):
+    code, out, _ = run_cli(capsys, "run", buffer_file, "--events", "put([1, [true]]), get()")
+    assert code == 0
+    assert out.splitlines() == [
+        "from Empty:",
+        '  step 1: NonEmpty  consumed=put([1, [true]]) emitted=[] store={"v": [1, [true]]}',
+        '  step 2: Empty  consumed=get() emitted=["send([1, [true]])"] store={}',
+        "  outcome: step in Empty, emitted send([1, [true]])",
+    ]
+
+
 @pytest.mark.parametrize("command", [["run"], ["vdb-run", "--domain=-1,3"]])
 def test_malformed_event_is_usage(capsys, buffer_file, command):
     code, out, err = run_cli(

@@ -202,6 +202,28 @@ def test_chart_and_state_invariants_checked_on_projections():
     assert any("s1" in w for w in by_cond[3]["witnesses"])
 
 
+def test_chart_invariant_witness_names_each_projected_node_it_fails_at():
+    """Condition 1 reads the chart invariant at every node some state
+    projects to: s1 (v = 3) and s6 (v = -1)."""
+    sc = to_simplified(parse(
+        """
+        statechart Buffer for BufferClass {
+            [v == 3];
+            initial state Empty;
+            state NonEmpty;
+            Empty -> NonEmpty : put(x) / v = x;
+            Empty -> Empty : get() / send(-1);
+            NonEmpty -> Empty : get() / send(v);
+            NonEmpty -> NonEmpty : put(x) / v = x;
+        }
+        """
+    ))
+    report = check_system_conformance(sc, OK_FRAG, PROJ)
+    assert report[0] == {"condition": 1, "pass": False,
+                         "witnesses": ["chart invariant fails at s6"]}
+    assert all(e["pass"] for e in report[1:])
+
+
 def test_initial_projection_must_be_initial_nodes():
     proj = dict(PROJ)
     proj["Empty"] = frozenset(["s1"])  # s1 is not an initial node

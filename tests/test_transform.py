@@ -533,6 +533,28 @@ def test_rule25_completion_error_targets_error_state():
     assert any(t.src == "E" and t.call.name == "f" for t in out.trans)
 
 
+def test_rule25_names_its_error_state_past_a_state_called_error():
+    """With no <<error>> state, rule 25 adds one, named `Error` and then
+    `$` until the name is free."""
+    sc = parse(
+        """
+        statechart D for C <<completion:error>> {
+            initial state Error;
+            state B;
+            Error -> B : f();
+        }
+        """
+    )
+    [b] = find_bindings(25, sc)
+    assert b["err"] == "Error$"
+    out = apply_rule(25, sc, b)
+    assert {s.name for s in out.states} == {"Error", "B", "Error$"}
+    assert "error" in out.state("Error$").sstereos and not out.state("Error").sstereos
+    # every state completes into the added state, and none into `Error`
+    assert {t.src for t in out.trans if t.trg == "Error$"} == {"Error", "B", "Error$"}
+    assert not any(t.trg == "Error" for t in out.trans)
+
+
 def test_rule26_completion_exception():
     sc = parse(
         """
@@ -858,6 +880,30 @@ def test_derived_index_shares_what_a_step_left_unchanged():
     # other state names: built afresh
     grown = replace(new, states=new.states | {FullState(name="Z")})
     assert idx.derive(grown, grown.states ^ sc.states, frozenset()).parent is not idx.parent
+
+
+def test_derived_index_patches_the_at_or_above_sets_below_a_flipped_top():
+    """One step drops the transitions into and out of a deep chain's top,
+    so the whole chain leaves both `*_at_or_above` sets, and adds one into a
+    level halfway down, whose subtree stays in; the step back puts them
+    back. `derive` patches the sets below the flipped states."""
+    sc = chain_chart(60)
+    top = frozenset(t for t in sc.trans if "L0" in (t.src, t.trg))
+    cut = replace(sc, trans=(sc.trans - top) | {Trans(None, "Out", None, Call("k", ()), None, "L30")})
+    for old, new in [(sc, cut), (cut, sc)]:
+        idx = old.index
+        derived = idx.derive(new, frozenset(), old.trans ^ new.trans)
+        assert derived.parent is idx.parent  # derived, not built afresh
+        assert {"ingoing_at_or_above", "outgoing_at_or_above"} <= vars(derived).keys()
+        assert derived.ingoing_at_or_above != idx.ingoing_at_or_above
+        assert derived.outgoing_at_or_above != idx.outgoing_at_or_above
+        fresh = ChartIndex(new.states, new.trans, new.sub)
+        for part in INDEX_PARTS:
+            assert getattr(derived, part) == getattr(fresh, part), part
+        vars(new)["index"] = derived
+    chain = {f"L{d}" for d in range(60)} | {"Leaf", "Other"}
+    assert chain & cut.index.ingoing_at_or_above == chain - {f"L{d}" for d in range(30)}
+    assert chain & cut.index.outgoing_at_or_above == {"Leaf"}
 
 
 def test_fixpoint_preserves_wellformedness():

@@ -288,6 +288,14 @@ def test_cc11_undeclared_reads_writes_calls():
     assert any("calls undeclared mystery/1" in m for m in msgs)
 
 
+def test_cc11_statement_reads_undeclared():
+    """A statement may read the attributes and the event's arguments only."""
+    sc = make(trans=frozenset([Trans(None, "A", None, Call("g", (PVar("x"),)), Action(
+        (Assign("v", EVar("x")), Send("out", (EVar("z"),)), Assign("w", EVar("v"))), None), "A")]))
+    cc11 = [v for v in findings(check_all(sc, CTX)) if v.code == "CC11"]
+    assert [v.message for v in cc11] == ["statement reads undeclared z"]
+
+
 def test_cc12_duplicate_state_names():
     sc = make(
         states=frozenset(
