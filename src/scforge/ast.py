@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional
@@ -88,7 +88,19 @@ class SCFull:
         return self.index.by_name.get(name)
 
     def replace_state(self, old: FullState, new: FullState) -> "SCFull":
-        return replace(self, states=(self.states - {old}) | {new})
+        return updated(self, states=(self.states - {old}) | {new})
+
+
+def updated(x, **changes):
+    """`dataclasses.replace(x, **changes)` for a chart or a state, in a third
+    of the time, without what x computed and kept (its index or hash)."""
+    new = object.__new__(type(x))
+    fields = vars(new)
+    fields.update(vars(x))
+    fields.pop("index", None)
+    fields.pop("_hash", None)
+    fields.update(changes)
+    return new
 
 
 class ChartIndex:
@@ -256,6 +268,15 @@ def group_by(items, key, kind=frozenset) -> dict:
     for x in items:
         groups.setdefault(key(x), []).append(x)
     return {k: kind(v) for k, v in groups.items()}
+
+
+def retarget(t: Trans, src: Optional[str] = None, trg: Optional[str] = None) -> Trans:
+    """t with its source or target replaced, built directly. It keeps t's
+    sort key with the two ends replaced, as nothing else in the key changes."""
+    src, trg = t.src if src is None else src, t.trg if trg is None else trg
+    new = Trans(t.prio, src, t.pre, t.call, t.act, trg)
+    object.__setattr__(new, "_key", (src, trg) + trans_key(t)[2:])
+    return new
 
 
 def trans_key(t: Trans):

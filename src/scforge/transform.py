@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -51,7 +51,9 @@ from .ast import (
     SCSimp,
     SEQUENTIAL,
     Trans,
+    retarget,
     trans_key,
+    updated,
 )
 from .printer import print_chart
 from .wellformed import _on_cycle
@@ -267,7 +269,7 @@ def _with_timer(a: Optional[Action], prim) -> Action:
 def _elim_do(sc: SCFull, b: Binding) -> SCFull:  # rule 1
     s = sc.state(b["s"])
     timeout = InternT(TRUE, Call(TIMEOUT, ()), Action(s.do.stmt + (SetTimer(),), s.do.post))
-    return sc.replace_state(s, replace(
+    return sc.replace_state(s, updated(
         s,
         internT=s.internT | {timeout},
         entry=_with_timer(s.entry, SetTimer()),
@@ -285,7 +287,7 @@ def _internal_at(composite: bool, s: FullState, sc: SCFull) -> list:  # rules 2,
 def _internal_to_substates(sc: SCFull, b: Binding) -> SCFull:  # rule 2
     s, it = sc.state(b["s"]), b["inT"]
     loops = {Trans(None, st.name, it.pre, it.call, it.act, st.name) for st in substates(s, sc)}
-    return replace(sc.replace_state(s, replace(s, internT=s.internT - {it})),
+    return updated(sc, states=(sc.states - {s}) | {updated(s, internT=s.internT - {it})},
                    trans=sc.trans | loops)
 
 
@@ -296,9 +298,9 @@ def _internal_to_inner_state(sc: SCFull, b: Binding) -> SCFull:  # rule 3
         k += 1
     inner = f"{s.name}$inner{k}"
     fresh = FullState(modifiers=frozenset(["initial", "final"]), name=inner)
-    return replace(
+    return updated(
         sc,
-        states=(sc.states - {s}) | {replace(s, internT=s.internT - {it}), fresh},
+        states=(sc.states - {s}) | {updated(s, internT=s.internT - {it}), fresh},
         sub=sc.sub | {(inner, s.name)},
         trans=sc.trans | {Trans(None, inner, it.pre, it.call, it.act, inner)},
     )
@@ -311,8 +313,8 @@ def _find_add_top(side: _Side, sc: SCFull):  # rules 4, 8
 
 
 def _add_mod(side: _Side, states: frozenset[FullState], sc: SCFull) -> SCFull:
-    marked = {replace(s, modifiers=s.modifiers | {side.mod}) for s in states}
-    return replace(sc, states=(sc.states - states) | marked)
+    marked = {updated(s, modifiers=s.modifiers | {side.mod}) for s in states}
+    return updated(sc, states=(sc.states - states) | marked)
 
 
 def _add_top(side: _Side, sc: SCFull, b: Binding) -> SCFull:
@@ -346,8 +348,8 @@ def _to_sub_at(side: _Side, wanted, s: FullState, sc: SCFull) -> list:  # rules 
 def _move_to_sub(side: _Side, sc: SCFull, b: Binding) -> SCFull:
     """Replace t by copies whose end at s is each `side.mod` substate of s."""
     s, t = sc.state(b["s"]), b["t"]
-    moved = {replace(t, **{side.end: st.name}) for st in _mod_subs(side, s, sc)}
-    return replace(sc, trans=(sc.trans - {t}) | moved)
+    moved = {retarget(t, **{side.end: st.name}) for st in _mod_subs(side, s, sc)}
+    return updated(sc, trans=(sc.trans - {t}) | moved)
 
 
 def _mod_irrelevant(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 7, 15
@@ -356,7 +358,7 @@ def _mod_irrelevant(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 7, 
 
 def _delete_mod(side: _Side, sc: SCFull, b: Binding) -> SCFull:
     s = sc.state(b["s"])
-    return sc.replace_state(s, replace(s, modifiers=s.modifiers - {side.mod}))
+    return sc.replace_state(s, updated(s, modifiers=s.modifiers - {side.mod}))
 
 
 def _prio_groups_at(stereo: str, s: FullState, sc: SCFull) -> list:  # rules 11, 12
@@ -379,7 +381,7 @@ def _prio_inner(sc: SCFull, b: Binding) -> SCFull:  # rule 11
         pre_i = _neg_precond(_inner_calls(st, ts, sc))
         for t in sorted(ts, key=trans_key):
             added.add(normalize_trans(t, pre_i, src=st.name))
-    return replace(sc, trans=(sc.trans - ts) | added)
+    return updated(sc, trans=(sc.trans - ts) | added)
 
 
 def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
@@ -392,11 +394,11 @@ def _prio_outer(sc: SCFull, b: Binding) -> SCFull:  # rule 12
         removed |= c_trans
         # the outer transitions move down unchanged
         for t in sorted(ts, key=trans_key):
-            added.add(replace(t, src=st.name))
+            added.add(retarget(t, src=st.name))
         # the inner ones only fire if no outer one does
         for t in sorted(c_trans, key=trans_key):
             added.add(normalize_trans(t, pre_outer))
-    return replace(sc, trans=(sc.trans - removed) | added)
+    return updated(sc, trans=(sc.trans - removed) | added)
 
 
 def _elim_prio_at(s: FullState, sc: SCFull) -> list:  # rule 14
@@ -416,7 +418,7 @@ def _elim_prio(sc: SCFull, b: Binding) -> SCFull:
     for t in sorted(ts, key=trans_key):
         higher = {t2 for t2 in ts if prio(t2) > prio(t)}
         added.add(normalize_trans(t, _neg_precond(higher)))
-    return replace(sc, trans=(sc.trans - ts) | added)
+    return updated(sc, trans=(sc.trans - ts) | added)
 
 
 def _action_movable(side: _Side, seq: bool, s: FullState, sc: SCFull) -> bool:  # rules 16, 17, 19, 20
@@ -450,8 +452,8 @@ def _move_action(side: _Side, seq: bool, sc: SCFull, b: Binding) -> SCFull:
             act = seq_actions_all(acts)
             if side is _IN:  # rule 20 also keeps t's postcondition; rule 17 does not
                 act = Action(act.stmt, conj_opt(action_post(t.act), act.post))
-        moved.add(replace(t, act=act))
-    return replace(sc.replace_state(s, replace(s, **{side.action: None})),
+        moved.add(Trans(t.prio, t.src, t.pre, t.call, act, t.trg))
+    return updated(sc, states=(sc.states - {s}) | {updated(s, **{side.action: None})},
                    trans=(sc.trans - ts) | moved)
 
 
@@ -463,7 +465,7 @@ def _action_removable(side: _Side, s: FullState, sc: SCFull) -> bool:  # rules 1
 
 def _remove_action(side: _Side, sc: SCFull, b: Binding) -> SCFull:
     s = sc.state(b["s"])
-    return sc.replace_state(s, replace(s, **{side.action: None}))
+    return sc.replace_state(s, updated(s, **{side.action: None}))
 
 
 def _inv_movable(s: FullState, sc: SCFull) -> bool:  # rule 22
@@ -473,8 +475,8 @@ def _inv_movable(s: FullState, sc: SCFull) -> bool:  # rule 22
 def _move_invariant(sc: SCFull, b: Binding) -> SCFull:
     s = sc.state(b["s"])
     subs = substates(s, sc)
-    moved = {replace(st, inv=conj_opt(s.inv, st.inv)) for st in subs}
-    return replace(sc, states=(sc.states - subs - {s}) | moved | {replace(s, inv=None)})
+    moved = {updated(st, inv=conj_opt(s.inv, st.inv)) for st in subs}
+    return updated(sc, states=(sc.states - subs - {s}) | moved | {updated(s, inv=None)})
 
 
 def _find_remove_hierarchy(sc: SCFull):  # rule 23
@@ -484,7 +486,7 @@ def _find_remove_hierarchy(sc: SCFull):  # rule 23
 
 def _remove_hierarchy(sc: SCFull, b: Binding) -> SCFull:
     leaves = frozenset(s for s in sc.states if not substates(s, sc))
-    return replace(sc, states=leaves, sub=frozenset())
+    return updated(sc, states=leaves, sub=frozenset())
 
 
 def _find_completion(stereo: Optional[str], sc: SCFull):  # rules 24, 25, 26
@@ -520,7 +522,7 @@ def _apply_completion(stereo: Optional[str], sc: SCFull, b: Binding) -> SCFull:
         target = b["err"]
         if sc.state_opt(target) is None:
             error = FullState(name=target, sstereos=frozenset(["error"]))
-            sc = replace(sc, states=sc.states | {error})
+            sc = updated(sc, states=sc.states | {error})
     elif exception:
         target = b["exc"]
 
@@ -541,7 +543,7 @@ def _apply_completion(stereo: Optional[str], sc: SCFull, b: Binding) -> SCFull:
             if rep.exception == exception:
                 added.add(Trans(None, s.name, _neg_precond(ts), call_expr_of(rep), None, trg))
     # the rule consumes its stereotype; exception completion has none
-    return replace(sc, trans=sc.trans | added, stereos=sc.stereos - {stereo})
+    return updated(sc, trans=sc.trans | added, stereos=sc.stereos - {stereo})
 
 
 # Once the chart is flat, stereotypes that have no remaining effect
@@ -556,7 +558,7 @@ def _find_drop_stereos(sc: SCFull):  # engine step 27
 
 
 def _drop_stereos(sc: SCFull, b: Binding) -> SCFull:
-    return replace(sc, stereos=sc.stereos - _DROPPABLE)
+    return updated(sc, stereos=sc.stereos - _DROPPABLE)
 
 
 class Rule(NamedTuple):
@@ -567,7 +569,8 @@ class Rule(NamedTuple):
     # rules that bind a state first: the items of each binding at one state
     at: Optional[Callable[[FullState, SCFull], list]] = None
     outer_first: bool = False  # states in (depth, name) order, not by name
-    # what else the matcher reads of the chart: "stereos", "top_names"
+    # the inputs the matcher reads at a state, named as `_advance` reports
+    # their changes; every state rule reads "state", the state's own value
     reads: frozenset[str] = frozenset()
 
 
@@ -585,52 +588,61 @@ def _find_at(at, outer_first: bool, sc: SCFull) -> Iterator[tuple]:
         yield from at(s, sc)
 
 
-def _state_rule(number: int, name: str, at, apply, outer_first: bool = False,
-                reads: frozenset[str] = frozenset()) -> Rule:
-    return Rule(number, name, partial(_find_at, at, outer_first), apply, at, outer_first, reads)
-
-
-_STEREOS, _TOP_NAMES = frozenset({"stereos"}), frozenset({"top_names"})
+def _state_rule(number: int, name: str, at, apply, reads: str = "",
+                outer_first: bool = False) -> Rule:
+    return Rule(number, name, partial(_find_at, at, outer_first), apply, at, outer_first,
+                frozenset(["state", *reads.split()]))
 
 
 RULES = (
     _state_rule(1, "elimDo", _when(lambda s, sc: s.do is not None), _elim_do),
-    _state_rule(2, "elimInternalT1", partial(_internal_at, True), _internal_to_substates),
-    _state_rule(3, "elimInternalT2", partial(_internal_at, False), _internal_to_inner_state),
+    _state_rule(2, "elimInternalT1", partial(_internal_at, True), _internal_to_substates,
+                "has_substates"),
+    _state_rule(3, "elimInternalT2", partial(_internal_at, False), _internal_to_inner_state,
+                "has_substates"),
     Rule(4, "addInitTop", partial(_find_add_top, _IN), partial(_add_top, _IN)),
-    _state_rule(5, "addInitSub", _when(partial(_needs_sub_mod, _IN)), partial(_add_sub_mod, _IN)),
+    _state_rule(5, "addInitSub", _when(partial(_needs_sub_mod, _IN)), partial(_add_sub_mod, _IN),
+                "substates ingoing"),
     _state_rule(6, "forwardToSub", partial(_to_sub_at, _IN, lambda t, sc: True),
-                partial(_move_to_sub, _IN)),
+                partial(_move_to_sub, _IN), "substates ingoing"),
     _state_rule(7, "deleteInitSub", _when(partial(_mod_irrelevant, _IN)),
-                partial(_delete_mod, _IN), outer_first=True, reads=_TOP_NAMES),
+                partial(_delete_mod, _IN), "ingoing_at_or_above superstates top_names",
+                outer_first=True),
     Rule(8, "addFinalTop", partial(_find_add_top, _OUT), partial(_add_top, _OUT)),
-    _state_rule(9, "addFinalSub", _when(partial(_needs_sub_mod, _OUT)), partial(_add_sub_mod, _OUT)),
+    _state_rule(9, "addFinalSub", _when(partial(_needs_sub_mod, _OUT)), partial(_add_sub_mod, _OUT),
+                "substates outgoing"),
     _state_rule(10, "backwardToSub",
                 partial(_to_sub_at, _OUT, lambda t, sc: not sc.stereos & PRIO_STEREOS),
-                partial(_move_to_sub, _OUT), reads=_STEREOS),
+                partial(_move_to_sub, _OUT), "substates outgoing stereos"),
     _state_rule(11, "backwardToSubPrioInner", partial(_prio_groups_at, PRIO_INNER), _prio_inner,
-                reads=_STEREOS),
+                "substates outgoing stereos"),
     _state_rule(12, "backwardToSubPrioOuter", partial(_prio_groups_at, PRIO_OUTER), _prio_outer,
-                reads=_STEREOS),
+                "substates outgoing stereos"),
     _state_rule(13, "backwardToSubPrio",
                 partial(_to_sub_at, _OUT, lambda t, sc: t.prio is not None),
-                partial(_move_to_sub, _OUT)),
-    _state_rule(14, "elimPrio", _elim_prio_at, _elim_prio),
+                partial(_move_to_sub, _OUT), "substates outgoing"),
+    _state_rule(14, "elimPrio", _elim_prio_at, _elim_prio,
+                "has_substates outgoing outgoing_above superstates"),
     _state_rule(15, "deleteFinalSub", _when(partial(_mod_irrelevant, _OUT)),
-                partial(_delete_mod, _OUT), outer_first=True, reads=_TOP_NAMES),
+                partial(_delete_mod, _OUT), "outgoing_at_or_above superstates top_names",
+                outer_first=True),
     _state_rule(16, "moveExitActions", _when(partial(_action_movable, _OUT, False)),
-                partial(_move_action, _OUT, False), reads=_STEREOS),
+                partial(_move_action, _OUT, False),
+                "has_substates outgoing_above superstates stereos"),
     _state_rule(17, "moveExitActionsSeq", _when(partial(_action_movable, _OUT, True)),
-                partial(_move_action, _OUT, True), reads=_STEREOS),
+                partial(_move_action, _OUT, True),
+                "has_substates outgoing_above superstates stereos"),
     _state_rule(18, "removeExitAction", _when(partial(_action_removable, _OUT)),
-                partial(_remove_action, _OUT)),
+                partial(_remove_action, _OUT), "outgoing_at_or_above"),
     _state_rule(19, "moveEntryActions", _when(partial(_action_movable, _IN, False)),
-                partial(_move_action, _IN, False), reads=_STEREOS),
+                partial(_move_action, _IN, False),
+                "has_substates ingoing_above superstates stereos"),
     _state_rule(20, "moveEntryActionsSeq", _when(partial(_action_movable, _IN, True)),
-                partial(_move_action, _IN, True), reads=_STEREOS),
+                partial(_move_action, _IN, True),
+                "has_substates ingoing_above superstates stereos"),
     _state_rule(21, "removeEntryAction", _when(partial(_action_removable, _IN)),
-                partial(_remove_action, _IN)),
-    _state_rule(22, "moveInvariant", _when(_inv_movable), _move_invariant),
+                partial(_remove_action, _IN), "ingoing_at_or_above"),
+    _state_rule(22, "moveInvariant", _when(_inv_movable), _move_invariant, "has_substates"),
     Rule(23, "removeHierarchy", _find_remove_hierarchy, _remove_hierarchy),
     Rule(24, "completionIgnore", partial(_find_completion, COMPLETION_IGNORE),
          partial(_apply_completion, COMPLETION_IGNORE)),
@@ -676,9 +688,11 @@ def _apply(rule: int, sc: SCFull, b: Binding) -> SCFull:
 class _Matches:
     """The bindings of one state rule on the engine's current chart, kept by
     state name. The states marked since the rule was last consulted are
-    re-tested when it is next consulted; at first, every state is. A state's
-    `Binding`s are built when the rule's list is next joined after its
-    matches changed, and kept: a step changes few states' matches."""
+    re-tested when it is next consulted; at first, every state is. A step
+    marks, for each input in the rule's `reads`, the names `_advance`
+    reports for that input. A state's `Binding`s are built when the rule's
+    list is next joined after its matches changed, and kept: a step changes
+    few states' matches."""
 
     __slots__ = ("rule", "at_state", "bound", "dirty", "found")
 
@@ -687,11 +701,17 @@ class _Matches:
         self.dirty: Optional[set[str]] = None  # None: every state
         self.found: Optional[list[Binding]] = None  # the bindings, once listed
 
-    def mark(self, names: Optional[set[str]], wide: set[str]) -> None:
-        if names is None or not self.rule.reads.isdisjoint(wide):
+    def mark(self, key: str, names: Optional[set[str]]) -> None:
+        """Mark `names`, the states whose input `key` changed (None: every
+        state, for a chart-wide input)."""
+        if self.dirty is None:
+            return
+        if names is None:
             self.dirty = None
-        elif self.dirty is not None:
+        else:
             self.dirty |= names
+            if key == "superstates" and self.rule.outer_first:
+                self.found = None  # the join order reads each state's depth
 
     def bindings(self, sc: SCFull) -> list[Binding]:
         if self.dirty is not None and not self.dirty:  # nothing marked since the last consult
@@ -735,42 +755,49 @@ def _candidates(sc: SCFull, matches: dict[int, _Matches],
                 yield rule, b
 
 
-def _advance(old: SCFull, new: SCFull) -> tuple[Optional[set[str]], set[str]]:
-    """Give `new` the index derived from `old`'s. Return the names of the
-    states at which a state rule's matcher may answer differently on `new`
-    than on `old` (None: at every state), and which of the chart-wide inputs
-    in `Rule.reads` changed: a rule that reads one is re-tested at every
-    state.
+def _advance(old: SCFull, new: SCFull) -> dict[str, Optional[set[str]]]:
+    """Give `new` the index derived from `old`'s. Return, for each input a
+    state rule's matcher may read (`Rule.reads`) that differs between `old`
+    and `new`, the names of the states at which it differs: None for the
+    chart-wide inputs "stereos" and "top_names", which every state reads.
 
-    A matcher at s reads s and its children, its ingoing and outgoing
-    transitions, whether s and its parent are in the two `*_at_or_above`
-    sets, its depth and top-level root, and its rule's `reads`. So it is
-    re-tested where a state changed and at that state's parent, at both ends
-    of a changed transition, and where a state or its parent entered or left
-    an `*_at_or_above` set; and at every state when the substate relation or
-    the state names changed."""
+    The names are those of the states added, removed or replaced
+    ("state"); of the parents of those, or where `sub` or the state names
+    changed, of every state whose substates differ ("substates", and
+    "has_substates" then too); of the two ends of the changed transitions
+    ("ingoing", "outgoing"); of the states that entered or left the
+    `ingoing_at_or_above` or `outgoing_at_or_above` set (under the set's
+    name), and of their children ("ingoing_above", "outgoing_above"); and
+    where `sub` or the state names changed, of the states whose chain of
+    superstates differs ("superstates"). A removed name is reported as a
+    "state", which every state rule reads, so each rule drops its bindings
+    there."""
     dstates = old.states ^ new.states if new.states is not old.states else frozenset()
     dtrans = old.trans ^ new.trans if new.trans is not old.trans else frozenset()
     before = old.index
     after = vars(new)["index"] = before.derive(new, dstates, dtrans)
-    if after.parent is not before.parent:  # built afresh: `sub` or the state names changed
-        return None, set()
-    wide = set()
-    if new.stereos != old.stereos:
-        wide.add("stereos")
-    if after.top_names != before.top_names:
-        wide.add("top_names")
-    dirty = {s.name for s in dstates}
-    dirty.update([after.parent[n] for n in dirty if n in after.parent])
-    for t in dtrans:
-        dirty.update((t.src, t.trg))
-    for side in (_IN, _OUT):
+    names = {s.name for s in dstates}
+    changed: dict[str, Optional[set[str]]] = {
+        "state": names, "ingoing": {t.trg for t in dtrans}, "outgoing": {t.src for t in dtrans}}
+    if after.parent is before.parent:  # derived: the same tree of the same names
+        parent = after.parent
+        changed["substates"] = {parent[n] for n in names if n in parent}
+    else:  # built afresh: `sub` or the state names changed
+        was, now = before.children, after.children
+        changed["substates"] = changed["has_substates"] = {
+            n for n in was.keys() | now.keys() if n is not None and was.get(n) != now.get(n)}
+        was, now = before.ancestors, after.ancestors
+        changed["superstates"] = {n for n in was.keys() | now.keys() if was.get(n) != now.get(n)}
+    for side, above in ((_IN, "ingoing_above"), (_OUT, "outgoing_above")):
         was, now = getattr(before, side.at_or_above), getattr(after, side.at_or_above)
-        if now is not was:
-            for n in was ^ now:
-                dirty.add(n)
-                dirty.update(c.name for c in after.children.get(n, ()))
-    return dirty, wide
+        if now is not was and (flipped := was ^ now):
+            changed[side.at_or_above] = flipped
+            changed[above] = {c.name for n in flipped for c in after.children.get(n, ())}
+    if new.stereos != old.stereos:
+        changed["stereos"] = None
+    if after.top_names != before.top_names:
+        changed["top_names"] = None
+    return {key: v for key, v in changed.items() if v is None or v}
 
 
 def read_strategy(strategy: str) -> Optional[random.Random]:
@@ -809,6 +836,10 @@ def transform_fixpoint(
 
     trace: list[TraceEntry] = []
     matches = {rule.number: _Matches(rule) for rule in RULES if rule.at}
+    readers: dict[str, list[_Matches]] = {}
+    for m in matches.values():
+        for key in m.rule.reads:
+            readers.setdefault(key, []).append(m)
     done_exception = False
     while True:
         candidates: Iterable[tuple[Rule, Binding]] = _candidates(sc, matches, done_exception)
@@ -824,9 +855,9 @@ def transform_fixpoint(
             if len(trace) >= max_steps:
                 raise NonTermination(f"no fixpoint within {max_steps} steps")
             trace.append(TraceEntry(rule.number, rule.name, b.describe()))
-            dirty, wide = _advance(sc, new)
-            for m in matches.values():
-                m.mark(dirty, wide)
+            for key, names in _advance(sc, new).items():
+                for m in readers[key]:
+                    m.mark(key, names)
             sc = new
             if on_step is not None:
                 on_step(len(trace), sc)

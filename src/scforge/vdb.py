@@ -496,11 +496,12 @@ def run_bounded(
 
 
 def run_outputs(run: tuple) -> tuple:
-    """The actions each step appended to the queue."""
-    out = []
-    for a, b in zip(run, run[1:]):
-        out.extend(b.queue[len(a.queue) - 1:])
-    return tuple(out)
+    """The actions each step appended to the queue. Each step consumes the
+    queue's head, so the queue's whole stream is the head of every node but
+    the last, then the last node's queue; the outputs are that stream past
+    the first node's queue."""
+    stream = tuple(node.queue[0] for node in run[:-1]) + run[-1].queue
+    return stream[len(run[0].queue):]
 
 
 def node_to_json(node: KripkeNode) -> dict:

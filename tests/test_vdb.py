@@ -280,6 +280,30 @@ def test_run_bounded_stutter_chain_shrinks_queue():
     assert run_outputs(run) == ()
 
 
+def test_run_outputs_equals_what_each_step_appended():
+    """`run_outputs` reads a run's outputs off the queue heads; they equal
+    the tail each step left past the previous queue's rest."""
+    def appended(run):
+        out = []
+        for a, b in zip(run, run[1:]):
+            out.extend(b.queue[len(a.queue) - 1:])
+        return tuple(out)
+
+    starts = [branch_start("ffgffgff"), KripkeNode(
+        encode_guard_free(parse(BUFFER_SC), domain=(-1, 1)),
+        tuple(parse_messages("put(1), get(), get(), put(-1), zap(), get()")))]
+    for seed in range(30):
+        sc = gen_guard_free(seed)
+        word = sorted({t.call.name for t in sc.trans}) * 2
+        starts.append(KripkeNode(encode_guard_free(sc), tuple(Message(c) for c in word)))
+    outputs = 0
+    for start in starts:
+        for run in run_bounded(start, max_steps=12):
+            assert run_outputs(run) == appended(run)
+            outputs += len(run_outputs(run))
+    assert outputs > 0
+
+
 def test_run_bounded_ends_with_the_queue_under_a_large_step_bound():
     start = KripkeNode(buffer_term(), (Message("put", (3,)), Message("get")))
     assert run_bounded(start, max_steps=10**12) == run_bounded(start, max_steps=3)
