@@ -83,9 +83,9 @@ def fits(data, shape) -> bool:
     return isinstance(data, shape) if isinstance(shape, (type, tuple)) else shape(data)
 
 
-# Values that elements compute once and keep: their hash, for transitions
-# their sort key (`ast.trans_key`), and for messages their text.
-_CACHES = ("_hash", "_key", "_text")
+# Values that elements compute once and keep: their hash, and for
+# transitions their sort key (`ast.trans_key`).
+_CACHES = ("_hash", "_key")
 
 
 def hash_once(cls):
@@ -189,33 +189,45 @@ class Call:
     exception: bool = False
 
 
-@hash_once
-@dataclass(frozen=True)
 class Message:
     """An event or output of both semantics: a name with concrete argument
-    values, and whether it is thrown."""
+    values, and whether it is thrown. A plain slotted value, as
+    `flatinterp.Step` is, that compares, hashes and prints as a frozen
+    dataclass does. Its hash, `hash((name, args, exception))`, and its text
+    are taken on first use and kept: term exploration shares each message
+    among many runs, and callers hash and render every run. It pickles by
+    its fields, so a copy takes its hash afresh: string hashes differ
+    between processes."""
 
-    name: str
-    args: tuple[Value, ...] = ()
-    exception: bool = False
+    __slots__ = ("name", "args", "exception", "_hash", "_text")
+
+    def __init__(self, name: str, args: tuple[Value, ...] = (), exception: bool = False):
+        self.name, self.args, self.exception = name, args, exception
+        self._hash = self._text = None
 
     def __eq__(self, other):
         """Arguments compare as `values_equal`, so `f(1)` and `f(true)`
-        differ; the generated hash merely lets the two collide."""
+        differ; the hash merely lets the two collide."""
         return (type(other) is Message and self.name == other.name
                 and self.exception == other.exception and values_equal(self.args, other.args))
 
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.name, self.args, self.exception))
+        return self._hash
+
     def __str__(self):
-        """The message's text, `throw? name(v, …)`, rendered on first use and
-        kept: term exploration shares each message among many runs, and
-        callers render every run."""
-        try:
-            return self._text
-        except AttributeError:
+        """The message's text, `throw? name(v, …)`."""
+        if self._text is None:
             throw = "throw " if self.exception else ""
-            text = f"{throw}{self.name}(" + ", ".join(map(print_value, self.args)) + ")"
-            object.__setattr__(self, "_text", text)
-            return text
+            self._text = f"{throw}{self.name}(" + ", ".join(map(print_value, self.args)) + ")"
+        return self._text
+
+    def __repr__(self):
+        return f"Message(name={self.name!r}, args={self.args!r}, exception={self.exception!r})"
+
+    def __reduce__(self):
+        return Message, (self.name, self.args, self.exception)
 
 
 # ---------------------------------------------------------------------------

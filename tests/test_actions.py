@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,6 +202,20 @@ def test_match_call():
     throw = Call("f", c.args, exception=True)
     assert match_call(throw, Message("f", (1, 7))) is None
     assert match_call(throw, Message("f", (1, 7), exception=True)) == {"x": 7}
+
+
+def test_message_is_a_value_with_a_dataclass_repr_and_caches_filled_on_first_use():
+    # `sorted_runs` and `flatinterp._choice_key` order by this text.
+    assert repr(Message("put", (3,))) == "Message(name='put', args=(3,), exception=False)"
+    assert repr(Message("e", (True, ()), True)) == "Message(name='e', args=(True, ()), exception=True)"
+    one, true = Message("f", (1,)), Message("f", (True,))
+    assert one != true and hash(one) == hash(true)
+    m = Message("f", (1, (2,)))
+    assert m._hash is None and m._text is None
+    assert hash(m) == hash(("f", (1, (2,)), False)) == m._hash
+    assert str(m) == "f(1, [2])" == m._text
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and copy._hash is None and copy._text is None
 
 
 def test_merge_conflict():

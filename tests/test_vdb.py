@@ -356,16 +356,21 @@ def test_terms_symbols_and_nodes_hash_once_to_the_generated_value():
     [run] = run_bounded(KripkeNode(buffer_term(), (Message("put", (3,)),)), max_steps=1)
     values = [Message("m", (1, (2, True))), *buffer_term().transitions, inner, both,
               Or("Top", (both, Basic("d")), 1, frozenset()), *run]
+    slotted = {KripkeNode: ("term", "queue"), Message: ("name", "args", "exception")}
     for x in values:
-        node = isinstance(x, KripkeNode)  # a slotted value: its hash is taken at construction
-        names = ("term", "queue") if node else [f.name for f in fields(x)]
+        names = slotted.get(type(x)) or [f.name for f in fields(x)]
         generated = hash(tuple(getattr(x, name) for name in names))
-        assert hash(x) == generated and (x._hash if node else vars(x)["_hash"]) == generated
+        assert hash(x) == generated and x._hash == generated
         object.__setattr__(x, "_hash", -7)
         assert hash(x) == -7  # the second hash reads the kept value
         copy = pickle.loads(pickle.dumps(x))  # pickled while the kept value is -7
         object.__setattr__(x, "_hash", generated)
-        assert node or "_hash" not in vars(copy)  # string hashes differ between processes
+        # String hashes differ between processes. A node takes its hash at
+        # construction; a message keeps empty caches until first use.
+        if type(x) is Message:
+            assert copy._hash is None and copy._text is None
+        elif type(x) is not KripkeNode:
+            assert "_hash" not in vars(copy)
         assert copy == x and hash(copy) == generated  # the copy takes its hash afresh
 
 
@@ -377,7 +382,7 @@ def test_symbol_text_is_rendered_once():
         assert str(sym) is str(sym)
         assert str(Message(sym.name, sym.args)) == text  # a fresh rendering
         copy = pickle.loads(pickle.dumps(sym))
-        assert "_text" not in vars(copy) and str(copy) == text
+        assert copy._text is None and str(copy) == text
 
 
 def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
