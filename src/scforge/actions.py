@@ -7,7 +7,7 @@ Everything here is an immutable value; evaluation never mutates its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Union
 
 # Reserved names: generated input parameters, the timer flag, and the
@@ -83,30 +83,31 @@ def fits(data, shape) -> bool:
     return isinstance(data, shape) if isinstance(shape, (type, tuple)) else shape(data)
 
 
-# Values that elements compute once and keep: their hash, and for
-# transitions their sort key (`ast.trans_key`).
-_CACHES = ("_hash", "_key")
-
-
-def hash_once(cls):
-    """Cache each instance's dataclass-generated hash on first use: chart
-    rewrites and term exploration look the same elements up in sets and
-    dicts on every step, and the generated hash walks their whole tree each
-    time. Pickled state leaves the cached values out: string hashes differ
-    between processes, and the rest is recomputed on first use."""
+def value(cls):
+    """Make `cls` an immutable record: a slotted dataclass that compares,
+    hashes and prints by its fields as a frozen dataclass does, but builds
+    without `object.__setattr__`. Nothing assigns to a field after
+    construction (`tests/test_value_records.py` checks the source). Its hash
+    is taken on first use and kept in a `_hash` slot: chart rewrites and
+    term exploration look the same values up in sets and dicts on every
+    step, and the generated hash walks the whole tree. It pickles and
+    copies by its init fields, so a copy takes its hash afresh: string
+    hashes differ between processes."""
+    cls.__annotations__["_hash"] = "Optional[int]"
+    cls._hash = field(default=None, init=False, compare=False, repr=False)
+    cls = dataclass(slots=True, unsafe_hash=True)(cls)
     generated = cls.__hash__
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", generated(self))
-            return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = generated(self)
+        return h
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in cls.__match_args__)
 
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    cls.__hash__, cls.__reduce__ = __hash__, __reduce__
     return cls
 
 
@@ -141,30 +142,30 @@ class Pattern:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value
 class PVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
+@value
 class PLit(Pattern):
     value: Value
 
     __eq__ = _literal_eq
 
 
-@dataclass(frozen=True)
+@value
 class PEmpty(Pattern):
     """The empty-list pattern []."""
 
 
-@dataclass(frozen=True)
+@value
 class PCons(Pattern):
     head: Pattern
     tail: Pattern
 
 
-@dataclass(frozen=True)
+@value
 class PPlus(Pattern):
     """Constructor pattern ``var + k``: matches integer n, binding var to n - k."""
 
@@ -182,7 +183,7 @@ def pattern_vars(p: Pattern) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
+@value
 class Call:
     name: str
     args: tuple[Pattern, ...] = ()
@@ -237,32 +238,32 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value
 class EVar(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@value
 class ELit(Expr):
     value: Value
 
     __eq__ = _literal_eq
 
 
-@dataclass(frozen=True)
+@value
 class EBin(Expr):
     op: str  # '+' or '-'
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@value
 class ECons(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass(frozen=True)
+@value
 class EList(Expr):
     items: tuple[Expr, ...] = ()
 
@@ -274,46 +275,46 @@ class Cond:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value
 class CTrue(Cond):
     pass
 
 
-@dataclass(frozen=True)
+@value
 class CFalse(Cond):
     pass
 
 
-@dataclass(frozen=True)
+@value
 class CVar(Cond):
     name: str
 
 
-@dataclass(frozen=True)
+@value
 class CNot(Cond):
     operand: Cond
 
 
-@dataclass(frozen=True)
+@value
 class CAnd(Cond):
     left: Cond
     right: Cond
 
 
-@dataclass(frozen=True)
+@value
 class COr(Cond):
     left: Cond
     right: Cond
 
 
-@dataclass(frozen=True)
+@value
 class CCmp(Cond):
     op: str  # '==', '<', '<='
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@value
 class CMatch(Cond):
     """matchPattern(var, pattern): true iff the variable's value matches."""
 
@@ -343,30 +344,30 @@ class StmtPrim:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value
 class Assign(StmtPrim):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@value
 class Send(StmtPrim):
     name: str
     args: tuple[Expr, ...] = ()
     exception: bool = False
 
 
-@dataclass(frozen=True)
+@value
 class SetTimer(StmtPrim):
     pass
 
 
-@dataclass(frozen=True)
+@value
 class StopTimer(StmtPrim):
     pass
 
 
-@dataclass(frozen=True)
+@value
 class Check(StmtPrim):
     """Runtime check inserted when sequencing actions with `+`."""
 
@@ -377,7 +378,7 @@ Stmt = tuple  # tuple[StmtPrim, ...]
 SKIP: Stmt = ()
 
 
-@dataclass(frozen=True)
+@value
 class Action:
     stmt: Stmt = SKIP
     post: Optional[Cond] = None  # absent means true
@@ -596,7 +597,7 @@ def _children(x) -> dict:
         return dict(enumerate(x))
     if not isinstance(x, _TREES) or isinstance(x, ELit):
         return {}
-    return {f: v for f in x.__dataclass_fields__ if isinstance(v := getattr(x, f), _TREES)}
+    return {f: v for f in x.__match_args__ if isinstance(v := getattr(x, f), _TREES)}
 
 
 def reads(x) -> set[str]:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
-from .actions import Action, Call, Cond, hash_once
+from .actions import Action, Call, Cond, value
 
 # Chart-level stereotypes.
 PRIO_INNER = "prio:inner"
@@ -34,7 +34,7 @@ STATE_STEREOS = {"error", "exception"}
 MODIFIERS = {"initial", "final"}
 
 
-@dataclass(frozen=True)
+@value
 class InternT:
     """Internal transition: triggered like a transition, but without a state change."""
 
@@ -43,8 +43,7 @@ class InternT:
     act: Optional[Action]
 
 
-@hash_once
-@dataclass(frozen=True)
+@value
 class Trans:
     prio: Optional[int]  # the <<prio=n>> transition stereotype
     src: str
@@ -52,10 +51,10 @@ class Trans:
     call: Call
     act: Optional[Action]
     trg: str
+    _key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)  # trans_key's cache
 
 
-@hash_once
-@dataclass(frozen=True)
+@value
 class FullState:
     sstereos: frozenset[str] = frozenset()
     modifiers: frozenset[str] = frozenset()
@@ -92,13 +91,16 @@ class SCFull:
 
 
 def updated(x, **changes):
-    """`dataclasses.replace(x, **changes)` for a chart or a state, in a third
-    of the time, without what x computed and kept (its index or hash)."""
+    """`dataclasses.replace(x, **changes)` for a chart or a state, in a
+    fraction of the time, without what x computed and kept (its index or
+    hash)."""
+    if isinstance(x, FullState):
+        names = FullState.__match_args__  # its init fields, in order
+        return FullState(*[changes[f] if f in changes else getattr(x, f) for f in names])
     new = object.__new__(type(x))
     fields = vars(new)
     fields.update(vars(x))
     fields.pop("index", None)
-    fields.pop("_hash", None)
     fields.update(changes)
     return new
 
@@ -275,7 +277,7 @@ def retarget(t: Trans, src: Optional[str] = None, trg: Optional[str] = None) -> 
     sort key with the two ends replaced, as nothing else in the key changes."""
     src, trg = t.src if src is None else src, t.trg if trg is None else trg
     new = Trans(t.prio, src, t.pre, t.call, t.act, trg)
-    object.__setattr__(new, "_key", (src, trg) + trans_key(t)[2:])
+    new._key = (src, trg) + trans_key(t)[2:]
     return new
 
 
@@ -283,13 +285,11 @@ def trans_key(t: Trans):
     """One total order on a chart's transitions. Each transition computes
     its key once, on first use, and keeps it: the rewrite engine sorts the
     same transitions on every step."""
-    try:
-        return t._key
-    except AttributeError:
-        key = (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act),
-               repr(t.prio), repr(t.call.args), t.call.exception)
-        object.__setattr__(t, "_key", key)
-        return key
+    key = t._key
+    if key is None:
+        key = t._key = (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act),
+                        repr(t.prio), repr(t.call.args), t.call.exception)
+    return key
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ fragment runs (index conditions on consumption and emission).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Optional
 
 from .actions import (ActionConditionViolated, Message, Required, exec_stmt, fits, holds,
-                      is_json_value, match_call, value_from_json, values_equal)
+                      is_json_value, match_call, value, value_from_json, values_equal)
 from .ast import SCSimp, triggers
 from .parse import LexError, StatechartSyntaxError, parse_message
 from .printer import print_cond
@@ -34,7 +34,7 @@ class IncompleteProjection(Exception):
 
 # -- fragment data model ----------------------------------------------------
 
-@dataclass(frozen=True)
+@value
 class ObjectState:
     vars: dict = field(default_factory=dict)  # name -> value
     threads: dict = field(default_factory=dict)  # threadId -> stack of Message, bottom first
@@ -44,13 +44,13 @@ class ObjectState:
         return [stack[-1] for stack in self.threads.values() if stack]
 
 
-@dataclass(frozen=True)
+@value
 class OGSNode:
     id: str
     objects: dict  # oid -> ObjectState
 
 
-@dataclass(frozen=True)
+@value
 class SystemFragment:
     """Built by `make`, which indexes the nodes by id, in id order, and the
     (from, to, Messages) edges by source."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -37,6 +36,7 @@ from .actions import (
     match_cond_of,
     rename,
     seq_actions_all,
+    value,
 )
 from .ast import (
     COMPLETION_CHAOS,
@@ -75,7 +75,7 @@ class IllFormedInput(Exception):
     """The chart fails its static checks."""
 
 
-@dataclass(frozen=True)
+@value
 class Binding:
     rule: int
     items: tuple  # ordered (key, value) pairs
@@ -103,7 +103,7 @@ def chart_hash(sc: SCFull) -> str:
     return hashlib.sha256(print_chart(sc).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@value
 class TraceEntry:
     """One rewrite step: the rule applied and the binding it was applied at."""
 

@@ -34,7 +34,7 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional, Union
 
 from .actions import (
@@ -47,9 +47,9 @@ from .actions import (
     action_post,
     action_stmt,
     exec_stmt,
-    hash_once,
     print_value,
     reads,
+    value,
     values_equal,
 )
 from .ast import SCFull, group_by
@@ -89,11 +89,7 @@ HISTORY_TYPES = (NONE, DEEP, SHALLOW)
 Sym = Message  # the name the benchmark's workloads build term messages by
 
 
-# Terms hash once, as messages and Kripke nodes do: exploration looks the
-# same values up in sets and dicts on every step.
-
-@hash_once
-@dataclass(frozen=True)
+@value
 class VdbTransition:
     tname: str
     i: int  # source child index, 1-based
@@ -105,16 +101,14 @@ class VdbTransition:
     ht: str = NONE
 
 
-@hash_once
-@dataclass(frozen=True)
+@value
 class Basic:
     name: str
     entry: tuple = ()
     exit: tuple = ()
 
 
-@hash_once
-@dataclass(frozen=True)
+@value
 class And:
     name: str
     subterms: tuple
@@ -122,8 +116,7 @@ class And:
     exit: tuple = ()
 
 
-@hash_once
-@dataclass(frozen=True)
+@value
 class Or:
     name: str
     subterms: tuple
@@ -792,7 +785,7 @@ _NESTED = {"subterms": ("basic", "and", "or"), "transitions": ("trans",)}  # the
 
 
 def term_to_sexpr(t: Union[Term, VdbTransition]) -> str:
-    return _paren([_KIND_OF[type(t)]] + [_FIELDS[f.name][0](getattr(t, f.name)) for f in fields(t)])
+    return _paren([_KIND_OF[type(t)]] + [_FIELDS[f][0](getattr(t, f)) for f in t.__match_args__])
 
 
 def _read(tree, kinds: tuple):
@@ -801,13 +794,14 @@ def _read(tree, kinds: tuple):
     if not items or items[0] not in kinds:
         raise ValueError(f"expected {'/'.join(kinds)}, not {tree!r}")
     cls = _KINDS[items[0]]
-    if len(items) != 1 + len(fields(cls)):
-        raise ValueError(f"{items[0]} takes {len(fields(cls))} fields, not {len(items) - 1}")
+    names = cls.__match_args__  # the init fields, in order
+    if len(items) != 1 + len(names):
+        raise ValueError(f"{items[0]} takes {len(names)} fields, not {len(items) - 1}")
     args = []
-    for f, x in zip(fields(cls), items[1:]):
-        if f.name in _NESTED:  # map adds no frame where a generator would: one frame a term level
-            x = map(_read, _read_list(x), itertools.repeat(_NESTED[f.name]))
-        args.append(_FIELDS[f.name][1](x))
+    for f, x in zip(names, items[1:]):
+        if f in _NESTED:  # map adds no frame where a generator would: one frame a term level
+            x = map(_read, _read_list(x), itertools.repeat(_NESTED[f]))
+        args.append(_FIELDS[f][1](x))
     return cls(*args)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .actions import (
@@ -22,6 +21,7 @@ from .actions import (
     fits,
     pattern_vars,
     reads,
+    value,
 )
 from .ast import (
     COMPLETION_ERROR,
@@ -34,7 +34,7 @@ from .ast import (
 )
 
 
-@dataclass(frozen=True)
+@value
 class Violation:
     code: str  # "CC1" .. "CC14"
     subject: str  # path to the offending element
@@ -48,7 +48,7 @@ class Violation:
         return json.dumps(data)
 
 
-@dataclass(frozen=True)
+@value
 class SignatureContext:
     """The class signature a chart is checked against."""
 

@@ -7,10 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from scforge.actions import (
     Action,
+    Assign,
     Call,
+    CAnd,
+    CCmp,
+    CFalse,
+    Check,
     CMatch,
     CNot,
+    COr,
     CTrue,
+    CVar,
+    EBin,
+    ECons,
+    ELit,
+    EList,
+    EVar,
+    Message,
+    PCons,
+    PEmpty,
+    PLit,
+    PPlus,
     PVar,
     Send,
     SetTimer,
@@ -20,21 +37,30 @@ from scforge.actions import (
     reads,
 )
 import gc
+import importlib
 import pickle
+import pkgutil
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import fields, replace
 from functools import cached_property
 
+import scforge
 from scforge import transform
+from scforge.conform import ObjectState, OGSNode, SystemFragment
+from scforge.vdb import And, Basic, Or, VdbTransition
+from scforge.wellformed import SignatureContext, Violation
 from scforge.flatinterp import explore_emissions, parse_message, run
 from scforge.ast import ChartIndex, FullState, InternT, SCFull, Trans, trans_key
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_call, print_chart, print_cond, print_stmt
 from scforge.transform import (
+    Binding,
     BindingStale,
     NotSimplifiable,
+    TraceEntry,
     ENGINE_STEP_NAMES,
     RULE_NAMES,
     RULES,
@@ -158,14 +184,64 @@ def test_simplified_chart_index_keeps_the_old_orders():
     assert ("A", "h", 0) not in by_call
 
 
+def _value_classes() -> set:
+    """Every class of scforge that `actions.value` made: those whose
+    dataclass fields include the `_hash` cache."""
+    modules = [importlib.import_module(f"scforge.{m.name}") for m in pkgutil.iter_modules(scforge.__path__)]
+    return {c for m in modules for c in vars(m).values()
+            if isinstance(c, type) and c.__module__ == m.__name__
+            and "_hash" in getattr(c, "__dataclass_fields__", {})}
+
+
+def _one_value_of_each_class() -> list:
+    obj = ObjectState({"v": 1}, {"t": (Message("f"),)}, (Message("g", (2,)),))
+    node = OGSNode("n1", {"o": obj})
+    tr = VdbTransition("t1", 1, frozenset({"a"}), Message("f"), (Message("o", (1,)),), frozenset(), 2)
+    basic = Basic("a", (Message("en"),))
+    inner = Or("In", (basic, Basic("b")), 1, frozenset({tr}))
+    var, lit, plus = EVar("v"), ELit(1), PPlus("y", 2)
+    cons, match = ECons(ELit(True), EList((lit,))), CMatch("x", PLit(3))
+    add = EBin("+", var, lit)
+    cmp, assign = CCmp("<=", cons, var), Assign("v", add)
+    return [
+        # patterns, calls, expressions, conditions, statements and actions
+        PVar("x"), PLit(1), PEmpty(), PCons(plus, PEmpty()), plus, Call("f", (PVar("x"),), True),
+        var, lit, add, cons, cons.tail, CTrue(), CFalse(), CVar("b"), CNot(CVar("b")),
+        CAnd(CVar("b"), cmp), COr(CFalse(), match), cmp, match, assign, Send("o", (var,)),
+        SetTimer(), StopTimer(), Check(CTrue()), Action((assign, SetTimer()), CVar("b")),
+        # chart elements, rewrite steps and findings
+        InternT(None, Call("g"), Action()), Trans(2, "A", CTrue(), Call("f"), None, "B"),
+        FullState(name="A", modifiers=frozenset({"initial"})), Binding(3, (("s", "A"), ("t", 1))),
+        TraceEntry(3, "rule", "s=A"), Violation("CC1", "A", "message", True),
+        SignatureContext("C", frozenset({("f", 1)}), frozenset({"v"})),
+        # terms and fragments
+        tr, basic, inner, And("Both", (inner, Basic("c"))),
+        obj, node, SystemFragment.make([node], [], ["n1"], "o"),
+    ]
+
+
 def test_chart_elements_hash_once_to_the_generated_value():
     sc = gen_chart(3, max_states=10)
     for x in [*sc.states, *sc.trans]:
         generated = hash(tuple(getattr(x, f.name) for f in fields(x) if f.compare))
         assert hash(x) == hash(x) == generated
         copy = pickle.loads(pickle.dumps(x))
-        assert "_hash" not in vars(copy)  # string hashes differ between processes
+        assert copy._hash is None  # string hashes differ between processes
         assert copy == x and hash(copy) == generated
+    values = _one_value_of_each_class()
+    assert {type(x) for x in values} == _value_classes()
+    for x in values:
+        try:
+            generated = hash(x)
+        except TypeError:  # a fragment's parts hold dicts, so they hash no more than those do
+            generated = None
+        for copy in pickle.loads(pickle.dumps(x)), deepcopy(x):
+            assert type(copy) is type(x) and copy == x and copy._hash is None
+            if generated is None:
+                with pytest.raises(TypeError):
+                    hash(copy)
+            else:
+                assert hash(copy) == generated
 
 
 def test_transitions_compute_their_sort_key_once():
@@ -176,7 +252,7 @@ def test_transitions_compute_their_sort_key_once():
         assert key == (t.src, t.trg, t.call.name, len(t.call.args), repr(t.pre), repr(t.act),
                        repr(t.prio), repr(t.call.args), t.call.exception)
         copy = pickle.loads(pickle.dumps(t))
-        assert "_key" not in vars(copy) and copy == t and trans_key(copy) == key
+        assert copy._key is None and copy == t and trans_key(copy) == key
 
 
 def test_chart_index_keeps_the_top_level_modifier_names():
