@@ -190,21 +190,17 @@ class Call:
     exception: bool = False
 
 
+@value
 class Message:
     """An event or output of both semantics: a name with concrete argument
-    values, and whether it is thrown. A plain slotted value, as
-    `flatinterp.Step` is, that compares, hashes and prints as a frozen
-    dataclass does. Its hash, `hash((name, args, exception))`, and its text
-    are taken on first use and kept: term exploration shares each message
-    among many runs, and callers hash and render every run. It pickles by
-    its fields, so a copy takes its hash afresh: string hashes differ
-    between processes."""
+    values, and whether it is thrown. Its text is taken on first use and
+    kept, as its hash is: term exploration shares each message among many
+    runs, and callers hash and render every run."""
 
-    __slots__ = ("name", "args", "exception", "_hash", "_text")
-
-    def __init__(self, name: str, args: tuple[Value, ...] = (), exception: bool = False):
-        self.name, self.args, self.exception = name, args, exception
-        self._hash = self._text = None
+    name: str
+    args: tuple[Value, ...] = ()
+    exception: bool = False
+    _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __eq__(self, other):
         """Arguments compare as `values_equal`, so `f(1)` and `f(true)`
@@ -212,23 +208,12 @@ class Message:
         return (type(other) is Message and self.name == other.name
                 and self.exception == other.exception and values_equal(self.args, other.args))
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.name, self.args, self.exception))
-        return self._hash
-
     def __str__(self):
         """The message's text, `throw? name(v, …)`."""
         if self._text is None:
             throw = "throw " if self.exception else ""
             self._text = f"{throw}{self.name}(" + ", ".join(map(print_value, self.args)) + ")"
         return self._text
-
-    def __repr__(self):
-        return f"Message(name={self.name!r}, args={self.args!r}, exception={self.exception!r})"
-
-    def __reduce__(self):
-        return Message, (self.name, self.args, self.exception)
 
 
 # ---------------------------------------------------------------------------

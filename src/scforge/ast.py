@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional
@@ -66,7 +66,7 @@ class FullState:
     internT: frozenset[InternT] = frozenset()
 
 
-@dataclass(frozen=True)
+@value
 class SCFull:
     stereos: frozenset[str] = frozenset()
     diagram_name: str = ""
@@ -75,10 +75,15 @@ class SCFull:
     states: frozenset[FullState] = frozenset()
     trans: frozenset[Trans] = frozenset()
     sub: frozenset[tuple[str, str]] = frozenset()  # (child, parent) state names
+    _index: Optional[ChartIndex] = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
-    def index(self) -> "ChartIndex":
-        return ChartIndex(self.states, self.trans, self.sub)
+    @property
+    def index(self) -> ChartIndex:
+        """Built on first use, unless a rewrite step derived it (`_advance`)."""
+        index = self._index
+        if index is None:
+            index = self._index = ChartIndex(self.states, self.trans, self.sub)
+        return index
 
     def state(self, name: str) -> FullState:
         return self.index.by_name[name]
@@ -92,17 +97,9 @@ class SCFull:
 
 def updated(x, **changes):
     """`dataclasses.replace(x, **changes)` for a chart or a state, in a
-    fraction of the time, without what x computed and kept (its index or
-    hash)."""
-    if isinstance(x, FullState):
-        names = FullState.__match_args__  # its init fields, in order
-        return FullState(*[changes[f] if f in changes else getattr(x, f) for f in names])
-    new = object.__new__(type(x))
-    fields = vars(new)
-    fields.update(vars(x))
-    fields.pop("index", None)
-    fields.update(changes)
-    return new
+    fraction of the time: one call of x's constructor, so the copy keeps
+    nothing that x computed and kept (its index or hash)."""
+    return type(x)(*[changes[f] if f in changes else getattr(x, f) for f in x.__match_args__])
 
 
 class ChartIndex:
@@ -123,11 +120,14 @@ class ChartIndex:
     cycle or below an undeclared parent) have no ancestors.
     """
 
-    def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset()):
+    def __init__(self, states, trans, sub: frozenset[tuple[str, str]] = frozenset(),
+                 by_name: Optional[dict] = None, parent: Optional[dict] = None):
+        """Given `by_name` and `parent`, as `derive` passes them, `states`
+        are already sorted by name."""
         self._trans, self._sub = trans, sub
-        self.states = tuple(sorted(states, key=_NAME))
-        self.by_name = {s.name: s for s in self.states}
-        self.parent = dict(sorted(sub))
+        self.states = tuple(sorted(states, key=_NAME)) if by_name is None else states
+        self.by_name = {s.name: s for s in self.states} if by_name is None else by_name
+        self.parent = dict(sorted(sub)) if parent is None else parent
 
     def derive(self, chart: "SCFull", dstates: frozenset, dtrans: frozenset) -> "ChartIndex":
         """The index of `chart`, whose states and transitions differ from
@@ -146,19 +146,18 @@ class ChartIndex:
                 or len(added) + len(removed) != len(dstates)
                 or len(self.by_name) != len(self.states)):
             return ChartIndex(chart.states, chart.trans, chart.sub)
-        new = ChartIndex.__new__(ChartIndex)
-        new._trans, new._sub, new.parent = chart.trans, self._sub, self.parent
-        new.states, new.by_name, new.children = self.states, self.by_name, self.children
-        new.ancestors = self.ancestors
-        if all(name in self.parent for name in added):  # no top-level state changed
-            new.top_names = self.top_names
+        states, by_name, children = self.states, self.by_name, self.children
         if added:
-            new.by_name = {**self.by_name, **added}
-            states = list(self.states)
+            by_name = {**by_name, **added}
+            states = list(states)
             for name, s in added.items():
                 states[bisect_left(self.states, name, key=_NAME)] = s
-            new.states = tuple(states)
-            new.children = _regrouped(self.children, dstates, lambda s: self.parent.get(s.name))
+            states = tuple(states)
+            children = _regrouped(children, dstates, lambda s: self.parent.get(s.name))
+        new = ChartIndex(states, chart.trans, self._sub, by_name, self.parent)
+        new.children, new.ancestors = children, self.ancestors
+        if all(name in self.parent for name in added):  # no top-level state changed
+            new.top_names = self.top_names
         for edges, end in (("ingoing", _TRG), ("outgoing", _SRC)):
             was = getattr(self, edges)
             now = vars(new)[edges] = _regrouped(was, dtrans, end)
@@ -292,7 +291,7 @@ def trans_key(t: Trans):
     return key
 
 
-@dataclass(frozen=True)
+@value
 class SCSimp(SCFull):
     """A flat chart in the simplified form: its states carry only modifiers
     and an invariant, its transitions no priority, and every invariant,

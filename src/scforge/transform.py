@@ -775,7 +775,7 @@ def _advance(old: SCFull, new: SCFull) -> dict[str, Optional[set[str]]]:
     dstates = old.states ^ new.states if new.states is not old.states else frozenset()
     dtrans = old.trans ^ new.trans if new.trans is not old.trans else frozenset()
     before = old.index
-    after = vars(new)["index"] = before.derive(new, dstates, dtrans)
+    after = new._index = before.derive(new, dstates, dtrans)
     names = {s.name for s in dstates}
     changed: dict[str, Optional[set[str]]] = {
         "state": names, "ingoing": {t.trg for t in dtrans}, "outgoing": {t.src for t in dtrans}}

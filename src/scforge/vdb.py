@@ -370,33 +370,12 @@ def _derive(t: Term, e: Message, memo: dict, fired: tuple) -> Iterator[tuple]:
 
 # -- Kripke steps -----------------------------------------------------------
 
+@value
 class KripkeNode:
-    """A term and its queue of messages: a plain slotted value, as
-    `flatinterp.Configuration` is, that compares and prints as a frozen
-    dataclass does. Its hash, `hash((term, queue))`, is taken once, at
-    construction, since every node built goes into a set of runs. It pickles
-    by its fields, so a copy takes its hash afresh: string hashes differ
-    between processes."""
+    """A term and its queue of messages."""
 
-    __slots__ = ("term", "queue", "_hash")
-
-    def __init__(self, term: Term, queue: tuple):
-        self.term, self.queue = term, queue  # queue: a tuple of Message
-        self._hash = hash((term, queue))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.term, self.queue) == (other.term, other.queue)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(term={self.term!r}, queue={self.queue!r})"
-
-    def __reduce__(self):
-        return type(self), (self.term, self.queue)
+    term: Term
+    queue: tuple  # of Message
 
 
 def run_bounded(
@@ -419,9 +398,8 @@ def run_bounded(
     node's key is a flat tuple, its term's number and then its queue's.
     Each (term, head) pair's distinct steps are numbered once, as `_steps`
     enumerates them, so the node bound stops even a step with n! output
-    orders. The runs are walked over the keys, and a `KripkeNode`, a plain
-    slotted value whose hash is taken once, is built per distinct key after
-    the search, none when the node bound stops it.
+    orders. The runs are walked over the keys, and a `KripkeNode` is built
+    per distinct key after the search, none when the node bound stops it.
     """
     memo: dict = {}  # (term, message) -> its steps, see `_steps`
     number, value = {}, []  # each distinct term and message -> its index in `value`

@@ -7,11 +7,16 @@ the defect's evidence and its fix."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+from scforge.actions import ActionError, Message
 from scforge.cli import main
+from scforge.flatinterp import explore_emissions
+from scforge.gen import gen_chart
+from scforge.transform import to_simplified, transform_fixpoint
 
 
 def known_defect(item: int, what: str):
@@ -115,3 +120,66 @@ def test_vdb_run_explores_a_450_level_or_chain(capsys, tmp_path):
         text = f"(or L{i} ({text}) 1 () () ())"
     code, out, err = run_cli(capsys, tmp_path, "chain.sexpr", text, "vdb-run", "--events", "f()")
     assert (code, err) == (0, "") and out
+
+
+# Item 16's two charts: the term semantics reads no stereotype, so `vdb-run`
+# runs each as `prio:inner, completion:ignore`, emits send(1) and ends at
+# exit 0, where it should refuse the chart.
+PRIO_OUTER_SC = """statechart P for C <<prio:outer, completion:ignore>> {
+    initial state Top {
+        initial state In;
+        state InT;
+        In -> InT : f() / send(1);
+    }
+    state OutT;
+    Top -> OutT : f() / send(2);
+}
+"""
+
+CHAOS_SC = """statechart Q for C <<completion:chaos>> {
+    initial state A;
+    state B;
+    A -> B : f() / send(1);
+    B -> A : g() / send(2);
+}
+"""
+
+
+@known_defect(16, "the term semantics runs a prio:outer chart as prio:inner")
+def test_vdb_run_refuses_a_prio_outer_chart(capsys, tmp_path):
+    code, out, err = run_cli(capsys, tmp_path, "prio.sc", PRIO_OUTER_SC, "vdb-run", "--events", "f()")
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+@known_defect(16, "the term semantics runs a completion:chaos chart as completion:ignore")
+def test_vdb_run_refuses_a_completion_chaos_chart(capsys, tmp_path):
+    code, out, err = run_cli(capsys, tmp_path, "chaos.sc", CHAOS_SC, "vdb-run", "--events", "g(), f()")
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+def flat_behaviour(sc, strategy: str, alphabet: list[str]):
+    """The initial states of `sc` flattened under `strategy`, and from each,
+    on each word of up to 3 argument-free messages of `alphabet`, the
+    emission set or the error that the run ends in."""
+    simp = to_simplified(transform_fixpoint(sc, strategy=strategy)[0])
+    inits = sorted(s.name for s in simp.initial_states())
+    out = {}
+    for init, n in itertools.product(inits, range(4)):
+        for word in itertools.product(alphabet, repeat=n):
+            try:
+                out[init, word] = explore_emissions(simp, init, [Message(m) for m in word])
+            except ActionError as e:
+                out[init, word] = repr(e)
+    return inits, out
+
+
+# The five rule-order disagreements among gen_chart seeds 0-119 at 6 states
+# under `random:1` to `random:3`: 12, 38 and 62 start in other initial
+# states, and 68's `paper` flattening ends in an unbound variable on words
+# that the random orders run.
+@known_defect(1, "two rule orders flatten one chart to different behaviour")
+@pytest.mark.parametrize("seed, k", [(12, 1), (38, 1), (62, 1), (68, 1), (68, 3)])
+def test_rule_orders_flatten_a_generated_chart_alike(seed, k):
+    sc = gen_chart(seed, max_states=6)
+    alphabet = sorted({t.call.name for t in sc.trans if not t.call.args and not t.call.exception})
+    assert flat_behaviour(sc, f"random:{k}", alphabet) == flat_behaviour(sc, "paper", alphabet)

@@ -49,10 +49,11 @@ from functools import cached_property
 import scforge
 from scforge import transform
 from scforge.conform import ObjectState, OGSNode, SystemFragment
-from scforge.vdb import And, Basic, Or, VdbTransition
+from scforge.vdb import And, Basic, KripkeNode, Or, VdbTransition
 from scforge.wellformed import SignatureContext, Violation
-from scforge.flatinterp import explore_emissions, parse_message, run
-from scforge.ast import ChartIndex, FullState, InternT, SCFull, Trans, trans_key
+from scforge.flatinterp import (Chaos, Configuration, InvariantViolated, PostconditionViolated, Step,
+                                explore_emissions, parse_message, run)
+from scforge.ast import ChartIndex, FullState, InternT, SCFull, SCSimp, Trans, trans_key, updated
 from scforge.gen import gen_chart, gen_guard_free
 from scforge.parse import parse
 from scforge.printer import print_call, print_chart, print_cond, print_stmt
@@ -203,6 +204,8 @@ def _one_value_of_each_class() -> list:
     cons, match = ECons(ELit(True), EList((lit,))), CMatch("x", PLit(3))
     add = EBin("+", var, lit)
     cmp, assign = CCmp("<=", cons, var), Assign("v", add)
+    state, trans = FullState(name="A", modifiers=frozenset({"initial"})), Trans(2, "A", CTrue(), Call("f"), None, "B")
+    conf, msg = Configuration.make("A", {"v": 1}, [Message("g", (2,))]), Message("f", (1, (True,)), True)
     return [
         # patterns, calls, expressions, conditions, statements and actions
         PVar("x"), PLit(1), PEmpty(), PCons(plus, PEmpty()), plus, Call("f", (PVar("x"),), True),
@@ -210,12 +213,15 @@ def _one_value_of_each_class() -> list:
         CAnd(CVar("b"), cmp), COr(CFalse(), match), cmp, match, assign, Send("o", (var,)),
         SetTimer(), StopTimer(), Check(CTrue()), Action((assign, SetTimer()), CVar("b")),
         # chart elements, rewrite steps and findings
-        InternT(None, Call("g"), Action()), Trans(2, "A", CTrue(), Call("f"), None, "B"),
-        FullState(name="A", modifiers=frozenset({"initial"})), Binding(3, (("s", "A"), ("t", 1))),
+        InternT(None, Call("g"), Action()), trans, state, Binding(3, (("s", "A"), ("t", 1))),
         TraceEntry(3, "rule", "s=A"), Violation("CC1", "A", "message", True),
         SignatureContext("C", frozenset({("f", 1)}), frozenset({"v"})),
-        # terms and fragments
-        tr, basic, inner, And("Both", (inner, Basic("c"))),
+        SCFull(frozenset({"prio:inner"}), "D", "C", CTrue(), frozenset({state}), frozenset({trans})),
+        SCSimp(diagram_name="D", states=frozenset({state})),
+        # messages, flat outcomes, terms, Kripke nodes and fragments
+        msg, Step(conf), Chaos("no enabled transition", conf, msg), PostconditionViolated(trans, conf, msg),
+        InvariantViolated("A", conf, msg, (msg,)),
+        tr, basic, inner, And("Both", (inner, Basic("c"))), KripkeNode(inner, (msg,)),
         obj, node, SystemFragment.make([node], [], ["n1"], "o"),
     ]
 
@@ -242,6 +248,10 @@ def test_chart_elements_hash_once_to_the_generated_value():
                     hash(copy)
             else:
                 assert hash(copy) == generated
+    simp = next(x for x in values if type(x) is SCSimp)
+    assert simp.index is simp.index  # built once and kept
+    copy = updated(simp, inv=CTrue())
+    assert type(copy) is SCSimp and copy._index is None and copy.inv == CTrue()
 
 
 def test_transitions_compute_their_sort_key_once():
@@ -1092,7 +1102,7 @@ def test_derived_index_patches_the_at_or_above_sets_below_a_flipped_top():
         fresh = ChartIndex(new.states, new.trans, new.sub)
         for part in INDEX_PARTS:
             assert getattr(derived, part) == getattr(fresh, part), part
-        vars(new)["index"] = derived
+        new._index = derived
     chain = {f"L{d}" for d in range(60)} | {"Leaf", "Other"}
     assert chain & cut.index.ingoing_at_or_above == chain - {f"L{d}" for d in range(30)}
     assert chain & cut.index.outgoing_at_or_above == {"Leaf"}

@@ -3,8 +3,9 @@
 reads the source of every scforge module and fails on any store to an init
 field of a `@value` class outside an `__init__`: `x.f = …` (augmented or
 unpacked too), `del x.f`, `setattr(x, "f", …)` and `object.__setattr__(x,
-"f", …)`. The caches that values and messages fill on first use, `_hash`,
-`_key` and `Message._text`, are not init fields, so writes to them pass."""
+"f", …)`. The caches that values fill on first use, `_hash`, `_key`,
+`Message._text` and a chart's `_index`, are not init fields, so writes to
+them pass."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import scforge
 
 SRC = Path(scforge.__file__).parent
-CACHES = {"_hash", "_key", "_text"}
+CACHES = {"_hash", "_key", "_text", "_index"}
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
@@ -34,10 +35,17 @@ def _is_init_field(stmt) -> bool:
 
 
 def value_classes(trees: dict[str, ast.Module]) -> dict[tuple[str, str], tuple[str, ...]]:
-    """The init fields of every `@value` class, by (module, class name)."""
-    return {(module, node.name): tuple(s.target.id for s in node.body if _is_init_field(s))
-            for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and any(map(_is_value, node.decorator_list))}
+    """The init fields of every `@value` class, by (module, class name): a
+    class's own after those it inherits from a `@value` class of its module
+    that it names as a base."""
+    classes = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_value, node.decorator_list)):
+                inherited = [classes.get((module, b.id), ()) for b in node.bases if isinstance(b, ast.Name)]
+                own = tuple(s.target.id for s in node.body if _is_init_field(s))
+                classes[module, node.name] = sum(inherited, ()) + own
+    return classes
 
 
 def _setter_name(call: ast.Call):

@@ -356,21 +356,18 @@ def test_terms_symbols_and_nodes_hash_once_to_the_generated_value():
     [run] = run_bounded(KripkeNode(buffer_term(), (Message("put", (3,)),)), max_steps=1)
     values = [Message("m", (1, (2, True))), *buffer_term().transitions, inner, both,
               Or("Top", (both, Basic("d")), 1, frozenset()), *run]
-    slotted = {KripkeNode: ("term", "queue"), Message: ("name", "args", "exception")}
     for x in values:
-        names = slotted.get(type(x)) or [f.name for f in fields(x) if f.compare]
-        generated = hash(tuple(getattr(x, name) for name in names))
+        generated = hash(tuple(getattr(x, f.name) for f in fields(x) if f.compare))
         assert hash(x) == generated and x._hash == generated
         x._hash = -7
         assert hash(x) == -7  # the second hash reads the kept value
         copy = pickle.loads(pickle.dumps(x))  # pickled while the kept value is -7
         x._hash = generated
-        # String hashes differ between processes. A node takes its hash at
-        # construction; a message keeps empty caches until first use.
+        # String hashes differ between processes; a message keeps its text
+        # empty until first use too.
+        assert copy._hash is None
         if type(x) is Message:
-            assert copy._hash is None and copy._text is None
-        elif type(x) is not KripkeNode:
-            assert copy._hash is None
+            assert copy._text is None
         assert copy == x and hash(copy) == generated  # the copy takes its hash afresh
 
 
