@@ -201,14 +201,6 @@ def _action_orders(t: Term, exiting: bool) -> Iterator[tuple]:
         yield b + own if exiting else own + b
 
 
-def entry_seqs(t: Term) -> frozenset:
-    return frozenset(_action_orders(t, exiting=False))
-
-
-def exit_seqs(t: Term) -> frozenset:
-    return frozenset(_action_orders(t, exiting=True))
-
-
 def _reset(t: Term, keep_top: bool) -> Term:
     if isinstance(t, Basic):
         return t
@@ -394,12 +386,12 @@ def run_bounded(
     enumerated after, so which bound is reported does not depend on the
     order of exploration.
 
-    The search runs over numbers, one per distinct term and message: a
-    node's key is a flat tuple, its term's number and then its queue's.
-    Each (term, head) pair's distinct steps are numbered once, as `_steps`
-    enumerates them, so the node bound stops even a step with n! output
-    orders. The runs are walked over the keys, and a `KripkeNode` is built
-    per distinct key after the search, none when the node bound stops it.
+    The search runs over numbers: each distinct term and message, and each
+    node's key (its term's number, then its queue's), is numbered once, in
+    the order found. Each (term, head) pair's distinct steps are numbered
+    as `_steps` enumerates them, so the node bound stops even a step with
+    n! output orders. The `KripkeNode`s are built after the search, none
+    when the node bound stops it, and the runs walk a path of them.
     """
     memo: dict = {}  # (term, message) -> its steps, see `_steps`
     number, value = {}, []  # each distinct term and message -> its index in `value`
@@ -420,45 +412,46 @@ def run_bounded(
                 yield step
 
     first = num(start.term), *map(num, start.queue)
-    succs: dict = {}  # key -> its successors, for the keys runs may extend
-    seen = {first: start}  # each distinct key -> its node, built after the search
+    index = {first: 0}  # each distinct key -> its node's index, in the order found
+    succs: list = []  # by index: the indices of a node's successors, for the nodes runs may extend
     level, depth = [first], 0
     while level and depth < max_steps:
         depth += 1
         deeper = []
-        for key in level:
-            succs[key] = nxt = []  # distinct, as the steps are
+        for key in level:  # in the order of their indices, so succs[i] is node i's
+            succs.append(nxt := [])  # distinct, as the steps are
             if len(key) == 1:  # an empty queue
                 continue
             pair, rest = key[:2], key[2:]
             for alpha, t in steps[pair] if pair in steps else numbered(*pair):
                 n = (t, *rest, *alpha)
-                nxt.append(n)
-                size = len(seen)
-                seen.setdefault(n)
-                if len(seen) > size:
-                    if size >= max_nodes:
+                size = len(index)
+                j = index.setdefault(n, size)
+                nxt.append(j)
+                if j == size:
+                    if j >= max_nodes:
                         raise StateSpaceBound(f"more than {max_nodes} distinct nodes", "max_nodes")
                     deeper.append(n)
         level = deeper
-    node = {key: n or KripkeNode(value[key[0]], tuple(map(value.__getitem__, key[1:])))
-            for key, n in seen.items()}
+    nodes = [start]  # by index; the start is the caller's
+    nodes += [KripkeNode(value[key[0]], tuple(map(value.__getitem__, key[1:])))
+              for key in itertools.islice(index, 1, None)]
 
-    # one path, and below each of its keys the successors not yet walked
-    runs, path, below, key = [], [], [], first
+    # one path of nodes, and below each of them the successors not yet walked
+    runs, path, below, i = [], [], [], 0
     while True:
-        path.append(key)
-        nxt = succs[key] if len(path) <= max_steps else ()
+        path.append(nodes[i])
+        nxt = succs[i] if len(path) <= max_steps else ()
         if nxt:
             below.append(iter(nxt))
         else:
-            runs.append(tuple(map(node.__getitem__, path)))
+            runs.append(tuple(path))
             if len(runs) > max_runs:
                 raise StateSpaceBound(f"more than {max_runs} runs", "max_runs")
             path.pop()
         while below:
-            key = next(below[-1], None)
-            if key is not None:
+            i = next(below[-1], None)
+            if i is not None:
                 break
             below.pop()
             path.pop()
@@ -470,9 +463,12 @@ def run_outputs(run: tuple) -> tuple:
     """The actions each step appended to the queue. Each step consumes the
     queue's head, so the queue's whole stream is the head of every node but
     the last, then the last node's queue; the outputs are that stream past
-    the first node's queue."""
-    stream = tuple(node.queue[0] for node in run[:-1]) + run[-1].queue
-    return stream[len(run[0].queue):]
+    the first node's queue: a tail of the last node's queue while the steps
+    consume only the first's."""
+    k, last = len(run[0].queue), run[-1].queue
+    if len(run) <= k + 1:
+        return last[k + 1 - len(run):]
+    return tuple(node.queue[0] for node in run[k:-1]) + last
 
 
 def node_to_json(node: KripkeNode) -> dict:

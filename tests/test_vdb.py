@@ -31,8 +31,6 @@ from scforge.vdb import (
     aux_step,
     conf_of,
     encode_guard_free,
-    entry_seqs,
-    exit_seqs,
     next_state,
     node_to_json,
     run_bounded,
@@ -91,26 +89,26 @@ def test_conf_of_and_term():
 
 
 def test_entry_seqs_basic():
-    assert entry_seqs(Basic("A")) == {()}
-    assert entry_seqs(Basic("A", entry=(Message("p"),))) == {(Message("p"),)}
+    assert frozenset(vdb._action_orders(Basic("A"), exiting=False)) == {()}
+    assert frozenset(vdb._action_orders(Basic("A", entry=(Message("p"),)), exiting=False)) == {(Message("p"),)}
 
 
 def test_entry_seqs_and_permutes_children():
     t = And("n", (Basic("a", entry=(Message("p"),)), Basic("b", entry=(Message("q"),))))
-    assert entry_seqs(t) == {(Message("p"), Message("q")), (Message("q"), Message("p"))}
+    assert frozenset(vdb._action_orders(t, exiting=False)) == {(Message("p"), Message("q")), (Message("q"), Message("p"))}
 
 
 def test_exit_seqs_children_before_self():
     t = Or("n", (Basic("a", exit=(Message("p"),)),), 1, frozenset(), exit=(Message("x"),))
-    assert exit_seqs(t) == {(Message("p"), Message("x"))}
+    assert frozenset(vdb._action_orders(t, exiting=True)) == {(Message("p"), Message("x"))}
     t2 = And("n", (Basic("a", exit=(Message("p"),)), Basic("b", exit=(Message("q"),))),
              exit=(Message("x"),))
-    assert exit_seqs(t2) == {(Message("p"), Message("q"), Message("x")), (Message("q"), Message("p"), Message("x"))}
+    assert frozenset(vdb._action_orders(t2, exiting=True)) == {(Message("p"), Message("q"), Message("x")), (Message("q"), Message("p"), Message("x"))}
 
 
 def test_buffer_term_entry_seqs_trivial():
-    assert entry_seqs(buffer_term()) == {()}
-    assert exit_seqs(buffer_term()) == {()}
+    assert frozenset(vdb._action_orders(buffer_term(), exiting=False)) == {()}
+    assert frozenset(vdb._action_orders(buffer_term(), exiting=True)) == {()}
 
 
 # -- next_state -------------------------------------------------------------
@@ -296,9 +294,13 @@ def test_run_outputs_equals_what_each_step_appended():
         sc = gen_guard_free(seed)
         word = sorted({t.call.name for t in sc.trans}) * 2
         starts.append(KripkeNode(encode_guard_free(sc), tuple(Message(c) for c in word)))
+    # runs cut short by the step bound too, before and after the steps
+    # consume the first node's queue
+    bounds = [(start, 12) for start in starts]
+    bounds += [(branch_start("ffgffgff"), max_steps) for max_steps in range(14)]
     outputs = 0
-    for start in starts:
-        for run in run_bounded(start, max_steps=12):
+    for start, max_steps in bounds:
+        for run in run_bounded(start, max_steps):
             assert run_outputs(run) == appended(run)
             outputs += len(run_outputs(run))
     assert outputs > 0
@@ -485,6 +487,20 @@ def test_run_bounded_reads_no_bound_from_the_environment(monkeypatch):
     monkeypatch.setenv("SCFORGE_MAX_RUNS", "4")
     monkeypatch.setenv("SCFORGE_MAX_NODES", "2")
     assert len(run_bounded(start, max_steps=100)) == 16
+
+
+def test_run_bounded_node_cap_at_its_edge():
+    """The bound allows exactly `max_nodes` distinct nodes, and equal nodes
+    in different runs are one object."""
+    start = branch_start("ffffffffgg")
+    runs = run_bounded(start, max_steps=100)
+    assert len(runs) == 256
+    assert len({id(n) for r in runs for n in r}) == len({n for r in runs for n in r}) == 1490
+    assert run_bounded(start, max_steps=100, max_nodes=1490) == runs
+    with pytest.raises(StateSpaceBound) as bound:
+        run_bounded(start, max_steps=100, max_nodes=1489)
+    assert str(bound.value) == "more than 1489 distinct nodes"
+    assert bound.value.argument == "max_nodes"
 
 
 def test_run_bounded_node_cap_is_reported_before_the_run_cap():
@@ -903,8 +919,8 @@ def every_order_seqs(t, exiting):
 @given(st.lists(terms(depth=1), min_size=1, max_size=4), seqs, syms)
 def test_and_terms_interleave_their_children_in_every_order(kids, own, e):
     t = uniquify(And("n", tuple(kids), own, own))
-    assert entry_seqs(t) == every_order_seqs(t, exiting=False)
-    assert exit_seqs(t) == every_order_seqs(t, exiting=True)
+    assert frozenset(vdb._action_orders(t, exiting=False)) == every_order_seqs(t, exiting=False)
+    assert frozenset(vdb._action_orders(t, exiting=True)) == every_order_seqs(t, exiting=True)
     steps = [aux_step(s, e) for s in t.subterms]
     assert aux_step(t, e) == {
         (sum((combo[k][0] for k in perm), ()), max(f for _, f, _ in combo),
