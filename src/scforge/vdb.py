@@ -2,10 +2,10 @@
 
 A statemachine is a nested term: basic states, or-states (one active child,
 a set of named transitions between children), and and-states (all children
-active). A two-level semantics drives it: auxiliary judgments
-`t --e/alpha-->_f t'` (flag f=1 when a transition fired, f=0 for a stutter
-that merely consumes the event) and, on top, Kripke steps over (term, event
-queue) nodes where the outputs of a step are fed back into the queue.
+active). Two levels of steps drive it: judgments `t --e/alpha-->_f t'`,
+whose flag f (1 when t fires on e) belongs to t and e, as a term that does
+not fire has one step, the stutter that merely consumes e; and Kripke steps
+over (term, event queue) nodes, which feed a step's outputs into the queue.
 
 Includes an encoder from guard-free statecharts to terms: each hierarchy
 level becomes an or-term, and the states that carry a flat chart's data
@@ -301,63 +301,61 @@ def _product(factors: list) -> Iterator[tuple]:
 
 def aux_step(t: Term, e: Message) -> frozenset:
     """All derivable judgments t --e/alpha-->_f t' as (alpha, f, t') triples."""
-    return frozenset(_steps(t, e, {})())
+    fires, steps = _steps(t, e, {})
+    return frozenset((alpha, fires, term) for alpha, term in steps())
 
 
-def _and_free(t: Term) -> bool:
-    return isinstance(t, Basic) or isinstance(t, Or) and all(map(_and_free, t.subterms))
+def _steps(t: Term, e: Message, memo: dict) -> tuple:
+    """memo[t, e], made on first use from the children's entries: whether t
+    fires on e, 1 or 0 (an or-term's inner transitions take priority), and a
+    function that enumerates t's steps on e afresh as (alpha, t') pairs
+    (`_derive`, given the own transitions that fire). A term that does not
+    fire has one step, the stutter; a basic term takes no entry."""
+    if isinstance(t, Basic):
+        return _stutter(t)
+    entry = memo.get((t, e))
+    if entry is None:
+        if isinstance(t, And):
+            fires, fired = any(_steps(s, e, memo)[0] for s in t.subterms), ()
+        else:
+            fires = _steps(t.subterms[t.active - 1], e, memo)[0]
+            fired = () if fires else tuple(_fired(t, e))
+        steps = functools.partial(_derive, t, e, memo, fired)
+        entry = memo[t, e] = (1, steps) if fires or fired else _stutter(t)
+    return entry
 
 
-def _steps(t: Term, e: Message, memo: dict):
-    """memo[t, e], made on first use: a function that enumerates t's steps on
-    e afresh (`_derive`, given the own transitions that fire, found once).
-    For a term without and-terms it iterates their set, derived once
-    (deriving it again costs exploration twice the time or more); for any
-    other it runs `_derive`, so no and-term's output orders are held."""
-    steps = memo.get((t, e))
-    if steps is None:
-        steps = functools.partial(_derive, t, e, memo, tuple(_fired(t, e, memo)))
-        steps = memo[t, e] = frozenset(steps()).__iter__ if _and_free(t) else steps
-    return steps
+def _stutter(t: Term) -> tuple:  # the entry of a term that does not fire
+    return 0, (((), t),).__iter__
 
 
-def _fired(t: Term, e: Message, memo: dict) -> Iterator[tuple]:
-    """The (alpha, t') of t's own transitions that fire on e: an or-term's
-    enabled transitions, unless its active child fires, as inner
-    transitions take priority."""
-    if isinstance(t, Or) and not next(_steps(t.subterms[t.active - 1], e, memo)())[1]:
-        conf = conf_of(t.subterms[t.active - 1])
-        for tr in t.transitions:
-            if tr.i == t.active and tr.e == e and tr.ns <= conf:
-                target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
-                subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
-                yield tr.alpha, replace(t, subterms=subs, active=tr.j)
+def _fired(t: Or, e: Message) -> Iterator[tuple]:
+    """The (alpha, t') of t's enabled transitions on e."""
+    for tr in t.transitions:
+        if tr.i == t.active and tr.e == e and tr.ns <= conf_of(t.subterms[t.active - 1]):
+            target = next_state(tr.ht, tr.nt, t.subterms[tr.j - 1])
+            subs = t.subterms[:tr.j - 1] + (target,) + t.subterms[tr.j:]
+            yield tr.alpha, replace(t, subterms=subs, active=tr.j)
 
 
 def _derive(t: Term, e: Message, memo: dict, fired: tuple) -> Iterator[tuple]:
-    """t's steps on e, `aux_step`'s triples, one at a time and possibly
-    repeated, given the own transitions that fire (`_fired`): an and-term's
-    combinations of its children's steps (`_steps`) in every output order;
-    an or-term's own steps, or else its active child's; and otherwise the
-    stutter. All steps on e share their flag."""
+    """A firing term's steps on e, possibly repeated, given its own firing
+    transitions: an and-term's combinations of its children's steps in every
+    output order; an or-term's own steps, or else its active child's."""
     if isinstance(t, And):
-        kids = [_steps(s, e, memo) for s in t.subterms]
-        for combo in _product(kids):
-            f = 1 if any(fj for _, fj, _ in combo) else 0
-            term = replace(t, subterms=tuple(tj for _, _, tj in combo))
-            for alpha in _orders([a for a, _, _ in combo]):
-                yield alpha, f, term
+        for combo in _product([_steps(s, e, memo)[1] for s in t.subterms]):
+            term = replace(t, subterms=tuple(tj for _, tj in combo))
+            for alpha in _orders([a for a, _ in combo]):
+                yield alpha, term
     elif fired:
         for alpha, term in fired:  # exit the active child, enter the target
             for e1 in _action_orders(t.subterms[t.active - 1], exiting=True):
                 for e2 in _action_orders(term.subterms[term.active - 1], exiting=False):
-                    yield e1 + alpha + e2, 1, term
-    elif isinstance(t, Or):  # the active child's steps; its stutter is t's
+                    yield e1 + alpha + e2, term
+    else:  # the active child's steps
         k = t.active
-        for alpha, f, s_new in _steps(t.subterms[k - 1], e, memo)():
-            yield alpha, f, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:]) if f else t
-    else:
-        yield (), 0, t  # stutter
+        for alpha, s_new in _steps(t.subterms[k - 1], e, memo)[1]():
+            yield alpha, replace(t, subterms=t.subterms[:k - 1] + (s_new,) + t.subterms[k:])
 
 
 # -- Kripke steps -----------------------------------------------------------
@@ -405,7 +403,7 @@ def run_bounded(
 
     def numbered(u: int, h: int) -> Iterator[tuple]:  # fills steps[u, h] as `_steps` yields
         found = steps[u, h] = set()
-        for alpha, _, t in _steps(value[u], value[h], memo)():
+        for alpha, t in _steps(value[u], value[h], memo)[1]():
             step = tuple(map(num, alpha)), num(t)
             if step not in found:
                 found.add(step)

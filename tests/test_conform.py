@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,18 @@ def test_proc_check():
     assert not proc_check(two, "o", put)  # put is buried, not processed
     with pytest.raises(UnknownObject):
         proc_check(empty, "ghost", get)
+
+
+def test_fragment_records_do_not_hash_and_copy_equal():
+    """A fragment's records hold dicts, so they are plain records, not
+    values: they do not hash, and they pickle and copy by their fields."""
+    obj = ObjectState({"v": 1}, {"t": (Message("f"),)}, (Message("g", (2,)),))
+    node = OGSNode("n1", {"o": obj})
+    for x in obj, node, SystemFragment.make([node], [("n1", "n1", (Message("h"),))], ["n1"], "o"):
+        with pytest.raises(TypeError):
+            hash(x)
+        for copy in pickle.loads(pickle.dumps(x)), deepcopy(x):
+            assert type(copy) is type(x) and copy == x
 
 
 # -- system conformance -----------------------------------------------------

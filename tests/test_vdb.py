@@ -385,9 +385,10 @@ def test_symbol_text_is_rendered_once():
 
 
 def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
-    """The steps of every (term, message) pair of an and-free term are
-    derived once per exploration, those of the nodes' terms' children
-    included: they share the exploration's memo."""
+    """The steps of every (term, message) pair that fires are derived once
+    per exploration, those of the nodes' terms' children included: they
+    share the exploration's memo. A basic term stutters without `_derive`,
+    so only the hierarchical start has children's pairs."""
     real, calls = vdb._derive, Counter()
 
     def counting(t, e, memo, fired):
@@ -395,20 +396,57 @@ def test_run_bounded_derives_each_term_and_symbol_step_once(monkeypatch):
         return real(t, e, memo, fired)
 
     monkeypatch.setattr(vdb, "_derive", counting)
-    # S0 has substates S1 and S3, and S2 is active while S0 holds either: the
-    # pairs of S2 are reached from two top terms
+    # S0 has substates S1 and S3, and the top term's steps on h() are S0's,
+    # lifted: a child's pair
     substate = encode_guard_free(gen_guard_free(173))
-    for start, n_runs in [(branch_start("ffgfff"), 2 ** 5),
-                          (KripkeNode(substate, tuple(map(Message, "fhfhff"))), 8)]:
+    for start, n_runs, hierarchical in [(branch_start("ffgfff"), 2 ** 5, False),
+                                        (KripkeNode(substate, tuple(map(Message, "fhfhff"))), 8, True)]:
         calls.clear()
         runs = run_bounded(start, max_steps=100)
         assert len(runs) == n_runs
         nodes = {n for r in runs for n in r}
         assert len(calls) < len(nodes) and set(calls.values()) == {1}
-        assert {t for t, _ in calls} - {n.term for n in nodes}  # children's pairs
+        children = {t for t, _ in calls} - {n.term for n in nodes}
+        assert bool(children) == hierarchical  # children's pairs
         # the derivations are kept for one exploration only
         assert run_bounded(start, max_steps=100) == runs
         assert set(calls.values()) == {2}
+
+
+def or_chain_around_a_firing_and(levels: int) -> Or:
+    """`levels` or-terms, each the active first child of the next and with a
+    transition on f() to its second child, around an and-term of two
+    or-terms that fire on f()."""
+    def level(name: str, kid: Term) -> Or:  # kid, then the basic term f() enters
+        trans = VdbTransition(f"t{name}", 1, frozenset(), Message("f"), (), frozenset(), 2)
+        return Or(name, (kid, Basic(f"X{name}")), 1, frozenset([trans]))
+
+    t = And("P", (level("Q0", Basic("A0")), level("Q1", Basic("A1"))))
+    for i in range(levels):
+        t = level(f"L{i}", t)
+    return t
+
+
+def test_an_or_chain_around_a_firing_and_term_copies_each_level_a_bounded_number_of_times(monkeypatch):
+    """Each or-level reads whether its active child fires from the child's
+    memo entry, without building a step of the child's, so the step of an
+    or-chain around a firing and-term copies each level a bounded number of
+    times. Building the child's first step to find out copies every level
+    below, a quadratic number of copies in all."""
+    real, copied = vdb.replace, []
+
+    def counting(term, **changes):
+        copied.append(term)
+        return real(term, **changes)
+
+    monkeypatch.setattr(vdb, "replace", counting)
+    counts = []
+    for levels in (100, 200):
+        copied.clear()
+        [run] = run_bounded(KripkeNode(or_chain_around_a_firing_and(levels), (Message("f"),)), 100)
+        assert len(run) == 2 and run[1].queue == ()
+        counts.append(len(copied))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 def test_run_bounded_builds_each_node_once_after_the_search(monkeypatch):
@@ -1055,12 +1093,19 @@ def outcome(explore, *args):
         return str(bound), bound.argument
 
 
+# a term, a word, and max_steps, max_nodes and max_runs for both explorations
+EAGER_EXPLORATION_ARGS = (and_of_senders | emitting_terms(), words, st.integers(0, 3),
+                          st.integers(1, 80), st.integers(1, 20))
+
+
 @settings(max_examples=200, deadline=None)
-@given(and_of_senders | emitting_terms(), words, st.integers(0, 3), st.integers(1, 80),
-       st.integers(1, 20))
+@given(*EAGER_EXPLORATION_ARGS)
 def test_run_bounded_matches_the_eager_exploration(t, word, max_steps, max_nodes, max_runs):
     t = uniquify(t)
     for e in set(word):
-        assert aux_step(t, e) == naive_aux_step(t, e)
+        naive = naive_aux_step(t, e)
+        assert aux_step(t, e) == naive
+        [flag] = {f for _, f, _ in naive}  # the flag belongs to (t, e): all steps share it
+        assert flag or naive == {((), 0, t)}  # a term that does not fire only stutters
     args = KripkeNode(t, word), max_steps, max_nodes, max_runs
     assert outcome(run_bounded, *args) == outcome(naive_run_bounded, *args)
